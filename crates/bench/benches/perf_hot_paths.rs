@@ -9,9 +9,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use cbma::codes::{CodeFamily, TwoNcFamily};
 use cbma::prelude::*;
-use cbma::rx::{
-    CorrelationPath, Decoder, DecoderKind, DetectScratch, MultiDetectScratch, UserDetector,
-};
+use cbma::rx::{CorrelationPath, Decoder, DecoderKind, DetectScratch, UserDetector};
 use cbma::tag::{encoder::spread, modulator::ook_envelope, PhyProfile, Tag};
 
 fn bench_correlation(c: &mut Criterion) {
@@ -24,18 +22,16 @@ fn bench_correlation(c: &mut Criterion) {
     buf.extend(env.iter().map(|&e| Iq::new(0.01 * e, 0.0)));
     buf.extend(vec![Iq::ZERO; 64]);
 
-    // The production entry point (Auto picks FFT at this window size).
+    // The production entry point (Auto picks the batch FFT engine at
+    // this window size).
     c.bench_function("user_detect_10_codes", |b| {
         b.iter(|| detector.detect_candidates(&buf[350..3000], 350, 8))
     });
-    // A/B of the two backends on the identical workload — the ≥3×
+    // A/B against the direct backend on the identical workload — the
     // headline speedup of the overlap-save engine is measured here (and
     // in machine-readable form by `--example bench_summary`).
     c.bench_function("user_detect_direct", |b| {
         b.iter(|| detector.detect_candidates_with(&buf[350..3000], 350, 8, CorrelationPath::Direct))
-    });
-    c.bench_function("user_detect_fft", |b| {
-        b.iter(|| detector.detect_candidates_with(&buf[350..3000], 350, 8, CorrelationPath::Fft))
     });
     // Shared-FFT K-code matrix pass on the steady-state (scratch-reusing)
     // entry point — the receiver's production configuration.
@@ -47,23 +43,10 @@ fn bench_correlation(c: &mut Criterion) {
                 &buf[350..3000],
                 350,
                 8,
-                CorrelationPath::Batch,
+                CorrelationPath::Auto,
                 &mut scratch,
                 &mut out,
             );
-            out.len()
-        })
-    });
-    // Coalesced multi-window matrix pass: four identical windows share
-    // one set of forward transforms (one iteration scans all four, so
-    // divide by 4 to compare per window with `user_detect_batch`).
-    c.bench_function("user_detect_multiwindow_w4", |b| {
-        let windows: Vec<&[Iq]> = (0..4).map(|_| &buf[350..3000]).collect();
-        let origins = vec![350usize; 4];
-        let mut scratch = MultiDetectScratch::new();
-        let mut out = Vec::new();
-        b.iter(|| {
-            detector.detect_candidates_multi(&windows, &origins, 8, &mut scratch, &mut out);
             out.len()
         })
     });

@@ -22,6 +22,9 @@
 //!    first multiplied by the machine-speed factor from (1) before the
 //!    same floor applies (an aggregate-RTF regression therefore fails
 //!    the gate even on a slower host, but a slower host alone does not).
+//!    A `scaling_efficiency_w{N}*` key is skipped when the candidate ran
+//!    on fewer than N CPUs (its `cpus` field): `bench_summary` does not
+//!    record scaling a host cannot exhibit.
 //!
 //! Usage: `bench_gate [baseline.json] [candidate.json]`; the tolerance
 //! can be overridden with `CBMA_BENCH_GATE_TOLERANCE` (e.g. `0.25`).
@@ -37,6 +40,8 @@ use std::process::ExitCode;
 struct Summary {
     ratios: BTreeMap<String, f64>,
     cases: BTreeMap<String, f64>,
+    /// The host CPU count the summary recorded, if any.
+    cpus: Option<usize>,
 }
 
 fn parse_summary(text: &str) -> Summary {
@@ -57,7 +62,9 @@ fn parse_summary(text: &str) -> Summary {
             }
         } else if let Some((key, value)) = line.split_once(':') {
             let key = key.trim().trim_matches('"');
-            if let Ok(v) = value.trim().parse::<f64>() {
+            if key == "cpus" {
+                out.cpus = value.trim().parse().ok();
+            } else if let Ok(v) = value.trim().parse::<f64>() {
                 if key.contains("speedup")
                     || key.contains("scaling")
                     || key.contains("rtf")
@@ -69,6 +76,15 @@ fn parse_summary(text: &str) -> Summary {
         }
     }
     out
+}
+
+/// The pool width N of a `scaling_efficiency_w{N}…` key.
+fn scaling_workers(key: &str) -> Option<usize> {
+    let rest = key.strip_prefix("scaling_efficiency_w")?;
+    let digits = rest
+        .find(|c: char| !c.is_ascii_digit())
+        .unwrap_or(rest.len());
+    rest[..digits].parse().ok()
 }
 
 fn median(mut values: Vec<f64>) -> f64 {
@@ -156,6 +172,12 @@ fn main() -> ExitCode {
     // and above its floor. Absolute-speed ratios (real-time factors) are
     // machine-normalized first; same-run ratios compare raw.
     for (key, &base) in &baseline.ratios {
+        if let (Some(workers), Some(cpus)) = (scaling_workers(key), candidate.cpus) {
+            if cpus < workers {
+                println!("  skip {key:36} (candidate ran on {cpus} CPUs < {workers} workers)");
+                continue;
+            }
+        }
         let Some(&cand) = candidate.ratios.get(key) else {
             failures.push(format!("{key}: missing from candidate"));
             continue;

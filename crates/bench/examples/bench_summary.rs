@@ -8,16 +8,13 @@
 //!
 //! Cases:
 //!
-//! * `user_detect_{direct,fft,batch,auto}` — the full 10-code detector on
-//!   the paper-default window (the `user_detect_10_codes` workload), which
+//! * `user_detect_{direct,auto}` — the full 10-code detector on the
+//!   paper-default window (the `user_detect_10_codes` workload), which
 //!   backs the receiver's headline speedup and the
-//!   `cbma::rx::FFT_LAG_CROSSOVER` constant; `batch` is the shared-FFT
-//!   K-code engine (one forward transform per overlap-save block for all
-//!   ten codes),
-//! * `user_detect_multiwindow` — the coalesced W=4 multi-window matrix
-//!   pass, normalized to ns per window (backs the
-//!   `multiwindow_speedup_over_batch` and `realtime_factor_multiwindow`
-//!   headline numbers),
+//!   `cbma::rx::FFT_LAG_CROSSOVER` constant; at this window `auto` runs
+//!   the shared-FFT K-code batch engine (one forward transform per
+//!   overlap-save block for all ten codes), so the direct/auto ratio is
+//!   `batch_speedup_over_direct`,
 //! * `periodic_xcorr_{direct,fft}_n*` — circular code-family correlation
 //!   at several sequence lengths, which picked
 //!   `cbma::dsp::correlate::PERIODIC_FFT_CROSSOVER`.
@@ -31,7 +28,7 @@ use cbma::codes::{CodeFamily, TwoNcFamily};
 use cbma::dsp::correlate::dot;
 use cbma::dsp::xcorr::SlidingCorrelator;
 use cbma::prelude::*;
-use cbma::rx::{CorrelationPath, DecoderKind, DetectScratch, MultiDetectScratch, UserDetector};
+use cbma::rx::{CorrelationPath, DecoderKind, DetectScratch, UserDetector};
 use cbma::tag::{PhyProfile, Tag};
 
 /// One timed case: best-of-3 mean ns/op, each repetition covering ~40 ms.
@@ -93,8 +90,6 @@ fn main() {
     let mut out = Vec::new();
     for (name, path) in [
         ("user_detect_direct", CorrelationPath::Direct),
-        ("user_detect_fft", CorrelationPath::Fft),
-        ("user_detect_batch", CorrelationPath::Batch),
         ("user_detect_auto", CorrelationPath::Auto),
     ] {
         let case = time_case(name, || {
@@ -107,43 +102,16 @@ fn main() {
         );
         cases.push(case);
     }
-    // The coalesced multi-window pass (W paper-default windows sharing
-    // one matrix correlation), normalized to ns per *window* so the
-    // ratio against the single-window batch case is apples-to-apples.
-    const MULTI_W: usize = 4;
-    let windows: Vec<&[Iq]> = (0..MULTI_W).map(|_| window).collect();
-    let origins = vec![350usize; MULTI_W];
-    let mut multi_scratch = MultiDetectScratch::new();
-    let mut multi_out = Vec::new();
-    let mut multi = time_case("user_detect_multiwindow", || {
-        detector.detect_candidates_multi(&windows, &origins, 8, &mut multi_scratch, &mut multi_out);
-        multi_out.len()
-    });
-    multi.mean_ns /= MULTI_W as f64;
-    println!(
-        "{:24} {:>12.0} ns/op  ({} iters, per window, W={MULTI_W})",
-        multi.name, multi.mean_ns, multi.iters
-    );
-
     let speedup = cases[0].mean_ns / cases[1].mean_ns;
-    let batch_speedup = cases[1].mean_ns / cases[2].mean_ns;
-    let multiwindow_speedup = cases[2].mean_ns / multi.mean_ns;
     // Real-time factor: air time the window represents (samples at the
     // paper-default rate) over the time the detector needs to scan it.
     let window_ns = window.len() as f64 / phy.sample_rate.get() * 1e9;
-    let realtime_factor = window_ns / cases[2].mean_ns;
-    let realtime_factor_multi = window_ns / multi.mean_ns;
-    cases.push(multi);
+    let realtime_factor = window_ns / cases[1].mean_ns;
     println!(
-        "fft speedup over direct: {speedup:.2}x  (window {}, ref {ref_len}, {lags} lags, 10 codes)",
+        "batch speedup over direct: {speedup:.2}x  (window {}, ref {ref_len}, {lags} lags, 10 codes)",
         window.len()
     );
-    println!(
-        "batch speedup over fft:  {batch_speedup:.2}x   real-time factor (batch): {realtime_factor:.2}x"
-    );
-    println!(
-        "multiwindow speedup over batch: {multiwindow_speedup:.2}x   real-time factor (multiwindow): {realtime_factor_multi:.2}x"
-    );
+    println!("real-time factor (batch): {realtime_factor:.2}x");
 
     // Circular correlation A/B at the lengths around
     // PERIODIC_FFT_CROSSOVER: direct = unrolled ring dot products,
@@ -177,22 +145,15 @@ fn main() {
     }
 
     // Hand-rolled JSON — no serializer dependency in the bench harness.
+    let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut json = String::from("{\n");
+    let _ = writeln!(json, "  \"cpus\": {cpus},");
     let _ = writeln!(json, "  \"window_samples\": {},", window.len());
     let _ = writeln!(json, "  \"reference_len\": {ref_len},");
     let _ = writeln!(json, "  \"lags\": {lags},");
     let _ = writeln!(json, "  \"codes\": {},", codes.len());
-    let _ = writeln!(json, "  \"fft_speedup_over_direct\": {speedup:.3},");
-    let _ = writeln!(json, "  \"batch_speedup_over_fft\": {batch_speedup:.3},");
+    let _ = writeln!(json, "  \"batch_speedup_over_direct\": {speedup:.3},");
     let _ = writeln!(json, "  \"realtime_factor_batch\": {realtime_factor:.3},");
-    let _ = writeln!(
-        json,
-        "  \"multiwindow_speedup_over_batch\": {multiwindow_speedup:.3},"
-    );
-    let _ = writeln!(
-        json,
-        "  \"realtime_factor_multiwindow\": {realtime_factor_multi:.3},"
-    );
     json.push_str("  \"cases\": [\n");
     for (i, case) in cases.iter().enumerate() {
         let comma = if i + 1 == cases.len() { "" } else { "," };
@@ -212,17 +173,18 @@ fn main() {
 
 /// Multi-stream scheduler throughput: `BENCH_streaming.json`.
 ///
-/// Runs the same capture mix through the streaming flowgraph under the
-/// thread-per-stage scheduler and work-stealing pools of several sizes,
-/// at 1, 8 and 64 concurrent streams. Each case reports the elapsed time
+/// Runs the same capture mix through the streaming flowgraph on
+/// work-stealing pools of several sizes, at 1, 8 and 64 concurrent
+/// streams. Each case reports the elapsed time
 /// per capture (`mean_ns_per_op`, so the bench gate's median-normalized
 /// comparison applies unchanged), the aggregate real-time factor (total
 /// air time represented by all streams over wall time — the headline
 /// "hundreds of flowgraphs at aggregate real time" number), and the pool
 /// steal rate. Scaling-efficiency ratios divide same-run RTFs, so they
-/// transfer across machines; note that on an N-CPU host a pool wider
-/// than N cannot scale, which is why the gate normalizes RTF keys by the
-/// run-wide machine-speed factor instead of comparing them raw.
+/// transfer across machines — but on an N-CPU host a pool wider than N
+/// cannot scale, so `scaling_efficiency_w{W}_s64` is only recorded when
+/// W ≤ N. The gate normalizes RTF keys by the run-wide machine-speed
+/// factor instead of comparing them raw.
 fn write_streaming_throughput() {
     use cbma::codes::GoldFamily;
     use cbma::rx::runtime::{CaptureSource, RuntimeConfig, RxFlowgraph, Scheduler};
@@ -261,10 +223,8 @@ fn write_streaming_throughput() {
     let mut cases: Vec<StreamCase> = Vec::new();
     let sweeps: &[(usize, Scheduler)] = &[
         (1, Scheduler::WorkStealing { workers: 1, pin: false }),
-        (8, Scheduler::ThreadPerStage),
         (8, Scheduler::WorkStealing { workers: 1, pin: false }),
         (8, Scheduler::WorkStealing { workers: 2, pin: false }),
-        (64, Scheduler::ThreadPerStage),
         (64, Scheduler::WorkStealing { workers: 1, pin: false }),
         (64, Scheduler::WorkStealing { workers: 2, pin: false }),
         (64, Scheduler::WorkStealing { workers: 4, pin: false }),
@@ -308,7 +268,6 @@ fn write_streaming_throughput() {
             }
         }
         let name = match scheduler {
-            Scheduler::ThreadPerStage => format!("streaming_threaded_s{streams}"),
             Scheduler::WorkStealing { workers, .. } => {
                 format!("streaming_worksteal_w{workers}_s{streams}")
             }
@@ -338,19 +297,11 @@ fn write_streaming_throughput() {
             .map(|c| c.aggregate_rtf)
             .unwrap_or(f64::NAN)
     };
-    // Same-run ratios (machine-independent): how the pool scales with
-    // workers at 64 streams, and worksteal vs thread-per-stage. On a
-    // single-CPU host efficiency degenerates to ~1/workers — the gate
-    // compares against a baseline from the same class of machine.
-    let eff_w2 = rtf("streaming_worksteal_w2_s64") / (2.0 * rtf("streaming_worksteal_w1_s64"));
-    let eff_w4 = rtf("streaming_worksteal_w4_s64") / (4.0 * rtf("streaming_worksteal_w1_s64"));
-    let vs_threaded = rtf("streaming_worksteal_w2_s64") / rtf("streaming_threaded_s64");
+    // Same-run ratio (machine-independent): how the pool scales with
+    // workers at 64 streams. A pool wider than the host's CPU count can
+    // only time-slice (efficiency ≈ 1/workers), so those widths are not
+    // recorded at all.
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-    println!(
-        "streaming scaling at 64 streams: w2 efficiency {eff_w2:.2}, w4 efficiency {eff_w4:.2}, \
-         worksteal/threaded {vs_threaded:.2} ({cpus} CPUs)"
-    );
-
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"cpus\": {cpus},");
     let _ = writeln!(json, "  \"block_size\": {BLOCK},");
@@ -359,17 +310,16 @@ fn write_streaming_throughput() {
         "  \"aggregate_rtf_worksteal_w2_s64\": {:.3},",
         rtf("streaming_worksteal_w2_s64")
     );
-    let _ = writeln!(
-        json,
-        "  \"aggregate_rtf_threaded_s64\": {:.3},",
-        rtf("streaming_threaded_s64")
-    );
-    let _ = writeln!(json, "  \"scaling_efficiency_w2_s64\": {eff_w2:.3},");
-    let _ = writeln!(json, "  \"scaling_efficiency_w4_s64\": {eff_w4:.3},");
-    let _ = writeln!(
-        json,
-        "  \"worksteal_speedup_over_threaded_s64\": {vs_threaded:.3},"
-    );
+    for workers in [2usize, 4] {
+        if workers > cpus {
+            println!("streaming scaling at 64 streams: w{workers} skipped ({cpus} CPUs)");
+            continue;
+        }
+        let eff = rtf(&format!("streaming_worksteal_w{workers}_s64"))
+            / (workers as f64 * rtf("streaming_worksteal_w1_s64"));
+        println!("streaming scaling at 64 streams: w{workers} efficiency {eff:.2} ({cpus} CPUs)");
+        let _ = writeln!(json, "  \"scaling_efficiency_w{workers}_s64\": {eff:.3},");
+    }
     json.push_str("  \"cases\": [\n");
     for (i, case) in cases.iter().enumerate() {
         let comma = if i + 1 == cases.len() { "" } else { "," };

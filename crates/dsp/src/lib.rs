@@ -20,7 +20,6 @@
 //! * [`xcorr`] — the fast sliding-correlation engine: precomputed
 //!   [`xcorr::FftPlan`]s, the overlap-save [`xcorr::SlidingCorrelator`]
 //!   with cached reference spectra, the K-code [`xcorr::BatchCorrelator`]
-//!   and the W-window [`xcorr::MultiWindowCorrelator`]
 //!   that shares one forward FFT per block across every cached reference
 //!   spectrum, and [`xcorr::RunningEnergy`] prefix sums for O(1) segment
 //!   power/mean queries — the receiver's user detector runs on these,
@@ -57,8 +56,7 @@ pub use correlate::{
     correlate_iq_bipolar, normalized_correlation, sliding_correlation, PeakSearch,
 };
 pub use xcorr::{
-    BatchCorrelator, BatchScratch, BatchStream, FftPlan, MultiWindowCorrelator, RunningEnergy,
-    SlidingCorrelator, WindowScratch,
+    BatchCorrelator, BatchScratch, BatchStream, FftPlan, RunningEnergy, SlidingCorrelator,
 };
 pub use energy::{power_series, EnergyDetector};
 pub use fir::Fir;

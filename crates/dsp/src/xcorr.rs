@@ -15,15 +15,21 @@
 //! * [`SlidingCorrelator`] — caches the conjugate spectrum of one real
 //!   (bipolar) reference and correlates it against arbitrary-length
 //!   complex-IQ or real windows in O(N log B) via overlap-save blocks,
+//! * [`BatchCorrelator`] — K equal-length references sharing one forward
+//!   FFT per block (the receiver's detection engine), fed either in one
+//!   pass or block by block through [`BatchStream`],
 //! * [`RunningEnergy`] — prefix sums of |s| and |s|² giving O(1) segment
 //!   power, mean and mean-removed energy over any `[off, off + len)`,
 //!   serving both the coherent power normalization and the envelope
 //!   mean-removed statistic.
 //!
 //! The engine is exact up to FFT rounding (≈1e-12 relative); the receiver
-//! keeps a direct path for short windows and the equivalence proptests in
-//! `crates/dsp/tests/xcorr.rs` and `crates/rx/tests/detect_equivalence.rs`
-//! pin the two paths together within 1e-9.
+//! keeps a direct path for short windows. This module's unit tests pin
+//! overlap-save against direct sliding dot products,
+//! `crates/dsp/tests/simd_equivalence.rs` and
+//! `crates/dsp/tests/stream_equivalence.rs` pin the vector kernels and the
+//! block-fed walk, and `crates/rx/tests/detect_equivalence.rs` pins the
+//! detector's two paths together within 1e-9.
 
 use cbma_obs::trace::{SpanId, TraceId, Tracer};
 use cbma_types::{CbmaError, Iq, Result};
@@ -523,7 +529,7 @@ impl RunningEnergy {
 ///
 /// This is **the** carry-over normalization for final blocks shorter than
 /// the FFT size: every overlap-save engine in this module (single-code,
-/// batched, multi-window, and the streamed [`BatchStream`]) loads its
+/// batched, and the streamed [`BatchStream`]) loads its
 /// blocks through this one helper, so a ragged tail is padded identically
 /// on every path and the resulting correlation rows stay bit-identical.
 #[inline]
@@ -1109,283 +1115,6 @@ impl BatchStream {
     }
 }
 
-/// Reusable arena for [`MultiWindowCorrelator::correlate_iq_multi`].
-///
-/// Holds the W forward window spectra, the inverse-FFT work buffer and
-/// the flat window-major × code-major correlation rows. Everything grows
-/// to a high-water mark on the first batch of a given shape and is
-/// reused allocation-free afterwards — the counting-allocator proof in
-/// `crates/rx/tests/alloc_free.rs` pins the steady state at zero heap
-/// traffic across W.
-#[derive(Debug, Clone, Default)]
-pub struct WindowScratch {
-    /// Flat W × `fft_size` forward spectra, one block per window, in the
-    /// bit-reversed order of [`FftPlan::forward_raw`].
-    spectra: Vec<Iq>,
-    /// Per-(window, code) spectrum-product / inverse-FFT buffer.
-    work: Vec<Iq>,
-    /// Flat correlation rows: all K rows of window 0, then window 1, …
-    /// Row (w, k) lives at `offsets[w] + k·lags[w]`.
-    out: Vec<Iq>,
-    /// Base index of each window's row block in `out`.
-    offsets: Vec<usize>,
-    /// Valid lags per window (0 when shorter than the reference).
-    lags: Vec<usize>,
-    codes: usize,
-    /// Per-window fallback scratch for windows the shared single-block
-    /// fast path cannot serve (multi-block or mixed block sizes).
-    single: BatchScratch,
-}
-
-impl WindowScratch {
-    /// An empty arena; buffers are sized lazily by the first
-    /// [`MultiWindowCorrelator::correlate_iq_multi`] call.
-    pub fn new() -> WindowScratch {
-        WindowScratch::default()
-    }
-
-    /// Number of windows in the last batch.
-    #[inline]
-    pub fn num_windows(&self) -> usize {
-        self.lags.len()
-    }
-
-    /// Number of code rows per window in the last batch.
-    #[inline]
-    pub fn num_codes(&self) -> usize {
-        self.codes
-    }
-
-    /// Valid lags of window `w` in the last batch.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w` is out of range.
-    #[inline]
-    pub fn lags(&self, w: usize) -> usize {
-        self.lags[w]
-    }
-
-    /// Correlation row of code `k` against window `w`:
-    /// `c[lag] = Σ_i s_w[lag+i]·r_k[i]` — bit-identical to
-    /// [`BatchScratch::code`] after a per-window
-    /// [`BatchCorrelator::correlate_iq_into`] pass.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `w` or `k` is out of range for the last batch.
-    #[inline]
-    pub fn row(&self, w: usize, k: usize) -> &[Iq] {
-        assert!(k < self.codes, "code index out of range");
-        let lags = self.lags[w];
-        let base = self.offsets[w] + k * lags;
-        &self.out[base..base + lags]
-    }
-
-    /// Total heap capacity held by the arena, in bytes.
-    pub fn capacity_bytes(&self) -> usize {
-        (self.spectra.capacity() + self.work.capacity() + self.out.capacity())
-            * std::mem::size_of::<Iq>()
-            + (self.offsets.capacity() + self.lags.capacity()) * std::mem::size_of::<usize>()
-            + self.single.capacity_bytes()
-    }
-
-    /// Stable address of the row storage, for buffer-reuse regression
-    /// tests.
-    #[doc(hidden)]
-    pub fn storage_ptr(&self) -> *const Iq {
-        self.out.as_ptr()
-    }
-}
-
-/// Multi-window batched K-code correlator: W capture windows × K codes
-/// in one matrix pass over the shared reference spectra.
-///
-/// The per-window [`BatchCorrelator`] already shares each window's
-/// forward FFT across the K codes; this engine additionally shares the K
-/// cached conjugate reference spectra (and the FFT plan's twiddle
-/// tables) across W windows per call, and exploits what a *batch* of
-/// windows makes possible:
-///
-/// * each window is forward-transformed exactly once (phase A), then the
-///   code loop runs **code-major** (phase B) so one reference spectrum
-///   is streamed against all W window spectra while hot,
-/// * the inverse transforms run **output-pruned**
-///   ([`FftPlan::inverse_raw_unscaled_pruned`]): only the `lags` outputs
-///   a row keeps are computed, skipping up to a quarter of the butterfly
-///   work at paper-default shapes,
-/// * all scratch lives in a [`WindowScratch`] arena, so steady-state
-///   batches perform zero heap allocation.
-///
-/// Rows are **bit-identical** to running [`BatchCorrelator`] on each
-/// window separately (pinned by `crates/dsp/tests/simd_equivalence.rs`):
-/// the fast path applies when every window of the batch maps to the same
-/// single overlap-save block, and windows that don't (multi-block or
-/// mixed sizes) transparently fall back to the per-window engine.
-#[derive(Debug, Clone)]
-pub struct MultiWindowCorrelator {
-    batch: BatchCorrelator,
-}
-
-impl MultiWindowCorrelator {
-    /// Builds a multi-window correlator over K equal-length real
-    /// references.
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`BatchCorrelator::new`].
-    pub fn new<R: AsRef<[f64]>>(references: &[R]) -> MultiWindowCorrelator {
-        MultiWindowCorrelator::from_batch(BatchCorrelator::new(references))
-    }
-
-    /// Wraps an existing per-window batch engine, sharing its cached
-    /// reference spectra (no duplication).
-    pub fn from_batch(batch: BatchCorrelator) -> MultiWindowCorrelator {
-        MultiWindowCorrelator { batch }
-    }
-
-    /// The wrapped per-window engine (used for single windows and as the
-    /// fallback path).
-    #[inline]
-    pub fn batch(&self) -> &BatchCorrelator {
-        &self.batch
-    }
-
-    /// Length of the cached references.
-    #[inline]
-    pub fn reference_len(&self) -> usize {
-        self.batch.ref_len
-    }
-
-    /// Number of cached codes K.
-    #[inline]
-    pub fn num_codes(&self) -> usize {
-        self.batch.codes
-    }
-
-    /// Correlates every window of the batch against all K references,
-    /// leaving the W × K × lags rows in `scratch` (query with
-    /// [`WindowScratch::row`]). Steady-state calls are allocation-free
-    /// once the arena has reached its high-water size.
-    pub fn correlate_iq_multi(&self, windows: &[&[Iq]], scratch: &mut WindowScratch) {
-        self.correlate_iq_multi_impl(windows, scratch, None);
-    }
-
-    /// [`MultiWindowCorrelator::correlate_iq_multi`] with span
-    /// instrumentation: the whole coalesced pass records one
-    /// `multi_window_correlate` span under `parent`, its argument packing
-    /// the batch shape as `(W << 32) | K`.
-    pub fn correlate_iq_multi_traced(
-        &self,
-        windows: &[&[Iq]],
-        scratch: &mut WindowScratch,
-        tracer: &Tracer,
-        trace: TraceId,
-        parent: SpanId,
-    ) {
-        self.correlate_iq_multi_impl(windows, scratch, Some((tracer, trace, parent)));
-    }
-
-    fn correlate_iq_multi_impl(
-        &self,
-        windows: &[&[Iq]],
-        scratch: &mut WindowScratch,
-        trace: Option<(&Tracer, TraceId, SpanId)>,
-    ) {
-        let _span = trace.map(|(tracer, trace, parent)| {
-            let mut span = tracer.span(trace, Some(parent), "multi_window_correlate");
-            span.set_arg(((windows.len() as u64) << 32) | self.batch.codes as u64);
-            span
-        });
-        let ref_len = self.batch.ref_len;
-        let codes = self.batch.codes;
-        scratch.codes = codes;
-        scratch.lags.clear();
-        scratch.offsets.clear();
-        let mut total = 0;
-        for w in windows {
-            let lags = (w.len() + 1).saturating_sub(ref_len);
-            scratch.offsets.push(total);
-            scratch.lags.push(lags);
-            total += codes * lags;
-        }
-        // Grow-only resizes: shrinking len is free, re-growing within
-        // capacity only rewrites the new elements.
-        scratch.out.clear();
-        scratch.out.resize(total, Iq::ZERO);
-        // Fast path: every window must run on the same block spec and fit
-        // it in a single overlap-save block, so one forward spectrum per
-        // window serves every code. (Windows shorter than the reference
-        // contribute zero lags and are skipped outright.)
-        let block = windows
-            .iter()
-            .find(|w| w.len() >= ref_len)
-            .map(|w| self.batch.block_for(w.len()));
-        let uniform = block.is_some_and(|b| {
-            windows.iter().all(|w| {
-                w.len() < ref_len
-                    || (w.len() <= b.fft_size && std::ptr::eq(self.batch.block_for(w.len()), b))
-            })
-        });
-        if !uniform {
-            self.fallback_multi(windows, scratch);
-            return;
-        }
-        let block = block.expect("uniform implies a block");
-        let fft = block.fft_size;
-        scratch.spectra.clear();
-        scratch.spectra.resize(windows.len() * fft, Iq::ZERO);
-        scratch.work.clear();
-        scratch.work.resize(fft, Iq::ZERO);
-        // Phase A: one forward transform per window.
-        for (w, window) in windows.iter().enumerate() {
-            if scratch.lags[w] == 0 {
-                continue;
-            }
-            let spec = &mut scratch.spectra[w * fft..(w + 1) * fft];
-            load_block(spec, window, 0);
-            block.plan.forward_raw(spec).expect("sized to plan");
-        }
-        // Phase B, code-major: stream each cached reference spectrum
-        // against every window spectrum while it is hot, with the
-        // inverse transform pruned to the lags the row keeps.
-        for k in 0..codes {
-            let ref_spec = &block.spectra[k * fft..(k + 1) * fft];
-            for (w, _) in windows.iter().enumerate() {
-                let lags = scratch.lags[w];
-                if lags == 0 {
-                    continue;
-                }
-                let spec = &scratch.spectra[w * fft..(w + 1) * fft];
-                simd::spectrum_mul_to(&mut scratch.work, spec, ref_spec);
-                block
-                    .plan
-                    .inverse_raw_unscaled_pruned(&mut scratch.work, lags)
-                    .expect("sized to plan");
-                let base = scratch.offsets[w] + k * lags;
-                scratch.out[base..base + lags].copy_from_slice(&scratch.work[..lags]);
-            }
-        }
-    }
-
-    /// Correctness fallback: per-window batch passes copied into the
-    /// arena's row layout. Used when the batch mixes block specs or needs
-    /// multi-block overlap-save walks.
-    fn fallback_multi(&self, windows: &[&[Iq]], scratch: &mut WindowScratch) {
-        for (w, window) in windows.iter().enumerate() {
-            let lags = scratch.lags[w];
-            if lags == 0 {
-                continue;
-            }
-            self.batch.correlate_iq_into(window, &mut scratch.single);
-            debug_assert_eq!(scratch.single.lags(), lags);
-            let base = scratch.offsets[w];
-            scratch.out[base..base + self.batch.codes * lags]
-                .copy_from_slice(&scratch.single.out[..self.batch.codes * lags]);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1572,69 +1301,6 @@ mod tests {
                 assert_eq!(&pruned[..take], &full[..take], "n={n} needed={needed}");
             }
         }
-    }
-
-    #[test]
-    fn multi_window_rows_match_batch_per_window() {
-        let references: Vec<Vec<f64>> = (0..3).map(|k| test_reference(40 + k)).collect();
-        // Unequal reference lengths are rejected by BatchCorrelator; use
-        // uniform ones here.
-        let references: Vec<Vec<f64>> = references
-            .iter()
-            .map(|r| r[..40].to_vec())
-            .collect();
-        let multi = MultiWindowCorrelator::new(&references);
-        let bufs: Vec<Vec<Iq>> = [90usize, 130, 39, 101]
-            .iter()
-            .map(|&n| test_signal(n))
-            .collect();
-        let windows: Vec<&[Iq]> = bufs.iter().map(|b| b.as_slice()).collect();
-        let mut ws = WindowScratch::new();
-        multi.correlate_iq_multi(&windows, &mut ws);
-        assert_eq!(ws.num_windows(), 4);
-        assert_eq!(ws.num_codes(), 3);
-        let mut bs = BatchScratch::new();
-        for (w, window) in windows.iter().enumerate() {
-            multi.batch().correlate_iq_into(window, &mut bs);
-            assert_eq!(ws.lags(w), bs.lags(), "window {w}");
-            for k in 0..3 {
-                assert_eq!(ws.row(w, k), bs.code(k), "window {w} code {k}");
-            }
-        }
-    }
-
-    #[test]
-    fn multi_window_fallback_covers_multi_block_windows() {
-        // A long window forces the streaming block (multi-block walk)
-        // while a short one uses the compact block — mixed specs land on
-        // the per-window fallback, which must still be bit-identical.
-        let references = vec![test_reference(64); 2];
-        let multi = MultiWindowCorrelator::new(&references);
-        let long = test_signal(2000);
-        let short = test_signal(100);
-        let windows: Vec<&[Iq]> = vec![&long, &short];
-        let mut ws = WindowScratch::new();
-        multi.correlate_iq_multi(&windows, &mut ws);
-        let mut bs = BatchScratch::new();
-        for (w, window) in windows.iter().enumerate() {
-            multi.batch().correlate_iq_into(window, &mut bs);
-            for k in 0..2 {
-                assert_eq!(ws.row(w, k), bs.code(k), "window {w} code {k}");
-            }
-        }
-    }
-
-    #[test]
-    fn multi_window_scratch_reuse_is_pointer_stable() {
-        let references = vec![test_reference(32); 3];
-        let multi = MultiWindowCorrelator::new(&references);
-        let bufs: Vec<Vec<Iq>> = (0..4).map(|_| test_signal(120)).collect();
-        let windows: Vec<&[Iq]> = bufs.iter().map(|b| b.as_slice()).collect();
-        let mut ws = WindowScratch::new();
-        multi.correlate_iq_multi(&windows, &mut ws);
-        let ptr = ws.storage_ptr();
-        multi.correlate_iq_multi(&windows, &mut ws);
-        assert_eq!(ptr, ws.storage_ptr(), "row storage reallocated");
     }
 
     #[test]

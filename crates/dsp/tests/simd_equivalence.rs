@@ -7,9 +7,7 @@
 //! floating-point rounding (1e-9 relative on unit-scale data).
 
 use cbma_dsp::simd;
-use cbma_dsp::xcorr::{
-    BatchCorrelator, BatchScratch, FftPlan, MultiWindowCorrelator, SlidingCorrelator, WindowScratch,
-};
+use cbma_dsp::xcorr::{BatchCorrelator, BatchScratch, FftPlan, SlidingCorrelator};
 use cbma_types::Iq;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -195,58 +193,6 @@ proptest! {
         plan.inverse_raw(&mut raw).unwrap();
         for (r, x) in raw.iter().zip(&input) {
             prop_assert!((*r - *x).abs() < 1e-9);
-        }
-    }
-
-    /// Every row of the multi-window matrix pass is bit-identical to a
-    /// per-window [`BatchCorrelator`] pass over the same capture — for
-    /// uniform-length windows (the shared fast path) and ragged mixes
-    /// that force the per-window fallback, including windows shorter
-    /// than the reference (empty rows).
-    #[test]
-    fn multi_window_rows_match_batch_per_window(
-        seed in 0u64..1 << 48,
-        num_codes in 1usize..=6,
-        ref_len in 2usize..=64,
-        num_windows in 1usize..=5,
-        uniform in any::<bool>(),
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let references: Vec<Vec<f64>> = (0..num_codes)
-            .map(|_| {
-                (0..ref_len)
-                    .map(|_| if rng.gen::<bool>() { 1.0 } else { -1.0 })
-                    .collect()
-            })
-            .collect();
-        let base_len = ref_len + rng.gen_range(0usize..500);
-        let captures: Vec<Vec<Iq>> = (0..num_windows)
-            .map(|_| {
-                let len = if uniform {
-                    base_len
-                } else {
-                    rng.gen_range(1usize..ref_len + 500)
-                };
-                iqs(&mut rng, len)
-            })
-            .collect();
-        let windows: Vec<&[Iq]> = captures.iter().map(Vec::as_slice).collect();
-
-        let multi = MultiWindowCorrelator::new(&references);
-        let mut scratch = WindowScratch::new();
-        multi.correlate_iq_multi(&windows, &mut scratch);
-        prop_assert_eq!(scratch.num_windows(), num_windows);
-        prop_assert_eq!(scratch.num_codes(), num_codes);
-
-        let mut per_window = BatchScratch::new();
-        for (w, window) in windows.iter().enumerate() {
-            multi.batch().correlate_iq_into(window, &mut per_window);
-            prop_assert_eq!(scratch.lags(w), per_window.lags());
-            for k in 0..num_codes {
-                // Bit-identical: the multi-window pass runs the same
-                // butterflies, only the forward transforms are hoisted.
-                prop_assert_eq!(scratch.row(w, k), per_window.code(k));
-            }
         }
     }
 }

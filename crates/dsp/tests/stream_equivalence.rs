@@ -3,14 +3,11 @@
 //!
 //! A window whose length is not a multiple of the FFT block leaves a
 //! final block shorter than the transform; each engine must zero-pad it
-//! through the same `load_block` helper so the one-shot batch pass, the
-//! chunk-fed [`BatchStream`], and the multi-window fallback that
-//! `Receiver::receive_coalesced` rides (mixed window sizes route through
-//! `fallback_multi` → `BatchCorrelator::correlate_iq_into`) all produce
-//! **bit-identical** correlation rows — especially the rows of the last
-//! window, whose tail is the ragged one.
+//! through the same `load_block` helper so the one-shot batch pass and
+//! the chunk-fed [`BatchStream`] produce **bit-identical** correlation
+//! rows — especially the rows of a window whose tail is the ragged one.
 
-use cbma_dsp::{BatchCorrelator, BatchScratch, MultiWindowCorrelator, WindowScratch};
+use cbma_dsp::{BatchCorrelator, BatchScratch};
 use cbma_types::Iq;
 
 fn signal(n: usize, seed: u64) -> Vec<Iq> {
@@ -43,37 +40,23 @@ fn assert_rows_bit_identical(got: &[Iq], want: &[Iq], label: &str) {
     }
 }
 
-/// The last window of a mixed-size coalesced batch ends in a ragged
-/// final block. Its correlation rows must be bit-identical across the
-/// one-shot pass, the streamed pass under several chunkings, and the
-/// multi-window fallback.
+/// Windows of mixed sizes, the last ending in a ragged final block:
+/// their correlation rows must be bit-identical between the one-shot
+/// pass and the streamed pass under several chunkings.
 #[test]
 fn ragged_final_block_rows_are_bit_identical_across_paths() {
     let refs = references(3, 64);
     let batch = BatchCorrelator::new(&refs);
-    let multi = MultiWindowCorrelator::new(&refs);
 
-    // Window lengths chosen so the batch mixes block specs (forcing the
-    // fallback path) and the last window needs a multi-block walk whose
-    // final block is ragged (1731 is far from any power of two).
+    // Window lengths chosen so the windows use different block specs and
+    // the last one needs a multi-block walk whose final block is ragged
+    // (1731 is far from any power of two).
     let bufs: Vec<Vec<Iq>> = vec![signal(100, 1), signal(2000, 2), signal(1731, 3)];
-    let windows: Vec<&[Iq]> = bufs.iter().map(|b| b.as_slice()).collect();
 
-    let mut ws = WindowScratch::new();
-    multi.correlate_iq_multi(&windows, &mut ws);
-
-    for (w, window) in windows.iter().enumerate() {
+    for (w, window) in bufs.iter().enumerate() {
         // One-shot reference rows.
         let mut one_shot = BatchScratch::new();
         batch.correlate_iq_into(window, &mut one_shot);
-
-        for k in 0..batch.num_codes() {
-            assert_rows_bit_identical(
-                ws.row(w, k),
-                one_shot.code(k),
-                &format!("fallback window {w} code {k}"),
-            );
-        }
 
         // Streamed rows, under chunkings that misalign with the FFT
         // block every way the runtime can: single samples, a prime, a

@@ -4,7 +4,7 @@
 //! cbma-harness [--tier fast|full] [--out DIR] [--campaign NAME]...
 //!              [--seed N] [--workers N] [--fresh] [--list]
 //!              [--live] [--trace-out FILE]
-//!              [--streaming inline|threaded|worksteal[:N][:pin]]
+//!              [--streaming inline|worksteal[:N][:pin]]
 //! ```
 //!
 //! Runs the selected campaigns (default: all built-ins) at the selected
@@ -19,13 +19,13 @@
 //! manifests. `--trace-out FILE` records one instrumented round of the
 //! first selected campaign's first point and writes a Chrome
 //! trace-event JSON viewable in Perfetto / `chrome://tracing`.
-//! `--streaming` measures through the pipelined receiver runtime with
+//! `--streaming` measures through the streaming receiver runtime with
 //! the given stage scheduler — the manifests are byte-identical to the
 //! round-synchronous default (and the trace, when requested, shows the
 //! flowgraph's stage spans instead of the monolithic capture tree).
-//! `worksteal[:N][:pin]` runs every stream's stages over a fixed pool of
-//! N workers (default: one per CPU), optionally pinned round-robin onto
-//! CPUs.
+//! `inline` runs every stage on the calling thread; `worksteal[:N][:pin]`
+//! pipelines every stream's stages over a fixed pool of N workers
+//! (default: one per CPU), optionally pinned round-robin onto CPUs.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -54,7 +54,7 @@ struct Cli {
 
 const USAGE: &str = "usage: cbma-harness [--tier fast|full] [--out DIR] [--campaign NAME]... \
 [--seed N] [--workers N] [--fresh] [--list] [--live] [--trace-out FILE] \
-[--streaming inline|threaded|worksteal[:N][:pin]]";
+[--streaming inline|worksteal[:N][:pin]]";
 
 fn parse_cli(args: &[String]) -> Result<Cli, String> {
     let mut cli = Cli {
@@ -271,8 +271,9 @@ fn main() -> ExitCode {
 /// Records one fully-instrumented round of `name`'s first point and
 /// writes a Chrome trace-event document for Perfetto. With a streaming
 /// scheduler, the round runs through the flowgraph so the trace shows
-/// the pipeline's stage spans (`sync_stage` … `sic_stage`, `stage_run`,
-/// `stage_wait`) instead of the monolithic capture tree.
+/// its stage spans (`sync_stage` … `sic_stage` and `stage_run` inline;
+/// `worker`, `stage_run` and `stage_wait` on the work-stealing pool)
+/// instead of the monolithic capture tree.
 fn write_trace(
     path: &PathBuf,
     name: &str,
@@ -372,7 +373,7 @@ mod tests {
         let cli = parse_cli(&args(&[
             "--tier", "full", "--out", "m", "--campaign", "fig11", "--campaign", "fig12",
             "--seed", "99", "--workers", "3", "--fresh", "--live", "--trace-out", "t.json",
-            "--streaming", "threaded",
+            "--streaming", "inline",
         ]))
         .unwrap();
         assert_eq!(cli.tier, Tier::Full);
@@ -383,7 +384,7 @@ mod tests {
         assert!(cli.fresh);
         assert!(cli.live);
         assert_eq!(cli.trace_out, Some(PathBuf::from("t.json")));
-        assert_eq!(cli.streaming, Some(Scheduler::ThreadPerStage));
+        assert_eq!(cli.streaming, Some(Scheduler::Inline));
     }
 
     #[test]
@@ -420,13 +421,16 @@ mod tests {
         assert!(parse_cli(&args(&["--streaming"])).is_err());
         assert!(parse_cli(&args(&["--streaming", "coalesced"])).is_err());
         assert!(parse_cli(&args(&["--streaming", "worksteal:x"])).is_err());
-        // Unknown schedulers name the valid set.
-        let err = parse_cli(&args(&["--streaming", "coalesced"]))
-            .err()
-            .expect("unknown scheduler must be rejected");
-        assert!(
-            err.contains(Scheduler::VALID_NAMES),
-            "error should list valid schedulers: {err}"
-        );
+        // Unknown schedulers — including the retired thread-per-stage
+        // one — name the valid set.
+        for name in ["threaded", "coalesced"] {
+            let err = parse_cli(&args(&["--streaming", name]))
+                .err()
+                .expect("unknown scheduler must be rejected");
+            assert!(
+                err.contains(Scheduler::VALID_NAMES),
+                "error should list valid schedulers: {err}"
+            );
+        }
     }
 }

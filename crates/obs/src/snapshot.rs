@@ -162,8 +162,8 @@ impl Snapshot {
 
     /// Drops every run-to-run volatile metric: wall-clock timings
     /// (`*_ns`), memory levels (`*_bytes`, e.g. scratch-arena high-water
-    /// gauges, which depend on allocator rounding and capture coalescing
-    /// order), and scheduling placement (`cbma.rx.runtime.worker.*`
+    /// gauges, which depend on allocator rounding and on which receiver
+    /// ran which capture), and scheduling placement (`cbma.rx.runtime.worker.*`
     /// steal/local-hit counters, `cbma.rx.runtime.ring_depth`,
     /// `cbma.rx.runtime.pool_utilization`), which depend on thread
     /// interleaving even though the *decisions* they accompany are

@@ -17,10 +17,12 @@
 //! 4. **Acknowledgement** ([`ack`]) — the broadcast ACK listing the
 //!    successfully decoded tag ids, which drives the tags' power control.
 //!
-//! [`receiver`] chains the four stages behind one call; [`runtime`] runs
-//! the same four stages as a pipelined streaming flowgraph over bounded
-//! ring buffers, decision-identical to the monolithic call at every
-//! block size.
+//! There are two ways to run the chain, with identical decisions:
+//! [`receiver`] chains the four stages behind one call on one whole
+//! capture, and [`runtime`] runs the same four stage bodies as a
+//! streaming flowgraph fed block by block — inline on the caller's
+//! thread, or pipelined over bounded ring buffers on a work-stealing
+//! pool that serves many capture streams at once.
 //!
 //! # Examples
 //!
@@ -34,7 +36,6 @@ pub mod frame_sync;
 pub mod receiver;
 pub mod runtime;
 pub mod sic;
-pub mod stream_pool;
 pub mod user_detect;
 
 pub use ack::AckMessage;
@@ -43,11 +44,9 @@ pub use downlink::AckWire;
 pub use frame_sync::{FrameSync, SyncStream};
 pub use receiver::{Receiver, ReceiverConfig, RxReport, RxScratch, RxTelemetry};
 pub use runtime::{
-    CaptureSource, FlowgraphError, MultiStreamFlowgraph, RunOutput, RunStats, RuntimeConfig,
-    RxFlowgraph, SampleSource, Scheduler, SourceBlock, StageKind,
+    CaptureSource, FlowgraphError, InOrderEmitter, RunOutput, RunStats, RuntimeConfig,
+    RxFlowgraph, SampleSource, Scheduler, SourceBlock, StageKind, StreamResult,
 };
-pub use stream_pool::{InOrderEmitter, StreamPool, StreamPoolConfig, StreamResult};
 pub use user_detect::{
-    CorrelationPath, DetectScratch, DetectedUser, MultiDetectScratch, UserDetector,
-    FFT_LAG_CROSSOVER,
+    CorrelationPath, DetectScratch, DetectedUser, UserDetector, FFT_LAG_CROSSOVER,
 };

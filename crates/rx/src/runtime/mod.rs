@@ -9,20 +9,21 @@
 //!    (blocks)        ring           ring          ring     ring
 //! ```
 //!
-//! — connected by bounded SPSC [`ring`]s, so stage N of capture *k*
-//! overlaps stage N−1 of capture *k+1*. The scheduler is pluggable:
+//! — and offers two schedulers for them:
 //!
 //! * [`Scheduler::Inline`] runs every stage on the caller's thread, one
-//!   block at a time — zero threads, zero rings, trivially
-//!   deadlock-free; the reference for equivalence tests.
-//! * [`Scheduler::ThreadPerStage`] gives each stage its own thread over
-//!   the rings; ring capacity bounds in-flight memory (backpressure) and
-//!   a panicking stage poisons the graph so [`RxFlowgraph::run`] returns
-//!   a clean error instead of hanging.
-//! * [`Scheduler::WorkStealing`] multiplexes *all* streams' stage
+//!   block at a time, on one [`Receiver`] — zero threads, zero rings,
+//!   trivially deadlock-free; the reference for equivalence tests.
+//!   Frame-sync carry is kept per stream, so blocks of different streams
+//!   may interleave.
+//! * [`Scheduler::WorkStealing`] gives every stream its own chain of
+//!   bounded SPSC [`ring`]s, so stage N of capture *k* overlaps stage
+//!   N−1 of capture *k+1*, and multiplexes *all* streams' stage
 //!   activations over a fixed worker pool (local deques, LIFO pop, FIFO
-//!   steal, park/unpark idle protocol, optional CPU pinning) — the
-//!   serve-many-streams scheduler; see [`worksteal`].
+//!   steal, park/unpark idle protocol, optional CPU pinning). Ring
+//!   capacity bounds in-flight memory (backpressure), and a panicking
+//!   stage fails the run with a clean [`FlowgraphError`] instead of
+//!   hanging; see [`worksteal`].
 //!
 //! **Decision identity.** Both schedulers, at every block size, produce
 //! reports *decision-identical* to [`Receiver::receive`] — same detected
@@ -37,8 +38,7 @@
 //! (`crates/rx/tests/streaming_equivalence.rs`) pins this for block
 //! sizes 1, prime, power-of-two and whole-capture on both schedulers.
 //!
-//! Results leave through the same in-order emission
-//! ([`crate::stream_pool::InOrderEmitter`]) the worker pool uses: per
+//! Results leave through [`InOrderEmitter`] on both schedulers: per
 //! stream, in capture order, regardless of internal pipelining.
 
 pub mod affinity;
@@ -48,10 +48,8 @@ pub mod worksteal;
 
 pub use ring::{ring, Consumer, DepthProbe, Producer, RingError, RingWaker, TryPop, TryPush};
 pub use source::{CaptureSource, SampleSource, SourceBlock};
-pub use worksteal::MultiStreamFlowgraph;
 
-use std::collections::HashMap;
-use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::collections::BTreeMap;
 use std::time::Instant;
 
 use cbma_codes::PnCode;
@@ -62,7 +60,6 @@ use cbma_types::Iq;
 
 use crate::frame_sync::SyncStream;
 use crate::receiver::{Receiver, ReceiverConfig, RxReport, RxTelemetry, SyncOutcome, TraceCtx};
-use crate::stream_pool::{InOrderEmitter, StreamResult};
 use crate::user_detect::DetectedUser;
 
 /// How the flowgraph maps stages onto threads.
@@ -70,9 +67,6 @@ use crate::user_detect::DetectedUser;
 pub enum Scheduler {
     /// All stages on the caller's thread, block by block; no rings.
     Inline,
-    /// One thread per stage (plus the source), connected by bounded
-    /// rings; captures pipeline through the stages.
-    ThreadPerStage,
     /// A fixed pool of `workers` threads running every stream's stage
     /// activations as stealable tasks (see [`worksteal`]). `workers = 0`
     /// means one per available CPU; `pin` round-robins workers onto
@@ -87,24 +81,22 @@ pub enum Scheduler {
 
 impl Scheduler {
     /// The scheduler names [`Scheduler::parse`] accepts, for CLI errors.
-    pub const VALID_NAMES: &'static str = "inline, threaded, worksteal[:N][:pin]";
+    pub const VALID_NAMES: &'static str = "inline, worksteal[:N][:pin]";
 
     /// A short stable kind name (for test labels and span args).
     pub fn as_str(&self) -> &'static str {
         match self {
             Scheduler::Inline => "inline",
-            Scheduler::ThreadPerStage => "thread-per-stage",
             Scheduler::WorkStealing { .. } => "worksteal",
         }
     }
 
     /// The full round-trippable CLI name (`parse(name()) == self`):
-    /// `inline`, `threaded`, `worksteal`, `worksteal:4`, `worksteal:pin`,
+    /// `inline`, `worksteal`, `worksteal:4`, `worksteal:pin`,
     /// `worksteal:4:pin`.
     pub fn name(&self) -> String {
         match self {
             Scheduler::Inline => "inline".into(),
-            Scheduler::ThreadPerStage => "threaded".into(),
             Scheduler::WorkStealing { workers, pin } => {
                 let mut name = String::from("worksteal");
                 if *workers > 0 {
@@ -121,10 +113,8 @@ impl Scheduler {
     /// Parses a CLI scheduler name; `None` for anything not listed in
     /// [`Scheduler::VALID_NAMES`].
     pub fn parse(name: &str) -> Option<Scheduler> {
-        match name {
-            "inline" => return Some(Scheduler::Inline),
-            "threaded" | "thread-per-stage" => return Some(Scheduler::ThreadPerStage),
-            _ => {}
+        if name == "inline" {
+            return Some(Scheduler::Inline);
         }
         let rest = name.strip_prefix("worksteal")?;
         let (workers, pin) = match rest {
@@ -160,8 +150,9 @@ pub struct RuntimeConfig {
     /// identical decisions; it only moves the latency/overhead
     /// trade-off.
     pub block_size: usize,
-    /// Capacity of each inter-stage ring (clamped to ≥ 1). Total
-    /// in-flight captures are bounded by roughly 4·capacity + 4.
+    /// Capacity of each inter-stage ring (clamped to ≥ 1); the inline
+    /// scheduler has no rings and ignores it. Per stream, in-flight
+    /// captures are bounded by roughly 4·capacity + 4.
     pub ring_capacity: usize,
     /// Stage-to-thread mapping.
     pub scheduler: Scheduler,
@@ -172,7 +163,7 @@ impl Default for RuntimeConfig {
         RuntimeConfig {
             block_size: 4096,
             ring_capacity: 4,
-            scheduler: Scheduler::ThreadPerStage,
+            scheduler: Scheduler::Inline,
         }
     }
 }
@@ -248,7 +239,7 @@ pub struct RunStats {
     /// scheduler each entry is the max across streams at that position.
     pub ring_max_depth: Vec<usize>,
     /// Work-stealing pool: tasks taken from another queue (a victim's
-    /// deque or the injector). Zero on the other schedulers.
+    /// deque or the injector). Zero on the inline scheduler.
     pub steals: u64,
     /// Work-stealing pool: tasks popped from the worker's own deque.
     pub local_hits: u64,
@@ -259,6 +250,83 @@ pub struct RunStats {
     /// Work-stealing pool: total nanoseconds workers spent running
     /// stage bodies (utilization = busy_ns / (workers · wall time)).
     pub busy_ns: u64,
+}
+
+/// One processed capture, tagged with its stream and per-stream sequence
+/// number.
+#[derive(Debug, Clone, PartialEq)]
+pub struct StreamResult {
+    /// The stream the capture was submitted under.
+    pub stream: usize,
+    /// Per-stream submission index (0-based).
+    pub seq: u64,
+    /// The receiver's report for the capture.
+    pub report: RxReport,
+}
+
+/// In-order `(stream, seq)` emission for the flowgraph's sink:
+/// completions are buffered in whatever order workers finish and leave
+/// per stream in submission order.
+#[derive(Debug, Default)]
+pub struct InOrderEmitter {
+    /// Next seq to emit per stream.
+    emit_next: Vec<u64>,
+    /// Out-of-order completions awaiting their predecessors.
+    reorder: BTreeMap<(usize, u64), RxReport>,
+    emitted: usize,
+}
+
+impl InOrderEmitter {
+    /// An emitter with no streams registered yet (streams grow on first
+    /// [`InOrderEmitter::insert`] or [`InOrderEmitter::track`]).
+    pub fn new() -> InOrderEmitter {
+        InOrderEmitter::default()
+    }
+
+    /// Registers `stream`, growing the per-stream cursor table. Inserting
+    /// does this implicitly; tracking up front lets a caller reserve
+    /// stream slots before any completion arrives.
+    pub fn track(&mut self, stream: usize) {
+        if self.emit_next.len() <= stream {
+            self.emit_next.resize(stream + 1, 0);
+        }
+    }
+
+    /// Buffers one completion until its per-stream predecessors emit.
+    pub fn insert(&mut self, stream: usize, seq: u64, report: RxReport) {
+        self.track(stream);
+        self.reorder.insert((stream, seq), report);
+    }
+
+    /// Results emitted so far (over the emitter's lifetime).
+    #[inline]
+    pub fn emitted(&self) -> usize {
+        self.emitted
+    }
+
+    /// Completions buffered, still waiting on predecessors.
+    #[inline]
+    pub fn buffered(&self) -> usize {
+        self.reorder.len()
+    }
+
+    /// Moves every in-order entry out of the reorder buffer, in
+    /// `(stream, seq)` order.
+    pub fn take_ready(&mut self) -> Vec<StreamResult> {
+        let mut out = Vec::new();
+        for stream in 0..self.emit_next.len() {
+            while let Some(report) = self.reorder.remove(&(stream, self.emit_next[stream])) {
+                out.push(StreamResult {
+                    stream,
+                    seq: self.emit_next[stream],
+                    report,
+                });
+                self.emit_next[stream] += 1;
+                self.emitted += 1;
+            }
+        }
+        out
+    }
 }
 
 /// Results plus stats from one [`RxFlowgraph::run`].
@@ -275,7 +343,6 @@ pub struct RunOutput {
 #[derive(Clone)]
 struct RuntimeMetrics {
     stage_run_ns: Histogram,
-    stage_wait_ns: Histogram,
     blocks: Counter,
     captures: Counter,
     ring_depth: Gauge,
@@ -289,7 +356,6 @@ impl RuntimeMetrics {
     fn register(registry: &MetricsRegistry) -> RuntimeMetrics {
         RuntimeMetrics {
             stage_run_ns: registry.histogram("cbma.rx.runtime.stage_run_ns"),
-            stage_wait_ns: registry.histogram("cbma.rx.runtime.stage_wait_ns"),
             blocks: registry.counter("cbma.rx.runtime.blocks"),
             captures: registry.counter("cbma.rx.runtime.captures"),
             ring_depth: registry.gauge("cbma.rx.runtime.ring_depth"),
@@ -330,8 +396,8 @@ impl StageObs {
         out
     }
 
-    /// Times `f` (a blocking ring pop) as a `stage_wait` span and
-    /// histogram sample.
+    /// Times `f` (a worker parking for lack of work) as a `stage_wait`
+    /// span and histogram sample.
     fn wait<T>(&self, f: impl FnOnce() -> T) -> T {
         let start = Instant::now();
         let span = self
@@ -420,10 +486,12 @@ impl InflightSync {
     }
 }
 
-/// Stage 1's body for a single-stream chain (the work-stealing layout,
-/// where blocks of one stream arrive strictly in order so one in-flight
-/// capture suffices): absorbs `block`, returning the synced capture once
-/// its last block lands.
+/// Stage 1's body: incremental frame synchronization for one stream.
+/// Blocks of one stream arrive strictly in order, so one in-flight
+/// capture per stream suffices. It absorbs `block` — running the
+/// per-sample energy comparator and prefix sums while accumulating the
+/// capture — and decides (globally, exactly as the monolithic path does)
+/// once the capture's last block lands.
 fn sync_block(
     receiver: &Receiver,
     carry: &mut Option<InflightSync>,
@@ -505,68 +573,6 @@ fn sic_capture(receiver: &mut Receiver, mut cap: DecodedCapture, fault: &FaultPl
     }
 }
 
-/// Stage 1: incremental frame synchronization. The only stage that works
-/// per *block*; it accumulates the capture while running the per-sample
-/// energy comparator and prefix sums, and decides (globally, exactly as
-/// the monolithic path does) when the capture's last block arrives.
-/// Keyed by `(stream, seq)` because blocks of different streams may
-/// interleave through the single pipeline.
-struct SyncStage {
-    receiver: Receiver,
-    inflight: HashMap<(usize, u64), InflightSync>,
-}
-
-impl SyncStage {
-    fn on_block(&mut self, block: SourceBlock, fault: &FaultPlan) -> Option<SyncedCapture> {
-        let key = (block.stream, block.seq);
-        let entry = self
-            .inflight
-            .entry(key)
-            .or_insert_with(|| InflightSync::begin(&self.receiver));
-        entry.absorb(&block.samples);
-        if !block.last {
-            return None;
-        }
-        fault.trip(StageKind::Sync, block.seq);
-        let inflight = self.inflight.remove(&key).expect("just inserted");
-        Some(inflight.complete(&self.receiver, block.stream, block.seq))
-    }
-}
-
-/// Stage 2: user detection (see [`detect_capture`]).
-struct DetectStage {
-    receiver: Receiver,
-    block_size: usize,
-}
-
-impl DetectStage {
-    fn on_capture(&mut self, cap: SyncedCapture, fault: &FaultPlan) -> DetectedCapture {
-        detect_capture(&mut self.receiver, self.block_size, cap, fault)
-    }
-}
-
-/// Stage 3: decode (see [`decode_capture`]).
-struct DecodeStage {
-    receiver: Receiver,
-}
-
-impl DecodeStage {
-    fn on_capture(&mut self, cap: DetectedCapture, fault: &FaultPlan) -> DecodedCapture {
-        decode_capture(&mut self.receiver, cap, fault)
-    }
-}
-
-/// Stage 4: SIC (see [`sic_capture`]).
-struct SicStage {
-    receiver: Receiver,
-}
-
-impl SicStage {
-    fn on_capture(&mut self, cap: DecodedCapture, fault: &FaultPlan) -> StreamResult {
-        sic_capture(&mut self.receiver, cap, fault)
-    }
-}
-
 /// The pipelined streaming receiver (see the module docs).
 ///
 /// # Examples
@@ -583,7 +589,7 @@ impl SicStage {
 ///     codes,
 ///     PhyProfile::paper_default(),
 ///     ReceiverConfig::default(),
-///     RuntimeConfig { block_size: 512, ring_capacity: 2, scheduler: Scheduler::ThreadPerStage },
+///     RuntimeConfig { block_size: 512, ring_capacity: 2, scheduler: Scheduler::Inline },
 /// );
 /// let source = CaptureSource::single_stream(512, vec![vec![Iq::ZERO; 2000]]);
 /// let out = flow.run(source).expect("no stage fails");
@@ -592,16 +598,12 @@ impl SicStage {
 /// # Ok::<(), cbma_types::CbmaError>(())
 /// ```
 pub struct RxFlowgraph {
-    sync: SyncStage,
-    detect: DetectStage,
-    decode: DecodeStage,
-    sic: SicStage,
-    /// Worker-local receivers for the work-stealing pool, grown on
-    /// demand and reused across runs. Each worker thread borrows one:
-    /// the stage seams are per-capture stateless (scratch arenas are
-    /// cleared per use), so which receiver runs a capture's stage never
-    /// changes a decision.
-    pool_receivers: Vec<Receiver>,
+    /// Stage receivers, reused across runs: the inline scheduler runs
+    /// every stage on the first, and each work-stealing worker borrows
+    /// one (grown on demand). The stage seams are per-capture stateless
+    /// (scratch arenas are cleared per use), so which receiver runs a
+    /// capture's stage never changes a decision.
+    receivers: Vec<Receiver>,
     codes: Vec<PnCode>,
     phy: PhyProfile,
     config: ReceiverConfig,
@@ -612,9 +614,10 @@ pub struct RxFlowgraph {
 }
 
 impl RxFlowgraph {
-    /// Builds the flowgraph: one [`Receiver`] per stage (each stage
-    /// thread owns a private scratch arena — no locking on the hot
-    /// path), sharing the code set.
+    /// Builds the flowgraph with one [`Receiver`] for the code set; the
+    /// work-stealing scheduler adds one per extra worker on first use
+    /// (each worker owns a private scratch arena — no locking on the hot
+    /// path).
     ///
     /// # Panics
     ///
@@ -625,23 +628,8 @@ impl RxFlowgraph {
         config: ReceiverConfig,
         runtime: RuntimeConfig,
     ) -> RxFlowgraph {
-        let block_size = runtime.block_size.max(1);
         RxFlowgraph {
-            sync: SyncStage {
-                receiver: Receiver::new(codes.clone(), phy, config),
-                inflight: HashMap::new(),
-            },
-            detect: DetectStage {
-                receiver: Receiver::new(codes.clone(), phy, config),
-                block_size,
-            },
-            decode: DecodeStage {
-                receiver: Receiver::new(codes.clone(), phy, config),
-            },
-            sic: SicStage {
-                receiver: Receiver::new(codes.clone(), phy, config),
-            },
-            pool_receivers: Vec::new(),
+            receivers: vec![Receiver::new(codes.clone(), phy, config)],
             codes,
             phy,
             config,
@@ -652,11 +640,12 @@ impl RxFlowgraph {
         }
     }
 
-    /// Attaches a span tracer: each run records a `flowgraph` root with
-    /// per-stage `sync_stage` / `detect_stage` / `decode_stage` /
-    /// `sic_stage` children, under which every capture contributes
-    /// `stage_wait` (ring pop) and `stage_run` (arg = capture seq)
-    /// spans.
+    /// Attaches a span tracer: each run records a `flowgraph` root. On
+    /// the inline scheduler it has per-stage `sync_stage` /
+    /// `detect_stage` / `decode_stage` / `sic_stage` children, under
+    /// which every capture contributes `stage_run` (arg = capture seq)
+    /// spans; on the work-stealing scheduler it has one `worker` child
+    /// per pool thread with `stage_run` and `stage_wait` (park) spans.
     pub fn attach_tracer(&mut self, tracer: &Tracer) {
         self.tracer = Some(tracer.clone());
     }
@@ -687,10 +676,9 @@ impl RxFlowgraph {
     ///
     /// # Errors
     ///
-    /// [`FlowgraphError`] if a stage panicked (thread-per-stage
-    /// scheduler): the pipeline is poisoned, drained and joined — never
-    /// left hanging. On the inline scheduler a stage panic propagates to
-    /// the caller directly.
+    /// [`FlowgraphError`] if a stage panicked (work-stealing scheduler):
+    /// the pool is shut down and joined — never left hanging. On the
+    /// inline scheduler a stage panic propagates to the caller directly.
     pub fn run<S: SampleSource + Send>(&mut self, source: S) -> Result<RunOutput, FlowgraphError> {
         let mut results = Vec::new();
         let stats = self.run_with_sink(source, |r| results.push(r))?;
@@ -711,7 +699,6 @@ impl RxFlowgraph {
         let fault = std::mem::take(&mut self.fault);
         match self.runtime.scheduler {
             Scheduler::Inline => self.run_inline(source, sink, fault),
-            Scheduler::ThreadPerStage => self.run_threaded(source, sink, fault),
             Scheduler::WorkStealing { workers, pin } => {
                 self.run_worksteal(source, sink, fault, workers, pin)
             }
@@ -735,7 +722,7 @@ impl RxFlowgraph {
                     .zip(guards[i].as_ref())
                     .map(|((t, tr), g)| (t.clone(), *tr, g.id())),
                 run_ns: self.metrics.as_ref().map(|m| m.stage_run_ns.clone()),
-                wait_ns: self.metrics.as_ref().map(|m| m.stage_wait_ns.clone()),
+                wait_ns: None,
             });
         }
         (root, obs, guards)
@@ -761,16 +748,25 @@ impl RxFlowgraph {
         fault: FaultPlan,
     ) -> Result<RunStats, FlowgraphError> {
         let (_root, obs, _guards) = self.stage_obs();
+        let block_size = self.runtime.block_size.max(1);
+        let receiver = &mut self.receivers[0];
+        // Frame-sync carry per stream, fresh every run: a run that failed
+        // mid-capture leaves nothing behind.
+        let mut carries: Vec<Option<InflightSync>> = Vec::new();
         let mut stats = RunStats::default();
         let mut emitter = InOrderEmitter::new();
         while let Some(block) = source.next_block() {
             stats.blocks += 1;
             let seq = block.seq;
-            let synced = obs[0].run(seq, || self.sync.on_block(block, &fault));
+            if carries.len() <= block.stream {
+                carries.resize_with(block.stream + 1, || None);
+            }
+            let carry = &mut carries[block.stream];
+            let synced = obs[0].run(seq, || sync_block(receiver, carry, block, &fault));
             if let Some(cap) = synced {
-                let det = obs[1].run(seq, || self.detect.on_capture(cap, &fault));
-                let dec = obs[2].run(seq, || self.decode.on_capture(det, &fault));
-                let res = obs[3].run(seq, || self.sic.on_capture(dec, &fault));
+                let det = obs[1].run(seq, || detect_capture(receiver, block_size, cap, &fault));
+                let dec = obs[2].run(seq, || decode_capture(receiver, det, &fault));
+                let res = obs[3].run(seq, || sic_capture(receiver, dec, &fault));
                 stats.captures += 1;
                 emitter.insert(res.stream, res.seq, res.report);
                 for r in emitter.take_ready() {
@@ -791,13 +787,13 @@ impl RxFlowgraph {
         pin: bool,
     ) -> Result<RunStats, FlowgraphError> {
         let workers = Scheduler::effective_workers(workers);
-        while self.pool_receivers.len() < workers {
-            self.pool_receivers
+        while self.receivers.len() < workers {
+            self.receivers
                 .push(Receiver::new(self.codes.clone(), self.phy, self.config));
         }
         let (stats, failure) = worksteal::run(
             worksteal::PoolParams {
-                receivers: &mut self.pool_receivers[..workers],
+                receivers: &mut self.receivers[..workers],
                 block_size: self.runtime.block_size.max(1),
                 ring_capacity: self.runtime.ring_capacity.max(1),
                 pin,
@@ -814,171 +810,6 @@ impl RxFlowgraph {
             None => Ok(stats),
         }
     }
-
-    fn run_threaded<S: SampleSource + Send>(
-        &mut self,
-        mut source: S,
-        mut sink: impl FnMut(StreamResult),
-        fault: FaultPlan,
-    ) -> Result<RunStats, FlowgraphError> {
-        let cap = self.runtime.ring_capacity.max(1);
-        let (_root, obs, _guards) = self.stage_obs();
-
-        let (blk_tx, blk_rx) = ring::<SourceBlock>(cap);
-        let (syn_tx, syn_rx) = ring::<SyncedCapture>(cap);
-        let (det_tx, det_rx) = ring::<DetectedCapture>(cap);
-        let (dec_tx, dec_rx) = ring::<DecodedCapture>(cap);
-        let (res_tx, res_rx) = ring::<StreamResult>(cap);
-        let probes = (
-            blk_rx.probe(),
-            syn_rx.probe(),
-            det_rx.probe(),
-            dec_rx.probe(),
-            res_rx.probe(),
-        );
-
-        let sync = &mut self.sync;
-        let detect = &mut self.detect;
-        let decode = &mut self.decode;
-        let sic = &mut self.sic;
-
-        let mut stats = RunStats::default();
-        let mut failure: Option<FlowgraphError> = None;
-
-        std::thread::scope(|scope| {
-            let source_handle = scope.spawn(move || {
-                let r = catch_unwind(AssertUnwindSafe(|| {
-                    while let Some(block) = source.next_block() {
-                        if blk_tx.push(block).is_err() {
-                            break;
-                        }
-                    }
-                }));
-                if let Err(payload) = r {
-                    blk_tx.poison(format!("source panicked: {}", panic_message(payload)));
-                }
-            });
-
-            let sync_obs = obs[0].clone();
-            let sync_handle = scope.spawn(move || {
-                let mut blocks = 0u64;
-                let r = catch_unwind(AssertUnwindSafe(|| -> Result<(), RingError> {
-                    loop {
-                        match sync_obs.wait(|| blk_rx.pop())? {
-                            None => return Ok(()),
-                            Some(block) => {
-                                blocks += 1;
-                                let seq = block.seq;
-                                if let Some(cap) =
-                                    sync_obs.run(seq, || sync.on_block(block, &fault))
-                                {
-                                    syn_tx.push(cap)?;
-                                }
-                            }
-                        }
-                    }
-                }));
-                settle_stage("sync", r, &syn_tx);
-                blocks
-            });
-
-            let detect_obs = obs[1].clone();
-            scope.spawn(move || {
-                let r = catch_unwind(AssertUnwindSafe(|| -> Result<(), RingError> {
-                    loop {
-                        match detect_obs.wait(|| syn_rx.pop())? {
-                            None => return Ok(()),
-                            Some(cap) => {
-                                let out =
-                                    detect_obs.run(cap.seq, || detect.on_capture(cap, &fault));
-                                det_tx.push(out)?;
-                            }
-                        }
-                    }
-                }));
-                settle_stage("detect", r, &det_tx);
-            });
-
-            let decode_obs = obs[2].clone();
-            scope.spawn(move || {
-                let r = catch_unwind(AssertUnwindSafe(|| -> Result<(), RingError> {
-                    loop {
-                        match decode_obs.wait(|| det_rx.pop())? {
-                            None => return Ok(()),
-                            Some(cap) => {
-                                let out =
-                                    decode_obs.run(cap.seq, || decode.on_capture(cap, &fault));
-                                dec_tx.push(out)?;
-                            }
-                        }
-                    }
-                }));
-                settle_stage("decode", r, &dec_tx);
-            });
-
-            let sic_obs = obs[3].clone();
-            scope.spawn(move || {
-                let r = catch_unwind(AssertUnwindSafe(|| -> Result<(), RingError> {
-                    loop {
-                        match sic_obs.wait(|| dec_rx.pop())? {
-                            None => return Ok(()),
-                            Some(cap) => {
-                                let out = sic_obs.run(cap.seq, || sic.on_capture(cap, &fault));
-                                res_tx.push(out)?;
-                            }
-                        }
-                    }
-                }));
-                settle_stage("sic", r, &res_tx);
-            });
-
-            // The caller's thread is the sink: pop in completion order,
-            // emit in (stream, seq) order.
-            let res_rx = res_rx;
-            let mut emitter = InOrderEmitter::new();
-            loop {
-                match res_rx.pop() {
-                    Ok(Some(r)) => {
-                        stats.captures += 1;
-                        emitter.insert(r.stream, r.seq, r.report);
-                        for r in emitter.take_ready() {
-                            sink(r);
-                        }
-                    }
-                    Ok(None) => break,
-                    Err(RingError::Poisoned(message)) => {
-                        failure = Some(FlowgraphError { message });
-                        break;
-                    }
-                    Err(RingError::Disconnected) => {
-                        failure = Some(FlowgraphError {
-                            message: "pipeline disconnected".into(),
-                        });
-                        break;
-                    }
-                }
-            }
-            // Dropping the sink ring unblocks a poisoned pipeline's
-            // upstream stages; the scope then joins every thread (no
-            // leaks, no hangs) before we return.
-            drop(res_rx);
-            stats.blocks = sync_handle.join().unwrap_or(0);
-            let _ = source_handle.join();
-        });
-
-        stats.ring_max_depth = vec![
-            probes.0.max_depth(),
-            probes.1.max_depth(),
-            probes.2.max_depth(),
-            probes.3.max_depth(),
-            probes.4.max_depth(),
-        ];
-        self.record_stats(&stats);
-        match failure {
-            Some(err) => Err(err),
-            None => Ok(stats),
-        }
-    }
 }
 
 impl std::fmt::Debug for RxFlowgraph {
@@ -986,26 +817,6 @@ impl std::fmt::Debug for RxFlowgraph {
         f.debug_struct("RxFlowgraph")
             .field("runtime", &self.runtime)
             .finish_non_exhaustive()
-    }
-}
-
-/// Converts a stage body's exit into ring state: clean finishes let the
-/// producer's `Drop` end the stream, poisoning (from upstream or a
-/// panic) propagates downstream with the original message, and a
-/// disconnected downstream just exits (the disconnect cascades via the
-/// dropped consumer).
-fn settle_stage<T>(
-    name: &'static str,
-    result: std::thread::Result<Result<(), RingError>>,
-    out: &Producer<T>,
-) {
-    match result {
-        Ok(Ok(())) | Ok(Err(RingError::Disconnected)) => {}
-        Ok(Err(RingError::Poisoned(message))) => out.poison(message),
-        Err(payload) => out.poison(format!(
-            "{name} stage panicked: {}",
-            panic_message(payload)
-        )),
     }
 }
 
@@ -1043,7 +854,6 @@ mod tests {
     fn scheduler_names_round_trip() {
         let all = [
             Scheduler::Inline,
-            Scheduler::ThreadPerStage,
             Scheduler::WorkStealing {
                 workers: 0,
                 pin: false,
@@ -1064,14 +874,11 @@ mod tests {
         for s in all {
             assert_eq!(Scheduler::parse(&s.name()), Some(s), "{}", s.name());
         }
-        // The legacy long form still parses.
-        assert_eq!(
-            Scheduler::parse("thread-per-stage"),
-            Some(Scheduler::ThreadPerStage)
-        );
         for bad in [
             "",
             "coalesced",
+            "threaded",
+            "thread-per-stage",
             "worksteal:",
             "worksteal:x",
             "worksteal:4:pin:extra",
@@ -1086,7 +893,6 @@ mod tests {
     fn silence_flows_through_every_scheduler() {
         for scheduler in [
             Scheduler::Inline,
-            Scheduler::ThreadPerStage,
             Scheduler::WorkStealing {
                 workers: 2,
                 pin: false,
@@ -1107,13 +913,39 @@ mod tests {
     }
 
     #[test]
+    fn empty_source_terminates() {
+        for scheduler in [
+            Scheduler::Inline,
+            Scheduler::WorkStealing {
+                workers: 2,
+                pin: false,
+            },
+        ] {
+            let mut flow = flowgraph(scheduler);
+            let out = flow
+                .run(CaptureSource::new(256))
+                .expect("empty source is a no-op");
+            assert!(out.results.is_empty(), "{scheduler:?}");
+            assert_eq!(out.stats.blocks, 0, "{scheduler:?}");
+        }
+    }
+
+    #[test]
     fn reruns_reuse_the_flowgraph() {
-        let mut flow = flowgraph(Scheduler::ThreadPerStage);
-        for _ in 0..2 {
-            let source = CaptureSource::single_stream(100, vec![vec![Iq::ZERO; 900]]);
-            let out = flow.run(source).expect("clean run");
-            assert_eq!(out.results.len(), 1);
-            assert_eq!(out.stats.blocks, 9);
+        for scheduler in [
+            Scheduler::Inline,
+            Scheduler::WorkStealing {
+                workers: 2,
+                pin: false,
+            },
+        ] {
+            let mut flow = flowgraph(scheduler);
+            for _ in 0..2 {
+                let source = CaptureSource::single_stream(100, vec![vec![Iq::ZERO; 900]]);
+                let out = flow.run(source).expect("clean run");
+                assert_eq!(out.results.len(), 1, "{scheduler:?}");
+                assert_eq!(out.stats.blocks, 9, "{scheduler:?}");
+            }
         }
     }
 }

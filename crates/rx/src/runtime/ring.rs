@@ -1,47 +1,43 @@
 //! Bounded single-producer single-consumer ring buffers.
 //!
-//! The streaming flowgraph's stages are connected by these rings: a
-//! fixed-capacity circular buffer behind a mutex with two condvars
-//! (`not_full` for the producer, `not_empty` for the consumer). The
-//! capacity bound is the backpressure mechanism — a stalled consumer
-//! blocks its producer after at most `capacity` queued items, and the
-//! stall propagates stage by stage back to the sample source, so total
-//! in-flight memory is bounded by the ring capacities no matter how slow
-//! the sink is.
+//! The work-stealing flowgraph's stages are connected by these rings: a
+//! fixed-capacity circular buffer behind a mutex, with non-blocking
+//! [`Producer::try_push`] / [`Consumer::try_pop`] endpoints. The
+//! capacity bound is the backpressure mechanism — a stage whose output
+//! ring is full is not runnable, and the stall propagates stage by stage
+//! back to the sample source, so total in-flight memory is bounded by
+//! the ring capacities no matter how slow the sink is.
 //!
-//! Notification is edge-triggered: the condvars (and the optional
-//! [`RingWaker`] hooks) fire only on the empty→nonempty and
-//! full→nonfull transitions, not on every push/pop. For an SPSC ring
-//! this loses no wakeups — the consumer only ever blocks when it
-//! observed `len == 0` (so the 0→1 push is the one that must signal)
-//! and the producer only when it observed `len == capacity` — while a
-//! deep ring under steady flow issues no notifications at all.
-//! [`DepthProbe::notify_count`] counts the signals actually issued.
+//! Notification is edge-triggered: the optional [`RingWaker`] hooks fire
+//! only on the empty→nonempty and full→nonfull transitions, not on every
+//! push/pop. For an SPSC ring this loses no wakeups — the consumer only
+//! ever waits after it observed `len == 0` (so the 0→1 push is the one
+//! that must signal) and the producer only after it observed
+//! `len == capacity` — while a deep ring under steady flow issues no
+//! notifications at all. [`DepthProbe::notify_count`] counts the signals
+//! actually issued.
 //!
 //! The waker hooks are how the work-stealing scheduler turns ring
-//! transitions into task readiness without parking a worker on a
-//! condvar: empty→nonempty (and finish/poison) invokes the consumer
-//! side's `data` waker, full→nonfull (and disconnect/poison) the
+//! transitions into task readiness: empty→nonempty (and finish) invokes
+//! the consumer side's `data` waker, full→nonfull (and disconnect) the
 //! producer side's `space` waker. Wakers run after the ring lock is
 //! released, so they may take their own locks freely.
 //!
-//! Shutdown and failure are first-class:
+//! Shutdown is first-class:
 //!
 //! * dropping (or [`Producer::finish`]ing) the producer ends the stream —
-//!   the consumer drains what is buffered and then sees `Ok(None)`;
+//!   the consumer drains what is buffered and then sees
+//!   [`TryPop::Finished`];
 //! * dropping the consumer disconnects the ring — the producer's next
-//!   push fails with [`RingError::Disconnected`] instead of blocking
-//!   forever, which is how upstream stages learn a downstream stage died;
-//! * [`Producer::poison`] marks the ring failed with a message — both
-//!   endpoints see [`RingError::Poisoned`] immediately, which is how a
-//!   panicking stage reports *why* the flowgraph stopped.
+//!   push fails with [`RingError::Disconnected`], which is how upstream
+//!   stages learn a downstream stage died.
 //!
 //! The implementation is deliberately a model-checkable safe-Rust ring
 //! (`Vec<Option<T>>` + head/len indices, no unsafe, no atomics beyond
 //! the mutex) — `crates/rx/tests/ring_props.rs` property-tests it
 //! against a `VecDeque` oracle and stress-tests the two-thread path.
 
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Mutex};
 
 /// A callback fired (outside the ring lock) when a ring transition makes
 /// new progress possible for one endpoint.
@@ -50,19 +46,15 @@ pub type RingWaker = Arc<dyn Fn() + Send + Sync>;
 /// Why a ring operation could not complete.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum RingError {
-    /// The other endpoint was dropped: the stream can never make
-    /// progress again (but was not abnormal).
+    /// The consumer was dropped: the stream can never make progress
+    /// again (but was not abnormal).
     Disconnected,
-    /// A stage failed and poisoned the flowgraph; the message says which
-    /// and why.
-    Poisoned(String),
 }
 
 impl std::fmt::Display for RingError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             RingError::Disconnected => write!(f, "ring disconnected"),
-            RingError::Poisoned(msg) => write!(f, "ring poisoned: {msg}"),
         }
     }
 }
@@ -100,44 +92,37 @@ struct RingState<T> {
     len: usize,
     producer_done: bool,
     consumer_gone: bool,
-    poisoned: Option<String>,
     /// High-water mark of `len`, for backpressure diagnostics.
     max_depth: usize,
-    /// Condvar notifications issued over the ring's lifetime.
+    /// Notifications issued over the ring's lifetime.
     notifies: u64,
     /// Fired when the consumer side gains something to observe
-    /// (empty→nonempty, finish, poison).
+    /// (empty→nonempty, finish).
     data_waker: Option<RingWaker>,
     /// Fired when the producer side gains something to observe
-    /// (full→nonfull, disconnect, poison).
+    /// (full→nonfull, disconnect).
     space_waker: Option<RingWaker>,
 }
 
-struct Shared<T> {
-    state: Mutex<RingState<T>>,
-    not_full: Condvar,
-    not_empty: Condvar,
-}
-
-impl<T> Shared<T> {
-    /// Signals the consumer side after a state change that created data
-    /// (or ended the stream). Call with the lock held; the returned
-    /// waker must be invoked after the lock is dropped.
-    fn notify_data(&self, state: &mut RingState<T>) -> Option<RingWaker> {
-        state.notifies += 1;
-        self.not_empty.notify_one();
-        state.data_waker.clone()
+impl<T> RingState<T> {
+    /// Counts a consumer-side notification (data created or stream
+    /// ended). Call with the lock held; the returned waker must be
+    /// invoked after the lock is dropped.
+    fn notify_data(&mut self) -> Option<RingWaker> {
+        self.notifies += 1;
+        self.data_waker.clone()
     }
 
-    /// Signals the producer side after a state change that created
-    /// space (or closed the ring). Same locking discipline as
-    /// [`Shared::notify_data`].
-    fn notify_space(&self, state: &mut RingState<T>) -> Option<RingWaker> {
-        state.notifies += 1;
-        self.not_full.notify_one();
-        state.space_waker.clone()
+    /// Counts a producer-side notification (space created or ring
+    /// closed). Same locking discipline as [`RingState::notify_data`].
+    fn notify_space(&mut self) -> Option<RingWaker> {
+        self.notifies += 1;
+        self.space_waker.clone()
     }
 }
+
+/// The ring state both endpoints (and any probes) share.
+type Shared<T> = Arc<Mutex<RingState<T>>>;
 
 /// Invokes a deferred waker (outside the ring lock).
 fn fire(waker: Option<RingWaker>) {
@@ -151,22 +136,17 @@ fn fire(waker: Option<RingWaker>) {
 /// its side of the protocol.
 pub fn ring<T>(capacity: usize) -> (Producer<T>, Consumer<T>) {
     let capacity = capacity.max(1);
-    let shared = Arc::new(Shared {
-        state: Mutex::new(RingState {
-            slots: (0..capacity).map(|_| None).collect(),
-            head: 0,
-            len: 0,
-            producer_done: false,
-            consumer_gone: false,
-            poisoned: None,
-            max_depth: 0,
-            notifies: 0,
-            data_waker: None,
-            space_waker: None,
-        }),
-        not_full: Condvar::new(),
-        not_empty: Condvar::new(),
-    });
+    let shared = Arc::new(Mutex::new(RingState {
+        slots: (0..capacity).map(|_| None).collect(),
+        head: 0,
+        len: 0,
+        producer_done: false,
+        consumer_gone: false,
+        max_depth: 0,
+        notifies: 0,
+        data_waker: None,
+        space_waker: None,
+    }));
     (
         Producer {
             shared: Arc::clone(&shared),
@@ -177,76 +157,40 @@ pub fn ring<T>(capacity: usize) -> (Producer<T>, Consumer<T>) {
 
 /// The sending endpoint of a [`ring`].
 pub struct Producer<T> {
-    shared: Arc<Shared<T>>,
+    shared: Shared<T>,
 }
 
 /// The receiving endpoint of a [`ring`].
 pub struct Consumer<T> {
-    shared: Arc<Shared<T>>,
+    shared: Shared<T>,
 }
 
 /// A passive observer of one ring's statistics; keeps the state alive
 /// after both endpoints drop so post-run diagnostics can read the
 /// high-water mark and the notification count.
 pub struct DepthProbe<T> {
-    shared: Arc<Shared<T>>,
+    shared: Shared<T>,
 }
 
 impl<T> DepthProbe<T> {
     /// The deepest the ring ever got.
     pub fn max_depth(&self) -> usize {
-        self.shared.state.lock().expect("ring lock").max_depth
+        self.shared.lock().expect("ring lock").max_depth
     }
 
-    /// How many condvar notifications the ring issued. With
-    /// edge-triggered signalling this counts state *transitions*
-    /// (plus shutdown broadcasts), not operations.
+    /// How many notifications the ring issued. With edge-triggered
+    /// signalling this counts state *transitions* (plus shutdown
+    /// signals), not operations.
     pub fn notify_count(&self) -> u64 {
-        self.shared.state.lock().expect("ring lock").notifies
+        self.shared.lock().expect("ring lock").notifies
     }
 }
 
 impl<T> Producer<T> {
-    /// Queues `item`, blocking while the ring is full. Fails — returning
-    /// immediately, never blocking forever — once the consumer is gone
-    /// or the ring is poisoned.
-    pub fn push(&self, item: T) -> Result<(), RingError> {
-        let mut state = self.shared.state.lock().expect("ring lock");
-        loop {
-            if let Some(msg) = &state.poisoned {
-                return Err(RingError::Poisoned(msg.clone()));
-            }
-            if state.consumer_gone {
-                return Err(RingError::Disconnected);
-            }
-            if state.len < state.slots.len() {
-                break;
-            }
-            state = self.shared.not_full.wait(state).expect("ring lock");
-        }
-        let cap = state.slots.len();
-        let tail = (state.head + state.len) % cap;
-        debug_assert!(state.slots[tail].is_none(), "occupied tail slot");
-        let was_empty = state.len == 0;
-        state.slots[tail] = Some(item);
-        state.len += 1;
-        state.max_depth = state.max_depth.max(state.len);
-        let waker = if was_empty {
-            self.shared.notify_data(&mut state)
-        } else {
-            None
-        };
-        drop(state);
-        fire(waker);
-        Ok(())
-    }
-
-    /// Non-blocking [`Producer::push`].
+    /// Queues `item` unless the ring is full (the item comes back) or
+    /// the consumer is gone.
     pub fn try_push(&self, item: T) -> TryPush<T> {
-        let mut state = self.shared.state.lock().expect("ring lock");
-        if let Some(msg) = &state.poisoned {
-            return TryPush::Closed(item, RingError::Poisoned(msg.clone()));
-        }
+        let mut state = self.shared.lock().expect("ring lock");
         if state.consumer_gone {
             return TryPush::Closed(item, RingError::Disconnected);
         }
@@ -259,11 +203,7 @@ impl<T> Producer<T> {
         state.slots[tail] = Some(item);
         state.len += 1;
         state.max_depth = state.max_depth.max(state.len);
-        let waker = if was_empty {
-            self.shared.notify_data(&mut state)
-        } else {
-            None
-        };
+        let waker = if was_empty { state.notify_data() } else { None };
         drop(state);
         fire(waker);
         TryPush::Pushed
@@ -274,48 +214,28 @@ impl<T> Producer<T> {
     /// that producer pushes, so a stage may check space before popping
     /// the input it would process.
     pub fn has_capacity(&self) -> bool {
-        let state = self.shared.state.lock().expect("ring lock");
+        let state = self.shared.lock().expect("ring lock");
         state.len < state.slots.len()
     }
 
     /// Ends the stream: the consumer drains the buffered items and then
-    /// sees `Ok(None)`. Dropping the producer does the same.
+    /// sees [`TryPop::Finished`]. Dropping the producer does the same.
     pub fn finish(&self) {
-        let mut state = self.shared.state.lock().expect("ring lock");
+        let mut state = self.shared.lock().expect("ring lock");
         if state.producer_done {
             return;
         }
         state.producer_done = true;
-        state.notifies += 1;
-        self.shared.not_empty.notify_all();
-        let waker = state.data_waker.clone();
+        let waker = state.notify_data();
         drop(state);
         fire(waker);
-    }
-
-    /// Marks the ring failed: both endpoints see
-    /// [`RingError::Poisoned`] with `message` from now on. Used by a
-    /// panicking stage to carry its panic message to the sink.
-    pub fn poison(&self, message: impl Into<String>) {
-        let mut state = self.shared.state.lock().expect("ring lock");
-        if state.poisoned.is_none() {
-            state.poisoned = Some(message.into());
-        }
-        state.notifies += 1;
-        self.shared.not_full.notify_all();
-        self.shared.not_empty.notify_all();
-        let data = state.data_waker.clone();
-        let space = state.space_waker.clone();
-        drop(state);
-        fire(data);
-        fire(space);
     }
 
     /// Installs the waker fired when the ring gains space (or closes).
     /// The producer side owns this hook: it is the endpoint that waits
     /// for space.
     pub fn set_space_waker(&self, waker: RingWaker) {
-        let mut state = self.shared.state.lock().expect("ring lock");
+        let mut state = self.shared.lock().expect("ring lock");
         state.space_waker = Some(waker);
     }
 
@@ -334,44 +254,11 @@ impl<T> Drop for Producer<T> {
 }
 
 impl<T> Consumer<T> {
-    /// The next item, blocking while the ring is empty and the producer
-    /// live. `Ok(None)` once the producer finished and the ring drained;
-    /// `Err` if the ring was poisoned.
-    pub fn pop(&self) -> Result<Option<T>, RingError> {
-        let mut state = self.shared.state.lock().expect("ring lock");
-        loop {
-            if let Some(msg) = &state.poisoned {
-                return Err(RingError::Poisoned(msg.clone()));
-            }
-            if state.len > 0 {
-                break;
-            }
-            if state.producer_done {
-                return Ok(None);
-            }
-            state = self.shared.not_empty.wait(state).expect("ring lock");
-        }
-        let was_full = state.len == state.slots.len();
-        let head = state.head;
-        let item = state.slots[head].take().expect("len > 0");
-        state.head = (head + 1) % state.slots.len();
-        state.len -= 1;
-        let waker = if was_full {
-            self.shared.notify_space(&mut state)
-        } else {
-            None
-        };
-        drop(state);
-        fire(waker);
-        Ok(Some(item))
-    }
-
-    /// Non-blocking [`Consumer::pop`].
+    /// The oldest queued item; [`TryPop::Empty`] while the ring is empty
+    /// and the producer live, [`TryPop::Finished`] once the producer
+    /// finished and the ring drained.
     pub fn try_pop(&self) -> Result<TryPop<T>, RingError> {
-        let mut state = self.shared.state.lock().expect("ring lock");
-        if let Some(msg) = &state.poisoned {
-            return Err(RingError::Poisoned(msg.clone()));
-        }
+        let mut state = self.shared.lock().expect("ring lock");
         if state.len == 0 {
             return Ok(if state.producer_done {
                 TryPop::Finished
@@ -384,11 +271,7 @@ impl<T> Consumer<T> {
         let item = state.slots[head].take().expect("len > 0");
         state.head = (head + 1) % state.slots.len();
         state.len -= 1;
-        let waker = if was_full {
-            self.shared.notify_space(&mut state)
-        } else {
-            None
-        };
+        let waker = if was_full { state.notify_space() } else { None };
         drop(state);
         fire(waker);
         Ok(TryPop::Item(item))
@@ -396,14 +279,14 @@ impl<T> Consumer<T> {
 
     /// Items currently queued.
     pub fn depth(&self) -> usize {
-        self.shared.state.lock().expect("ring lock").len
+        self.shared.lock().expect("ring lock").len
     }
 
     /// Installs the waker fired when the ring gains data (or the
-    /// producer finishes / poisons). The consumer side owns this hook:
+    /// producer finishes). The consumer side owns this hook:
     /// it is the endpoint that waits for data.
     pub fn set_data_waker(&self, waker: RingWaker) {
-        let mut state = self.shared.state.lock().expect("ring lock");
+        let mut state = self.shared.lock().expect("ring lock");
         state.data_waker = Some(waker);
     }
 
@@ -417,11 +300,9 @@ impl<T> Consumer<T> {
 
 impl<T> Drop for Consumer<T> {
     fn drop(&mut self) {
-        let mut state = self.shared.state.lock().expect("ring lock");
+        let mut state = self.shared.lock().expect("ring lock");
         state.consumer_gone = true;
-        state.notifies += 1;
-        self.shared.not_full.notify_all();
-        let waker = state.space_waker.clone();
+        let waker = state.notify_space();
         drop(state);
         fire(waker);
     }
@@ -443,61 +324,56 @@ impl<T> std::fmt::Debug for Consumer<T> {
 mod tests {
     use super::*;
 
+    fn pop(rx: &Consumer<u32>) -> Option<u32> {
+        match rx.try_pop().expect("producer side never disconnects") {
+            TryPop::Item(v) => Some(v),
+            TryPop::Empty | TryPop::Finished => None,
+        }
+    }
+
     #[test]
     fn fifo_within_capacity() {
         let (tx, rx) = ring::<u32>(3);
-        tx.push(1).unwrap();
-        tx.push(2).unwrap();
-        assert_eq!(rx.pop().unwrap(), Some(1));
-        tx.push(3).unwrap();
-        tx.push(4).unwrap();
+        assert!(matches!(tx.try_push(1), TryPush::Pushed));
+        assert!(matches!(tx.try_push(2), TryPush::Pushed));
+        assert_eq!(pop(&rx), Some(1));
+        assert!(matches!(tx.try_push(3), TryPush::Pushed));
+        assert!(matches!(tx.try_push(4), TryPush::Pushed));
         assert!(matches!(tx.try_push(5), TryPush::Full(5)));
-        assert_eq!(rx.pop().unwrap(), Some(2));
-        assert_eq!(rx.pop().unwrap(), Some(3));
-        assert_eq!(rx.pop().unwrap(), Some(4));
+        assert_eq!(pop(&rx), Some(2));
+        assert_eq!(pop(&rx), Some(3));
+        assert_eq!(pop(&rx), Some(4));
         assert!(matches!(rx.try_pop().unwrap(), TryPop::Empty));
         drop(tx);
-        assert_eq!(rx.pop().unwrap(), None);
+        assert!(matches!(rx.try_pop().unwrap(), TryPop::Finished));
     }
 
     #[test]
     fn producer_drop_finishes_consumer_drop_disconnects() {
-        let (tx, rx) = ring::<u8>(2);
-        tx.push(9).unwrap();
+        let (tx, rx) = ring::<u32>(2);
+        assert!(matches!(tx.try_push(9), TryPush::Pushed));
         drop(tx);
-        assert_eq!(rx.pop().unwrap(), Some(9));
-        assert_eq!(rx.pop().unwrap(), None);
+        assert_eq!(pop(&rx), Some(9));
+        assert!(matches!(rx.try_pop().unwrap(), TryPop::Finished));
 
-        let (tx, rx) = ring::<u8>(2);
+        let (tx, rx) = ring::<u32>(2);
         drop(rx);
-        assert_eq!(tx.push(1), Err(RingError::Disconnected));
-    }
-
-    #[test]
-    fn poison_reaches_both_ends_with_the_message() {
-        let (tx, rx) = ring::<u8>(2);
-        tx.push(1).unwrap();
-        tx.poison("stage exploded");
-        assert_eq!(
-            rx.pop(),
-            Err(RingError::Poisoned("stage exploded".into()))
-        );
-        assert_eq!(
-            tx.push(2),
-            Err(RingError::Poisoned("stage exploded".into()))
-        );
+        assert!(matches!(
+            tx.try_push(1),
+            TryPush::Closed(1, RingError::Disconnected)
+        ));
     }
 
     #[test]
     fn max_depth_tracks_high_water_mark() {
-        let (tx, rx) = ring::<u8>(4);
+        let (tx, rx) = ring::<u32>(4);
         let probe = rx.probe();
-        tx.push(1).unwrap();
-        tx.push(2).unwrap();
-        tx.push(3).unwrap();
-        rx.pop().unwrap();
-        rx.pop().unwrap();
-        tx.push(4).unwrap();
+        for v in 1..=3 {
+            assert!(matches!(tx.try_push(v), TryPush::Pushed));
+        }
+        pop(&rx);
+        pop(&rx);
+        assert!(matches!(tx.try_push(4), TryPush::Pushed));
         assert_eq!(probe.max_depth(), 3);
         drop(tx);
         drop(rx);
@@ -507,13 +383,13 @@ mod tests {
 
     #[test]
     fn has_capacity_tracks_fullness() {
-        let (tx, rx) = ring::<u8>(2);
+        let (tx, rx) = ring::<u32>(2);
         assert!(tx.has_capacity());
-        tx.push(1).unwrap();
+        assert!(matches!(tx.try_push(1), TryPush::Pushed));
         assert!(tx.has_capacity());
-        tx.push(2).unwrap();
+        assert!(matches!(tx.try_push(2), TryPush::Pushed));
         assert!(!tx.has_capacity());
-        rx.pop().unwrap();
+        pop(&rx);
         assert!(tx.has_capacity());
     }
 
@@ -521,7 +397,7 @@ mod tests {
     fn wakers_fire_on_transitions_only() {
         use std::sync::atomic::{AtomicUsize, Ordering};
 
-        let (tx, rx) = ring::<u8>(3);
+        let (tx, rx) = ring::<u32>(3);
         let data = Arc::new(AtomicUsize::new(0));
         let space = Arc::new(AtomicUsize::new(0));
         {
@@ -536,15 +412,16 @@ mod tests {
                 space.fetch_add(1, Ordering::SeqCst);
             }));
         }
-        tx.push(1).unwrap(); // 0→1: data fires
-        tx.push(2).unwrap(); // 1→2: silent
-        tx.push(3).unwrap(); // 2→3 (full): silent
+        let push = |v| assert!(matches!(tx.try_push(v), TryPush::Pushed));
+        push(1); // 0→1: data fires
+        push(2); // 1→2: silent
+        push(3); // 2→3 (full): silent
         assert_eq!(data.load(Ordering::SeqCst), 1);
-        rx.pop().unwrap(); // full→nonfull: space fires
-        rx.pop().unwrap(); // silent
+        pop(&rx); // full→nonfull: space fires
+        pop(&rx); // silent
         assert_eq!(space.load(Ordering::SeqCst), 1);
-        rx.pop().unwrap(); // drains to empty: silent
-        tx.push(4).unwrap(); // 0→1 again: data fires
+        pop(&rx); // drains to empty: silent
+        push(4); // 0→1 again: data fires
         assert_eq!(data.load(Ordering::SeqCst), 2);
         tx.finish(); // stream end: data fires so the consumer task runs
         assert_eq!(data.load(Ordering::SeqCst), 3);

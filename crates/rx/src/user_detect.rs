@@ -17,32 +17,32 @@
 //!
 //! # Computational structure
 //!
-//! The sliding correlation is the receiver's dominant cost. The detector
-//! precomputes one [`SlidingCorrelator`] (cached reference spectrum +
-//! overlap-save FFT plan) per code at construction, and
-//! [`UserDetector::detect_candidates`] evaluates the full correlation
-//! profile in O(N log B) per code instead of O(lags × ref_len). Per-lag
-//! segment energies come from a single [`RunningEnergy`] prefix sum over
-//! the window (O(1) per lag instead of O(ref_len)). Short windows — fewer
-//! than [`FFT_LAG_CROSSOVER`] lags — stay on the direct time-domain path,
-//! which is cheaper below the FFT's block overhead; both paths agree
-//! within 1e-9 (see `tests/detect_equivalence.rs`).
+//! The sliding correlation is the receiver's dominant cost. When every
+//! code's spread preamble has the same length (every built-in code
+//! family), the detector precomputes one [`BatchCorrelator`] at
+//! construction — the K reference spectra cached against one
+//! overlap-save FFT plan — and [`UserDetector::detect_candidates`]
+//! evaluates all K correlation profiles with one forward FFT per block,
+//! O(N log B) instead of O(K × lags × ref_len). Per-lag segment energies
+//! come from a single [`RunningEnergy`] prefix sum over the window (O(1)
+//! per lag instead of O(ref_len)). Short windows — fewer than
+//! [`FFT_LAG_CROSSOVER`] lags — and mixed-length code sets stay on the
+//! direct time-domain path; both paths agree within 1e-9 (see
+//! `tests/detect_equivalence.rs`).
 
 use cbma_codes::PnCode;
 use cbma_dsp::correlate::{correlate_iq_bipolar, dot};
 use cbma_obs::trace::{SpanId, TraceId, Tracer};
 use cbma_dsp::resample::upsample_repeat;
 use cbma_dsp::simd;
-use cbma_dsp::xcorr::{
-    BatchScratch, MultiWindowCorrelator, RunningEnergy, SlidingCorrelator, WindowScratch,
-};
+use cbma_dsp::xcorr::{BatchCorrelator, BatchScratch, RunningEnergy};
 use cbma_tag::frame::preamble_pattern;
 use cbma_tag::phy::PhyProfile;
 use cbma_types::Iq;
 
 use crate::decoder::DecoderKind;
 
-/// Minimum number of candidate lags for which the FFT engines beat the
+/// Minimum number of candidate lags for which the batch FFT engine beats the
 /// direct time-domain path at paper-default reference lengths (≈2 k
 /// samples). Below this the window is so short that the FFTs of the
 /// correlator's block cost more than the handful of direct dot products
@@ -68,21 +68,15 @@ pub enum CorrelationPath {
     /// otherwise.
     #[default]
     Auto,
-    /// Always the O(lags × ref_len) time-domain path.
+    /// Always the O(lags × ref_len) time-domain path (the test oracle).
     Direct,
-    /// Always the per-code overlap-save FFT engine.
-    Fft,
-    /// Always the shared-FFT [`BatchCorrelator`] (one forward FFT per
-    /// block for all K codes). Falls back to the per-code FFT engine when
-    /// the reference lengths are not uniform.
-    Batch,
 }
 
 /// Reusable buffers for [`UserDetector::detect_candidates_in`].
 ///
 /// Every intermediate the detector needs — the window prefix sums, the
-/// magnitude series, the batched correlation matrix, per-code FFT blocks,
-/// the raw/normalized profile and the peak lists — lives here and grows
+/// magnitude series, the batched correlation matrix, the raw/normalized
+/// profile and the peak lists — lives here and grows
 /// to a high-water mark on first use, so steady-state detection performs
 /// zero heap allocation.
 #[derive(Debug, Default)]
@@ -90,14 +84,10 @@ pub struct DetectScratch {
     running: RunningEnergy,
     /// |s| magnitude series (envelope mode only).
     mags: Vec<f64>,
-    /// The magnitude series as IQ, for the FFT engines (envelope mode).
+    /// The magnitude series as IQ, for the batch engine (envelope mode).
     mags_iq: Vec<Iq>,
     /// K × lags correlation matrix from the batch engine.
     batch: BatchScratch,
-    /// Per-code FFT block scratch.
-    work: Vec<Iq>,
-    /// Per-code complex correlation output.
-    corr: Vec<Iq>,
     /// Per-lag decision statistic (raw, then normalized in place).
     profile: Vec<f64>,
     /// Above-threshold local maxima, then the NMS-selected subset.
@@ -118,59 +108,9 @@ impl DetectScratch {
         self.running.capacity_bytes()
             + self.batch.capacity_bytes()
             + self.mags.capacity() * std::mem::size_of::<f64>()
-            + (self.mags_iq.capacity() + self.work.capacity() + self.corr.capacity()) * iq
+            + self.mags_iq.capacity() * iq
             + self.profile.capacity() * std::mem::size_of::<f64>()
             + (self.peaks.capacity() + self.selected.capacity()) * pair
-    }
-}
-
-/// Reusable buffers for [`UserDetector::detect_candidates_multi`].
-///
-/// The W × K × lags correlation rows live in the [`WindowScratch`] arena;
-/// the per-window prefix sums are a grow-only pool so a steady stream of
-/// same-width batches rebuilds in place. Like [`DetectScratch`], every
-/// buffer grows to a high-water mark on first use and steady-state calls
-/// perform zero heap allocation.
-#[derive(Debug, Default)]
-pub struct MultiDetectScratch {
-    /// W-window × K-code correlation matrix arena.
-    windows: WindowScratch,
-    /// Per-window prefix-sum pool (entry `w` serves window `w`).
-    runnings: Vec<RunningEnergy>,
-    /// Hoisted per-lag inverse denominators 1/√(Σ|s|²) for the current
-    /// window, shared across its K codes (one sqrt per lag instead of K).
-    inv_seg: Vec<f64>,
-    /// Per-lag normalized decision statistic.
-    profile: Vec<f64>,
-    /// Above-threshold local maxima, then the NMS-selected subset.
-    peaks: Vec<(usize, f64)>,
-    selected: Vec<(usize, f64)>,
-    /// Per-window fallback scratch (envelope mode, mixed code families).
-    single: DetectScratch,
-}
-
-impl MultiDetectScratch {
-    /// An empty scratch; buffers are sized lazily on first use.
-    pub fn new() -> MultiDetectScratch {
-        MultiDetectScratch::default()
-    }
-
-    /// Total heap capacity held by the scratch, in bytes.
-    pub fn capacity_bytes(&self) -> usize {
-        let pair = std::mem::size_of::<(usize, f64)>();
-        self.windows.capacity_bytes()
-            + self.runnings.iter().map(|r| r.capacity_bytes()).sum::<usize>()
-            + self.runnings.capacity() * std::mem::size_of::<RunningEnergy>()
-            + (self.inv_seg.capacity() + self.profile.capacity()) * std::mem::size_of::<f64>()
-            + (self.peaks.capacity() + self.selected.capacity()) * pair
-            + self.single.capacity_bytes()
-    }
-
-    /// Stable address of the correlation arena, for buffer-reuse
-    /// regression tests.
-    #[doc(hidden)]
-    pub fn storage_ptr(&self) -> *const Iq {
-        self.windows.storage_ptr()
     }
 }
 
@@ -216,19 +156,13 @@ pub struct DetectedUser {
 pub struct UserDetector {
     /// Bipolar spread-preamble reference per code, at sample rate.
     references: Vec<Vec<f64>>,
-    /// Overlap-save FFT correlator per code, with the reference's
-    /// conjugate spectrum cached at construction.
-    correlators: Vec<SlidingCorrelator>,
-    /// Shared-FFT K-code engine (wrapped by the W-window coalescing
-    /// front-end): one forward FFT per block multiplied against every
-    /// cached reference spectrum. `None` when the spread preambles do
-    /// not share one length (mixed code families).
-    multi: Option<MultiWindowCorrelator>,
+    /// Shared-FFT K-code engine: one forward FFT per block multiplied
+    /// against every cached reference spectrum. `None` when the spread
+    /// preambles do not share one length (mixed code families), which
+    /// then always take the direct path.
+    batch: Option<BatchCorrelator>,
     /// Σr² per code, precomputed for the normalization denominator.
     ref_energy: Vec<f64>,
-    /// 1/√(Σr²) per code, precomputed so the multi-window path's hoisted
-    /// normalization needs one multiply per (code, lag).
-    ref_inv_sqrt: Vec<f64>,
     /// Σr per code, precomputed for the envelope mean correction.
     ref_sum: Vec<f64>,
     /// Per-code balance-corrected correlation scale (see
@@ -271,7 +205,6 @@ impl UserDetector {
         let spc = phy.samples_per_chip();
         let preamble = preamble_pattern(phy.preamble_bits);
         let mut references = Vec::with_capacity(codes.len());
-        let mut correlators = Vec::with_capacity(codes.len());
         let mut ref_energy: Vec<f64> = Vec::with_capacity(codes.len());
         let mut ref_sum = Vec::with_capacity(codes.len());
         let mut gain_scale = Vec::with_capacity(codes.len());
@@ -291,30 +224,16 @@ impl UserDetector {
             let sum: f64 = reference.iter().sum();
             let n = reference.len() as f64;
             gain_scale.push((n + sum) / 2.0);
-            correlators.push(SlidingCorrelator::new(&reference));
             ref_energy.push(reference.iter().map(|r| r * r).sum());
             ref_sum.push(sum);
             references.push(reference);
         }
         let uniform = references.iter().all(|r| r.len() == references[0].len());
-        let multi = uniform.then(|| MultiWindowCorrelator::new(&references));
-        let ref_inv_sqrt = ref_energy
-            .iter()
-            .map(|&e| {
-                let s = e.sqrt();
-                if s > 0.0 {
-                    1.0 / s
-                } else {
-                    0.0
-                }
-            })
-            .collect();
+        let batch = uniform.then(|| BatchCorrelator::new(&references));
         UserDetector {
             references,
-            correlators,
-            multi,
+            batch,
             ref_energy,
-            ref_inv_sqrt,
             ref_sum,
             gain_scale,
             threshold,
@@ -357,11 +276,11 @@ impl UserDetector {
 
     /// [`UserDetector::detect_candidates`] with an explicit correlation
     /// backend. `Auto` (the default path) runs the shared-FFT batch
-    /// engine when the window offers at least [`FFT_LAG_CROSSOVER`]
-    /// candidate lags, direct otherwise. All backends produce identical
-    /// detections (offsets and gains exactly, correlations within FFT
-    /// rounding ≈1e-12); `Direct`, `Fft` and `Batch` exist for
-    /// equivalence tests and benchmarks.
+    /// engine when the references share one length and the window offers
+    /// at least [`FFT_LAG_CROSSOVER`] candidate lags, direct otherwise.
+    /// Both backends produce identical detections (offsets and gains
+    /// exactly, correlations within FFT rounding ≈1e-12); `Direct` exists
+    /// as the equivalence-test oracle and benchmark baseline.
     pub fn detect_candidates_with(
         &self,
         window: &[Iq],
@@ -474,8 +393,6 @@ impl UserDetector {
             mags,
             mags_iq,
             batch,
-            work,
-            corr,
             profile,
             peaks,
             selected,
@@ -485,7 +402,7 @@ impl UserDetector {
         // and the mean-removed energy for the envelope statistic.
         running.rebuild(window);
         // Envelope mode correlates the |s| magnitude series; materialize
-        // it once (plus an IQ copy for the FFT engines) and share it
+        // it once (plus an IQ copy for the batch engine) and share it
         // across codes.
         let envelope_mode = matches!(self.kind, DecoderKind::Envelope);
         if envelope_mode {
@@ -496,17 +413,17 @@ impl UserDetector {
             mags_iq.extend(mags.iter().map(|&v| Iq::new(v, 0.0)));
         }
         // The batch engine runs once for every code; decide up front.
-        let use_batch = match (path, &self.multi) {
-            (CorrelationPath::Direct | CorrelationPath::Fft, _) => false,
-            (_, None) => false,
-            (CorrelationPath::Batch, Some(m)) => window.len() >= m.reference_len(),
-            (CorrelationPath::Auto, Some(m)) => {
-                window.len() >= m.reference_len()
-                    && window.len() - m.reference_len() + 1 >= FFT_LAG_CROSSOVER
+        let engine = match (path, &self.batch) {
+            (CorrelationPath::Auto, Some(engine))
+                if window.len() >= engine.reference_len()
+                    && window.len() - engine.reference_len() + 1 >= FFT_LAG_CROSSOVER =>
+            {
+                Some(engine)
             }
+            _ => None,
         };
-        if use_batch {
-            let engine = self.multi.as_ref().expect("checked above").batch();
+        let use_batch = engine.is_some();
+        if let Some(engine) = engine {
             let input: &[Iq] = if envelope_mode { mags_iq } else { window };
             match (trace, stream_block) {
                 (Some((tracer, trace, parent)), _) => {
@@ -534,19 +451,13 @@ impl UserDetector {
             });
             let len = reference.len();
             let lags = window.len() - len + 1;
-            let use_fft = match path {
-                CorrelationPath::Auto => !use_batch && lags >= FFT_LAG_CROSSOVER,
-                CorrelationPath::Direct => false,
-                CorrelationPath::Fft => true,
-                // Non-uniform references: per-code FFT stands in.
-                CorrelationPath::Batch => !use_batch,
-            };
             let ref_energy = self.ref_energy[idx];
             let ref_sum = self.ref_sum[idx];
             // Raw (unnormalized) decision statistic at every lag. Coherent
             // mode takes |Σ s·r| (noncoherent magnitude of the complex
             // correlation); envelope mode takes |Σ(|s|−mean)·r| =
-            // |Σ|s|·r − mean·Σr|, with the FFT supplying the Σ|s|·r term.
+            // |Σ|s|·r − mean·Σr|, with the batch FFT (when it runs)
+            // supplying the Σ|s|·r term.
             profile.clear();
             if use_batch {
                 let row = batch.code(idx);
@@ -559,25 +470,16 @@ impl UserDetector {
                     simd::magnitudes_into(row, profile);
                 }
             } else {
-                match (self.kind, use_fft) {
-                    (DecoderKind::Coherent, false) => profile.extend((0..lags).map(|off| {
-                        correlate_iq_bipolar(&window[off..off + len], reference).abs()
-                    })),
-                    (DecoderKind::Coherent, true) => {
-                        self.correlators[idx].correlate_iq_into(window, work, corr);
-                        profile.resize(lags, 0.0);
-                        simd::magnitudes_into(corr, profile);
+                match self.kind {
+                    DecoderKind::Coherent => {
+                        profile.extend((0..lags).map(|off| {
+                            correlate_iq_bipolar(&window[off..off + len], reference).abs()
+                        }))
                     }
-                    (DecoderKind::Envelope, false) => {
+                    DecoderKind::Envelope => {
                         profile.extend((0..lags).map(|off| {
                             let mean = running.mean_abs(off, len);
                             (dot(&mags[off..off + len], reference) - mean * ref_sum).abs()
-                        }));
-                    }
-                    (DecoderKind::Envelope, true) => {
-                        self.correlators[idx].correlate_iq_into(mags_iq, work, corr);
-                        profile.extend(corr.iter().enumerate().map(|(off, c)| {
-                            (c.re - running.mean_abs(off, len) * ref_sum).abs()
                         }));
                     }
                 }
@@ -605,179 +507,6 @@ impl UserDetector {
                     channel_gain: gain,
                 }
             }));
-        }
-    }
-
-    /// Scans W capture windows in one coalesced pass. `out[w][k]` holds
-    /// up to `max_candidates` candidates for code `k` in window `w` —
-    /// the same detections (offsets and gains exactly, correlations
-    /// within FFT rounding) as W separate
-    /// [`UserDetector::detect_candidates_in`] calls, but the correlation
-    /// work runs as a single [`MultiWindowCorrelator`] matrix pass:
-    /// every window is forward-transformed once and the K cached
-    /// reference spectra (and the plan's twiddle tables, hot in cache)
-    /// are reused across all W windows.
-    ///
-    /// On top of the shared transforms the coalesced path exploits what
-    /// the matrix layout makes cheap:
-    ///
-    /// * the per-lag normalization denominator `√(seg·ref)` is hoisted —
-    ///   one inverse sqrt per lag shared by all K codes, then a single
-    ///   multiply per (code, lag), instead of K sqrt+div per lag;
-    /// * the channel-gain estimate is read from the complex correlation
-    ///   row at the detected offset (the row *is* `Σ s·r`), replacing
-    ///   the `O(ref_len)` re-correlation dot product per candidate.
-    ///
-    /// Envelope-statistic detectors and mixed-length code sets fall back
-    /// to per-window [`CorrelationPath::Auto`] scans (same results, no
-    /// coalescing); the coherent decision statistic is the paper
-    /// default.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `windows` and `origins` differ in length.
-    pub fn detect_candidates_multi(
-        &self,
-        windows: &[&[Iq]],
-        origins: &[usize],
-        max_candidates: usize,
-        scratch: &mut MultiDetectScratch,
-        out: &mut Vec<Vec<Vec<DetectedUser>>>,
-    ) {
-        self.detect_candidates_multi_impl(windows, origins, max_candidates, scratch, out, None);
-    }
-
-    /// [`UserDetector::detect_candidates_multi`] with span
-    /// instrumentation: the coalesced correlation pass records one
-    /// `multi_window_correlate` span (arg = `(W << 32) | K`) under
-    /// `parent`.
-    #[allow(clippy::too_many_arguments)]
-    pub fn detect_candidates_multi_traced(
-        &self,
-        windows: &[&[Iq]],
-        origins: &[usize],
-        max_candidates: usize,
-        scratch: &mut MultiDetectScratch,
-        out: &mut Vec<Vec<Vec<DetectedUser>>>,
-        tracer: &Tracer,
-        trace: TraceId,
-        parent: SpanId,
-    ) {
-        self.detect_candidates_multi_impl(
-            windows,
-            origins,
-            max_candidates,
-            scratch,
-            out,
-            Some((tracer, trace, parent)),
-        );
-    }
-
-    fn detect_candidates_multi_impl(
-        &self,
-        windows: &[&[Iq]],
-        origins: &[usize],
-        max_candidates: usize,
-        scratch: &mut MultiDetectScratch,
-        out: &mut Vec<Vec<Vec<DetectedUser>>>,
-        trace: Option<(&Tracer, TraceId, SpanId)>,
-    ) {
-        assert_eq!(
-            windows.len(),
-            origins.len(),
-            "one origin per capture window"
-        );
-        out.truncate(windows.len());
-        out.resize_with(windows.len(), Vec::new);
-        for per_window in out.iter_mut() {
-            per_window.truncate(self.references.len());
-            for v in per_window.iter_mut() {
-                v.clear();
-            }
-            per_window.resize_with(self.references.len(), Vec::new);
-        }
-        let coalesce = matches!(self.kind, DecoderKind::Coherent) && self.multi.is_some();
-        if !coalesce {
-            // Envelope statistics need per-window |s| series and mixed
-            // code families have no shared-spectrum engine; both take
-            // the single-window Auto path per window (identical
-            // results, no transform sharing).
-            for (w, (&window, &origin)) in windows.iter().zip(origins).enumerate() {
-                self.detect_candidates_impl(
-                    window,
-                    origin,
-                    max_candidates,
-                    CorrelationPath::Auto,
-                    &mut scratch.single,
-                    &mut out[w],
-                    trace,
-                    None,
-                );
-            }
-            return;
-        }
-        let multi = self.multi.as_ref().expect("checked above");
-        match trace {
-            Some((tracer, trace_id, parent)) => {
-                multi.correlate_iq_multi_traced(
-                    windows,
-                    &mut scratch.windows,
-                    tracer,
-                    trace_id,
-                    parent,
-                );
-            }
-            None => multi.correlate_iq_multi(windows, &mut scratch.windows),
-        }
-        let ref_len = multi.reference_len();
-        if scratch.runnings.len() < windows.len() {
-            scratch
-                .runnings
-                .resize_with(windows.len(), RunningEnergy::default);
-        }
-        for (w, (&window, &origin)) in windows.iter().zip(origins).enumerate() {
-            if window.len() < ref_len {
-                continue;
-            }
-            let lags = window.len() - ref_len + 1;
-            scratch.runnings[w].rebuild(window);
-            let running = &scratch.runnings[w];
-            // Hoisted normalization: one inverse sqrt per lag, shared by
-            // every code row of this window.
-            scratch.inv_seg.clear();
-            scratch.inv_seg.extend((0..lags).map(|off| {
-                let d = running.power(off, ref_len).sqrt();
-                if d > 0.0 {
-                    1.0 / d
-                } else {
-                    0.0
-                }
-            }));
-            for (idx, per_code) in out[w].iter_mut().enumerate() {
-                let row = scratch.windows.row(w, idx);
-                scratch.profile.clear();
-                scratch.profile.resize(lags, 0.0);
-                simd::magnitudes_into(row, &mut scratch.profile);
-                let ref_scale = self.ref_inv_sqrt[idx];
-                for (c, &inv) in scratch.profile.iter_mut().zip(scratch.inv_seg.iter()) {
-                    *c *= inv * ref_scale;
-                }
-                self.select_peaks(
-                    &scratch.profile,
-                    max_candidates,
-                    &mut scratch.peaks,
-                    &mut scratch.selected,
-                );
-                let gain_scale = self.gain_scale[idx];
-                per_code.extend(scratch.selected.iter().map(|&(off, val)| DetectedUser {
-                    code_index: idx,
-                    start: origin + off,
-                    correlation: val,
-                    // The complex row value at the peak *is* Σ s·r — the
-                    // gain estimate without re-correlating the segment.
-                    channel_gain: row[off] / gain_scale,
-                }));
-            }
         }
     }
 
@@ -827,8 +556,7 @@ impl UserDetector {
     /// suppressed over a ±one-chip neighbourhood (candidates one chip
     /// apart are genuinely different alignments the decoder must test),
     /// strongest first, at most `max_candidates`. Results land in
-    /// `selected`; `peaks` is working storage. Shared by the single- and
-    /// multi-window paths so their candidate sets match by construction.
+    /// `selected`; `peaks` is working storage.
     fn select_peaks(
         &self,
         profile: &[f64],

@@ -15,8 +15,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 
 use cbma_codes::{CodeFamily, GoldFamily};
-use cbma_rx::user_detect::MultiDetectScratch;
-use cbma_rx::{DecoderKind, Receiver, ReceiverConfig, UserDetector};
+use cbma_rx::{Receiver, ReceiverConfig};
 use cbma_tag::phy::PhyProfile;
 use cbma_tag::Tag;
 use cbma_types::geometry::Point;
@@ -129,44 +128,4 @@ fn steady_state_receive_is_allocation_free() {
     // And quiet captures are still allocation-free afterwards.
     let (allocs, _) = count_allocs(|| rx.receive(&silence));
     assert_eq!(allocs, 0);
-
-    // --- Multi-window batched detection -------------------------------
-    //
-    // The coalesced W-window matrix pass must hit the same steady state:
-    // after one warm-up batch has grown the `WindowScratch` arena to its
-    // W-window high-water mark, repeated batches perform zero heap
-    // allocations and the arena stays pinned (no per-batch churn), for
-    // the full width and for narrower batches that reuse the same arena.
-    let codes = GoldFamily::new(5).unwrap().codes(4).unwrap();
-    let phy = PhyProfile::paper_default();
-    let det = UserDetector::with_kind(&codes, &phy, 0.2, DecoderKind::Coherent);
-    let windows: Vec<&[Iq]> = vec![&frame_capture, &silence, &ripple, &frame_capture];
-    let origins = vec![0usize; windows.len()];
-    let mut scratch = MultiDetectScratch::new();
-    let mut candidates = Vec::new();
-
-    // Warm-up at the full width grows every arena, including the per-code
-    // candidate vectors that frame-bearing windows fill.
-    det.detect_candidates_multi(&windows, &origins, 4, &mut scratch, &mut candidates);
-    let multi_capacity = scratch.capacity_bytes();
-    let arena = scratch.storage_ptr();
-    assert!(multi_capacity > 0, "warm-up should have grown the arena");
-    assert!(
-        candidates.iter().flatten().any(|c| !c.is_empty()),
-        "frame-bearing windows should produce candidates"
-    );
-
-    for _ in 0..3 {
-        let (allocs, ()) = count_allocs(|| {
-            det.detect_candidates_multi(&windows, &origins, 4, &mut scratch, &mut candidates)
-        });
-        assert_eq!(allocs, 0, "steady-state W=4 batch allocated {allocs} times");
-    }
-    // A narrower batch rides the same high-water arena.
-    let (allocs, ()) = count_allocs(|| {
-        det.detect_candidates_multi(&windows[..2], &origins[..2], 4, &mut scratch, &mut candidates)
-    });
-    assert_eq!(allocs, 0, "steady-state W=2 batch allocated {allocs} times");
-    assert_eq!(scratch.capacity_bytes(), multi_capacity, "arena grew past warm-up");
-    assert_eq!(scratch.storage_ptr(), arena, "arena storage reallocated");
 }

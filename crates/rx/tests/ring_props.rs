@@ -5,13 +5,42 @@
 //! operations against a `VecDeque` oracle must agree on every accepted
 //! element, every rejection (full/empty), and the final drain — across
 //! wrap-around, capacity 1 and repeated fill/drain cycles. Concurrent:
-//! a producer and a consumer on real threads must move every element
-//! exactly once, in order, for capacities that force heavy blocking.
+//! a producer and a consumer on real threads, retrying on full/empty,
+//! must move every element exactly once, in order, for capacities that
+//! keep the ring full most of the time.
 
 use std::collections::VecDeque;
 
-use cbma_rx::runtime::{ring, TryPop, TryPush};
+use cbma_rx::runtime::{ring, Consumer, Producer, RingError, TryPop, TryPush};
 use proptest::prelude::*;
+
+/// Pushes every item in order, yielding while the ring is full.
+fn push_all<T>(tx: &Producer<T>, items: impl IntoIterator<Item = T>) {
+    for mut item in items {
+        loop {
+            match tx.try_push(item) {
+                TryPush::Pushed => break,
+                TryPush::Full(back) => {
+                    item = back;
+                    std::thread::yield_now();
+                }
+                TryPush::Closed(..) => panic!("consumer lives until the drain ends"),
+            }
+        }
+    }
+}
+
+/// Pops until the producer finishes, yielding while the ring is empty.
+fn drain<T>(rx: &Consumer<T>) -> Vec<T> {
+    let mut got = Vec::new();
+    loop {
+        match rx.try_pop().expect("the producer never disconnects") {
+            TryPop::Item(v) => got.push(v),
+            TryPop::Empty => std::thread::yield_now(),
+            TryPop::Finished => return got,
+        }
+    }
+}
 
 /// One scripted step against the ring: push a value or pop one.
 #[derive(Debug, Clone, Copy)]
@@ -77,10 +106,7 @@ proptest! {
         }
         // Finish and drain: exactly the oracle's remainder, in order.
         drop(tx);
-        let mut rest = Vec::new();
-        while let Ok(Some(v)) = rx.pop() {
-            rest.push(v);
-        }
+        let rest = drain(&rx);
         prop_assert_eq!(rest, oracle.into_iter().collect::<Vec<_>>());
         prop_assert!(matches!(rx.try_pop(), Ok(TryPop::Finished)));
     }
@@ -92,16 +118,8 @@ proptest! {
     ) {
         let (tx, rx) = ring::<usize>(capacity);
         let got = std::thread::scope(|scope| {
-            scope.spawn(move || {
-                for i in 0..count {
-                    tx.push(i).expect("consumer lives until the drain ends");
-                }
-            });
-            let mut got = Vec::with_capacity(count);
-            while let Ok(Some(v)) = rx.pop() {
-                got.push(v);
-            }
-            got
+            scope.spawn(move || push_all(&tx, 0..count));
+            drain(&rx)
         });
         // No loss, no duplication, no reorder.
         prop_assert_eq!(got, (0..count).collect::<Vec<_>>());
@@ -110,20 +128,12 @@ proptest! {
 
 #[test]
 fn capacity_one_ping_pong_stays_in_order() {
-    // The tightest ring: every push blocks until the matching pop.
+    // The tightest ring: every push waits for the matching pop.
     let (tx, rx) = ring::<u64>(1);
     let n = 10_000u64;
     let got = std::thread::scope(|scope| {
-        scope.spawn(move || {
-            for i in 0..n {
-                tx.push(i).unwrap();
-            }
-        });
-        let mut got = Vec::with_capacity(n as usize);
-        while let Ok(Some(v)) = rx.pop() {
-            got.push(v);
-        }
-        got
+        scope.spawn(move || push_all(&tx, 0..n));
+        drain(&rx)
     });
     assert_eq!(got, (0..n).collect::<Vec<_>>());
 }
@@ -177,17 +187,24 @@ fn notifications_count_transitions_not_operations() {
 }
 
 #[test]
-fn consumer_drop_unblocks_a_full_producer() {
+fn consumer_drop_closes_a_full_ring() {
     let (tx, rx) = ring::<u32>(1);
     assert!(matches!(tx.try_push(7), TryPush::Pushed));
-    let err = std::thread::scope(|scope| {
-        let handle = scope.spawn(move || {
-            // The ring is full; this push can only end via the consumer
-            // disappearing.
-            tx.push(8)
+    assert!(matches!(tx.try_push(8), TryPush::Full(8)));
+    // The ring is full; once the consumer is gone the producer learns the
+    // stream can never drain instead of retrying forever.
+    let pushed = std::thread::scope(|scope| {
+        let handle = scope.spawn(move || loop {
+            match tx.try_push(8) {
+                TryPush::Full(_) => std::thread::yield_now(),
+                other => return other,
+            }
         });
         drop(rx);
         handle.join().unwrap()
     });
-    assert!(err.is_err(), "push must fail once the consumer is gone");
+    assert!(
+        matches!(pushed, TryPush::Closed(8, RingError::Disconnected)),
+        "push must report Closed once the consumer is gone: {pushed:?}"
+    );
 }

@@ -36,14 +36,14 @@ fn silence_captures(n: usize) -> Vec<Vec<Iq>> {
 
 #[test]
 fn a_panicking_stage_fails_the_run_with_its_name() {
-    // Every stage, panicking mid-stream, under every threaded scheduler:
+    // Every stage, panicking mid-stream, under pools of several sizes:
     // the run must return (no hang — a worker pool with parked idle
     // workers must wake them for teardown) with an error naming the
     // faulty stage, and the already-buffered captures must not deadlock
     // the teardown.
     let schedulers = [
-        Scheduler::ThreadPerStage,
         Scheduler::WorkStealing { workers: 1, pin: false },
+        Scheduler::WorkStealing { workers: 2, pin: false },
         Scheduler::WorkStealing { workers: 4, pin: false },
     ];
     for scheduler in schedulers {
@@ -98,9 +98,9 @@ fn inline_scheduler_propagates_the_panic() {
 fn a_failed_flowgraph_can_run_again() {
     // Injected faults are armed for exactly one run: after the failed
     // run, the *same* flowgraph drains normally, proving teardown left
-    // no poisoned rings, stuck workers, or stale sync state behind.
+    // no stuck workers or stale sync state behind.
     let schedulers = [
-        Scheduler::ThreadPerStage,
+        Scheduler::WorkStealing { workers: 1, pin: false },
         Scheduler::WorkStealing { workers: 2, pin: false },
     ];
     for scheduler in schedulers {
@@ -116,6 +116,19 @@ fn a_failed_flowgraph_can_run_again() {
             .unwrap_or_else(|e| panic!("{scheduler:?}: rerun after failure: {e}"));
         assert_eq!(output.results.len(), 2, "{scheduler:?}");
     }
+
+    // Inline: the panic unwinds out of the first run mid-capture (after
+    // frame sync absorbed its last block); the rerun must not see that
+    // capture's leftover sync carry.
+    let mut flow = flowgraph(Scheduler::Inline);
+    flow.inject_panic(StageKind::Sync, 1);
+    let source = CaptureSource::single_stream(512, silence_captures(2));
+    let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| flow.run(source)));
+    assert!(first.is_err(), "inline: first run panics");
+    let source = CaptureSource::single_stream(512, silence_captures(2));
+    let output = flow.run(source).expect("inline: rerun after failure");
+    assert_eq!(output.results.len(), 2);
+    assert_eq!(output.stats.captures, 2);
 }
 
 #[test]
@@ -127,7 +140,7 @@ fn a_stalled_sink_applies_backpressure_not_buffering() {
     // work-stealing the stall additionally must not *block* a worker:
     // the stage task just goes unready until the sink drains.
     let schedulers = [
-        Scheduler::ThreadPerStage,
+        Scheduler::WorkStealing { workers: 1, pin: false },
         Scheduler::WorkStealing { workers: 2, pin: false },
     ];
     for scheduler in schedulers {
@@ -173,7 +186,7 @@ fn shutdown_drains_every_capture_in_order() {
         .sum();
     let schedulers = [
         Scheduler::Inline,
-        Scheduler::ThreadPerStage,
+        Scheduler::WorkStealing { workers: 1, pin: false },
         Scheduler::WorkStealing { workers: 2, pin: false },
     ];
     for scheduler in schedulers {

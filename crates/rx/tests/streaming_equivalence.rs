@@ -85,7 +85,6 @@ fn assert_streaming_matches(config: ReceiverConfig, label: &str) {
 
     let schedulers = [
         Scheduler::Inline,
-        Scheduler::ThreadPerStage,
         // Work-stealing at a degenerate pool, a small pool, a pool wider
         // than the stage count, and auto-sized (one worker per CPU).
         Scheduler::WorkStealing { workers: 1, pin: false },
@@ -134,9 +133,11 @@ fn streaming_decisions_match_with_sic_enabled() {
 
 #[test]
 fn multi_stream_interleaving_preserves_per_stream_order_and_decisions() {
-    // Blocks of different streams interleave through the pipeline; each
-    // stream's captures must still come out in seq order with the same
-    // decisions as a dedicated monolithic receiver per stream.
+    // Blocks of different streams interleave through the flowgraph —
+    // through one receiver's per-stream sync carry under Inline, through
+    // per-stream ring chains under work-stealing; each stream's captures
+    // must still come out in seq order with the same decisions as a
+    // dedicated monolithic receiver per stream.
     let phy = PhyProfile::paper_default();
     let codes = GoldFamily::new(5).unwrap().codes(3).unwrap();
     let config = ReceiverConfig::default();
@@ -154,7 +155,7 @@ fn multi_stream_interleaving_preserves_per_stream_order_and_decisions() {
         .collect();
 
     let schedulers = [
-        Scheduler::ThreadPerStage,
+        Scheduler::Inline,
         Scheduler::WorkStealing { workers: 1, pin: false },
         Scheduler::WorkStealing { workers: 3, pin: false },
     ];

@@ -25,7 +25,10 @@ fn streaming_manifests_match_the_round_synchronous_engine() {
     let baseline = run_campaign(&campaign, &cfg(None)).unwrap().to_json();
 
     // Scheduler, block size and batch width are execution-shape knobs;
-    // none may leak into the manifest bytes.
+    // none may leak into the manifest bytes. Each round of a batch is its
+    // own stream, so every shape also proves the multi-stream path (and,
+    // under work-stealing, the placement metrics it emits) leaves no
+    // fingerprint in the manifest.
     let shapes = [
         StreamingConfig {
             width: 3,
@@ -37,17 +40,14 @@ fn streaming_manifests_match_the_round_synchronous_engine() {
             width: 8,
             block_size: 4096,
             ring_capacity: 4,
-            scheduler: Scheduler::ThreadPerStage,
+            scheduler: Scheduler::Inline,
         },
         StreamingConfig {
             width: 2,
             block_size: 513,
             ring_capacity: 1,
-            scheduler: Scheduler::ThreadPerStage,
+            scheduler: Scheduler::WorkStealing { workers: 2, pin: false },
         },
-        // Work-stealing spreads each batch over per-round streams, so
-        // these also prove the multi-stream path (and the placement
-        // metrics it emits) leaves no fingerprint in the manifest.
         StreamingConfig {
             width: 4,
             block_size: 1024,
