@@ -55,9 +55,7 @@ pub use biquad::Biquad;
 pub use correlate::{
     correlate_iq_bipolar, normalized_correlation, sliding_correlation, PeakSearch,
 };
-pub use xcorr::{
-    BatchCorrelator, BatchScratch, BatchStream, FftPlan, RunningEnergy, SlidingCorrelator,
-};
+pub use xcorr::{BatchCorrelator, BatchScratch, FftPlan, RunningEnergy, SlidingCorrelator};
 pub use energy::{power_series, EnergyDetector};
 pub use fir::Fir;
 pub use goertzel::Goertzel;

@@ -484,60 +484,14 @@ pub fn fft_stage4(buf: &mut [Iq], len: usize, tw1: &[Iq], tw2: &[Iq], tw3: &[Iq]
         // even so the quarter strides split into whole 2-complex vectors.
         unsafe {
             if inverse {
-                x86::fft_stage4::<true>(buf, len, tw1, tw2, tw3, len / 4);
+                x86::fft_stage4::<true>(buf, len, tw1, tw2, tw3);
             } else {
-                x86::fft_stage4::<false>(buf, len, tw1, tw2, tw3, len / 4);
+                x86::fft_stage4::<false>(buf, len, tw1, tw2, tw3);
             }
         }
         return;
     }
     fft_stage4_scalar(buf, len, tw1, tw2, tw3, inverse);
-}
-
-/// Output-pruned variant of [`fft_stage4`] for the **final** DIT stage of
-/// a transform whose caller only reads `buf[..needed]`.
-///
-/// The last decimation-in-time stage covers the whole buffer in one
-/// chunk (`len == buf.len()`), and butterfly `k` is the only one writing
-/// outputs `k`, `k+q`, `k+2q`, `k+3q`. When `needed ≤ q` only butterflies
-/// `k < needed` contribute to the read range, so the rest are skipped —
-/// an overlap-save correlator that keeps `lags ≪ fft_size` outputs per
-/// block saves up to a quarter of its inverse-transform work. Every
-/// output that *is* computed gets the exact same value (same operations)
-/// as the unpruned stage; outputs past the computed range are left
-/// unspecified.
-///
-/// # Panics
-///
-/// Panics under [`fft_stage4`]'s shape conditions, or if `len` differs
-/// from `buf.len()` (pruning is only sound for a single-chunk stage).
-#[inline]
-pub fn fft_stage4_pruned(
-    buf: &mut [Iq],
-    len: usize,
-    tw1: &[Iq],
-    tw2: &[Iq],
-    tw3: &[Iq],
-    inverse: bool,
-    needed: usize,
-) {
-    check_stage4(buf, len, tw1, tw2, tw3);
-    assert_eq!(buf.len(), len, "pruned stage requires a single chunk");
-    let klim = needed.min(len / 4);
-    #[cfg(target_arch = "x86_64")]
-    if x86::available() {
-        // SAFETY: as fft_stage4; the kernel rounds the butterfly limit up
-        // to a whole 2-complex vector itself.
-        unsafe {
-            if inverse {
-                x86::fft_stage4::<true>(buf, len, tw1, tw2, tw3, klim.div_ceil(2) * 2);
-            } else {
-                x86::fft_stage4::<false>(buf, len, tw1, tw2, tw3, klim.div_ceil(2) * 2);
-            }
-        }
-        return;
-    }
-    fft_stage4_scalar_limited(buf, len, tw1, tw2, tw3, inverse, klim);
 }
 
 /// Portable reference implementation of [`fft_stage4`].
@@ -554,23 +508,9 @@ pub fn fft_stage4_scalar(
     inverse: bool,
 ) {
     check_stage4(buf, len, tw1, tw2, tw3);
-    fft_stage4_scalar_limited(buf, len, tw1, tw2, tw3, inverse, len / 4);
-}
-
-/// [`fft_stage4_scalar`] restricted to butterflies `k < klim` (the
-/// scalar body of [`fft_stage4_pruned`]).
-fn fft_stage4_scalar_limited(
-    buf: &mut [Iq],
-    len: usize,
-    tw1: &[Iq],
-    tw2: &[Iq],
-    tw3: &[Iq],
-    inverse: bool,
-    klim: usize,
-) {
     let q = len / 4;
     for chunk in buf.chunks_exact_mut(len) {
-        for k in 0..klim.min(q) {
+        for k in 0..q {
             let (w1, w2, w3) = if inverse {
                 (tw1[k].conj(), tw2[k].conj(), tw3[k].conj())
             } else {
@@ -858,6 +798,11 @@ mod x86 {
     }
 
     /// Sums the four lanes of a vector.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA (the dispatcher checks
+    /// `available()`).
     #[inline]
     #[target_feature(enable = "avx2,fma")]
     unsafe fn hsum(v: __m256d) -> f64 {
@@ -867,6 +812,11 @@ mod x86 {
         _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)))
     }
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA (the dispatcher checks
+    /// `available()`), and `b.len() >= a.len()`: every 4-lane load reads
+    /// indices below `a.len()` of both slices.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn dot(a: &[f64], b: &[f64]) -> f64 {
         let n = a.len();
@@ -896,6 +846,10 @@ mod x86 {
         total
     }
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA (the dispatcher checks
+    /// `available()`). Loads stay below `a.len()`.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn sum_sq(a: &[f64]) -> f64 {
         let n = a.len();
@@ -923,6 +877,12 @@ mod x86 {
         total
     }
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA (the dispatcher checks
+    /// `available()`), and `reference.len() >= samples.len()`. `Iq` is
+    /// `#[repr(C)]` with two `f64`s, so sample `i` is the `f64` pair at `2i`;
+    /// loads stay below `2·samples.len()` and `samples.len()`.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn dot_iq_real(samples: &[Iq], reference: &[f64]) -> Iq {
         let n = samples.len();
@@ -956,6 +916,11 @@ mod x86 {
         Iq::new(re, im)
     }
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA (the dispatcher checks
+    /// `available()`), and `src.len() >= dst.len()`; `Iq` viewed as `f64`
+    /// pairs as in `dot_iq_real`, with loads and stores below `2·dst.len()`.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn spectrum_mul(dst: &mut [Iq], src: &[Iq]) {
         let n = dst.len();
@@ -980,6 +945,11 @@ mod x86 {
         }
     }
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA (the dispatcher checks
+    /// `available()`), and `a.len()` and `b.len()` are both `>= dst.len()`;
+    /// `Iq` viewed as `f64` pairs, with loads and stores below `2·dst.len()`.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn spectrum_mul_to(dst: &mut [Iq], a: &[Iq], b: &[Iq]) {
         let n = dst.len();
@@ -1005,6 +975,11 @@ mod x86 {
         }
     }
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA (the dispatcher checks
+    /// `available()`). Loads, stores and the scalar tail stay below
+    /// `2·buf.len()` of the `f64` view of `buf`.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn scale(buf: &mut [Iq], k: f64) {
         let n2 = 2 * buf.len();
@@ -1021,6 +996,11 @@ mod x86 {
         }
     }
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA (the dispatcher checks
+    /// `available()`), and `env.len() >= dst.len()`; `Iq` viewed as `f64`
+    /// pairs, with accesses below `2·dst.len()` and `dst.len()`.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn subtract_scaled_real(dst: &mut [Iq], env: &[f64], gain: Iq) {
         let n = dst.len();
@@ -1044,6 +1024,11 @@ mod x86 {
         }
     }
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA (the dispatcher checks
+    /// `available()`), and `out.len() >= samples.len()`: the tail writes
+    /// `out[i]` through the raw pointer for every `i < samples.len()`.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn magnitudes_into(samples: &[Iq], out: &mut [f64]) {
         let n = samples.len();
@@ -1067,6 +1052,11 @@ mod x86 {
         }
     }
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA (the dispatcher checks
+    /// `available()`), and `buf.len()` is even, so the 2-complex vectors tile
+    /// the buffer exactly.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn fft_stage_first(buf: &mut [Iq]) {
         let n2 = 2 * buf.len();
@@ -1084,6 +1074,12 @@ mod x86 {
         // the dispatcher), so nothing remains.
     }
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA (the dispatcher checks
+    /// `available()`), `buf.len()` is a multiple of `len`, `len/2` is even,
+    /// and `tw.len() == len/2`: each butterfly loop reads and writes whole
+    /// 2-complex vectors inside one half of one chunk.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn fft_stage<const INVERSE: bool>(buf: &mut [Iq], len: usize, tw: &[Iq]) {
         let half = len / 2;
@@ -1114,6 +1110,11 @@ mod x86 {
         }
     }
 
+    /// # Safety
+    ///
+    /// As [`fft_stage`]: the CPU must support AVX2 and FMA (the dispatcher
+    /// checks `available()`), `buf.len()` is a multiple of `len`, `len/2` is
+    /// even, and `tw.len() == len/2`.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn fft_stage_dif<const INVERSE: bool>(buf: &mut [Iq], len: usize, tw: &[Iq]) {
         let half = len / 2;
@@ -1145,6 +1146,11 @@ mod x86 {
     }
 
     /// Two packed complex products `v·w` (or `v·conj(w)` when `INVERSE`).
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA (the dispatcher checks
+    /// `available()`).
     #[inline]
     #[target_feature(enable = "avx2,fma")]
     unsafe fn cmul<const INVERSE: bool>(v: __m256d, w: __m256d) -> __m256d {
@@ -1159,6 +1165,11 @@ mod x86 {
     }
 
     /// Two packed `i·v` rotations: `(re, im) → (−im, re)`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA (the dispatcher checks
+    /// `available()`).
     #[inline]
     #[target_feature(enable = "avx2,fma")]
     unsafe fn rot90(v: __m256d) -> __m256d {
@@ -1166,6 +1177,12 @@ mod x86 {
         _mm256_xor_pd(_mm256_permute_pd(v, 0x5), neg_re)
     }
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA (the dispatcher checks
+    /// `available()`), `len >= 8` with `len/4` even, `buf.len()` is a
+    /// multiple of `len`, and `tw1`/`tw2`/`tw3` each hold `len/4` twiddles:
+    /// every load and store stays inside one quarter of one chunk.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn fft_stage4<const INVERSE: bool>(
         buf: &mut [Iq],
@@ -1173,10 +1190,9 @@ mod x86 {
         tw1: &[Iq],
         tw2: &[Iq],
         tw3: &[Iq],
-        klim: usize,
     ) {
         let q = len / 4;
-        let flim = 2 * klim.min(q); // f64 limit within the quarter
+        let flim = 2 * q; // f64 length of one quarter
         let t1p = tw1.as_ptr() as *const f64;
         let t2p = tw2.as_ptr() as *const f64;
         let t3p = tw3.as_ptr() as *const f64;
@@ -1210,6 +1226,11 @@ mod x86 {
         }
     }
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA (the dispatcher checks
+    /// `available()`), and `buf.len()` is a multiple of 4, so each 4-complex
+    /// step stays inside the buffer.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn fft_stage4_last<const INVERSE: bool>(buf: &mut [Iq]) {
         let n2 = 2 * buf.len();
@@ -1236,6 +1257,11 @@ mod x86 {
         }
     }
 
+    /// # Safety
+    ///
+    /// As [`fft_stage4`]: the CPU must support AVX2 and FMA (the dispatcher
+    /// checks `available()`), `len >= 8` with `len/4` even, `buf.len()` a
+    /// multiple of `len`, and `len/4` twiddles in each table.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn fft_stage4_dif<const INVERSE: bool>(
         buf: &mut [Iq],
@@ -1278,6 +1304,10 @@ mod x86 {
         }
     }
 
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA (the dispatcher checks
+    /// `available()`), and `buf.len()` is a multiple of 4.
     #[target_feature(enable = "avx2,fma")]
     pub unsafe fn fft_stage4_dif_last<const INVERSE: bool>(buf: &mut [Iq]) {
         let n2 = 2 * buf.len();

@@ -16,8 +16,7 @@
 //!   (bipolar) reference and correlates it against arbitrary-length
 //!   complex-IQ or real windows in O(N log B) via overlap-save blocks,
 //! * [`BatchCorrelator`] — K equal-length references sharing one forward
-//!   FFT per block (the receiver's detection engine), fed either in one
-//!   pass or block by block through [`BatchStream`],
+//!   FFT per block (the receiver's detection engine),
 //! * [`RunningEnergy`] — prefix sums of |s| and |s|² giving O(1) segment
 //!   power, mean and mean-removed energy over any `[off, off + len)`,
 //!   serving both the coherent power normalization and the envelope
@@ -26,10 +25,10 @@
 //! The engine is exact up to FFT rounding (≈1e-12 relative); the receiver
 //! keeps a direct path for short windows. This module's unit tests pin
 //! overlap-save against direct sliding dot products,
-//! `crates/dsp/tests/simd_equivalence.rs` and
-//! `crates/dsp/tests/stream_equivalence.rs` pin the vector kernels and the
-//! block-fed walk, and `crates/rx/tests/detect_equivalence.rs` pins the
-//! detector's two paths together within 1e-9.
+//! `crates/dsp/tests/simd_equivalence.rs` pins the vector kernels and the
+//! batched rows against the single-code engine, and
+//! `crates/rx/tests/detect_equivalence.rs` pins the detector's two paths
+//! together within 1e-9.
 
 use cbma_obs::trace::{SpanId, TraceId, Tracer};
 use cbma_types::{CbmaError, Iq, Result};
@@ -231,47 +230,6 @@ impl FftPlan {
         Ok(())
     }
 
-    /// [`FftPlan::inverse_raw_unscaled`] for callers that only read
-    /// `buf[..needed]` afterwards: the final DIT stage skips butterflies
-    /// that contribute nothing to the read range (see
-    /// [`simd::fft_stage4_pruned`]). Every element of `buf[..needed]`
-    /// gets the exact value the unpruned inverse produces; elements past
-    /// the computed range are unspecified.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CbmaError::ShapeMismatch`] when `buf.len()` differs from
-    /// the plan length.
-    pub fn inverse_raw_unscaled_pruned(&self, buf: &mut [Iq], needed: usize) -> Result<()> {
-        self.check(buf)?;
-        if self.n <= 1 {
-            return Ok(());
-        }
-        if self.tail2 {
-            simd::fft_stage_first(buf);
-        }
-        let stages = self.radix4.len();
-        for (i, &(len, off)) in self.radix4.iter().rev().enumerate() {
-            let (len, off) = (len as usize, off as usize);
-            if len == 4 {
-                simd::fft_stage4_last(buf, true);
-                continue;
-            }
-            let q = len / 4;
-            let tw1 = &self.twiddles[len / 2 - 1..len / 2 - 1 + q];
-            let tw2 = &self.twiddles[len / 4 - 1..len / 2 - 1];
-            let tw3 = &self.tw3[off..off + q];
-            // Only the last stage is prunable: every earlier stage's full
-            // output feeds the next stage's butterflies.
-            if i + 1 == stages && len == self.n && needed < q {
-                simd::fft_stage4_pruned(buf, len, tw1, tw2, tw3, true, needed);
-            } else {
-                simd::fft_stage4(buf, len, tw1, tw2, tw3, true);
-            }
-        }
-        Ok(())
-    }
-
     /// The merged radix-4 DIF cascade, largest stage first, emitting the
     /// same bit-reversed spectral order as the radix-2 DIF ladder it
     /// replaces (merging two radix-2 stages permutes nothing).
@@ -422,40 +380,6 @@ impl RunningEnergy {
         }
     }
 
-    /// Appends samples to the covered window without recomputing the
-    /// existing prefix sums: the accumulators resume from the last prefix
-    /// values, so feeding a capture block-by-block produces prefix sums
-    /// **bit-identical** to one [`RunningEnergy::rebuild`] over the whole
-    /// capture (same sequential additions in the same order).
-    pub fn extend(&mut self, samples: &[Iq]) {
-        let mut sa = *self.prefix_abs.last().expect("prefix sums hold a leading 0");
-        let mut sq = *self.prefix_sq.last().expect("prefix sums hold a leading 0");
-        self.prefix_abs.reserve(samples.len());
-        self.prefix_sq.reserve(samples.len());
-        for s in samples {
-            let p = s.power();
-            sa += p.sqrt();
-            sq += p;
-            self.prefix_abs.push(sa);
-            self.prefix_sq.push(sq);
-        }
-    }
-
-    /// Real-domain counterpart of [`RunningEnergy::extend`]: appends to a
-    /// series built with [`RunningEnergy::rebuild_real`].
-    pub fn extend_real(&mut self, values: &[f64]) {
-        let mut sa = *self.prefix_abs.last().expect("prefix sums hold a leading 0");
-        let mut sq = *self.prefix_sq.last().expect("prefix sums hold a leading 0");
-        self.prefix_abs.reserve(values.len());
-        self.prefix_sq.reserve(values.len());
-        for &v in values {
-            sa += v.abs();
-            sq += v * v;
-            self.prefix_abs.push(sa);
-            self.prefix_sq.push(sq);
-        }
-    }
-
     /// Address of the backing storage — exposed so arena-reuse regression
     /// tests can assert that rebuilds did not reallocate. Not part of the
     /// semantic API.
@@ -527,11 +451,10 @@ impl RunningEnergy {
 /// `samples[pos .. pos + take]` (with `take = min(remaining, dst.len())`)
 /// and zero-fills the ragged tail.
 ///
-/// This is **the** carry-over normalization for final blocks shorter than
-/// the FFT size: every overlap-save engine in this module (single-code,
-/// batched, and the streamed [`BatchStream`]) loads its
-/// blocks through this one helper, so a ragged tail is padded identically
-/// on every path and the resulting correlation rows stay bit-identical.
+/// Both overlap-save engines in this module (single-code and batched)
+/// load their blocks through this one helper, so a ragged final block is
+/// padded identically on both and a batched row stays bit-identical to
+/// the single-code correlator's output.
 #[inline]
 fn load_block(dst: &mut [Iq], samples: &[Iq], pos: usize) {
     let take = (samples.len() - pos).min(dst.len());
@@ -947,172 +870,27 @@ impl BatchCorrelator {
                 span.set_arg(block_index);
                 span
             });
-            self.process_block(block, samples, pos, lags, scratch);
+            load_block(&mut scratch.win, samples, pos);
+            // The expensive part, done once per block instead of once
+            // per (block, code) pair; bit-reversed spectral order skips
+            // the permutation passes on every transform.
+            block.plan.forward_raw(&mut scratch.win).expect("sized to plan");
+            let valid = (lags - pos).min(block.block_out);
+            for k in 0..self.codes {
+                let spec = &block.spectra[k * block.fft_size..(k + 1) * block.fft_size];
+                simd::spectrum_mul_to(&mut scratch.work, &scratch.win, spec);
+                block
+                    .plan
+                    .inverse_raw_unscaled(&mut scratch.work)
+                    .expect("sized to plan");
+                let row = k * lags + pos;
+                scratch.out[row..row + valid].copy_from_slice(&scratch.work[..valid]);
+            }
             pos += block.block_out;
             block_index += 1;
         }
     }
 
-    /// One overlap-save block at `pos`: shared forward FFT, then the
-    /// per-code spectrum products and inverse transforms into the output
-    /// matrix rows. Both the one-shot pass and [`BatchStream`] run every
-    /// block through this body, so block-by-block feeding is bit-identical
-    /// to the whole-window call by construction.
-    fn process_block(
-        &self,
-        block: &BatchBlock,
-        samples: &[Iq],
-        pos: usize,
-        lags: usize,
-        scratch: &mut BatchScratch,
-    ) {
-        load_block(&mut scratch.win, samples, pos);
-        // The expensive part, done once per block instead of once
-        // per (block, code) pair; bit-reversed spectral order skips
-        // the permutation passes on every transform.
-        block.plan.forward_raw(&mut scratch.win).expect("sized to plan");
-        let valid = (lags - pos).min(block.block_out);
-        for k in 0..self.codes {
-            let spec = &block.spectra[k * block.fft_size..(k + 1) * block.fft_size];
-            simd::spectrum_mul_to(&mut scratch.work, &scratch.win, spec);
-            block
-                .plan
-                .inverse_raw_unscaled(&mut scratch.work)
-                .expect("sized to plan");
-            let row = k * lags + pos;
-            scratch.out[row..row + valid].copy_from_slice(&scratch.work[..valid]);
-        }
-    }
-
-    /// Starts a streamed correlation over a window whose **total** length
-    /// is declared up front but whose samples arrive in arbitrary chunks
-    /// (see [`BatchStream`]). Sizes `scratch` exactly as
-    /// [`BatchCorrelator::correlate_iq_into`] would for a `total`-sample
-    /// window.
-    pub fn begin_stream(&self, total: usize, scratch: &mut BatchScratch) -> BatchStream {
-        scratch.codes = self.codes;
-        if total < self.ref_len {
-            scratch.lags = 0;
-            scratch.out.clear();
-            return BatchStream {
-                total,
-                lags: 0,
-                buf: Vec::new(),
-                pos: 0,
-            };
-        }
-        let block = self.block_for(total);
-        let lags = total - self.ref_len + 1;
-        scratch.lags = lags;
-        scratch.win.clear();
-        scratch.win.resize(block.fft_size, Iq::ZERO);
-        scratch.work.clear();
-        scratch.work.resize(block.fft_size, Iq::ZERO);
-        scratch.out.clear();
-        scratch.out.resize(self.codes * lags, Iq::ZERO);
-        BatchStream {
-            total,
-            lags,
-            buf: Vec::with_capacity(total),
-            pos: 0,
-        }
-    }
-}
-
-/// Streamable overlap-save state for a [`BatchCorrelator`] window fed in
-/// arbitrary chunks.
-///
-/// The total window length is declared at [`BatchCorrelator::begin_stream`]
-/// so the stream runs on the exact block spec the one-shot pass would pick
-/// (`block_for(total)`). Samples accumulate internally (the receiver needs
-/// the full capture for decoding anyway); every time a full FFT block is
-/// buffered it is processed immediately through the same
-/// `process_block`/`load_block` body as the one-shot pass, and
-/// [`BatchStream::finish`] zero-pads the ragged tail through that same
-/// helper. The resulting K × lags matrix is therefore **bit-identical** to
-/// [`BatchCorrelator::correlate_iq_into`] over the concatenated samples,
-/// for any chopping of the window — including chunk size 1 and a single
-/// whole-window chunk (pinned by `block_chopping_never_changes_the_matrix`
-/// below and the ragged-block regression in
-/// `crates/dsp/tests/stream_equivalence.rs`).
-#[derive(Debug, Clone)]
-pub struct BatchStream {
-    total: usize,
-    lags: usize,
-    buf: Vec<Iq>,
-    pos: usize,
-}
-
-impl BatchStream {
-    /// Samples fed so far.
-    #[inline]
-    pub fn fed(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// The declared total window length.
-    #[inline]
-    pub fn total(&self) -> usize {
-        self.total
-    }
-
-    /// The buffered window so far (the prefix of the declared window).
-    #[inline]
-    pub fn samples(&self) -> &[Iq] {
-        &self.buf
-    }
-
-    /// Feeds the next chunk; `engine` and `scratch` must be the pair the
-    /// stream was started on. Any block fully covered by the buffered
-    /// prefix is processed eagerly.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the chunk overruns the declared total length.
-    pub fn feed(&mut self, engine: &BatchCorrelator, chunk: &[Iq], scratch: &mut BatchScratch) {
-        assert!(
-            self.buf.len() + chunk.len() <= self.total,
-            "stream overrun: {} + {} exceeds declared total {}",
-            self.buf.len(),
-            chunk.len(),
-            self.total
-        );
-        self.buf.extend_from_slice(chunk);
-        if self.lags == 0 {
-            return;
-        }
-        let block = engine.block_for(self.total);
-        while self.pos < self.lags && self.pos + block.fft_size <= self.buf.len() {
-            engine.process_block(block, &self.buf, self.pos, self.lags, scratch);
-            self.pos += block.block_out;
-        }
-    }
-
-    /// Processes the remaining blocks (zero-padding the ragged tail) and
-    /// consumes the stream, returning the buffered window. After this,
-    /// `scratch` holds the same K × lags matrix a one-shot
-    /// [`BatchCorrelator::correlate_iq_into`] over the full window would.
-    ///
-    /// # Panics
-    ///
-    /// Panics if fewer samples were fed than declared.
-    pub fn finish(mut self, engine: &BatchCorrelator, scratch: &mut BatchScratch) -> Vec<Iq> {
-        assert_eq!(
-            self.buf.len(),
-            self.total,
-            "stream underrun: fed {} of {} declared samples",
-            self.buf.len(),
-            self.total
-        );
-        if self.lags > 0 {
-            let block = engine.block_for(self.total);
-            while self.pos < self.lags {
-                engine.process_block(block, &self.buf, self.pos, self.lags, scratch);
-                self.pos += block.block_out;
-            }
-        }
-        std::mem::take(&mut self.buf)
-    }
 }
 
 #[cfg(test)]
@@ -1284,105 +1062,6 @@ mod tests {
         assert_eq!(re.mean_abs(0, 32), 0.0);
         let empty = RunningEnergy::new(&[]);
         assert!(empty.is_empty());
-    }
-
-    #[test]
-    fn pruned_inverse_matches_unpruned_prefix() {
-        for n in [4usize, 8, 16, 64, 256, 1024] {
-            let plan = FftPlan::new(n).unwrap();
-            let mut spec = test_signal(n);
-            plan.forward_raw(&mut spec).unwrap();
-            for needed in [0usize, 1, 2, 3, n / 4, n / 3, n / 2, n] {
-                let mut full = spec.clone();
-                plan.inverse_raw_unscaled(&mut full).unwrap();
-                let mut pruned = spec.clone();
-                plan.inverse_raw_unscaled_pruned(&mut pruned, needed).unwrap();
-                let take = needed.min(n);
-                assert_eq!(&pruned[..take], &full[..take], "n={n} needed={needed}");
-            }
-        }
-    }
-
-    #[test]
-    fn running_energy_extend_is_bit_identical_to_rebuild() {
-        let samples = test_signal(513);
-        let mut whole = RunningEnergy::default();
-        whole.rebuild(&samples);
-        for chunk in [1usize, 7, 64, 513] {
-            let mut streamed = RunningEnergy::default();
-            streamed.rebuild(&[]);
-            for block in samples.chunks(chunk) {
-                streamed.extend(block);
-            }
-            assert_eq!(streamed.len(), whole.len(), "chunk {chunk}");
-            for i in 0..=samples.len() {
-                assert_eq!(
-                    streamed.power(0, i).to_bits(),
-                    whole.power(0, i).to_bits(),
-                    "chunk {chunk} prefix {i}"
-                );
-                assert_eq!(
-                    streamed.abs_sum(0, i).to_bits(),
-                    whole.abs_sum(0, i).to_bits(),
-                    "chunk {chunk} prefix {i}"
-                );
-            }
-        }
-        // Real-domain variant.
-        let values: Vec<f64> = (0..257).map(|i| (i as f64 * 0.13).sin() - 0.2).collect();
-        let mut whole = RunningEnergy::default();
-        whole.rebuild_real(&values);
-        let mut streamed = RunningEnergy::default();
-        streamed.rebuild_real(&[]);
-        for block in values.chunks(11) {
-            streamed.extend_real(block);
-        }
-        for i in 0..=values.len() {
-            assert_eq!(streamed.power(0, i).to_bits(), whole.power(0, i).to_bits());
-        }
-    }
-
-    #[test]
-    fn block_chopping_never_changes_the_matrix() {
-        // BatchStream fed in arbitrary chunk sizes — including 1, a prime,
-        // a power of two, and the whole window — must reproduce the
-        // one-shot matrix bit for bit, for windows that fit one FFT block
-        // and windows that need a multi-block overlap-save walk with a
-        // ragged final block.
-        let references: Vec<Vec<f64>> = (0..3)
-            .map(|k| {
-                (0..40)
-                    .map(|i| if (i * 7 + k) % 3 == 0 { 1.0 } else { -1.0 })
-                    .collect()
-            })
-            .collect();
-        let batch = BatchCorrelator::new(&references);
-        for n in [39usize, 40, 100, 700, 1337] {
-            let samples = test_signal(n);
-            let mut want = BatchScratch::new();
-            batch.correlate_iq_into(&samples, &mut want);
-            for chunk in [1usize, 13, 128, n] {
-                let mut got = BatchScratch::new();
-                let mut stream = batch.begin_stream(n, &mut got);
-                for block in samples.chunks(chunk.max(1)) {
-                    stream.feed(&batch, block, &mut got);
-                }
-                let returned = stream.finish(&batch, &mut got);
-                assert_eq!(returned, samples, "n={n} chunk={chunk}: buffered window");
-                assert_eq!(got.lags(), want.lags(), "n={n} chunk={chunk}");
-                for k in 0..batch.num_codes() {
-                    let (g, w) = (got.code(k), want.code(k));
-                    assert_eq!(g.len(), w.len());
-                    for (i, (a, b)) in g.iter().zip(w).enumerate() {
-                        assert_eq!(
-                            (a.re.to_bits(), a.im.to_bits()),
-                            (b.re.to_bits(), b.im.to_bits()),
-                            "n={n} chunk={chunk} code {k} lag {i}"
-                        );
-                    }
-                }
-            }
-        }
     }
 
     #[test]

@@ -20,12 +20,13 @@
 //! first selected campaign's first point and writes a Chrome
 //! trace-event JSON viewable in Perfetto / `chrome://tracing`.
 //! `--streaming` measures through the streaming receiver runtime with
-//! the given stage scheduler — the manifests are byte-identical to the
+//! the given scheduler — the manifests are byte-identical to the
 //! round-synchronous default (and the trace, when requested, shows the
-//! flowgraph's stage spans instead of the monolithic capture tree).
-//! `inline` runs every stage on the calling thread; `worksteal[:N][:pin]`
-//! pipelines every stream's stages over a fixed pool of N workers
-//! (default: one per CPU), optionally pinned round-robin onto CPUs.
+//! flowgraph's runtime spans instead of the monolithic capture tree).
+//! `inline` decides every capture on the calling thread;
+//! `worksteal[:N][:pin]` runs one task per stream on a fixed pool of N
+//! workers (default: one per CPU), optionally pinned round-robin onto
+//! CPUs.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
@@ -271,9 +272,9 @@ fn main() -> ExitCode {
 /// Records one fully-instrumented round of `name`'s first point and
 /// writes a Chrome trace-event document for Perfetto. With a streaming
 /// scheduler, the round runs through the flowgraph so the trace shows
-/// its stage spans (`sync_stage` … `sic_stage` and `stage_run` inline;
-/// `worker`, `stage_run` and `stage_wait` on the work-stealing pool)
-/// instead of the monolithic capture tree.
+/// its runtime spans (one `stage_run` per capture under `flowgraph`
+/// inline; `worker`, `stage_run` and `stage_wait` on the work-stealing
+/// pool) instead of the monolithic capture tree.
 fn write_trace(
     path: &PathBuf,
     name: &str,

@@ -69,7 +69,7 @@ impl Measurement {
 
     /// Runs `rounds` transmission rounds through the streaming receiver
     /// runtime ([`Engine::run_streaming_with`]) and aggregates the
-    /// outcomes. The streaming stages make the same decisions as the
+    /// outcomes. The flowgraph decides every reassembled capture with the
     /// monolithic receive at every block size and scheduler, so this is
     /// byte-for-byte interchangeable with [`Measurement::from_engine`].
     pub fn from_engine_streaming(

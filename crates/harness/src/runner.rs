@@ -96,8 +96,8 @@ pub struct RunnerConfig {
     pub live: Option<LivePublisher>,
     /// Measure through the streaming receiver runtime instead of the
     /// round-synchronous engine loop. Decisions are identical (the
-    /// streaming stages call the same receive seams), so the manifest
-    /// bytes do not change; only the execution shape does.
+    /// flowgraph decides every capture with `Receiver::receive`), so
+    /// the manifest bytes do not change; only the execution shape does.
     pub streaming: Option<StreamingConfig>,
 }
 

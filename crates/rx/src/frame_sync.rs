@@ -124,24 +124,10 @@ impl FrameSync {
         }
         // Prefix sums make each edge's post-window mean power an O(1)
         // lookup; post_ratio is evaluated twice per edge below.
-        scratch.running.rebuild(samples);
-        self.qualify_edges(&scratch.edges, &scratch.running, samples.len())
-    }
-
-    /// The edge-qualification rule shared by the whole-capture path and
-    /// the streamed [`SyncStream::finish`]: significance is the mean
-    /// power over the window *after* each edge relative to its baseline,
-    /// the qualification bar scales with the strongest edge (so both
-    /// paths see the identical global decision), and the earliest
-    /// qualified edge wins.
-    fn qualify_edges(
-        &self,
-        edges: &[EnergyEdge],
-        running: &RunningEnergy,
-        len: usize,
-    ) -> Option<EnergyEdge> {
+        let SyncScratch { edges, running, .. } = scratch;
+        running.rebuild(samples);
         let post_ratio = |e: &EnergyEdge| -> f64 {
-            let end = (e.index + self.window).min(len);
+            let end = (e.index + self.window).min(samples.len());
             if end <= e.index {
                 return 0.0;
             }
@@ -156,80 +142,6 @@ impl FrameSync {
         let max_ratio = edges.iter().map(post_ratio).fold(0.0f64, f64::max);
         let qualify = (max_ratio / 100.0).max(4.0);
         edges.iter().find(|e| post_ratio(e) >= qualify).copied()
-    }
-
-    /// Creates an incremental synchronizer for one capture fed
-    /// block-by-block (the streaming runtime's frame-sync stage).
-    pub fn stream(&self) -> SyncStream {
-        SyncStream {
-            detector: EnergyDetector::new(self.window, self.threshold),
-            edges: Vec::new(),
-            running: RunningEnergy::default(),
-            fed: 0,
-        }
-    }
-}
-
-/// Incremental frame synchronization over a capture arriving in blocks.
-///
-/// The energy comparator is inherently per-sample
-/// ([`EnergyDetector::push_power`]) and the prefix sums extend exactly as
-/// a whole-capture rebuild would ([`RunningEnergy::extend`]), so feeding
-/// any chopping of a capture and calling [`SyncStream::finish`] returns
-/// the **same edge** [`FrameSync::best_edge_in`] finds on the whole
-/// buffer. Edge *qualification* is global — the bar scales with the
-/// strongest edge anywhere in the capture — which is why the decision can
-/// only be made at end of capture, even though all per-sample work
-/// happens as blocks arrive.
-#[derive(Debug, Clone)]
-pub struct SyncStream {
-    detector: EnergyDetector,
-    edges: Vec<EnergyEdge>,
-    running: RunningEnergy,
-    fed: usize,
-}
-
-impl SyncStream {
-    /// Rearms the stream for a new capture, keeping allocations.
-    pub fn reset(&mut self) {
-        self.detector.reset();
-        self.edges.clear();
-        self.running.rebuild(&[]);
-        self.fed = 0;
-    }
-
-    /// Samples consumed so far.
-    #[inline]
-    pub fn len(&self) -> usize {
-        self.fed
-    }
-
-    /// `true` before any block has been fed.
-    #[inline]
-    pub fn is_empty(&self) -> bool {
-        self.fed == 0
-    }
-
-    /// Feeds the next block of the capture: runs the per-sample energy
-    /// comparator at global sample indices and extends the prefix sums.
-    pub fn push_block(&mut self, block: &[Iq]) {
-        for (i, s) in block.iter().enumerate() {
-            if let Some(edge) = self.detector.push_power(self.fed + i, s.power()) {
-                self.edges.push(edge);
-            }
-        }
-        self.running.extend(block);
-        self.fed += block.len();
-    }
-
-    /// Ends the capture and returns the qualified frame-start edge —
-    /// identical to [`FrameSync::best_edge_in`] over the concatenation of
-    /// every pushed block.
-    pub fn finish(&self, sync: &FrameSync) -> Option<EnergyEdge> {
-        if self.edges.is_empty() {
-            return None;
-        }
-        sync.qualify_edges(&self.edges, &self.running, self.fed)
     }
 }
 
@@ -278,28 +190,6 @@ mod tests {
         let second = sync.best_edge_in(&buf, &mut scratch);
         assert_eq!(first, second);
         assert_eq!(ptr, scratch.storage_ptr(), "prefix sums reallocated");
-    }
-
-    #[test]
-    fn stream_matches_whole_capture_for_any_chopping() {
-        let sync = FrameSync::paper_default(32);
-        let mut buf = burst_buffer(0.01, 0.1, 200, 50);
-        buf.extend(burst_buffer(0.01, 0.08, 150, 60));
-        let mut scratch = sync.scratch();
-        let want = sync.best_edge_in(&buf, &mut scratch);
-        assert!(want.is_some());
-        for chunk in [1usize, 17, 64, buf.len()] {
-            let mut stream = sync.stream();
-            for block in buf.chunks(chunk) {
-                stream.push_block(block);
-            }
-            assert_eq!(stream.len(), buf.len());
-            assert_eq!(stream.finish(&sync), want, "chunk {chunk}");
-            // Reset reuses the stream for a silent capture.
-            stream.reset();
-            stream.push_block(&vec![Iq::new(0.01, 0.0); 400]);
-            assert_eq!(stream.finish(&sync), None, "chunk {chunk} after reset");
-        }
     }
 
     #[test]

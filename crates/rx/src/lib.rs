@@ -17,12 +17,12 @@
 //! 4. **Acknowledgement** ([`ack`]) — the broadcast ACK listing the
 //!    successfully decoded tag ids, which drives the tags' power control.
 //!
-//! There are two ways to run the chain, with identical decisions:
 //! [`receiver`] chains the four stages behind one call on one whole
-//! capture, and [`runtime`] runs the same four stage bodies as a
-//! streaming flowgraph fed block by block — inline on the caller's
-//! thread, or pipelined over bounded ring buffers on a work-stealing
-//! pool that serves many capture streams at once.
+//! capture. [`runtime`] serves many capture streams at once: it
+//! reassembles each stream's captures from blocks of any size and hands
+//! every whole capture to that same call — inline on the caller's
+//! thread, or as one task per stream on a work-stealing pool — so its
+//! decisions are the monolithic receiver's by construction.
 //!
 //! # Examples
 //!
@@ -41,11 +41,11 @@ pub mod user_detect;
 pub use ack::AckMessage;
 pub use decoder::{DecodeOutcome, Decoder, DecoderKind};
 pub use downlink::AckWire;
-pub use frame_sync::{FrameSync, SyncStream};
+pub use frame_sync::FrameSync;
 pub use receiver::{Receiver, ReceiverConfig, RxReport, RxScratch, RxTelemetry};
 pub use runtime::{
     CaptureSource, FlowgraphError, InOrderEmitter, RunOutput, RunStats, RuntimeConfig,
-    RxFlowgraph, SampleSource, Scheduler, SourceBlock, StageKind, StreamResult,
+    RxFlowgraph, SampleSource, Scheduler, SourceBlock, StreamResult,
 };
 pub use user_detect::{
     CorrelationPath, DetectScratch, DetectedUser, UserDetector, FFT_LAG_CROSSOVER,

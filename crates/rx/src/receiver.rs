@@ -35,7 +35,6 @@
 use std::time::Instant;
 
 use cbma_codes::PnCode;
-use cbma_dsp::energy::EnergyEdge;
 use cbma_dsp::xcorr::RunningEnergy;
 use cbma_obs::trace::{SpanId, TraceId, Tracer};
 use cbma_obs::{Counter, Gauge, Histogram, MetricsRegistry};
@@ -379,14 +378,11 @@ pub struct Receiver {
 
 /// Per-capture trace context threaded through the pipeline stages:
 /// `(tracer, trace id, parent span)`. `None` on the untraced path.
-pub(crate) type TraceCtx<'a> = Option<(&'a Tracer, TraceId, SpanId)>;
+type TraceCtx<'a> = Option<(&'a Tracer, TraceId, SpanId)>;
 
-/// What frame synchronization found in one capture. Shared with the
-/// streaming runtime (`crate::runtime`), whose frame-sync stage derives
-/// the same outcome from a [`crate::frame_sync::SyncStream`] via
-/// [`Receiver::outcome_for_edge`].
+/// What frame synchronization found in one capture.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum SyncOutcome {
+enum SyncOutcome {
     /// No energy edge: a quiet capture.
     NoEdge,
     /// An edge fired but the derived search window is empty (the capture
@@ -513,7 +509,7 @@ impl Receiver {
     /// Runs the configured SIC passes over one capture's report (no-op
     /// when SIC is disabled). `trace` is the parent context the `sic`
     /// span nests under.
-    pub(crate) fn apply_sic(&mut self, samples: &[Iq], report: &mut RxReport, trace: TraceCtx) {
+    fn apply_sic(&mut self, samples: &[Iq], report: &mut RxReport, trace: TraceCtx) {
         if self.config.sic_passes == 0 {
             return;
         }
@@ -539,41 +535,13 @@ impl Receiver {
 
     /// Records one finished report into the attached metrics registry
     /// (no-op without [`Receiver::attach_metrics`]). [`Receiver::receive`]
-    /// does this itself; paths that assemble reports outside the receiver
-    /// — the streaming runtime, whose stage receivers each see only part
-    /// of the pipeline — call this on the final report so the `cbma.rx.*`
-    /// counters and histograms match the monolithic path.
+    /// does this itself; a caller whose reports were decided by another
+    /// receiver — the engine's streaming path, whose captures run on the
+    /// flowgraph's worker receivers — calls this on each report so the
+    /// `cbma.rx.*` counters and histograms match the monolithic path.
     pub fn record_report_metrics(&self, report: &RxReport) {
         if let Some(metrics) = &self.metrics {
             metrics.record(report);
-        }
-    }
-
-    /// The frame synchronizer, for the streaming runtime's incremental
-    /// sync stage ([`FrameSync::stream`]).
-    pub(crate) fn frame_sync(&self) -> &FrameSync {
-        &self.sync
-    }
-
-    /// The per-code candidate arena, so the streaming runtime can move
-    /// detection results between stage receivers — the detect stage swaps
-    /// its lists out into the stage message, the decode stage stages them
-    /// back in.
-    pub(crate) fn candidates_mut(&mut self) -> &mut Vec<Vec<DetectedUser>> {
-        &mut self.scratch.candidates
-    }
-
-    /// Stages externally produced candidate lists into the arena so
-    /// [`Receiver::finish_outcome`] decodes them.
-    pub(crate) fn stage_candidates(&mut self, lists: &[Vec<DetectedUser>]) {
-        let candidates = &mut self.scratch.candidates;
-        candidates.truncate(lists.len());
-        for v in candidates.iter_mut() {
-            v.clear();
-        }
-        candidates.resize_with(lists.len(), Vec::new);
-        for (dst, src) in candidates.iter_mut().zip(lists) {
-            dst.extend_from_slice(src);
         }
     }
 
@@ -666,14 +634,6 @@ impl Receiver {
         let edge = self.sync.best_edge_in(samples, &mut self.scratch.sync);
         drop(sync_span);
         telemetry.frame_sync_ns = stage_start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-        self.outcome_for_edge(edge, samples.len())
-    }
-
-    /// Derives the preamble search window from a qualified energy edge —
-    /// the window math shared by [`Receiver::sync_capture`] and the
-    /// streaming frame-sync stage (which finds the edge incrementally via
-    /// [`crate::frame_sync::SyncStream`] and converts it here).
-    pub(crate) fn outcome_for_edge(&self, edge: Option<EnergyEdge>, len: usize) -> SyncOutcome {
         let Some(edge) = edge else {
             return SyncOutcome::NoEdge;
         };
@@ -687,7 +647,7 @@ impl Receiver {
             .map(|i| self.detector.reference_len(i))
             .max()
             .unwrap_or(0);
-        let window_end = (window_start + back + ahead + max_ref).min(len);
+        let window_end = (window_start + back + ahead + max_ref).min(samples.len());
         if window_end <= window_start {
             SyncOutcome::EmptyWindow
         } else {
@@ -701,18 +661,27 @@ impl Receiver {
     /// no tracer is attached (one branch per stage).
     fn receive_once(&mut self, samples: &[Iq], trace: TraceCtx) -> RxReport {
         let mut telemetry = RxTelemetry::default();
-        let outcome = self.sync_capture(samples, &mut telemetry, trace);
-        if let SyncOutcome::Window(start, end) = outcome {
-            self.detect_window(samples, start, end, &mut telemetry, trace);
+        match self.sync_capture(samples, &mut telemetry, trace) {
+            SyncOutcome::NoEdge => RxReport {
+                telemetry,
+                ..RxReport::default()
+            },
+            SyncOutcome::EmptyWindow => RxReport {
+                frame_detected: true,
+                telemetry,
+                ..RxReport::default()
+            },
+            SyncOutcome::Window(start, end) => {
+                self.detect_window(samples, start, end, &mut telemetry, trace);
+                self.decode_detected(samples, start, telemetry, trace)
+            }
         }
-        self.finish_outcome(samples, outcome, telemetry, trace)
     }
 
     /// The user-detection stage: correlates the search window
     /// `[window_start, window_end)` against every code and fills the
     /// per-code candidate lists in `self.scratch.candidates`, timing the
-    /// stage into `telemetry`. The streaming runtime's detect stage runs
-    /// the block-fed twin, [`Receiver::detect_window_streamed`].
+    /// stage into `telemetry`.
     fn detect_window(
         &mut self,
         samples: &[Iq],
@@ -751,65 +720,6 @@ impl Receiver {
             ),
         }
         telemetry.user_detect_ns = stage_start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-    }
-
-    /// Block-fed variant of [`Receiver::detect_window`]: the window is
-    /// correlated through the chunk-aware detector entry, which feeds the
-    /// overlap-save engine `block_size` samples at a time (the streaming
-    /// runtime's natural granularity) and produces **bit-identical**
-    /// candidates — the streamed batch pass shares its carry-over
-    /// normalization with the one-shot pass (see
-    /// `cbma-dsp/tests/stream_equivalence.rs`).
-    pub(crate) fn detect_window_streamed(
-        &mut self,
-        samples: &[Iq],
-        window_start: usize,
-        window_end: usize,
-        block_size: usize,
-        telemetry: &mut RxTelemetry,
-        trace: TraceCtx,
-    ) {
-        let window = &samples[window_start..window_end];
-        let stage_start = Instant::now();
-        let RxScratch {
-            detect, candidates, ..
-        } = &mut self.scratch;
-        let span = trace.map(|(t, tr, parent)| t.span(tr, Some(parent), "user_detect"));
-        self.detector.detect_candidates_streamed(
-            window,
-            window_start,
-            8,
-            block_size,
-            detect,
-            candidates,
-        );
-        drop(span);
-        telemetry.user_detect_ns = stage_start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-    }
-
-    /// The decode tail shared by `receive_once` and the streaming decode
-    /// stage: turns a [`SyncOutcome`] (plus the candidates staged in
-    /// `self.scratch.candidates` when the outcome is a window) into the
-    /// capture's report.
-    pub(crate) fn finish_outcome(
-        &mut self,
-        samples: &[Iq],
-        outcome: SyncOutcome,
-        telemetry: RxTelemetry,
-        trace: TraceCtx,
-    ) -> RxReport {
-        match outcome {
-            SyncOutcome::NoEdge => RxReport {
-                telemetry,
-                ..RxReport::default()
-            },
-            SyncOutcome::EmptyWindow => RxReport {
-                frame_detected: true,
-                telemetry,
-                ..RxReport::default()
-            },
-            SyncOutcome::Window(start, _) => self.decode_detected(samples, start, telemetry, trace),
-        }
     }
 
     /// The decode half of the pipeline: consumes the candidate lists in

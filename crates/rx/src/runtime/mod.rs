@@ -1,45 +1,44 @@
-//! The streaming receiver runtime: a pipelined rx flowgraph.
+//! The streaming receiver runtime: [`Receiver::receive`] behind a
+//! block-fed, multi-stream front end.
 //!
-//! [`Receiver::receive`] is a monolithic pass over one whole capture.
-//! This module decomposes it into the four stages the paper's §III
-//! receive chain already implies —
+//! Captures arrive from a [`SampleSource`] as blocks of any size, with
+//! the blocks of different streams interleaved. The flowgraph reassembles
+//! each stream's blocks and, once a capture's last block lands, decides
+//! the whole capture with [`Receiver::receive`] — the one receive body
+//! every execution shape shares:
 //!
 //! ```text
-//! SampleSource ─▶ frame-sync ─▶ user-detect ─▶ decode ─▶ SIC ─▶ sink
-//!    (blocks)        ring           ring          ring     ring
+//! SampleSource ─▶ reassemble ─▶ Receiver::receive ─▶ in-order emit ─▶ sink
+//!    (blocks)      (per stream)     (per capture)      (per stream)
 //! ```
 //!
-//! — and offers two schedulers for them:
+//! Nothing in the receive chain can decide before the capture is whole:
+//! frame sync qualifies its edge against the strongest edge anywhere in
+//! the capture, and decode, alias resolution and SIC read the full
+//! buffer. So the unit of work is the capture, and the runtime's job is
+//! to multiplex captures from many streams. Two schedulers do that:
 //!
-//! * [`Scheduler::Inline`] runs every stage on the caller's thread, one
-//!   block at a time, on one [`Receiver`] — zero threads, zero rings,
-//!   trivially deadlock-free; the reference for equivalence tests.
-//!   Frame-sync carry is kept per stream, so blocks of different streams
-//!   may interleave.
-//! * [`Scheduler::WorkStealing`] gives every stream its own chain of
-//!   bounded SPSC [`ring`]s, so stage N of capture *k* overlaps stage
-//!   N−1 of capture *k+1*, and multiplexes *all* streams' stage
-//!   activations over a fixed worker pool (local deques, LIFO pop, FIFO
-//!   steal, park/unpark idle protocol, optional CPU pinning). Ring
-//!   capacity bounds in-flight memory (backpressure), and a panicking
-//!   stage fails the run with a clean [`FlowgraphError`] instead of
-//!   hanging; see [`worksteal`].
+//! * [`Scheduler::Inline`] runs every capture on the caller's thread, on
+//!   one [`Receiver`] — zero threads, zero rings, trivially
+//!   deadlock-free; the reference for equivalence tests.
+//! * [`Scheduler::WorkStealing`] reassembles on the caller's thread and
+//!   makes every stream one task with a bounded input [`ring`] of whole
+//!   captures and a bounded output ring of reports, multiplexing all
+//!   streams' tasks over a fixed worker pool (one shared ready queue,
+//!   park/unpark idle protocol, optional CPU pinning). Ring capacity
+//!   bounds in-flight memory (backpressure), and a panicking receive
+//!   fails the run with a clean [`FlowgraphError`] instead of hanging;
+//!   see [`worksteal`].
 //!
-//! **Decision identity.** Both schedulers, at every block size, produce
-//! reports *decision-identical* to [`Receiver::receive`] — same detected
-//! users, decoded payload bytes, SIC recoveries, collisions and silence
-//! calls. The per-stage seams are the receiver's own code paths
-//! (`sync_capture`'s window math, the `Auto` detection path, the shared
-//! decode/alias/probe phases, `apply_sic`), fed block-by-block through
-//! carry-over state proven bit-identical to whole-buffer processing:
-//! [`cbma_dsp::xcorr::RunningEnergy::extend`] for frame sync and
-//! [`cbma_dsp::BatchStream`] for the overlap-save correlator tails. The
-//! block-boundary equivalence suite
-//! (`crates/rx/tests/streaming_equivalence.rs`) pins this for block
-//! sizes 1, prime, power-of-two and whole-capture on both schedulers.
+//! **Decision identity.** Every capture is decided by
+//! [`Receiver::receive`] on exactly the samples the source chopped, so
+//! both schedulers, at every block size, ring capacity and worker count,
+//! produce the monolithic receiver's reports by construction.
+//! `crates/rx/tests/streaming_equivalence.rs` pins this for block sizes
+//! 1, prime, power-of-two and whole-capture on both schedulers.
 //!
-//! Results leave through [`InOrderEmitter`] on both schedulers: per
-//! stream, in capture order, regardless of internal pipelining.
+//! Results leave per stream in capture order on both schedulers, through
+//! [`InOrderEmitter`] on the pool.
 
 pub mod affinity;
 pub mod ring;
@@ -58,19 +57,16 @@ use cbma_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use cbma_tag::phy::PhyProfile;
 use cbma_types::Iq;
 
-use crate::frame_sync::SyncStream;
-use crate::receiver::{Receiver, ReceiverConfig, RxReport, RxTelemetry, SyncOutcome, TraceCtx};
-use crate::user_detect::DetectedUser;
+use crate::receiver::{Receiver, ReceiverConfig, RxReport};
 
-/// How the flowgraph maps stages onto threads.
+/// How the flowgraph maps captures onto threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scheduler {
-    /// All stages on the caller's thread, block by block; no rings.
+    /// Every capture on the caller's thread, in arrival order; no rings.
     Inline,
-    /// A fixed pool of `workers` threads running every stream's stage
-    /// activations as stealable tasks (see [`worksteal`]). `workers = 0`
-    /// means one per available CPU; `pin` round-robins workers onto
-    /// CPUs via [`affinity`].
+    /// A fixed pool of `workers` threads running every stream's task
+    /// (see [`worksteal`]). `workers = 0` means one per available CPU;
+    /// `pin` round-robins workers onto CPUs via [`affinity`].
     WorkStealing {
         /// Pool size (0 = auto: one worker per available CPU).
         workers: usize,
@@ -146,15 +142,18 @@ impl Scheduler {
 /// Tunable runtime parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RuntimeConfig {
-    /// Samples per source block (clamped to ≥ 1). Any value yields
-    /// identical decisions; it only moves the latency/overhead
-    /// trade-off.
+    /// Samples per source block for callers that chop captures for this
+    /// flowgraph (a [`CaptureSource`] takes its own block size). The
+    /// flowgraph reassembles whole captures, so it never reads this
+    /// value and no value changes a decision.
     pub block_size: usize,
-    /// Capacity of each inter-stage ring (clamped to ≥ 1); the inline
-    /// scheduler has no rings and ignores it. Per stream, in-flight
-    /// captures are bounded by roughly 4·capacity + 4.
+    /// Capacity of each stream's capture and report ring (clamped to
+    /// ≥ 1); the inline scheduler has no rings and ignores it. Per
+    /// stream, in-flight work is bounded by `capacity` whole captures
+    /// waiting for a worker, the capture being decided, `capacity`
+    /// reports and the capture being reassembled.
     pub ring_capacity: usize,
-    /// Stage-to-thread mapping.
+    /// Capture-to-thread mapping.
     pub scheduler: Scheduler,
 }
 
@@ -168,50 +167,24 @@ impl Default for RuntimeConfig {
     }
 }
 
-/// The pipeline stages, for fault injection and diagnostics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StageKind {
-    /// Frame synchronization (energy edges, per block).
-    Sync,
-    /// User detection (preamble correlation, per capture).
-    Detect,
-    /// Candidate decode / alias resolution / probe fallback.
-    Decode,
-    /// Successive interference cancellation.
-    Sic,
-}
-
-impl StageKind {
-    /// The stage's short name as it appears in span labels and errors.
-    pub fn name(&self) -> &'static str {
-        match self {
-            StageKind::Sync => "sync",
-            StageKind::Detect => "detect",
-            StageKind::Decode => "decode",
-            StageKind::Sic => "sic",
-        }
-    }
-}
-
 /// Deterministic fault injection for the runtime's failure-path tests.
 #[derive(Debug, Clone, Copy, Default)]
 struct FaultPlan {
-    /// Panic inside the given stage when it completes the capture with
-    /// this seq.
-    panic_at: Option<(StageKind, u64)>,
+    /// Panic when the receive of the capture with this seq begins.
+    panic_at: Option<u64>,
 }
 
 impl FaultPlan {
     #[inline]
-    fn trip(&self, stage: StageKind, seq: u64) {
-        if self.panic_at == Some((stage, seq)) {
-            panic!("injected fault: {} stage at capture {seq}", stage.name());
+    fn trip(&self, seq: u64) {
+        if self.panic_at == Some(seq) {
+            panic!("injected fault: receive at capture {seq}");
         }
     }
 }
 
-/// The flowgraph failed: a stage panicked (or the pipeline was torn
-/// down); the message names the stage and cause.
+/// The flowgraph failed: a receive panicked (or the pipeline was torn
+/// down); the message names the cause.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlowgraphError {
     /// Human-readable failure description.
@@ -231,24 +204,24 @@ impl std::error::Error for FlowgraphError {}
 pub struct RunStats {
     /// Source blocks consumed.
     pub blocks: u64,
-    /// Captures completed through the whole pipeline.
+    /// Captures decided.
     pub captures: u64,
-    /// High-water depth per ring, in pipeline order (source→sync,
-    /// sync→detect, detect→decode, decode→sic, sic→sink). Empty on the
-    /// inline scheduler, which has no rings. On the work-stealing
-    /// scheduler each entry is the max across streams at that position.
+    /// High-water depth per ring, in pipeline order (captures waiting for
+    /// a worker, reports waiting for the driver), each the max across
+    /// streams. Empty on the inline scheduler, which has no rings.
     pub ring_max_depth: Vec<usize>,
-    /// Work-stealing pool: tasks taken from another queue (a victim's
-    /// deque or the injector). Zero on the inline scheduler.
+    /// Work-stealing pool: task activations a worker took from the
+    /// shared ready queue. Zero on the inline scheduler.
     pub steals: u64,
-    /// Work-stealing pool: tasks popped from the worker's own deque.
+    /// Work-stealing pool: task reruns a worker continued in place
+    /// because a wake landed while the task ran.
     pub local_hits: u64,
     /// Work-stealing pool: times a worker parked for lack of work.
     pub parks: u64,
     /// Work-stealing pool: total nanoseconds workers spent parked.
     pub park_ns: u64,
     /// Work-stealing pool: total nanoseconds workers spent running
-    /// stage bodies (utilization = busy_ns / (workers · wall time)).
+    /// stream tasks (utilization = busy_ns / (workers · wall time)).
     pub busy_ns: u64,
 }
 
@@ -367,7 +340,7 @@ impl RuntimeMetrics {
     }
 }
 
-/// Per-stage observability: span context plus timer handles. Cheap to
+/// Per-thread observability: span context plus timer handles. Cheap to
 /// build per run; all fields are `Arc`-backed clones.
 #[derive(Clone, Default)]
 struct StageObs {
@@ -413,167 +386,55 @@ impl StageObs {
     }
 }
 
-/// A capture that finished frame synchronization.
-struct SyncedCapture {
+/// A whole capture, reassembled from its source blocks.
+struct Capture {
     stream: usize,
     seq: u64,
     samples: Vec<Iq>,
-    outcome: SyncOutcome,
-    telemetry: RxTelemetry,
 }
 
-/// A synced capture with its per-code detection candidates.
-struct DetectedCapture {
-    stream: usize,
-    seq: u64,
-    samples: Vec<Iq>,
-    outcome: SyncOutcome,
-    telemetry: RxTelemetry,
-    candidates: Vec<Vec<DetectedUser>>,
-}
-
-/// A decoded capture awaiting SIC.
-struct DecodedCapture {
-    stream: usize,
-    seq: u64,
-    samples: Vec<Iq>,
-    report: RxReport,
-}
-
-/// In-progress per-capture frame-sync state.
-struct InflightSync {
-    stream: SyncStream,
-    samples: Vec<Iq>,
-    sync_ns: u64,
-}
-
-impl InflightSync {
-    /// Opens frame-sync accumulation for one capture.
-    fn begin(receiver: &Receiver) -> InflightSync {
-        InflightSync {
-            stream: receiver.frame_sync().stream(),
-            samples: Vec::new(),
-            sync_ns: 0,
-        }
-    }
-
-    /// Feeds one block through the streaming comparator while
-    /// accumulating the capture.
-    fn absorb(&mut self, samples: &[Iq]) {
-        let start = Instant::now();
-        self.stream.push_block(samples);
-        self.samples.extend_from_slice(samples);
-        self.sync_ns += start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
-    }
-
-    /// Closes the capture: the global edge decision and window math,
-    /// exactly as the monolithic path computes them.
-    fn complete(self, receiver: &Receiver, stream: usize, seq: u64) -> SyncedCapture {
-        let start = Instant::now();
-        let edge = self.stream.finish(receiver.frame_sync());
-        let outcome = receiver.outcome_for_edge(edge, self.samples.len());
-        let telemetry = RxTelemetry {
-            frame_sync_ns: self.sync_ns + start.elapsed().as_nanos().min(u64::MAX as u128) as u64,
-            ..RxTelemetry::default()
-        };
-        SyncedCapture {
-            stream,
-            seq,
-            samples: self.samples,
-            outcome,
-            telemetry,
-        }
-    }
-}
-
-/// Stage 1's body: incremental frame synchronization for one stream.
-/// Blocks of one stream arrive strictly in order, so one in-flight
-/// capture per stream suffices. It absorbs `block` — running the
-/// per-sample energy comparator and prefix sums while accumulating the
-/// capture — and decides (globally, exactly as the monolithic path does)
-/// once the capture's last block lands.
-fn sync_block(
-    receiver: &Receiver,
-    carry: &mut Option<InflightSync>,
-    block: SourceBlock,
-    fault: &FaultPlan,
-) -> Option<SyncedCapture> {
-    let inflight = carry.get_or_insert_with(|| InflightSync::begin(receiver));
-    inflight.absorb(&block.samples);
-    if !block.last {
+/// Appends `block` to its stream's partial capture and returns the whole
+/// capture once `block` ends it. A capture that arrives as one block is
+/// passed through without a copy, and the partial buffer leaves with its
+/// capture, so a stream holds no memory between captures.
+fn reassemble(partial: &mut Vec<Iq>, block: SourceBlock) -> Option<Capture> {
+    let samples = if !block.last {
+        partial.extend_from_slice(&block.samples);
         return None;
-    }
-    fault.trip(StageKind::Sync, block.seq);
-    let inflight = carry.take().expect("just inserted");
-    Some(inflight.complete(receiver, block.stream, block.seq))
+    } else if partial.is_empty() {
+        block.samples
+    } else {
+        let mut samples = std::mem::take(partial);
+        samples.extend_from_slice(&block.samples);
+        samples
+    };
+    Some(Capture {
+        stream: block.stream,
+        seq: block.seq,
+        samples,
+    })
 }
 
-/// Stage 2's body: user detection over the synced search window, fed to
-/// the overlap-save engine block by block.
-fn detect_capture(
+/// The flowgraph's one stage body, shared by both schedulers: decides a
+/// whole capture with [`Receiver::receive`], timed as one `stage_run`.
+fn decide(
     receiver: &mut Receiver,
-    block_size: usize,
-    mut cap: SyncedCapture,
+    capture: Capture,
     fault: &FaultPlan,
-) -> DetectedCapture {
-    fault.trip(StageKind::Detect, cap.seq);
-    let mut candidates = Vec::new();
-    if let SyncOutcome::Window(start, end) = cap.outcome {
-        receiver.detect_window_streamed(
-            &cap.samples,
-            start,
-            end,
-            block_size,
-            &mut cap.telemetry,
-            None,
-        );
-        candidates = std::mem::take(receiver.candidates_mut());
-    }
-    DetectedCapture {
-        stream: cap.stream,
-        seq: cap.seq,
-        samples: cap.samples,
-        outcome: cap.outcome,
-        telemetry: cap.telemetry,
-        candidates,
-    }
-}
-
-/// Stage 3's body: candidate decode, global alias resolution and the
-/// probe fallback — the monolithic pipeline's decode phases, unchanged.
-fn decode_capture(
-    receiver: &mut Receiver,
-    cap: DetectedCapture,
-    fault: &FaultPlan,
-) -> DecodedCapture {
-    fault.trip(StageKind::Decode, cap.seq);
-    if matches!(cap.outcome, SyncOutcome::Window(..)) {
-        receiver.stage_candidates(&cap.candidates);
-    }
-    let report = receiver.finish_outcome(&cap.samples, cap.outcome, cap.telemetry, None);
-    DecodedCapture {
-        stream: cap.stream,
-        seq: cap.seq,
-        samples: cap.samples,
+    obs: &StageObs,
+) -> StreamResult {
+    let report = obs.run(capture.seq, || {
+        fault.trip(capture.seq);
+        receiver.receive(&capture.samples)
+    });
+    StreamResult {
+        stream: capture.stream,
+        seq: capture.seq,
         report,
     }
 }
 
-/// Stage 4's body: successive interference cancellation. Runs on *every*
-/// report (like the monolithic path — `apply_sic` itself is a no-op when
-/// SIC is disabled), so telemetry like `sic_iterations` matches exactly.
-fn sic_capture(receiver: &mut Receiver, mut cap: DecodedCapture, fault: &FaultPlan) -> StreamResult {
-    fault.trip(StageKind::Sic, cap.seq);
-    let trace: TraceCtx = None;
-    receiver.apply_sic(&cap.samples, &mut cap.report, trace);
-    StreamResult {
-        stream: cap.stream,
-        seq: cap.seq,
-        report: cap.report,
-    }
-}
-
-/// The pipelined streaming receiver (see the module docs).
+/// The streaming receiver (see the module docs).
 ///
 /// # Examples
 ///
@@ -592,17 +453,17 @@ fn sic_capture(receiver: &mut Receiver, mut cap: DecodedCapture, fault: &FaultPl
 ///     RuntimeConfig { block_size: 512, ring_capacity: 2, scheduler: Scheduler::Inline },
 /// );
 /// let source = CaptureSource::single_stream(512, vec![vec![Iq::ZERO; 2000]]);
-/// let out = flow.run(source).expect("no stage fails");
+/// let out = flow.run(source).expect("no receive fails");
 /// assert_eq!(out.results.len(), 1);
 /// assert!(!out.results[0].report.frame_detected);
 /// # Ok::<(), cbma_types::CbmaError>(())
 /// ```
 pub struct RxFlowgraph {
-    /// Stage receivers, reused across runs: the inline scheduler runs
-    /// every stage on the first, and each work-stealing worker borrows
-    /// one (grown on demand). The stage seams are per-capture stateless
-    /// (scratch arenas are cleared per use), so which receiver runs a
-    /// capture's stage never changes a decision.
+    /// Receivers, reused across runs: the inline scheduler decides every
+    /// capture on the first, and each work-stealing worker borrows one
+    /// (grown on demand). `Receiver::receive` keeps no state between
+    /// captures (scratch arenas are cleared per use), so which receiver
+    /// decides a capture never changes a decision.
     receivers: Vec<Receiver>,
     codes: Vec<PnCode>,
     phy: PhyProfile,
@@ -641,17 +502,16 @@ impl RxFlowgraph {
     }
 
     /// Attaches a span tracer: each run records a `flowgraph` root. On
-    /// the inline scheduler it has per-stage `sync_stage` /
-    /// `detect_stage` / `decode_stage` / `sic_stage` children, under
-    /// which every capture contributes `stage_run` (arg = capture seq)
-    /// spans; on the work-stealing scheduler it has one `worker` child
-    /// per pool thread with `stage_run` and `stage_wait` (park) spans.
+    /// the inline scheduler every capture contributes a `stage_run`
+    /// child (arg = capture seq); on the work-stealing scheduler the root
+    /// has one `worker` child per pool thread, holding `stage_run` and
+    /// `stage_wait` (park) spans.
     pub fn attach_tracer(&mut self, tracer: &Tracer) {
         self.tracer = Some(tracer.clone());
     }
 
     /// Attaches a metrics registry: runs record `cbma.rx.runtime.*`
-    /// stage timers, block/capture counters and the ring high-water
+    /// receive timers, block/capture counters and the ring high-water
     /// gauge. These are volatile (scheduling-dependent) — keep them off
     /// registries that feed deterministic manifests.
     pub fn attach_metrics(&mut self, registry: &MetricsRegistry) {
@@ -664,11 +524,11 @@ impl RxFlowgraph {
         self.runtime
     }
 
-    /// Arms a one-shot injected panic in `stage` at capture `seq` (test
-    /// hook for the failure-path suite).
+    /// Arms a one-shot injected panic in the receive of capture `seq`
+    /// (test hook for the failure-path suite).
     #[doc(hidden)]
-    pub fn inject_panic(&mut self, stage: StageKind, seq: u64) {
-        self.fault.panic_at = Some((stage, seq));
+    pub fn inject_panic(&mut self, seq: u64) {
+        self.fault.panic_at = Some(seq);
     }
 
     /// Runs `source` to exhaustion and returns every capture's report,
@@ -676,9 +536,9 @@ impl RxFlowgraph {
     ///
     /// # Errors
     ///
-    /// [`FlowgraphError`] if a stage panicked (work-stealing scheduler):
-    /// the pool is shut down and joined — never left hanging. On the
-    /// inline scheduler a stage panic propagates to the caller directly.
+    /// [`FlowgraphError`] if a receive panicked (work-stealing
+    /// scheduler): the pool is shut down and joined — never left hanging.
+    /// On the inline scheduler the panic propagates to the caller.
     pub fn run<S: SampleSource + Send>(&mut self, source: S) -> Result<RunOutput, FlowgraphError> {
         let mut results = Vec::new();
         let stats = self.run_with_sink(source, |r| results.push(r))?;
@@ -697,39 +557,12 @@ impl RxFlowgraph {
         // Faults are one-shot: taking the plan here means a run that
         // failed (by injection) leaves the flowgraph reusable.
         let fault = std::mem::take(&mut self.fault);
-        match self.runtime.scheduler {
+        let stats = match self.runtime.scheduler {
             Scheduler::Inline => self.run_inline(source, sink, fault),
             Scheduler::WorkStealing { workers, pin } => {
-                self.run_worksteal(source, sink, fault, workers, pin)
+                self.run_worksteal(source, sink, fault, workers, pin)?
             }
-        }
-    }
-
-    /// Builds the per-stage observability contexts (and the guards whose
-    /// lifetime scopes the run).
-    fn stage_obs(&self) -> (Option<cbma_obs::trace::SpanGuard>, Vec<StageObs>, [Option<cbma_obs::trace::SpanGuard>; 4]) {
-        let ctx = self.tracer.as_ref().map(|t| (t.clone(), t.new_trace()));
-        let root = ctx.as_ref().map(|(t, tr)| t.span(*tr, None, "flowgraph"));
-        let root_id = root.as_ref().map(|s| s.id());
-        let names = ["sync_stage", "detect_stage", "decode_stage", "sic_stage"];
-        let mut guards: [Option<cbma_obs::trace::SpanGuard>; 4] = [None, None, None, None];
-        let mut obs = Vec::with_capacity(4);
-        for (i, name) in names.into_iter().enumerate() {
-            guards[i] = ctx.as_ref().map(|(t, tr)| t.span(*tr, root_id, name));
-            obs.push(StageObs {
-                ctx: ctx
-                    .as_ref()
-                    .zip(guards[i].as_ref())
-                    .map(|((t, tr), g)| (t.clone(), *tr, g.id())),
-                run_ns: self.metrics.as_ref().map(|m| m.stage_run_ns.clone()),
-                wait_ns: None,
-            });
-        }
-        (root, obs, guards)
-    }
-
-    /// Records end-of-run totals into the attached metrics.
-    fn record_stats(&self, stats: &RunStats) {
+        };
         if let Some(metrics) = &self.metrics {
             metrics.blocks.add(stats.blocks);
             metrics.captures.add(stats.captures);
@@ -739,6 +572,7 @@ impl RxFlowgraph {
             metrics.steal_count.add(stats.steals);
             metrics.local_hit.add(stats.local_hits);
         }
+        Ok(stats)
     }
 
     fn run_inline<S: SampleSource>(
@@ -746,36 +580,34 @@ impl RxFlowgraph {
         mut source: S,
         mut sink: impl FnMut(StreamResult),
         fault: FaultPlan,
-    ) -> Result<RunStats, FlowgraphError> {
-        let (_root, obs, _guards) = self.stage_obs();
-        let block_size = self.runtime.block_size.max(1);
+    ) -> RunStats {
+        let trace = self.tracer.as_ref().map(|t| (t.clone(), t.new_trace()));
+        let root = trace.as_ref().map(|(t, tr)| t.span(*tr, None, "flowgraph"));
+        let obs = StageObs {
+            ctx: trace
+                .zip(root.as_ref())
+                .map(|((t, tr), root)| (t, tr, root.id())),
+            run_ns: self.metrics.as_ref().map(|m| m.stage_run_ns.clone()),
+            wait_ns: None,
+        };
         let receiver = &mut self.receivers[0];
-        // Frame-sync carry per stream, fresh every run: a run that failed
-        // mid-capture leaves nothing behind.
-        let mut carries: Vec<Option<InflightSync>> = Vec::new();
+        // Partial captures per stream, fresh every run: a run that
+        // panicked mid-capture leaves nothing behind. Each stream's
+        // captures complete in seq order here, so results go straight to
+        // the sink.
+        let mut partials: Vec<Vec<Iq>> = Vec::new();
         let mut stats = RunStats::default();
-        let mut emitter = InOrderEmitter::new();
         while let Some(block) = source.next_block() {
             stats.blocks += 1;
-            let seq = block.seq;
-            if carries.len() <= block.stream {
-                carries.resize_with(block.stream + 1, || None);
+            if partials.len() <= block.stream {
+                partials.resize_with(block.stream + 1, Vec::new);
             }
-            let carry = &mut carries[block.stream];
-            let synced = obs[0].run(seq, || sync_block(receiver, carry, block, &fault));
-            if let Some(cap) = synced {
-                let det = obs[1].run(seq, || detect_capture(receiver, block_size, cap, &fault));
-                let dec = obs[2].run(seq, || decode_capture(receiver, det, &fault));
-                let res = obs[3].run(seq, || sic_capture(receiver, dec, &fault));
+            if let Some(capture) = reassemble(&mut partials[block.stream], block) {
                 stats.captures += 1;
-                emitter.insert(res.stream, res.seq, res.report);
-                for r in emitter.take_ready() {
-                    sink(r);
-                }
+                sink(decide(receiver, capture, &fault, &obs));
             }
         }
-        self.record_stats(&stats);
-        Ok(stats)
+        stats
     }
 
     fn run_worksteal<S: SampleSource + Send>(
@@ -794,7 +626,6 @@ impl RxFlowgraph {
         let (stats, failure) = worksteal::run(
             worksteal::PoolParams {
                 receivers: &mut self.receivers[..workers],
-                block_size: self.runtime.block_size.max(1),
                 ring_capacity: self.runtime.ring_capacity.max(1),
                 pin,
                 tracer: self.tracer.as_ref(),
@@ -804,7 +635,6 @@ impl RxFlowgraph {
             source,
             sink,
         );
-        self.record_stats(&stats);
         match failure {
             Some(err) => Err(err),
             None => Ok(stats),

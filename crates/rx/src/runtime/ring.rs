@@ -1,12 +1,13 @@
 //! Bounded single-producer single-consumer ring buffers.
 //!
-//! The work-stealing flowgraph's stages are connected by these rings: a
-//! fixed-capacity circular buffer behind a mutex, with non-blocking
-//! [`Producer::try_push`] / [`Consumer::try_pop`] endpoints. The
-//! capacity bound is the backpressure mechanism — a stage whose output
-//! ring is full is not runnable, and the stall propagates stage by stage
-//! back to the sample source, so total in-flight memory is bounded by
-//! the ring capacities no matter how slow the sink is.
+//! The work-stealing flowgraph feeds each stream's task through these
+//! rings (captures in, reports out): a fixed-capacity circular buffer
+//! behind a mutex, with non-blocking [`Producer::try_push`] /
+//! [`Consumer::try_pop`] endpoints. The capacity bound is the
+//! backpressure mechanism — a task whose report ring is full is not
+//! runnable, and the stall propagates back to the sample source, so
+//! total in-flight memory is bounded by the ring capacities no matter
+//! how slow the sink is.
 //!
 //! Notification is edge-triggered: the optional [`RingWaker`] hooks fire
 //! only on the empty→nonempty and full→nonfull transitions, not on every
@@ -29,8 +30,8 @@
 //!   the consumer drains what is buffered and then sees
 //!   [`TryPop::Finished`];
 //! * dropping the consumer disconnects the ring — the producer's next
-//!   push fails with [`RingError::Disconnected`], which is how upstream
-//!   stages learn a downstream stage died.
+//!   push fails with [`RingError::Disconnected`], which is how a
+//!   producer learns its consumer died.
 //!
 //! The implementation is deliberately a model-checkable safe-Rust ring
 //! (`Vec<Option<T>>` + head/len indices, no unsafe, no atomics beyond
@@ -211,7 +212,7 @@ impl<T> Producer<T> {
 
     /// Whether a `try_push` right now would be accepted for capacity.
     /// With a single producer the answer can only turn *more* true until
-    /// that producer pushes, so a stage may check space before popping
+    /// that producer pushes, so a task may check space before popping
     /// the input it would process.
     pub fn has_capacity(&self) -> bool {
         let state = self.shared.lock().expect("ring lock");

@@ -307,37 +307,7 @@ impl UserDetector {
         scratch: &mut DetectScratch,
         out: &mut Vec<Vec<DetectedUser>>,
     ) {
-        self.detect_candidates_impl(window, window_origin, max_candidates, path, scratch, out, None, None);
-    }
-
-    /// Block-fed variant of [`UserDetector::detect_candidates_in`] on the
-    /// `Auto` path: when the shared-FFT batch engine is selected, the
-    /// window is fed to it `block_size` samples at a time through
-    /// [`cbma_dsp::BatchStream`] — the streaming runtime's granularity —
-    /// instead of one contiguous pass. Candidates are **bit-identical**
-    /// to the one-shot entry for every `block_size`: the streamed
-    /// overlap-save walk shares its block loader (and therefore its
-    /// ragged-tail zero-padding) with the one-shot pass, and windows too
-    /// small for the batch engine take the identical direct path.
-    pub fn detect_candidates_streamed(
-        &self,
-        window: &[Iq],
-        window_origin: usize,
-        max_candidates: usize,
-        block_size: usize,
-        scratch: &mut DetectScratch,
-        out: &mut Vec<Vec<DetectedUser>>,
-    ) {
-        self.detect_candidates_impl(
-            window,
-            window_origin,
-            max_candidates,
-            CorrelationPath::Auto,
-            scratch,
-            out,
-            None,
-            Some(block_size.max(1)),
-        );
+        self.detect_candidates_impl(window, window_origin, max_candidates, path, scratch, out, None);
     }
 
     /// [`UserDetector::detect_candidates_in`] with span instrumentation:
@@ -367,7 +337,6 @@ impl UserDetector {
             scratch,
             out,
             Some((tracer, trace, parent)),
-            None,
         );
     }
 
@@ -381,7 +350,6 @@ impl UserDetector {
         scratch: &mut DetectScratch,
         out: &mut Vec<Vec<DetectedUser>>,
         trace: Option<(&Tracer, TraceId, SpanId)>,
-        stream_block: Option<usize>,
     ) {
         out.truncate(self.references.len());
         for v in out.iter_mut() {
@@ -425,19 +393,12 @@ impl UserDetector {
         let use_batch = engine.is_some();
         if let Some(engine) = engine {
             let input: &[Iq] = if envelope_mode { mags_iq } else { window };
-            match (trace, stream_block) {
-                (Some((tracer, trace, parent)), _) => {
+            match trace {
+                Some((tracer, trace, parent)) => {
                     let span = tracer.span(trace, Some(parent), "batch_correlate");
                     engine.correlate_iq_into_traced(input, batch, tracer, trace, span.id());
                 }
-                (None, Some(block_size)) => {
-                    let mut stream = engine.begin_stream(input.len(), batch);
-                    for chunk in input.chunks(block_size) {
-                        stream.feed(engine, chunk, batch);
-                    }
-                    stream.finish(engine, batch);
-                }
-                (None, None) => engine.correlate_iq_into(input, batch),
+                None => engine.correlate_iq_into(input, batch),
             }
         }
         for (idx, reference) in self.references.iter().enumerate() {

@@ -1,4 +1,4 @@
-//! Failure-path tests for the streaming runtime: a panicking stage must
+//! Failure-path tests for the streaming runtime: a panicking receive must
 //! tear the flowgraph down with a clean, named error (never a hang), a
 //! stalled sink must translate into bounded backpressure (never
 //! unbounded buffering), and an uneventful run must drain every capture
@@ -7,7 +7,7 @@
 use std::time::{Duration, Instant};
 
 use cbma_codes::{CodeFamily, GoldFamily, PnCode};
-use cbma_rx::runtime::{CaptureSource, RuntimeConfig, RxFlowgraph, Scheduler, StageKind};
+use cbma_rx::runtime::{CaptureSource, RuntimeConfig, RxFlowgraph, Scheduler};
 use cbma_rx::ReceiverConfig;
 use cbma_tag::phy::PhyProfile;
 use cbma_types::Iq;
@@ -35,42 +35,38 @@ fn silence_captures(n: usize) -> Vec<Vec<Iq>> {
 }
 
 #[test]
-fn a_panicking_stage_fails_the_run_with_its_name() {
-    // Every stage, panicking mid-stream, under pools of several sizes:
-    // the run must return (no hang — a worker pool with parked idle
-    // workers must wake them for teardown) with an error naming the
-    // faulty stage, and the already-buffered captures must not deadlock
-    // the teardown.
+fn a_panicking_receive_fails_the_run_with_its_name() {
+    // A receive panicking on the first, a middle and the last capture,
+    // under pools of several sizes: the run must return (no hang — a
+    // worker pool with parked idle workers must wake them for teardown)
+    // with an error naming the receive and carrying the panic payload,
+    // and the already-buffered blocks must not deadlock the teardown.
     let schedulers = [
         Scheduler::WorkStealing { workers: 1, pin: false },
         Scheduler::WorkStealing { workers: 2, pin: false },
         Scheduler::WorkStealing { workers: 4, pin: false },
     ];
     for scheduler in schedulers {
-        for stage in [
-            StageKind::Sync,
-            StageKind::Detect,
-            StageKind::Decode,
-            StageKind::Sic,
-        ] {
+        for seq in [0, 2, 5] {
             let mut flow = flowgraph(scheduler);
-            flow.inject_panic(stage, 2);
+            flow.inject_panic(seq);
             let source = CaptureSource::single_stream(512, silence_captures(6));
             let started = Instant::now();
             let err = flow.run(source).expect_err("injected panic must surface");
+            let payload = format!("injected fault: receive at capture {seq}");
             assert!(
-                err.message.contains(stage.name()),
-                "{scheduler:?} {stage:?}: error {:?} does not name the stage",
+                err.message.contains("receive panicked"),
+                "{scheduler:?} capture {seq}: error {:?} does not name the receive",
                 err.message
             );
             assert!(
-                err.message.contains("injected fault"),
-                "{scheduler:?} {stage:?}: error {:?} lost the panic payload",
+                err.message.contains(&payload),
+                "{scheduler:?} capture {seq}: error {:?} lost the panic payload",
                 err.message
             );
             assert!(
                 started.elapsed() < Duration::from_secs(30),
-                "{scheduler:?} {stage:?}: teardown took implausibly long"
+                "{scheduler:?} capture {seq}: teardown took implausibly long"
             );
         }
     }
@@ -82,7 +78,7 @@ fn inline_scheduler_propagates_the_panic() {
     // observe directly rather than a FlowgraphError.
     let result = std::panic::catch_unwind(move || {
         let mut flow = flowgraph(Scheduler::Inline);
-        flow.inject_panic(StageKind::Decode, 1);
+        flow.inject_panic(1);
         let source = CaptureSource::single_stream(512, silence_captures(3));
         flow.run(source)
     });
@@ -91,7 +87,7 @@ fn inline_scheduler_propagates_the_panic() {
         .downcast_ref::<String>()
         .cloned()
         .unwrap_or_default();
-    assert!(msg.contains("decode"), "payload {msg:?}");
+    assert!(msg.contains("receive at capture 1"), "payload {msg:?}");
 }
 
 #[test]
@@ -105,7 +101,7 @@ fn a_failed_flowgraph_can_run_again() {
     ];
     for scheduler in schedulers {
         let mut flow = flowgraph(scheduler);
-        flow.inject_panic(StageKind::Detect, 0);
+        flow.inject_panic(0);
         let source = CaptureSource::single_stream(512, silence_captures(2));
         flow.run(source)
             .expect_err(&format!("{scheduler:?}: first run fails"));
@@ -118,10 +114,10 @@ fn a_failed_flowgraph_can_run_again() {
     }
 
     // Inline: the panic unwinds out of the first run mid-capture (after
-    // frame sync absorbed its last block); the rerun must not see that
-    // capture's leftover sync carry.
+    // the capture's blocks were reassembled); the rerun must not see that
+    // capture's leftover partial samples.
     let mut flow = flowgraph(Scheduler::Inline);
-    flow.inject_panic(StageKind::Sync, 1);
+    flow.inject_panic(1);
     let source = CaptureSource::single_stream(512, silence_captures(2));
     let first = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| flow.run(source)));
     assert!(first.is_err(), "inline: first run panics");
@@ -138,7 +134,7 @@ fn a_stalled_sink_applies_backpressure_not_buffering() {
     // total in-flight work stays bounded no matter how slow the
     // downstream is — that is the whole point of bounded rings. Under
     // work-stealing the stall additionally must not *block* a worker:
-    // the stage task just goes unready until the sink drains.
+    // the stream's task just goes unready until the sink drains.
     let schedulers = [
         Scheduler::WorkStealing { workers: 1, pin: false },
         Scheduler::WorkStealing { workers: 2, pin: false },
@@ -157,7 +153,7 @@ fn a_stalled_sink_applies_backpressure_not_buffering() {
         assert_eq!(seen, (0..captures as u64).collect::<Vec<_>>(), "{scheduler:?}");
         assert_eq!(stats.captures, captures as u64, "{scheduler:?}");
         let capacity = flow.runtime_config().ring_capacity;
-        assert_eq!(stats.ring_max_depth.len(), 5, "{scheduler:?}");
+        assert_eq!(stats.ring_max_depth.len(), 2, "{scheduler:?}");
         for (i, &depth) in stats.ring_max_depth.iter().enumerate() {
             assert!(
                 depth <= capacity,

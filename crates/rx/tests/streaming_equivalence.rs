@@ -2,18 +2,20 @@
 //! monolithic receiver.
 //!
 //! The streaming flowgraph must be a pure re-plumbing of
-//! `Receiver::receive`: the frame-sync stage feeds the same per-sample
-//! energy detector, the detect stage walks the same overlap-save
-//! correlator with carried state, and decode/SIC run the identical code
-//! on the assembled capture. So for *every* block size — one sample, a
-//! prime, a power of two, the whole capture — and for *every* scheduler,
-//! the decisions must be identical: frame detection, detected users,
-//! start offsets, decoded payload bytes, SIC recoveries, the ACK.
+//! `Receiver::receive`: it reassembles each capture from its blocks and
+//! decides it with that same call. So for *every* block size — one
+//! sample, a prime, a power of two, the whole capture — and for *every*
+//! scheduler, the decisions must be identical: frame detection, detected
+//! users, start offsets, decoded payload bytes, SIC recoveries, the ACK.
 //! `RxReport`'s equality deliberately skips wall-clock fields, so
 //! whole-report `==` is exactly the decision-level comparison.
 
+use std::collections::VecDeque;
+
 use cbma_codes::{CodeFamily, GoldFamily, PnCode};
-use cbma_rx::runtime::{CaptureSource, RuntimeConfig, RxFlowgraph, Scheduler};
+use cbma_rx::runtime::{
+    CaptureSource, RuntimeConfig, RxFlowgraph, SampleSource, Scheduler, SourceBlock,
+};
 use cbma_rx::{Receiver, ReceiverConfig, RxReport};
 use cbma_tag::phy::PhyProfile;
 use cbma_tag::Tag;
@@ -66,6 +68,48 @@ fn capture_set(codes: &[PnCode], phy: &PhyProfile) -> Vec<Vec<Iq>> {
     ]
 }
 
+/// Round-robins single blocks across streams: the block-level
+/// interleaving the `SampleSource` contract allows but `CaptureSource`
+/// (which emits each capture's blocks back to back) never produces.
+struct BlockInterleaved {
+    streams: Vec<VecDeque<SourceBlock>>,
+    next: usize,
+}
+
+impl BlockInterleaved {
+    fn new(block_size: usize, per_stream: &[Vec<Vec<Iq>>]) -> BlockInterleaved {
+        let streams = per_stream
+            .iter()
+            .enumerate()
+            .map(|(stream, caps)| {
+                let mut src = CaptureSource::new(block_size);
+                for cap in caps {
+                    src.push(stream, cap.clone());
+                }
+                std::iter::from_fn(|| src.next_block()).collect()
+            })
+            .collect();
+        BlockInterleaved { streams, next: 0 }
+    }
+}
+
+impl SampleSource for BlockInterleaved {
+    fn streams(&self) -> usize {
+        self.streams.len()
+    }
+
+    fn next_block(&mut self) -> Option<SourceBlock> {
+        for _ in 0..self.streams.len() {
+            let s = self.next;
+            self.next = (s + 1) % self.streams.len();
+            if let Some(block) = self.streams[s].pop_front() {
+                return Some(block);
+            }
+        }
+        None
+    }
+}
+
 fn monolithic_reports(
     codes: &[PnCode],
     phy: PhyProfile,
@@ -86,7 +130,7 @@ fn assert_streaming_matches(config: ReceiverConfig, label: &str) {
     let schedulers = [
         Scheduler::Inline,
         // Work-stealing at a degenerate pool, a small pool, a pool wider
-        // than the stage count, and auto-sized (one worker per CPU).
+        // than the stream count, and auto-sized (one worker per CPU).
         Scheduler::WorkStealing { workers: 1, pin: false },
         Scheduler::WorkStealing { workers: 2, pin: false },
         Scheduler::WorkStealing { workers: 4, pin: false },
@@ -134,10 +178,10 @@ fn streaming_decisions_match_with_sic_enabled() {
 #[test]
 fn multi_stream_interleaving_preserves_per_stream_order_and_decisions() {
     // Blocks of different streams interleave through the flowgraph —
-    // through one receiver's per-stream sync carry under Inline, through
-    // per-stream ring chains under work-stealing; each stream's captures
-    // must still come out in seq order with the same decisions as a
-    // dedicated monolithic receiver per stream.
+    // into one receiver's per-stream partial captures under Inline,
+    // through per-stream rings under work-stealing; each stream's
+    // captures must still come out in seq order with the same decisions
+    // as a dedicated monolithic receiver per stream.
     let phy = PhyProfile::paper_default();
     let codes = GoldFamily::new(5).unwrap().codes(3).unwrap();
     let config = ReceiverConfig::default();
@@ -160,12 +204,7 @@ fn multi_stream_interleaving_preserves_per_stream_order_and_decisions() {
         Scheduler::WorkStealing { workers: 3, pin: false },
     ];
     for scheduler in schedulers {
-        let mut source = CaptureSource::new(389);
-        for (stream, caps) in per_stream.iter().enumerate() {
-            for cap in caps {
-                source.push(stream, cap.clone());
-            }
-        }
+        let source = BlockInterleaved::new(389, &per_stream);
         let runtime = RuntimeConfig {
             block_size: 389,
             ring_capacity: 2,

@@ -145,9 +145,9 @@ fn jittered_sink_decisions_match_inline() {
 #[test]
 fn capacity_one_rings_churn_the_park_unpark_handshake() {
     // The tightest configuration: every ring holds one item, so each
-    // stage ping-pongs between ready and blocked and idle workers park
-    // constantly. Decisions must still match Inline, and the run must
-    // actually have exercised the parking path.
+    // stream task ping-pongs between ready and blocked and idle workers
+    // park constantly. Decisions must still match Inline, and the run
+    // must actually have exercised the parking path.
     let phy = PhyProfile::paper_default();
     let codes = GoldFamily::new(5).unwrap().codes(3).unwrap();
     let per_stream = stress_captures(0xC0FFEE, 2, 4, &codes, &phy);
@@ -244,9 +244,8 @@ fn pool_counters_reach_the_metrics_registry() {
     let runtime = RuntimeConfig {
         block_size: 512,
         ring_capacity: 2,
-        // One worker: the driver's wakes land in the injector (steals),
-        // the worker's own downstream wakes stay local (local hits) —
-        // both paths must light up even in the degenerate pool.
+        // One worker: every task activation comes off the shared ready
+        // queue, so the counters are non-zero even in the degenerate pool.
         scheduler: Scheduler::WorkStealing { workers: 1, pin: false },
     };
     let mut flow = RxFlowgraph::new(codes, phy, ReceiverConfig::default(), runtime);
@@ -255,7 +254,6 @@ fn pool_counters_reach_the_metrics_registry() {
     let output = flow.run(source).unwrap();
 
     assert!(output.stats.steals > 0, "{:?}", output.stats);
-    assert!(output.stats.local_hits > 0, "{:?}", output.stats);
 
     let snap = registry.snapshot();
     assert_eq!(

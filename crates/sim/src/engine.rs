@@ -555,17 +555,16 @@ impl Engine {
     /// every round settles its deliveries and ACK statistics in round
     /// order.
     ///
-    /// The streaming stages call the same frame-sync/detect/decode/SIC
-    /// seams as the monolithic [`Receiver::receive`], so outcomes are
-    /// identical to `n` sequential [`Engine::run_round`] calls — for every
-    /// block size, ring capacity and scheduler (the block-boundary
-    /// equivalence suite in `crates/rx/tests/streaming_equivalence.rs`
-    /// and the manifest byte-identity test in `tests/streaming.rs` pin
-    /// this down).
+    /// The flowgraph reassembles every capture and decides it with
+    /// [`Receiver::receive`], so outcomes are identical to `n` sequential
+    /// [`Engine::run_round`] calls — for every block size, ring capacity
+    /// and scheduler (the block-boundary equivalence suite in
+    /// `crates/rx/tests/streaming_equivalence.rs` and the manifest
+    /// byte-identity test in `tests/streaming.rs` pin this down).
     ///
     /// # Panics
     ///
-    /// Panics if the flowgraph fails (a stage panicked); the harness
+    /// Panics if the flowgraph fails (a receive panicked); the harness
     /// retry machinery treats this like any other mid-round panic.
     pub fn run_streaming(&mut self, n: usize, cfg: &StreamingConfig) -> RunStats {
         self.run_streaming_with(n, cfg, |_| {})
@@ -587,8 +586,8 @@ impl Engine {
         let all: Vec<usize> = (0..self.tags.len()).collect();
         let mut stats = RunStats::new(self.tags.len());
         // One flowgraph for the whole run: worker threads and rings are
-        // built per `run` call, but the stage receivers (and their
-        // scratch) persist across batches.
+        // built per `run` call, but its receivers (and their scratch)
+        // persist across batches.
         let family = self
             .scenario
             .family
@@ -762,8 +761,8 @@ mod tests {
 
     #[test]
     fn streaming_matches_sequential_rounds() {
-        // The streaming runtime calls the same monolithic receiver seams
-        // block-by-block, so its outcomes are *identical* to the
+        // The streaming runtime decides every reassembled capture with
+        // `Receiver::receive`, so its outcomes are *identical* to the
         // sequential runner, for every scheduler, block size and batch
         // width.
         let mut scenario = Scenario::paper_default(near_positions(3)).with_seed(23);
