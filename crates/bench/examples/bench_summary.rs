@@ -179,8 +179,8 @@ fn main() {
 /// per capture (`mean_ns_per_op`, so the bench gate's median-normalized
 /// comparison applies unchanged), the aggregate real-time factor (total
 /// air time represented by all streams over wall time — the headline
-/// "hundreds of flowgraphs at aggregate real time" number), and the pool
-/// steal rate. Scaling-efficiency ratios divide same-run RTFs, so they
+/// "hundreds of flowgraphs at aggregate real time" number) and captures
+/// per second. Scaling-efficiency ratios divide same-run RTFs, so they
 /// transfer across machines — but on an N-CPU host a pool wider than N
 /// cannot scale, so `scaling_efficiency_w{W}_s64` is only recorded when
 /// W ≤ N. The gate normalizes RTF keys by the run-wide machine-speed
@@ -216,7 +216,6 @@ fn write_streaming_throughput() {
         mean_ns_per_op: f64,
         aggregate_rtf: f64,
         captures_per_sec: f64,
-        steal_rate: f64,
         iters: u64,
     }
 
@@ -242,10 +241,9 @@ fn write_streaming_throughput() {
             scheduler,
         };
         // Min-of-3 for the same run-to-run stability argument as
-        // `time_case`; each rep rebuilds the flowgraph so no warm rings
-        // carry over.
+        // `time_case`; each rep rebuilds the flowgraph so no warm
+        // receivers carry over.
         let mut elapsed_ns = f64::INFINITY;
-        let mut steal_rate = 0.0;
         for _ in 0..3 {
             let mut flow =
                 RxFlowgraph::new(codes.clone(), phy, ReceiverConfig::default(), runtime);
@@ -257,15 +255,7 @@ fn write_streaming_throughput() {
             let output = flow.run(source).expect("bench run");
             let ns = t.elapsed().as_nanos() as f64;
             assert_eq!(output.results.len(), streams, "bench dropped a capture");
-            if ns < elapsed_ns {
-                elapsed_ns = ns;
-                let grabs = output.stats.steals + output.stats.local_hits;
-                steal_rate = if grabs > 0 {
-                    output.stats.steals as f64 / grabs as f64
-                } else {
-                    0.0
-                };
-            }
+            elapsed_ns = elapsed_ns.min(ns);
         }
         let name = match scheduler {
             Scheduler::WorkStealing { workers, .. } => {
@@ -280,12 +270,11 @@ fn write_streaming_throughput() {
             mean_ns_per_op: elapsed_ns / streams as f64,
             aggregate_rtf: air_ns / elapsed_ns,
             captures_per_sec: streams as f64 / (elapsed_ns / 1e9),
-            steal_rate,
             iters: 3,
         };
         println!(
-            "{:32} {:>12.0} ns/capture   aggregate RTF {:>6.2}x   steal rate {:.2}",
-            case.name, case.mean_ns_per_op, case.aggregate_rtf, case.steal_rate
+            "{:32} {:>12.0} ns/capture   aggregate RTF {:>6.2}x",
+            case.name, case.mean_ns_per_op, case.aggregate_rtf
         );
         cases.push(case);
     }
@@ -327,15 +316,14 @@ fn write_streaming_throughput() {
             json,
             "    {{\"name\": \"{}\", \"mean_ns_per_op\": {:.1}, \"iters\": {}, \
              \"streams\": {}, \"scheduler\": \"{}\", \"aggregate_rtf\": {:.3}, \
-             \"captures_per_sec\": {:.1}, \"steal_rate\": {:.3}}}{comma}",
+             \"captures_per_sec\": {:.1}}}{comma}",
             case.name,
             case.mean_ns_per_op,
             case.iters,
             case.streams,
             case.scheduler.name(),
             case.aggregate_rtf,
-            case.captures_per_sec,
-            case.steal_rate
+            case.captures_per_sec
         );
     }
     json.push_str("  ]\n}\n");

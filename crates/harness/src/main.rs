@@ -24,7 +24,7 @@
 //! round-synchronous default (and the trace, when requested, shows the
 //! flowgraph's runtime spans instead of the monolithic capture tree).
 //! `inline` decides every capture on the calling thread;
-//! `worksteal[:N][:pin]` runs one task per stream on a fixed pool of N
+//! `worksteal[:N][:pin]` decides the captures on a fixed pool of N
 //! workers (default: one per CPU), optionally pinned round-robin onto
 //! CPUs.
 
@@ -300,7 +300,6 @@ fn write_trace(
             let cfg = StreamingConfig {
                 width: 1,
                 scheduler,
-                ..StreamingConfig::default()
             };
             engine.run_streaming(1, &cfg);
         }

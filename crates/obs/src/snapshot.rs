@@ -164,7 +164,7 @@ impl Snapshot {
     /// (`*_ns`), memory levels (`*_bytes`, e.g. scratch-arena high-water
     /// gauges, which depend on allocator rounding and on which receiver
     /// ran which capture), and scheduling placement (`cbma.rx.runtime.worker.*`
-    /// steal/local-hit counters, `cbma.rx.runtime.ring_depth`,
+    /// queue-pop counters, `cbma.rx.runtime.ring_depth`,
     /// `cbma.rx.runtime.pool_utilization`), which depend on thread
     /// interleaving even though the *decisions* they accompany are
     /// bit-identical across schedulers. This is the projection
@@ -476,8 +476,6 @@ mod tests {
         let mut snap = sample_snapshot();
         snap.counters
             .insert("cbma.rx.runtime.worker.steal_count".into(), 3);
-        snap.counters
-            .insert("cbma.rx.runtime.worker.local_hit".into(), 41);
         snap.gauges.insert("cbma.rx.runtime.ring_depth".into(), 2.0);
         snap.gauges
             .insert("cbma.rx.runtime.pool_utilization".into(), 0.5);

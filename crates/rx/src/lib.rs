@@ -21,7 +21,7 @@
 //! capture. [`runtime`] serves many capture streams at once: it
 //! reassembles each stream's captures from blocks of any size and hands
 //! every whole capture to that same call — inline on the caller's
-//! thread, or as one task per stream on a work-stealing pool — so its
+//! thread, or through one shared capture queue on a worker pool — so its
 //! decisions are the monolithic receiver's by construction.
 //!
 //! # Examples
@@ -44,8 +44,8 @@ pub use downlink::AckWire;
 pub use frame_sync::FrameSync;
 pub use receiver::{Receiver, ReceiverConfig, RxReport, RxScratch, RxTelemetry};
 pub use runtime::{
-    CaptureSource, FlowgraphError, InOrderEmitter, RunOutput, RunStats, RuntimeConfig,
-    RxFlowgraph, SampleSource, Scheduler, SourceBlock, StreamResult,
+    CaptureSource, FlowgraphError, RunOutput, RunStats, RuntimeConfig, RxFlowgraph, SampleSource,
+    Scheduler, SourceBlock, StreamResult,
 };
 pub use user_detect::{
     CorrelationPath, DetectScratch, DetectedUser, UserDetector, FFT_LAG_CROSSOVER,

@@ -19,14 +19,13 @@
 //! to multiplex captures from many streams. Two schedulers do that:
 //!
 //! * [`Scheduler::Inline`] runs every capture on the caller's thread, on
-//!   one [`Receiver`] — zero threads, zero rings, trivially
-//!   deadlock-free; the reference for equivalence tests.
+//!   one [`Receiver`] — zero threads, trivially deadlock-free; the
+//!   reference for equivalence tests.
 //! * [`Scheduler::WorkStealing`] reassembles on the caller's thread and
-//!   makes every stream one task with a bounded input [`ring`] of whole
-//!   captures and a bounded output ring of reports, multiplexing all
-//!   streams' tasks over a fixed worker pool (one shared ready queue,
-//!   park/unpark idle protocol, optional CPU pinning). Ring capacity
-//!   bounds in-flight memory (backpressure), and a panicking receive
+//!   queues every whole capture, of any stream, on one shared queue that
+//!   a fixed worker pool drains (condvar parking, optional CPU pinning).
+//!   At most `ring_capacity × streams` captures are in flight, so a slow
+//!   sink stalls the source (backpressure), and a panicking receive
 //!   fails the run with a clean [`FlowgraphError`] instead of hanging;
 //!   see [`worksteal`].
 //!
@@ -37,15 +36,14 @@
 //! `crates/rx/tests/streaming_equivalence.rs` pins this for block sizes
 //! 1, prime, power-of-two and whole-capture on both schedulers.
 //!
-//! Results leave per stream in capture order on both schedulers, through
-//! [`InOrderEmitter`] on the pool.
+//! Results leave per stream in capture order on both schedulers: inline
+//! decides them in that order, and the pool's driver reorders its
+//! workers' reports before the sink sees them.
 
 pub mod affinity;
-pub mod ring;
 pub mod source;
 pub mod worksteal;
 
-pub use ring::{ring, Consumer, DepthProbe, Producer, RingError, RingWaker, TryPop, TryPush};
 pub use source::{CaptureSource, SampleSource, SourceBlock};
 
 use std::collections::BTreeMap;
@@ -62,9 +60,9 @@ use crate::receiver::{Receiver, ReceiverConfig, RxReport};
 /// How the flowgraph maps captures onto threads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Scheduler {
-    /// Every capture on the caller's thread, in arrival order; no rings.
+    /// Every capture on the caller's thread, in arrival order.
     Inline,
-    /// A fixed pool of `workers` threads running every stream's task
+    /// A fixed pool of `workers` threads deciding every stream's captures
     /// (see [`worksteal`]). `workers = 0` means one per available CPU;
     /// `pin` round-robins workers onto CPUs via [`affinity`].
     WorkStealing {
@@ -147,11 +145,12 @@ pub struct RuntimeConfig {
     /// flowgraph reassembles whole captures, so it never reads this
     /// value and no value changes a decision.
     pub block_size: usize,
-    /// Capacity of each stream's capture and report ring (clamped to
-    /// ≥ 1); the inline scheduler has no rings and ignores it. Per
-    /// stream, in-flight work is bounded by `capacity` whole captures
-    /// waiting for a worker, the capture being decided, `capacity`
-    /// reports and the capture being reassembled.
+    /// Captures in flight per stream on the work-stealing pool (clamped
+    /// to ≥ 1); the inline scheduler decides each capture as it
+    /// completes and ignores it. The pool holds at most
+    /// `ring_capacity × streams` whole captures between source and sink
+    /// (queued, being decided, or reported and awaiting a predecessor),
+    /// plus the captures being reassembled.
     pub ring_capacity: usize,
     /// Capture-to-thread mapping.
     pub scheduler: Scheduler,
@@ -199,29 +198,31 @@ impl std::fmt::Display for FlowgraphError {
 
 impl std::error::Error for FlowgraphError {}
 
-/// Counters and ring diagnostics from one [`RxFlowgraph::run`].
+/// Counters and buffer diagnostics from one [`RxFlowgraph::run`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RunStats {
     /// Source blocks consumed.
     pub blocks: u64,
     /// Captures decided.
     pub captures: u64,
-    /// High-water depth per ring, in pipeline order (captures waiting for
-    /// a worker, reports waiting for the driver), each the max across
-    /// streams. Empty on the inline scheduler, which has no rings.
+    /// Work-stealing pool: two high-water marks, in pipeline order —
+    /// captures waiting in the shared queue for a worker, and reports
+    /// held for in-order emission until a predecessor arrives. Empty on
+    /// the inline scheduler, which buffers neither.
     pub ring_max_depth: Vec<usize>,
-    /// Work-stealing pool: task activations a worker took from the
-    /// shared ready queue. Zero on the inline scheduler.
+    /// Work-stealing pool: captures workers popped from the shared
+    /// queue. Zero on the inline scheduler.
     pub steals: u64,
-    /// Work-stealing pool: task reruns a worker continued in place
-    /// because a wake landed while the task ran.
+    /// Always zero: no worker reruns a task in place. Kept so existing
+    /// readers of the stats still compile.
     pub local_hits: u64,
-    /// Work-stealing pool: times a worker parked for lack of work.
+    /// Work-stealing pool: times a worker slept on the queue's condvar
+    /// for lack of work.
     pub parks: u64,
     /// Work-stealing pool: total nanoseconds workers spent parked.
     pub park_ns: u64,
-    /// Work-stealing pool: total nanoseconds workers spent running
-    /// stream tasks (utilization = busy_ns / (workers · wall time)).
+    /// Work-stealing pool: total nanoseconds workers spent deciding
+    /// captures (utilization = busy_ns / (workers · wall time)).
     pub busy_ns: u64,
 }
 
@@ -237,68 +238,42 @@ pub struct StreamResult {
     pub report: RxReport,
 }
 
-/// In-order `(stream, seq)` emission for the flowgraph's sink:
-/// completions are buffered in whatever order workers finish and leave
-/// per stream in submission order.
+/// In-order `(stream, seq)` emission for the pool's sink: completions
+/// are buffered in whatever order workers finish and leave per stream in
+/// submission order.
 #[derive(Debug, Default)]
-pub struct InOrderEmitter {
+struct InOrderEmitter {
     /// Next seq to emit per stream.
     emit_next: Vec<u64>,
     /// Out-of-order completions awaiting their predecessors.
     reorder: BTreeMap<(usize, u64), RxReport>,
-    emitted: usize,
 }
 
 impl InOrderEmitter {
-    /// An emitter with no streams registered yet (streams grow on first
-    /// [`InOrderEmitter::insert`] or [`InOrderEmitter::track`]).
-    pub fn new() -> InOrderEmitter {
-        InOrderEmitter::default()
-    }
-
-    /// Registers `stream`, growing the per-stream cursor table. Inserting
-    /// does this implicitly; tracking up front lets a caller reserve
-    /// stream slots before any completion arrives.
-    pub fn track(&mut self, stream: usize) {
+    /// Buffers one completion, then hands `emit` every result of its
+    /// stream that is now next in order. Only the completion's own
+    /// stream can have become ready.
+    fn insert(&mut self, result: StreamResult, mut emit: impl FnMut(StreamResult)) {
+        let stream = result.stream;
         if self.emit_next.len() <= stream {
             self.emit_next.resize(stream + 1, 0);
         }
-    }
-
-    /// Buffers one completion until its per-stream predecessors emit.
-    pub fn insert(&mut self, stream: usize, seq: u64, report: RxReport) {
-        self.track(stream);
-        self.reorder.insert((stream, seq), report);
-    }
-
-    /// Results emitted so far (over the emitter's lifetime).
-    #[inline]
-    pub fn emitted(&self) -> usize {
-        self.emitted
+        self.reorder.insert((stream, result.seq), result.report);
+        let next = &mut self.emit_next[stream];
+        while let Some(report) = self.reorder.remove(&(stream, *next)) {
+            emit(StreamResult {
+                stream,
+                seq: *next,
+                report,
+            });
+            *next += 1;
+        }
     }
 
     /// Completions buffered, still waiting on predecessors.
     #[inline]
-    pub fn buffered(&self) -> usize {
+    fn buffered(&self) -> usize {
         self.reorder.len()
-    }
-
-    /// Moves every in-order entry out of the reorder buffer, in
-    /// `(stream, seq)` order.
-    pub fn take_ready(&mut self) -> Vec<StreamResult> {
-        let mut out = Vec::new();
-        for stream in 0..self.emit_next.len() {
-            while let Some(report) = self.reorder.remove(&(stream, self.emit_next[stream])) {
-                out.push(StreamResult {
-                    stream,
-                    seq: self.emit_next[stream],
-                    report,
-                });
-                self.emit_next[stream] += 1;
-                self.emitted += 1;
-            }
-        }
-        out
     }
 }
 
@@ -320,7 +295,6 @@ struct RuntimeMetrics {
     captures: Counter,
     ring_depth: Gauge,
     steal_count: Counter,
-    local_hit: Counter,
     worker_park_ns: Histogram,
     pool_utilization: Gauge,
 }
@@ -333,7 +307,6 @@ impl RuntimeMetrics {
             captures: registry.counter("cbma.rx.runtime.captures"),
             ring_depth: registry.gauge("cbma.rx.runtime.ring_depth"),
             steal_count: registry.counter("cbma.rx.runtime.worker.steal_count"),
-            local_hit: registry.counter("cbma.rx.runtime.worker.local_hit"),
             worker_park_ns: registry.histogram("cbma.rx.runtime.worker.park_ns"),
             pool_utilization: registry.gauge("cbma.rx.runtime.pool_utilization"),
         }
@@ -511,9 +484,9 @@ impl RxFlowgraph {
     }
 
     /// Attaches a metrics registry: runs record `cbma.rx.runtime.*`
-    /// receive timers, block/capture counters and the ring high-water
-    /// gauge. These are volatile (scheduling-dependent) — keep them off
-    /// registries that feed deterministic manifests.
+    /// receive timers, block/capture counters and the pool's buffer
+    /// high-water gauge. These are volatile (scheduling-dependent) — keep
+    /// them off registries that feed deterministic manifests.
     pub fn attach_metrics(&mut self, registry: &MetricsRegistry) {
         self.metrics = Some(RuntimeMetrics::register(registry));
     }
@@ -549,6 +522,11 @@ impl RxFlowgraph {
     /// `sink` as soon as it is available — the backpressure boundary: a
     /// slow sink throttles the whole pipeline back to the source instead
     /// of queueing unboundedly.
+    ///
+    /// # Panics
+    ///
+    /// A panic in `sink` propagates to the caller on both schedulers; the
+    /// pool closes its queue first, so its workers exit and are joined.
     pub fn run_with_sink<S: SampleSource + Send>(
         &mut self,
         source: S,
@@ -570,7 +548,6 @@ impl RxFlowgraph {
                 metrics.ring_depth.max(depth as f64);
             }
             metrics.steal_count.add(stats.steals);
-            metrics.local_hit.add(stats.local_hits);
         }
         Ok(stats)
     }

@@ -1,13 +1,18 @@
 //! Failure-path tests for the streaming runtime: a panicking receive must
 //! tear the flowgraph down with a clean, named error (never a hang), a
-//! stalled sink must translate into bounded backpressure (never
-//! unbounded buffering), and an uneventful run must drain every capture
-//! deterministically.
+//! panicking sink must reach the caller (never a hang), a stalled sink
+//! must translate into bounded backpressure (never unbounded buffering),
+//! and an uneventful run must drain every capture deterministically.
 
+use std::panic::AssertUnwindSafe;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{mpsc, Arc};
 use std::time::{Duration, Instant};
 
 use cbma_codes::{CodeFamily, GoldFamily, PnCode};
-use cbma_rx::runtime::{CaptureSource, RuntimeConfig, RxFlowgraph, Scheduler};
+use cbma_rx::runtime::{
+    CaptureSource, RuntimeConfig, RxFlowgraph, SampleSource, Scheduler, SourceBlock,
+};
 use cbma_rx::ReceiverConfig;
 use cbma_tag::phy::PhyProfile;
 use cbma_types::Iq;
@@ -32,6 +37,27 @@ fn flowgraph(scheduler: Scheduler) -> RxFlowgraph {
 
 fn silence_captures(n: usize) -> Vec<Vec<Iq>> {
     (0..n).map(|_| vec![Iq::ZERO; 1500]).collect()
+}
+
+/// Counts the captures the wrapped source has completed (its `last`
+/// blocks), so a sink can see how far ahead the source ran.
+struct Counting<S> {
+    inner: S,
+    completed: Arc<AtomicU64>,
+}
+
+impl<S: SampleSource> SampleSource for Counting<S> {
+    fn streams(&self) -> usize {
+        self.inner.streams()
+    }
+
+    fn next_block(&mut self) -> Option<SourceBlock> {
+        let block = self.inner.next_block()?;
+        if block.last {
+            self.completed.fetch_add(1, Ordering::SeqCst);
+        }
+        Some(block)
+    }
 }
 
 #[test]
@@ -130,11 +156,11 @@ fn a_failed_flowgraph_can_run_again() {
 #[test]
 fn a_stalled_sink_applies_backpressure_not_buffering() {
     // The sink sleeps on every result. The source would love to race
-    // ahead, but each ring holds at most `ring_capacity` entries, so
-    // total in-flight work stays bounded no matter how slow the
-    // downstream is — that is the whole point of bounded rings. Under
-    // work-stealing the stall additionally must not *block* a worker:
-    // the stream's task just goes unready until the sink drains.
+    // ahead, but the pool holds at most `ring_capacity × streams`
+    // captures between source and sink, so total in-flight work stays
+    // bounded no matter how slow the downstream is. Under work-stealing
+    // the stall additionally must not *block* a worker: the workers just
+    // find the queue empty and park until the driver queues more.
     let schedulers = [
         Scheduler::WorkStealing { workers: 1, pin: false },
         Scheduler::WorkStealing { workers: 2, pin: false },
@@ -142,32 +168,98 @@ fn a_stalled_sink_applies_backpressure_not_buffering() {
     for scheduler in schedulers {
         let captures = 8;
         let mut flow = flowgraph(scheduler);
-        let source = CaptureSource::single_stream(512, silence_captures(captures));
+        let completed = Arc::new(AtomicU64::new(0));
+        let source = Counting {
+            inner: CaptureSource::single_stream(512, silence_captures(captures)),
+            completed: Arc::clone(&completed),
+        };
+        let bound = flow.runtime_config().ring_capacity; // × 1 stream
         let mut seen = Vec::new();
         let stats = flow
             .run_with_sink(source, |result| {
+                // Everything the source has completed and the sink has not
+                // yet seen is in flight.
+                let pulled = completed.load(Ordering::SeqCst);
+                assert!(
+                    pulled <= result.seq + bound as u64,
+                    "{scheduler:?}: source ran {pulled} captures ahead of a sink at seq {}",
+                    result.seq
+                );
                 std::thread::sleep(Duration::from_millis(15));
                 seen.push(result.seq);
             })
             .expect("stalled sink is slow, not broken");
-        assert_eq!(seen, (0..captures as u64).collect::<Vec<_>>(), "{scheduler:?}");
+        assert_eq!(
+            seen,
+            (0..captures as u64).collect::<Vec<_>>(),
+            "{scheduler:?}"
+        );
         assert_eq!(stats.captures, captures as u64, "{scheduler:?}");
-        let capacity = flow.runtime_config().ring_capacity;
+        // Two high-water marks: the capture queue and the reorder buffer.
         assert_eq!(stats.ring_max_depth.len(), 2, "{scheduler:?}");
         for (i, &depth) in stats.ring_max_depth.iter().enumerate() {
             assert!(
-                depth <= capacity,
-                "{scheduler:?}: ring {i} reached depth {depth} > capacity {capacity}"
+                depth <= bound,
+                "{scheduler:?}: buffer {i} reached depth {depth} > bound {bound}"
             );
         }
-        // Backpressure reached all the way upstream: with a stalled sink
-        // the rings actually fill.
+        // Backpressure reached all the way upstream: captures actually
+        // waited in the queue.
         assert!(
-            stats.ring_max_depth.iter().any(|&d| d > 0),
-            "{scheduler:?}: no ring ever held an item: {:?}",
+            stats.ring_max_depth[0] > 0,
+            "{scheduler:?}: the capture queue never held an item: {:?}",
             stats.ring_max_depth
         );
     }
+}
+
+#[test]
+fn a_panicking_sink_reaches_the_caller() {
+    // The sink runs on the caller's thread. Its panic must unwind out of
+    // `run_with_sink` on every scheduler, which on the pool means waking
+    // and joining workers parked on an empty queue rather than waiting
+    // for them forever. The runs happen on a helper thread so that a hang
+    // fails the test instead of stalling the suite.
+    let schedulers = [
+        Scheduler::Inline,
+        Scheduler::WorkStealing { workers: 1, pin: false },
+        Scheduler::WorkStealing { workers: 2, pin: false },
+    ];
+    let (done_tx, done_rx) = mpsc::channel();
+    let helper = std::thread::spawn(move || {
+        for scheduler in schedulers {
+            let mut flow = flowgraph(scheduler);
+            let source = CaptureSource::single_stream(512, silence_captures(6));
+            let outcome = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                flow.run_with_sink(source, |result| {
+                    panic!("sink refused capture {}", result.seq)
+                })
+            }));
+            let message = match outcome {
+                Ok(_) => None,
+                Err(payload) => payload.downcast_ref::<String>().cloned(),
+            };
+            // The flowgraph survives the unwind: a rerun drains normally.
+            let source = CaptureSource::single_stream(512, silence_captures(2));
+            let rerun = flow.run(source).map(|output| output.results.len());
+            done_tx.send((scheduler, message, rerun)).unwrap();
+        }
+    });
+    for scheduler in schedulers {
+        let (ran, message, rerun) = done_rx
+            .recv_timeout(Duration::from_secs(30))
+            .unwrap_or_else(|_| {
+                panic!("{scheduler:?}: run_with_sink hung after its sink panicked")
+            });
+        assert_eq!(ran, scheduler);
+        let message = message.expect("the sink's panic reaches the caller");
+        assert!(
+            message.contains("sink refused capture 0"),
+            "{scheduler:?}: {message:?}"
+        );
+        assert_eq!(rerun, Ok(2), "{scheduler:?}: rerun after the sink panic");
+    }
+    helper.join().expect("the helper thread finished cleanly");
 }
 
 #[test]

@@ -178,8 +178,8 @@ fn streaming_decisions_match_with_sic_enabled() {
 #[test]
 fn multi_stream_interleaving_preserves_per_stream_order_and_decisions() {
     // Blocks of different streams interleave through the flowgraph —
-    // into one receiver's per-stream partial captures under Inline,
-    // through per-stream rings under work-stealing; each stream's
+    // into per-stream partial captures on the caller's thread, then
+    // decided inline or through the pool's shared queue; each stream's
     // captures must still come out in seq order with the same decisions
     // as a dedicated monolithic receiver per stream.
     let phy = PhyProfile::paper_default();

@@ -127,29 +127,22 @@ struct PendingRound {
 }
 
 /// Knobs for [`Engine::run_streaming`]: how many rounds to realize per
-/// flowgraph pass and how the streaming runtime is shaped. None of these
-/// change outcomes — only latency, memory and parallelism.
+/// flowgraph pass and which scheduler decides them. Neither changes
+/// outcomes — only latency, memory and parallelism.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StreamingConfig {
     /// Rounds realized (and fed through the flowgraph) per batch
     /// (clamped to ≥ 1).
     pub width: usize,
-    /// Samples per source block (clamped to ≥ 1).
-    pub block_size: usize,
-    /// Capacity of each inter-stage ring buffer (clamped to ≥ 1).
-    pub ring_capacity: usize,
-    /// Stage scheduler.
+    /// Capture scheduler.
     pub scheduler: Scheduler,
 }
 
 impl Default for StreamingConfig {
     fn default() -> StreamingConfig {
-        let runtime = RuntimeConfig::default();
         StreamingConfig {
             width: 8,
-            block_size: runtime.block_size,
-            ring_capacity: runtime.ring_capacity,
-            scheduler: runtime.scheduler,
+            scheduler: RuntimeConfig::default().scheduler,
         }
     }
 }
@@ -158,9 +151,8 @@ impl StreamingConfig {
     /// The flowgraph runtime configuration this run asks for.
     pub fn runtime(&self) -> RuntimeConfig {
         RuntimeConfig {
-            block_size: self.block_size,
-            ring_capacity: self.ring_capacity,
             scheduler: self.scheduler,
+            ..RuntimeConfig::default()
         }
     }
 }
@@ -550,15 +542,15 @@ impl Engine {
     /// Runs `n` all-tags rounds through the streaming receiver runtime
     /// ([`RxFlowgraph`]): rounds are realized in batches of `cfg.width`
     /// with the exact per-round seed streams of [`Engine::run_round`],
-    /// each round's capture becomes its own stream, chopped into
-    /// `cfg.block_size`-sample blocks and fed through the flowgraph, and
-    /// every round settles its deliveries and ACK statistics in round
-    /// order.
+    /// each round's capture becomes its own stream, fed through the
+    /// flowgraph as one block, and every round settles its deliveries and
+    /// ACK statistics in round order.
     ///
-    /// The flowgraph reassembles every capture and decides it with
-    /// [`Receiver::receive`], so outcomes are identical to `n` sequential
-    /// [`Engine::run_round`] calls — for every block size, ring capacity
-    /// and scheduler (the block-boundary equivalence suite in
+    /// The flowgraph decides every capture with [`Receiver::receive`], so
+    /// outcomes are identical to `n` sequential [`Engine::run_round`]
+    /// calls — for every batch width and scheduler, and at every block
+    /// size a source could chop captures into (the block-boundary
+    /// equivalence suite in
     /// `crates/rx/tests/streaming_equivalence.rs` and the manifest
     /// byte-identity test in `tests/streaming.rs` pin this down).
     ///
@@ -585,9 +577,9 @@ impl Engine {
     ) -> RunStats {
         let all: Vec<usize> = (0..self.tags.len()).collect();
         let mut stats = RunStats::new(self.tags.len());
-        // One flowgraph for the whole run: worker threads and rings are
-        // built per `run` call, but its receivers (and their scratch)
-        // persist across batches.
+        // One flowgraph for the whole run: worker threads and the capture
+        // queue are built per `run` call, but its receivers (and their
+        // scratch) persist across batches.
         let family = self
             .scenario
             .family
@@ -614,14 +606,17 @@ impl Engine {
                 span.set_arg(self.round);
                 span
             });
-            let mut pending = Vec::with_capacity(width);
-            let mut source = CaptureSource::new(cfg.block_size);
-            for _ in 0..width {
-                let round = self.begin_round(&all, Instant::now());
-                // Each round of the batch is its own stream, so the
-                // work-stealing pool has real cross-capture parallelism.
-                source.push(pending.len(), round.iq.clone());
-                pending.push(round);
+            let pending: Vec<_> = (0..width)
+                .map(|_| self.begin_round(&all, Instant::now()))
+                .collect();
+            // Each round of the batch is its own stream, so the
+            // work-stealing pool has real cross-capture parallelism. A
+            // block as long as the longest capture makes every capture one
+            // block, which the flowgraph decides without a copy.
+            let longest = pending.iter().map(|p| p.iq.len()).max().unwrap_or(0);
+            let mut source = CaptureSource::new(longest);
+            for (stream, round) in pending.iter().enumerate() {
+                source.push(stream, round.iq.clone());
             }
             let output = flow
                 .run(source)
@@ -761,10 +756,9 @@ mod tests {
 
     #[test]
     fn streaming_matches_sequential_rounds() {
-        // The streaming runtime decides every reassembled capture with
+        // The streaming runtime decides every capture with
         // `Receiver::receive`, so its outcomes are *identical* to the
-        // sequential runner, for every scheduler, block size and batch
-        // width.
+        // sequential runner, for every scheduler and batch width.
         let mut scenario = Scenario::paper_default(near_positions(3)).with_seed(23);
         scenario.mobility = Some(crate::faults::MobilityModel::new(
             0.05,
@@ -783,26 +777,20 @@ mod tests {
                 .collect::<Vec<_>>()
         };
 
-        for (scheduler, block_size, width) in [
-            (Scheduler::Inline, 257, 2),
+        for (width, scheduler) in [
+            (2, Scheduler::Inline),
             (
+                5,
                 Scheduler::WorkStealing {
                     workers: 2,
                     pin: false,
                 },
-                1024,
-                5,
             ),
         ] {
             let mut streaming = Engine::new(scenario.clone()).unwrap();
-            let cfg = StreamingConfig {
-                width,
-                block_size,
-                ring_capacity: 2,
-                scheduler,
-            };
+            let cfg = StreamingConfig { width, scheduler };
             let run = streaming.run_streaming(5, &cfg);
-            assert_eq!(run, sequential, "{scheduler:?} block={block_size}");
+            assert_eq!(run, sequential, "{scheduler:?} width={width}");
             assert_eq!(stats(&streaming), stats(&seq), "{scheduler:?}");
         }
     }
