@@ -4,7 +4,6 @@
 //! cbma-harness [--tier fast|full] [--out DIR] [--campaign NAME]...
 //!              [--seed N] [--workers N] [--fresh] [--list]
 //!              [--live] [--trace-out FILE]
-//!              [--streaming inline|worksteal[:N][:pin]]
 //! ```
 //!
 //! Runs the selected campaigns (default: all built-ins) at the selected
@@ -19,22 +18,12 @@
 //! manifests. `--trace-out FILE` records one instrumented round of the
 //! first selected campaign's first point and writes a Chrome
 //! trace-event JSON viewable in Perfetto / `chrome://tracing`.
-//! `--streaming` measures through the streaming receiver runtime with
-//! the given scheduler — the manifests are byte-identical to the
-//! round-synchronous default (and the trace, when requested, shows the
-//! flowgraph's runtime spans instead of the monolithic capture tree).
-//! `inline` decides every capture on the calling thread;
-//! `worksteal[:N][:pin]` decides the captures on a fixed pool of N
-//! workers (default: one per CPU), optionally pinned round-robin onto
-//! CPUs.
 
 use std::path::PathBuf;
 use std::process::ExitCode;
 
 use cbma::obs::json::JsonValue;
 use cbma::obs::Tracer;
-use cbma::rx::Scheduler;
-use cbma::sim::StreamingConfig;
 use cbma_harness::{
     campaigns, job_seed, run_campaign, CampaignManifest, JobCtx, LiveAggregator, LiveConfig,
     RunnerConfig, Tier,
@@ -50,12 +39,10 @@ struct Cli {
     list: bool,
     live: bool,
     trace_out: Option<PathBuf>,
-    streaming: Option<Scheduler>,
 }
 
 const USAGE: &str = "usage: cbma-harness [--tier fast|full] [--out DIR] [--campaign NAME]... \
-[--seed N] [--workers N] [--fresh] [--list] [--live] [--trace-out FILE] \
-[--streaming inline|worksteal[:N][:pin]]";
+[--seed N] [--workers N] [--fresh] [--list] [--live] [--trace-out FILE]";
 
 fn parse_cli(args: &[String]) -> Result<Cli, String> {
     let mut cli = Cli {
@@ -68,7 +55,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
         list: false,
         live: false,
         trace_out: None,
-        streaming: None,
     };
     let mut it = args.iter();
     while let Some(arg) = it.next() {
@@ -101,15 +87,6 @@ fn parse_cli(args: &[String]) -> Result<Cli, String> {
             "--list" => cli.list = true,
             "--live" => cli.live = true,
             "--trace-out" => cli.trace_out = Some(PathBuf::from(value("--trace-out")?)),
-            "--streaming" => {
-                let v = value("--streaming")?;
-                cli.streaming = Some(Scheduler::parse(&v).ok_or_else(|| {
-                    format!(
-                        "unknown streaming scheduler {v:?} (valid: {})\n{USAGE}",
-                        Scheduler::VALID_NAMES
-                    )
-                })?);
-            }
             "--help" | "-h" => return Err(USAGE.to_string()),
             other => return Err(format!("unknown argument {other:?}\n{USAGE}")),
         }
@@ -193,10 +170,6 @@ fn main() -> ExitCode {
             root_seed: cli.seed,
             checkpoint_dir: Some(checkpoint_dir),
             live: aggregator.as_ref().map(LiveAggregator::publisher),
-            streaming: cli.streaming.map(|scheduler| StreamingConfig {
-                scheduler,
-                ..StreamingConfig::default()
-            }),
             ..RunnerConfig::default()
         };
         if let Some(w) = cli.workers {
@@ -244,7 +217,7 @@ fn main() -> ExitCode {
     }
 
     if let Some(path) = &cli.trace_out {
-        if let Err(msg) = write_trace(path, &names[0], cli.tier, cli.seed, cli.streaming) {
+        if let Err(msg) = write_trace(path, &names[0], cli.tier, cli.seed) {
             eprintln!("{msg}");
             return ExitCode::FAILURE;
         }
@@ -270,18 +243,8 @@ fn main() -> ExitCode {
 }
 
 /// Records one fully-instrumented round of `name`'s first point and
-/// writes a Chrome trace-event document for Perfetto. With a streaming
-/// scheduler, the round runs through the flowgraph so the trace shows
-/// its runtime spans (one `stage_run` per capture under `flowgraph`
-/// inline; `worker`, `stage_run` and `stage_wait` on the work-stealing
-/// pool) instead of the monolithic capture tree.
-fn write_trace(
-    path: &PathBuf,
-    name: &str,
-    tier: Tier,
-    seed: u64,
-    streaming: Option<Scheduler>,
-) -> Result<(), String> {
+/// writes a Chrome trace-event document for Perfetto.
+fn write_trace(path: &PathBuf, name: &str, tier: Tier, seed: u64) -> Result<(), String> {
     let campaign =
         campaigns::by_name(name, tier).ok_or_else(|| format!("unknown campaign {name:?}"))?;
     let point = campaign
@@ -295,18 +258,7 @@ fn write_trace(
     };
     let mut engine = (point.builder)(ctx);
     engine.attach_tracer(&tracer);
-    match streaming {
-        Some(scheduler) => {
-            let cfg = StreamingConfig {
-                width: 1,
-                scheduler,
-            };
-            engine.run_streaming(1, &cfg);
-        }
-        None => {
-            engine.run_round();
-        }
-    }
+    engine.run_round();
     std::fs::write(path, tracer.chrome_trace(None))
         .map_err(|e| format!("cannot write {}: {e}", path.display()))
 }
@@ -365,7 +317,6 @@ mod tests {
         assert_eq!(cli.out, PathBuf::from("manifests"));
         assert!(!cli.fresh && !cli.list && !cli.live);
         assert_eq!(cli.trace_out, None);
-        assert_eq!(cli.streaming, None);
     }
 
     #[test]
@@ -373,7 +324,6 @@ mod tests {
         let cli = parse_cli(&args(&[
             "--tier", "full", "--out", "m", "--campaign", "fig11", "--campaign", "fig12",
             "--seed", "99", "--workers", "3", "--fresh", "--live", "--trace-out", "t.json",
-            "--streaming", "inline",
         ]))
         .unwrap();
         assert_eq!(cli.tier, Tier::Full);
@@ -384,32 +334,6 @@ mod tests {
         assert!(cli.fresh);
         assert!(cli.live);
         assert_eq!(cli.trace_out, Some(PathBuf::from("t.json")));
-        assert_eq!(cli.streaming, Some(Scheduler::Inline));
-    }
-
-    #[test]
-    fn parses_inline_streaming_scheduler() {
-        let cli = parse_cli(&args(&["--streaming", "inline"])).unwrap();
-        assert_eq!(cli.streaming, Some(Scheduler::Inline));
-    }
-
-    #[test]
-    fn parses_worksteal_streaming_schedulers() {
-        for (flag, workers, pin) in [
-            ("worksteal", 0, false),
-            ("worksteal:4", 4, false),
-            ("worksteal:pin", 0, true),
-            ("worksteal:4:pin", 4, true),
-        ] {
-            let cli = parse_cli(&args(&["--streaming", flag])).unwrap();
-            assert_eq!(
-                cli.streaming,
-                Some(Scheduler::WorkStealing { workers, pin }),
-                "{flag}"
-            );
-            // The CLI name round-trips through Scheduler::name.
-            assert_eq!(cli.streaming.unwrap().name(), flag);
-        }
     }
 
     #[test]
@@ -418,19 +342,5 @@ mod tests {
         assert!(parse_cli(&args(&["--tier", "paper"])).is_err());
         assert!(parse_cli(&args(&["--seed", "abc"])).is_err());
         assert!(parse_cli(&args(&["--campaign"])).is_err());
-        assert!(parse_cli(&args(&["--streaming"])).is_err());
-        assert!(parse_cli(&args(&["--streaming", "coalesced"])).is_err());
-        assert!(parse_cli(&args(&["--streaming", "worksteal:x"])).is_err());
-        // Unknown schedulers — including the retired thread-per-stage
-        // one — name the valid set.
-        for name in ["threaded", "coalesced"] {
-            let err = parse_cli(&args(&["--streaming", name]))
-                .err()
-                .expect("unknown scheduler must be rejected");
-            assert!(
-                err.contains(Scheduler::VALID_NAMES),
-                "error should list valid schedulers: {err}"
-            );
-        }
     }
 }

@@ -67,21 +67,6 @@ impl Measurement {
         m
     }
 
-    /// Runs `rounds` transmission rounds through the streaming receiver
-    /// runtime ([`Engine::run_streaming_with`]) and aggregates the
-    /// outcomes. The flowgraph decides every reassembled capture with the
-    /// monolithic receive at every block size and scheduler, so this is
-    /// byte-for-byte interchangeable with [`Measurement::from_engine`].
-    pub fn from_engine_streaming(
-        engine: &mut Engine,
-        rounds: usize,
-        cfg: &StreamingConfig,
-    ) -> Measurement {
-        let mut m = Measurement::default();
-        engine.run_streaming_with(rounds, cfg, |outcome| m.record_outcome(outcome));
-        m
-    }
-
     fn record_outcome(&mut self, outcome: &RoundOutcome) {
         self.rounds += 1;
         self.frames_sent += outcome.active.len() as u64;

@@ -20,7 +20,6 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
 use cbma::obs::MetricsRegistry;
-use cbma::sim::StreamingConfig;
 use cbma_types::SeedSequence;
 
 use crate::campaign::{Campaign, JobCtx};
@@ -94,11 +93,6 @@ pub struct RunnerConfig {
     /// here. `None` (the default) disables live streaming and costs
     /// nothing on the measurement path.
     pub live: Option<LivePublisher>,
-    /// Measure through the streaming receiver runtime instead of the
-    /// round-synchronous engine loop. Decisions are identical (the
-    /// flowgraph decides every capture with `Receiver::receive`), so
-    /// the manifest bytes do not change; only the execution shape does.
-    pub streaming: Option<StreamingConfig>,
 }
 
 impl Default for RunnerConfig {
@@ -113,7 +107,6 @@ impl Default for RunnerConfig {
             max_backoff: Duration::from_secs(2),
             checkpoint_dir: None,
             live: None,
-            streaming: None,
         }
     }
 }
@@ -140,9 +133,7 @@ pub fn job_seed(root_seed: u64, campaign: &str, point_label: &str, replicate: us
 
 /// Measures one point: all replicates, one shared metrics registry.
 /// When a live publisher is supplied, every completed replicate streams
-/// the point's cumulative volatile-stripped snapshot. When a streaming
-/// configuration is set, rounds run through the pipelined receiver
-/// runtime — same decisions, same manifest bytes.
+/// the point's cumulative volatile-stripped snapshot.
 fn measure_point(campaign: &Campaign, index: usize, cfg: &RunnerConfig) -> PointResult {
     let point = &campaign.points[index];
     let registry = MetricsRegistry::new();
@@ -155,12 +146,7 @@ fn measure_point(campaign: &Campaign, index: usize, cfg: &RunnerConfig) -> Point
         };
         let mut engine = (point.builder)(ctx);
         engine.attach_observability(&registry);
-        let m = match &cfg.streaming {
-            Some(streaming) => {
-                Measurement::from_engine_streaming(&mut engine, campaign.rounds, streaming)
-            }
-            None => Measurement::from_engine(&mut engine, campaign.rounds),
-        };
+        let m = Measurement::from_engine(&mut engine, campaign.rounds);
         replicate_fers.push(m.fer());
         totals.merge(&m);
         if let Some(live) = &cfg.live {
@@ -181,8 +167,7 @@ fn measure_point(campaign: &Campaign, index: usize, cfg: &RunnerConfig) -> Point
         totals,
         replicate_fers,
         // Wall-clock and allocation metrics are stripped so manifests are
-        // byte-stable (and identical between the round-synchronous and
-        // streaming execution shapes).
+        // byte-stable.
         snapshot: registry.snapshot().without_volatile(),
     }
 }
@@ -410,7 +395,6 @@ mod tests {
             max_backoff: Duration::from_millis(4),
             checkpoint_dir: None,
             live: None,
-            streaming: None,
         }
     }
 

@@ -533,18 +533,6 @@ impl Receiver {
         self.scratch.capacity_bytes()
     }
 
-    /// Records one finished report into the attached metrics registry
-    /// (no-op without [`Receiver::attach_metrics`]). [`Receiver::receive`]
-    /// does this itself; a caller whose reports were decided by another
-    /// receiver — the engine's streaming path, whose captures run on the
-    /// flowgraph's worker receivers — calls this on each report so the
-    /// `cbma.rx.*` counters and histograms match the monolithic path.
-    pub fn record_report_metrics(&self, report: &RxReport) {
-        if let Some(metrics) = &self.metrics {
-            metrics.record(report);
-        }
-    }
-
     /// One SIC pass: subtract every decoded user, re-run the pipeline on
     /// the residual, and adopt newly decoded codes. Returns whether the
     /// report changed.

@@ -74,20 +74,8 @@ pub enum Scheduler {
 }
 
 impl Scheduler {
-    /// The scheduler names [`Scheduler::parse`] accepts, for CLI errors.
-    pub const VALID_NAMES: &'static str = "inline, worksteal[:N][:pin]";
-
-    /// A short stable kind name (for test labels and span args).
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            Scheduler::Inline => "inline",
-            Scheduler::WorkStealing { .. } => "worksteal",
-        }
-    }
-
-    /// The full round-trippable CLI name (`parse(name()) == self`):
-    /// `inline`, `worksteal`, `worksteal:4`, `worksteal:pin`,
-    /// `worksteal:4:pin`.
+    /// A stable label for reports and benchmark output: `inline`,
+    /// `worksteal`, `worksteal:4`, `worksteal:pin`, `worksteal:4:pin`.
     pub fn name(&self) -> String {
         match self {
             Scheduler::Inline => "inline".into(),
@@ -102,28 +90,6 @@ impl Scheduler {
                 name
             }
         }
-    }
-
-    /// Parses a CLI scheduler name; `None` for anything not listed in
-    /// [`Scheduler::VALID_NAMES`].
-    pub fn parse(name: &str) -> Option<Scheduler> {
-        if name == "inline" {
-            return Some(Scheduler::Inline);
-        }
-        let rest = name.strip_prefix("worksteal")?;
-        let (workers, pin) = match rest {
-            "" => (0, false),
-            ":pin" => (0, true),
-            _ => {
-                let spec = rest.strip_prefix(':')?;
-                let (count, pin) = match spec.strip_suffix(":pin") {
-                    Some(count) => (count, true),
-                    None => (spec, false),
-                };
-                (count.parse::<usize>().ok()?, pin)
-            }
-        };
-        Some(Scheduler::WorkStealing { workers, pin })
     }
 
     /// Resolves a `workers` request: 0 (auto) becomes one worker per
@@ -366,26 +332,41 @@ struct Capture {
     samples: Vec<Iq>,
 }
 
-/// Appends `block` to its stream's partial capture and returns the whole
-/// capture once `block` ends it. A capture that arrives as one block is
-/// passed through without a copy, and the partial buffer leaves with its
-/// capture, so a stream holds no memory between captures.
-fn reassemble(partial: &mut Vec<Iq>, block: SourceBlock) -> Option<Capture> {
-    let samples = if !block.last {
-        partial.extend_from_slice(&block.samples);
-        return None;
-    } else if partial.is_empty() {
-        block.samples
-    } else {
-        let mut samples = std::mem::take(partial);
-        samples.extend_from_slice(&block.samples);
-        samples
-    };
-    Some(Capture {
-        stream: block.stream,
-        seq: block.seq,
-        samples,
-    })
+/// Pulls source blocks until one completes a capture and returns that
+/// whole capture, or `None` once the source is exhausted. Each stream's
+/// partial buffer is created on its first block, so any stream id works
+/// whatever [`SampleSource::streams`] announced. A capture that arrives
+/// as one block is passed through without a copy, and the partial buffer
+/// leaves with its capture, so a stream holds no memory between captures.
+fn next_capture<S: SampleSource>(
+    source: &mut S,
+    partials: &mut Vec<Vec<Iq>>,
+    stats: &mut RunStats,
+) -> Option<Capture> {
+    while let Some(block) = source.next_block() {
+        stats.blocks += 1;
+        if partials.len() <= block.stream {
+            partials.resize_with(block.stream + 1, Vec::new);
+        }
+        let partial = &mut partials[block.stream];
+        if !block.last {
+            partial.extend_from_slice(&block.samples);
+            continue;
+        }
+        let samples = if partial.is_empty() {
+            block.samples
+        } else {
+            let mut samples = std::mem::take(partial);
+            samples.extend_from_slice(&block.samples);
+            samples
+        };
+        return Some(Capture {
+            stream: block.stream,
+            seq: block.seq,
+            samples,
+        });
+    }
+    None
 }
 
 /// The flowgraph's one stage body, shared by both schedulers: decides a
@@ -572,17 +553,11 @@ impl RxFlowgraph {
         // panicked mid-capture leaves nothing behind. Each stream's
         // captures complete in seq order here, so results go straight to
         // the sink.
-        let mut partials: Vec<Vec<Iq>> = Vec::new();
+        let mut partials = Vec::new();
         let mut stats = RunStats::default();
-        while let Some(block) = source.next_block() {
-            stats.blocks += 1;
-            if partials.len() <= block.stream {
-                partials.resize_with(block.stream + 1, Vec::new);
-            }
-            if let Some(capture) = reassemble(&mut partials[block.stream], block) {
-                stats.captures += 1;
-                sink(decide(receiver, capture, &fault, &obs));
-            }
+        while let Some(capture) = next_capture(&mut source, &mut partials, &mut stats) {
+            stats.captures += 1;
+            sink(decide(receiver, capture, &fault, &obs));
         }
         stats
     }
@@ -655,45 +630,6 @@ mod tests {
                 scheduler,
             },
         )
-    }
-
-    #[test]
-    fn scheduler_names_round_trip() {
-        let all = [
-            Scheduler::Inline,
-            Scheduler::WorkStealing {
-                workers: 0,
-                pin: false,
-            },
-            Scheduler::WorkStealing {
-                workers: 0,
-                pin: true,
-            },
-            Scheduler::WorkStealing {
-                workers: 4,
-                pin: false,
-            },
-            Scheduler::WorkStealing {
-                workers: 16,
-                pin: true,
-            },
-        ];
-        for s in all {
-            assert_eq!(Scheduler::parse(&s.name()), Some(s), "{}", s.name());
-        }
-        for bad in [
-            "",
-            "coalesced",
-            "threaded",
-            "thread-per-stage",
-            "worksteal:",
-            "worksteal:x",
-            "worksteal:4:pin:extra",
-            "worksteal::pin",
-            "worksteal:pin:4",
-        ] {
-            assert_eq!(Scheduler::parse(bad), None, "{bad:?}");
-        }
     }
 
     #[test]

@@ -32,8 +32,11 @@ pub struct SourceBlock {
 /// of one stream arrive in `seq` order. Blocks of *different* streams may
 /// interleave arbitrarily.
 pub trait SampleSource {
-    /// Number of capture streams the source produces (stream ids are
-    /// `0..streams()`).
+    /// How many capture streams the source expects to produce. It only
+    /// sizes the work-stealing pool's in-flight bound
+    /// (`ring_capacity × streams()` captures); reassembly grows per stream
+    /// on first use, so a block whose stream id is `>= streams()` is still
+    /// decided as its own stream's capture.
     fn streams(&self) -> usize;
 
     /// The next block, or `None` once the source is exhausted.
@@ -115,12 +118,6 @@ impl CaptureSource {
         let seq = q.seq + q.captures.len() as u64;
         q.captures.push_back(capture);
         seq
-    }
-
-    /// The configured block size.
-    #[inline]
-    pub fn block_size(&self) -> usize {
-        self.block_size
     }
 }
 

@@ -31,8 +31,7 @@
 //! reassembled capture — so which worker decides a capture, in which
 //! interleaving, at which pool size, is invisible in the output.
 //! `crates/rx/tests/streaming_equivalence.rs` pins whole-report equality
-//! against [`super::Scheduler::Inline`] across worker counts; the
-//! campaign-level byte-identity lives in the root `tests/streaming.rs`.
+//! against [`super::Scheduler::Inline`] across worker counts.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -42,13 +41,12 @@ use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use cbma_obs::trace::Tracer;
-use cbma_types::Iq;
 
 use crate::receiver::Receiver;
 
 use super::source::SampleSource;
 use super::{
-    decide, panic_message, reassemble, Capture, FaultPlan, FlowgraphError, InOrderEmitter,
+    decide, next_capture, panic_message, Capture, FaultPlan, FlowgraphError, InOrderEmitter,
     RunStats, RuntimeMetrics, StageObs, StreamResult,
 };
 
@@ -163,27 +161,6 @@ fn worker_loop(
     }
 }
 
-/// The next whole capture the source completes, or `None` once it is
-/// exhausted.
-fn next_capture<S: SampleSource>(
-    source: &mut S,
-    partials: &mut [Vec<Iq>],
-    stats: &mut RunStats,
-) -> Option<Capture> {
-    while let Some(mut block) = source.next_block() {
-        stats.blocks += 1;
-        debug_assert!(
-            block.stream < partials.len(),
-            "source emitted an unknown stream"
-        );
-        block.stream = block.stream.min(partials.len().saturating_sub(1));
-        if let Some(capture) = reassemble(&mut partials[block.stream], block) {
-            return Some(capture);
-        }
-    }
-    None
-}
-
 /// Everything `RxFlowgraph` hands the pool for one run.
 pub(super) struct PoolParams<'a> {
     /// One receiver per worker (the pool size).
@@ -207,8 +184,7 @@ pub(super) fn run<S: SampleSource>(
     mut sink: impl FnMut(StreamResult),
 ) -> (RunStats, Option<FlowgraphError>) {
     let workers = params.receivers.len().max(1);
-    let streams = source.streams();
-    let bound = params.ring_capacity.max(1) * streams.max(1);
+    let bound = params.ring_capacity.max(1) * source.streams().max(1);
     let pool = Pool {
         queue: Mutex::new(Queue {
             captures: VecDeque::new(),
@@ -269,7 +245,7 @@ pub(super) fn run<S: SampleSource>(
 
         // ── The driver loop (caller thread) ──────────────────────────
         let mut emitter = InOrderEmitter::default();
-        let mut partials: Vec<Vec<Iq>> = vec![Vec::new(); streams];
+        let mut partials = Vec::new();
         let mut in_flight = 0usize;
         let mut source_done = false;
         loop {

@@ -2,8 +2,10 @@
 //! tear the flowgraph down with a clean, named error (never a hang), a
 //! panicking sink must reach the caller (never a hang), a stalled sink
 //! must translate into bounded backpressure (never unbounded buffering),
-//! and an uneventful run must drain every capture deterministically.
+//! a source that under-reports its streams must still drain, and an
+//! uneventful run must drain every capture deterministically.
 
+use std::collections::VecDeque;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
@@ -258,6 +260,67 @@ fn a_panicking_sink_reaches_the_caller() {
             "{scheduler:?}: {message:?}"
         );
         assert_eq!(rerun, Ok(2), "{scheduler:?}: rerun after the sink panic");
+    }
+    helper.join().expect("the helper thread finished cleanly");
+}
+
+/// A source that announces one stream but emits a capture on stream 0
+/// and another on stream 1.
+struct UnderReporting(VecDeque<SourceBlock>);
+
+impl SampleSource for UnderReporting {
+    fn streams(&self) -> usize {
+        1
+    }
+
+    fn next_block(&mut self) -> Option<SourceBlock> {
+        self.0.pop_front()
+    }
+}
+
+#[test]
+fn a_source_that_under_reports_its_streams_still_drains() {
+    // `streams()` only sizes the pool's in-flight bound. A stream id at
+    // or above it must still get its own reassembly buffer: folded into
+    // another stream, two captures would share one `(stream, seq)` key
+    // and the pool would wait forever on the report it never emits. The
+    // runs happen on a helper thread so that a hang fails the test
+    // instead of stalling the suite.
+    let schedulers = [
+        Scheduler::Inline,
+        Scheduler::WorkStealing { workers: 1, pin: false },
+        Scheduler::WorkStealing { workers: 2, pin: false },
+    ];
+    let (done_tx, done_rx) = mpsc::channel();
+    let helper = std::thread::spawn(move || {
+        for scheduler in schedulers {
+            let source = UnderReporting(
+                (0..2)
+                    .map(|stream| SourceBlock {
+                        stream,
+                        seq: 0,
+                        samples: vec![Iq::ZERO; 1500],
+                        last: true,
+                    })
+                    .collect(),
+            );
+            let keys = flowgraph(scheduler).run(source).map(|output| {
+                let mut keys: Vec<(usize, u64)> =
+                    output.results.iter().map(|r| (r.stream, r.seq)).collect();
+                keys.sort_unstable();
+                keys
+            });
+            done_tx.send((scheduler, keys)).unwrap();
+        }
+    });
+    for scheduler in schedulers {
+        let (ran, keys) = done_rx
+            .recv_timeout(Duration::from_secs(30))
+            .unwrap_or_else(|_| {
+                panic!("{scheduler:?}: the run over an under-reporting source hung or panicked")
+            });
+        assert_eq!(ran, scheduler);
+        assert_eq!(keys, Ok(vec![(0, 0), (1, 0)]), "{scheduler:?}");
     }
     helper.join().expect("the helper thread finished cleanly");
 }

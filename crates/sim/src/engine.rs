@@ -14,7 +14,6 @@ use rand::Rng;
 
 use cbma_channel::mixer::{Mixer, TagSignal};
 use cbma_obs::{Counter, Event, Gauge, Histogram, MetricsRegistry, NoopSink, Sink, Tracer};
-use cbma_rx::runtime::{CaptureSource, RuntimeConfig, RxFlowgraph, Scheduler};
 use cbma_rx::{Receiver, RxReport};
 use cbma_tag::{ImpedanceBank, Tag};
 use cbma_types::geometry::Point;
@@ -124,37 +123,6 @@ struct PendingRound {
     signal_meta: Vec<SignalMeta>,
     iq: Vec<Iq>,
     fault_rng: rand::rngs::StdRng,
-}
-
-/// Knobs for [`Engine::run_streaming`]: how many rounds to realize per
-/// flowgraph pass and which scheduler decides them. Neither changes
-/// outcomes — only latency, memory and parallelism.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StreamingConfig {
-    /// Rounds realized (and fed through the flowgraph) per batch
-    /// (clamped to ≥ 1).
-    pub width: usize,
-    /// Capture scheduler.
-    pub scheduler: Scheduler,
-}
-
-impl Default for StreamingConfig {
-    fn default() -> StreamingConfig {
-        StreamingConfig {
-            width: 8,
-            scheduler: RuntimeConfig::default().scheduler,
-        }
-    }
-}
-
-impl StreamingConfig {
-    /// The flowgraph runtime configuration this run asks for.
-    pub fn runtime(&self) -> RuntimeConfig {
-        RuntimeConfig {
-            scheduler: self.scheduler,
-            ..RuntimeConfig::default()
-        }
-    }
 }
 
 /// The simulation engine for one scenario.
@@ -330,8 +298,7 @@ impl Engine {
         self.settle_round(pending, report)
     }
 
-    /// The pre-reception half of a round, shared by the sequential and
-    /// streaming runners so both draw identical seed streams: takes the
+    /// The pre-reception half of [`Engine::run_round_subset`]: takes the
     /// next round index, derives its `round-{n}` seed child with the
     /// `channel`, `faults` and `mobility` streams, drops injected dead
     /// tags from `active`, realizes the channel, then steps mobility.
@@ -539,106 +506,6 @@ impl Engine {
         stats
     }
 
-    /// Runs `n` all-tags rounds through the streaming receiver runtime
-    /// ([`RxFlowgraph`]): rounds are realized in batches of `cfg.width`
-    /// with the exact per-round seed streams of [`Engine::run_round`],
-    /// each round's capture becomes its own stream, fed through the
-    /// flowgraph as one block, and every round settles its deliveries and
-    /// ACK statistics in round order.
-    ///
-    /// The flowgraph decides every capture with [`Receiver::receive`], so
-    /// outcomes are identical to `n` sequential [`Engine::run_round`]
-    /// calls — for every batch width and scheduler, and at every block
-    /// size a source could chop captures into (the block-boundary
-    /// equivalence suite in
-    /// `crates/rx/tests/streaming_equivalence.rs` and the manifest
-    /// byte-identity test in `tests/streaming.rs` pin this down).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the flowgraph fails (a receive panicked); the harness
-    /// retry machinery treats this like any other mid-round panic.
-    pub fn run_streaming(&mut self, n: usize, cfg: &StreamingConfig) -> RunStats {
-        self.run_streaming_with(n, cfg, |_| {})
-    }
-
-    /// Like [`Engine::run_streaming`], but hands every settled
-    /// [`RoundOutcome`] (in round order) to `on_outcome` — the hook the
-    /// harness uses to aggregate per-round measurements.
-    ///
-    /// # Panics
-    ///
-    /// As [`Engine::run_streaming`].
-    pub fn run_streaming_with(
-        &mut self,
-        n: usize,
-        cfg: &StreamingConfig,
-        mut on_outcome: impl FnMut(&RoundOutcome),
-    ) -> RunStats {
-        let all: Vec<usize> = (0..self.tags.len()).collect();
-        let mut stats = RunStats::new(self.tags.len());
-        // One flowgraph for the whole run: worker threads and the capture
-        // queue are built per `run` call, but its receivers (and their
-        // scratch) persist across batches.
-        let family = self
-            .scenario
-            .family
-            .build()
-            .expect("scenario validated at construction");
-        let codes = family
-            .codes(self.scenario.n_tags())
-            .expect("scenario validated at construction");
-        let mut flow = RxFlowgraph::new(
-            codes,
-            self.scenario.phy,
-            self.scenario.rx_config,
-            cfg.runtime(),
-        );
-        if let Some(tracer) = &self.tracer {
-            flow.attach_tracer(tracer);
-        }
-        let mut done = 0;
-        while done < n {
-            let width = cfg.width.max(1).min(n - done);
-            let _batch_span = self.tracer.clone().map(|tracer| {
-                let trace = tracer.new_trace();
-                let mut span = tracer.span(trace, None, "streaming_batch");
-                span.set_arg(self.round);
-                span
-            });
-            let pending: Vec<_> = (0..width)
-                .map(|_| self.begin_round(&all, Instant::now()))
-                .collect();
-            // Each round of the batch is its own stream, so the
-            // work-stealing pool has real cross-capture parallelism. A
-            // block as long as the longest capture makes every capture one
-            // block, which the flowgraph decides without a copy.
-            let longest = pending.iter().map(|p| p.iq.len()).max().unwrap_or(0);
-            let mut source = CaptureSource::new(longest);
-            for (stream, round) in pending.iter().enumerate() {
-                source.push(stream, round.iq.clone());
-            }
-            let output = flow
-                .run(source)
-                .unwrap_or_else(|e| panic!("streaming round batch: {e}"));
-            let mut results = output.results;
-            // One capture per stream, stream = batch index: sorting by
-            // stream restores round order (settling order matters —
-            // gauges keep the last value).
-            results.sort_by_key(|r| (r.stream, r.seq));
-            for (p, result) in pending.into_iter().zip(results) {
-                // Mirror `Receiver::receive`'s metric recording so the
-                // streaming path feeds the same `cbma.rx.*` series.
-                self.receiver.record_report_metrics(&result.report);
-                let outcome = self.settle_round(p, result.report);
-                stats.record(&outcome);
-                on_outcome(&outcome);
-            }
-            done += width;
-        }
-        stats
-    }
-
     /// Mutual-coupling penalty for tag `i`: each active neighbour within
     /// the coupling radius multiplies the amplitude by a random factor in
     /// [0.15, 0.7] (§VII-C.1: "the distance between tags can be too small
@@ -731,16 +598,34 @@ mod tests {
 
     #[test]
     fn rounds_are_deterministic_in_seed() {
-        // Fingerprint each round by the delivered set *and* the realized
-        // channel (fading draw + start delay): at close range a good
-        // receiver delivers every tag under both seeds, so `delivered`
-        // alone cannot distinguish them.
-        let run = |seed: u64| {
-            let mut engine =
-                Engine::new(Scenario::paper_default(near_positions(3)).with_seed(seed)).unwrap();
-            (0..5)
+        let scenarios: [fn(u64) -> Scenario; 2] = [
+            |seed| Scenario::paper_default(near_positions(3)).with_seed(seed),
+            // The fault paths draw from their own per-round seed streams:
+            // mobility, downlink ACK loss and a tag that dies mid-run.
+            |seed| {
+                let mut scenario = Scenario::paper_default(near_positions(3)).with_seed(seed);
+                scenario.mobility = Some(crate::faults::MobilityModel::new(
+                    0.05,
+                    cbma_types::geometry::Rect::office(),
+                ));
+                scenario.faults = crate::faults::FaultPlan::none()
+                    .with_ack_loss(0.25)
+                    .with_dead_tag(1, 3);
+                scenario
+            },
+        ];
+        // Fingerprint a run by its stats, every tag's ACK bookkeeping and
+        // position, and each round's delivered set *and* realized channel
+        // (fading draw + start delay): at close range a good receiver
+        // delivers every tag under both seeds, so `delivered` alone
+        // cannot distinguish them.
+        let run = |scenario: Scenario| {
+            let mut engine = Engine::new(scenario).unwrap();
+            let mut stats = RunStats::new(engine.tags().len());
+            let rounds: Vec<_> = (0..5)
                 .map(|_| {
                     let outcome = engine.run_round();
+                    stats.record(&outcome);
                     let channel: Vec<(u64, u64)> = outcome
                         .signal_meta
                         .iter()
@@ -748,50 +633,17 @@ mod tests {
                         .collect();
                     (outcome.delivered, channel)
                 })
-                .collect::<Vec<_>>()
-        };
-        assert_eq!(run(42), run(42));
-        assert_ne!(run(42), run(43));
-    }
-
-    #[test]
-    fn streaming_matches_sequential_rounds() {
-        // The streaming runtime decides every capture with
-        // `Receiver::receive`, so its outcomes are *identical* to the
-        // sequential runner, for every scheduler and batch width.
-        let mut scenario = Scenario::paper_default(near_positions(3)).with_seed(23);
-        scenario.mobility = Some(crate::faults::MobilityModel::new(
-            0.05,
-            cbma_types::geometry::Rect::office(),
-        ));
-        scenario.faults = crate::faults::FaultPlan::none()
-            .with_ack_loss(0.25)
-            .with_dead_tag(1, 3);
-
-        let mut seq = Engine::new(scenario.clone()).unwrap();
-        let sequential = seq.run_rounds(5);
-        let stats = |e: &Engine| {
-            e.tags()
+                .collect();
+            let tags: Vec<_> = engine
+                .tags()
                 .iter()
                 .map(|t| (t.packets_sent(), t.acks_received(), t.position()))
-                .collect::<Vec<_>>()
+                .collect();
+            (stats, tags, rounds)
         };
-
-        for (width, scheduler) in [
-            (2, Scheduler::Inline),
-            (
-                5,
-                Scheduler::WorkStealing {
-                    workers: 2,
-                    pin: false,
-                },
-            ),
-        ] {
-            let mut streaming = Engine::new(scenario.clone()).unwrap();
-            let cfg = StreamingConfig { width, scheduler };
-            let run = streaming.run_streaming(5, &cfg);
-            assert_eq!(run, sequential, "{scheduler:?} width={width}");
-            assert_eq!(stats(&streaming), stats(&seq), "{scheduler:?}");
+        for scenario in scenarios {
+            assert_eq!(run(scenario(42)), run(scenario(42)));
+            assert_ne!(run(scenario(42)), run(scenario(43)));
         }
     }
 

@@ -48,7 +48,7 @@ pub mod trace;
 pub mod prelude {
     pub use crate::adaptation::{AdaptationReport, Adapter};
     pub use crate::deployment::random_positions;
-    pub use crate::engine::{Engine, RoundOutcome, StreamingConfig};
+    pub use crate::engine::{Engine, RoundOutcome};
     pub use crate::faults::{FaultPlan, MobilityModel};
     pub use crate::latency::LatencyTracker;
     pub use crate::presets;
@@ -70,6 +70,6 @@ pub mod prelude {
     pub use cbma_types::SeedSequence;
 }
 
-pub use engine::{Engine, RoundOutcome, StreamingConfig};
+pub use engine::{Engine, RoundOutcome};
 pub use scenario::Scenario;
 pub use stats::{Cdf, RunStats};
