@@ -59,14 +59,14 @@ impl Excitation {
     }
 
     /// Samples the availability envelope for `n` samples: 1.0 when the
-    /// excitation is reflectable, 0.0 during gaps.
+    /// excitation is reflectable, 0.0 during gaps. A tone, or OFDM at
+    /// full duty, yields all ones and draws nothing from `rng`.
     pub fn availability_mask<R: Rng + ?Sized>(&self, rng: &mut R, n: usize) -> Vec<f64> {
         match self.kind {
-            ExcitationKind::Tone => vec![1.0; n],
             ExcitationKind::Ofdm {
                 duty,
                 mean_burst_samples,
-            } => {
+            } if !self.is_continuous() => {
                 let mut mask = Vec::with_capacity(n);
                 // Alternate on-bursts and off-gaps with geometric-ish
                 // lengths so the long-run duty matches `duty`.
@@ -86,7 +86,14 @@ impl Excitation {
                 }
                 mask
             }
+            _ => vec![1.0; n],
         }
+    }
+
+    /// Whether the excitation is on the air at every sample: a tone, or
+    /// OFDM at full duty.
+    pub(crate) fn is_continuous(&self) -> bool {
+        !matches!(self.kind, ExcitationKind::Ofdm { duty, .. } if duty < 1.0)
     }
 
     /// Long-run fraction of time the excitation is reflectable.
@@ -117,6 +124,22 @@ mod tests {
         assert_eq!(mask.len(), 1000);
         assert!(mask.iter().all(|&m| m == 1.0));
         assert_eq!(Excitation::tone().duty(), 1.0);
+        assert!(Excitation::tone().is_continuous());
+    }
+
+    #[test]
+    fn full_duty_ofdm_is_always_available() {
+        let exc = Excitation::ofdm(1.0, 64);
+        let mut rng = StdRng::seed_from_u64(1);
+        let mask = exc.availability_mask(&mut rng, 4096);
+        assert_eq!(mask.len(), 4096);
+        let dark = mask.iter().filter(|&&m| m != 1.0).count();
+        assert_eq!(dark, 0, "a full-duty mask left {dark} samples dark");
+        // Like a tone, it draws nothing.
+        let mut fresh = StdRng::seed_from_u64(1);
+        assert_eq!(rng.gen::<u64>(), fresh.gen::<u64>());
+        assert!(exc.is_continuous());
+        assert!(!Excitation::ofdm(0.999, 64).is_continuous());
     }
 
     #[test]

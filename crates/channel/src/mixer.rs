@@ -14,7 +14,7 @@ use cbma_types::Iq;
 
 use crate::awgn::NoiseModel;
 use crate::excitation::Excitation;
-use crate::interference::InterferenceModel;
+use crate::interference::{InterferenceKind, InterferenceModel};
 use crate::multipath::ChannelTaps;
 
 /// One tag's contribution to the received signal.
@@ -54,6 +54,60 @@ impl TagSignal {
     fn extent(&self) -> usize {
         let tap_tail = self.taps.taps().iter().map(|(d, _)| *d).max().unwrap_or(0);
         self.delay_samples.ceil() as usize + self.envelope.len() + tap_tail
+    }
+
+    /// Writes the complex baseband contribution before channel effects
+    /// into `clean`; the residual subcarrier offset makes the phase ramp
+    /// with time.
+    fn rotate_into(&self, clean: &mut Vec<Iq>) {
+        let step = Iq::phasor(self.freq_offset_rad_per_sample);
+        let mut phasor = Iq::phasor(self.phase);
+        clean.clear();
+        clean.extend(self.envelope.iter().map(|&e| {
+            let sample = phasor.scale(e * self.amplitude);
+            phasor *= step;
+            sample
+        }));
+    }
+
+    /// Adds the faded, delayed contribution of the rotated envelope
+    /// `clean` to `out`, whose sample 0 is the tag's (the end of the
+    /// lead-in), gated by the excitation `mask` aligned with `out`.
+    ///
+    /// One pass computes, per output sample, the sparse tap convolution
+    /// over the envelope zero-padded to [`extent`](TagSignal::extent),
+    /// the linear interpolation of [`cbma_dsp::fractional_delay`] and the
+    /// masked add, each in the floating-point order of that stage run on
+    /// its own, so every sample is bit-identical to running the stages
+    /// one after another over whole buffers. Only exact no-ops are
+    /// skipped: adding the `+0.0` samples before the integer delay, and
+    /// multiplying by an always-on mask's 1.0.
+    fn add_faded_delayed(&self, clean: &[Iq], out: &mut [Iq], mask: Option<&[f64]>) {
+        let whole = self.delay_samples.floor();
+        let frac = self.delay_samples - whole;
+        let start = whole as usize;
+        let taps = self.taps.taps();
+        let faded = |j: usize| {
+            let mut acc = Iq::ZERO;
+            for &(d, g) in taps {
+                if let Some(i) = j.checked_sub(d) {
+                    acc += clean.get(i).copied().unwrap_or(Iq::ZERO) * g;
+                }
+            }
+            acc
+        };
+        let mut prev = Iq::ZERO;
+        for (j, k) in (start..self.extent()).enumerate() {
+            let cur = faded(j);
+            let s = cur.scale(1.0 - frac) + prev.scale(frac);
+            prev = cur;
+            // The tag can only reflect while the excitation is on the
+            // air.
+            out[k] += match mask {
+                Some(mask) => s.scale(mask[k]),
+                None => s,
+            };
+        }
     }
 }
 
@@ -99,51 +153,48 @@ impl Mixer {
     ///
     /// The buffer is `lead_in + max tag extent + tail` samples: noise-only
     /// lead-in, then the superposed tags (each at its own delay), then a
-    /// noise-only tail.
+    /// noise-only tail. Besides the capture it allocates one envelope
+    /// scratch, reused by every tag, plus the interference waveform and
+    /// excitation mask when those are not trivially silent or always on.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a tag's delay is negative or non-finite.
     pub fn combine<R: Rng + ?Sized>(&self, rng: &mut R, signals: &[TagSignal]) -> Vec<Iq> {
+        for sig in signals {
+            assert!(
+                sig.delay_samples >= 0.0 && sig.delay_samples.is_finite(),
+                "delay must be non-negative and finite, got {}",
+                sig.delay_samples
+            );
+        }
         let body = signals.iter().map(TagSignal::extent).max().unwrap_or(0);
         let total = self.lead_in + body + self.tail;
 
         let mut buf = self.noise.samples(rng, total, self.bandwidth);
 
-        for (i, x) in self
-            .interference
-            .waveform(rng, total)
-            .into_iter()
-            .enumerate()
-        {
-            buf[i] += x;
+        // A clean channel draws nothing and would only add +0.0 to noise
+        // samples, which are never ±0.
+        if !matches!(self.interference.kind, InterferenceKind::None) {
+            for (b, x) in buf.iter_mut().zip(self.interference.waveform(rng, total)) {
+                *b += x;
+            }
         }
 
-        let mask = self.excitation.availability_mask(rng, total);
+        // Likewise an always-on excitation draws nothing and its mask
+        // would only multiply by 1.0.
+        let mask = (!self.excitation.is_continuous())
+            .then(|| self.excitation.availability_mask(rng, total));
 
+        let longest = signals.iter().map(|s| s.envelope.len()).max().unwrap_or(0);
+        let mut clean = Vec::with_capacity(longest);
         for sig in signals {
-            // Complex baseband contribution before channel effects; the
-            // residual subcarrier offset makes the phase ramp with time.
-            let step = Iq::phasor(sig.freq_offset_rad_per_sample);
-            let mut phasor = Iq::phasor(sig.phase);
-            let clean: Vec<Iq> = sig
-                .envelope
-                .iter()
-                .map(|&e| {
-                    let sample = phasor.scale(e * sig.amplitude);
-                    phasor *= step;
-                    sample
-                })
-                .collect();
-            // Pad to the full extent before fading/delaying so echo tails
-            // and delayed samples are not truncated.
-            let padded = cbma_dsp::resample::fit_length(&clean, sig.extent());
-            let faded = sig.taps.apply(&padded);
-            let delayed = cbma_dsp::resample::fractional_delay(&faded, sig.delay_samples);
-            for (k, s) in delayed.into_iter().enumerate() {
-                let pos = self.lead_in + k;
-                if pos < buf.len() {
-                    // The tag can only reflect while the excitation is on
-                    // the air.
-                    buf[pos] += s.scale(mask[pos]);
-                }
-            }
+            sig.rotate_into(&mut clean);
+            sig.add_faded_delayed(
+                &clean,
+                &mut buf[self.lead_in..],
+                mask.as_deref().map(|m| &m[self.lead_in..]),
+            );
         }
         buf
     }
@@ -233,6 +284,22 @@ mod tests {
         let mean: f64 = buf.iter().map(|s| s.power()).sum::<f64>() / buf.len() as f64;
         let expected = Dbm::new(-30.0).to_watts().get();
         assert!((mean / expected - 1.0).abs() < 0.6, "noise power off");
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative and finite")]
+    fn negative_delay_panics() {
+        let mut sig = TagSignal::ideal(vec![1.0], 1.0);
+        sig.delay_samples = -0.5;
+        quiet_mixer().combine(&mut StdRng::seed_from_u64(8), &[sig]);
+    }
+
+    #[test]
+    #[should_panic(expected = "non-negative and finite")]
+    fn non_finite_delay_panics() {
+        let mut sig = TagSignal::ideal(vec![1.0], 1.0);
+        sig.delay_samples = f64::NAN;
+        quiet_mixer().combine(&mut StdRng::seed_from_u64(9), &[sig]);
     }
 
     #[test]

@@ -39,22 +39,6 @@ impl ChannelTaps {
     pub fn total_power(&self) -> f64 {
         self.taps.iter().map(|(_, g)| g.power()).sum()
     }
-
-    /// Applies the taps to a waveform (sparse convolution). Output length
-    /// equals input length; echoes beyond the end are truncated.
-    pub fn apply(&self, input: &[Iq]) -> Vec<Iq> {
-        let mut out = vec![Iq::ZERO; input.len()];
-        for &(delay, gain) in &self.taps {
-            for (i, &x) in input.iter().enumerate() {
-                let j = i + delay;
-                if j >= out.len() {
-                    break;
-                }
-                out[j] += x * gain;
-            }
-        }
-        out
-    }
 }
 
 /// Rician fading generator.
@@ -141,8 +125,7 @@ mod tests {
     #[test]
     fn identity_taps_pass_through() {
         let taps = ChannelTaps::identity();
-        let input = vec![Iq::new(1.0, -2.0), Iq::new(0.5, 0.5)];
-        assert_eq!(taps.apply(&input), input);
+        assert_eq!(taps.taps(), &[(0, Iq::ONE)]);
         assert!((taps.total_power() - 1.0).abs() < 1e-12);
     }
 
@@ -226,17 +209,5 @@ mod tests {
             assert!(delay >= 1 && delay <= model.max_echo_delay);
             assert!(gain.power() < main_p, "echo stronger than main tap");
         }
-    }
-
-    #[test]
-    fn apply_superposes_echoes() {
-        let taps = ChannelTaps {
-            taps: vec![(0, Iq::ONE), (2, Iq::new(0.5, 0.0))],
-        };
-        let input = vec![Iq::ONE, Iq::ZERO, Iq::ZERO, Iq::ZERO];
-        let out = taps.apply(&input);
-        assert!((out[0] - Iq::ONE).abs() < 1e-12);
-        assert!(out[1].abs() < 1e-12);
-        assert!((out[2] - Iq::new(0.5, 0.0)).abs() < 1e-12);
     }
 }

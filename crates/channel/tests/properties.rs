@@ -10,7 +10,148 @@ use cbma_types::units::{Db, Dbm, Hertz};
 use cbma_types::Iq;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{Rng, SeedableRng};
+
+/// `Mixer::combine` as a chain of separate stages, one buffer each:
+/// rotate, zero-pad to the tag's extent, sparse tap convolution,
+/// `fractional_delay`, masked add. The mixer fuses the per-tag stages
+/// into one pass; this is the reference it must match bit for bit.
+fn staged_combine(mixer: &Mixer, rng: &mut StdRng, signals: &[TagSignal]) -> Vec<Iq> {
+    let extent = |sig: &TagSignal| {
+        let tap_tail = sig.taps.taps().iter().map(|&(d, _)| d).max().unwrap_or(0);
+        sig.delay_samples.ceil() as usize + sig.envelope.len() + tap_tail
+    };
+    let body = signals.iter().map(extent).max().unwrap_or(0);
+    let total = mixer.lead_in + body + mixer.tail;
+    let mut buf = mixer.noise.samples(rng, total, mixer.bandwidth);
+    for (b, x) in buf.iter_mut().zip(mixer.interference.waveform(rng, total)) {
+        *b += x;
+    }
+    let mask = mixer.excitation.availability_mask(rng, total);
+    for sig in signals {
+        let step = Iq::phasor(sig.freq_offset_rad_per_sample);
+        let mut phasor = Iq::phasor(sig.phase);
+        let mut padded: Vec<Iq> = sig
+            .envelope
+            .iter()
+            .map(|&e| {
+                let sample = phasor.scale(e * sig.amplitude);
+                phasor *= step;
+                sample
+            })
+            .collect();
+        padded.resize(extent(sig), Iq::ZERO);
+        let mut faded = vec![Iq::ZERO; padded.len()];
+        for &(d, g) in sig.taps.taps() {
+            for (y, &x) in faded.iter_mut().skip(d).zip(&padded) {
+                *y += x * g;
+            }
+        }
+        let delayed = cbma_dsp::fractional_delay(&faded, sig.delay_samples);
+        for (k, s) in delayed.into_iter().enumerate() {
+            let pos = mixer.lead_in + k;
+            buf[pos] += s.scale(mask[pos]);
+        }
+    }
+    buf
+}
+
+/// Tag start delays: none, whole samples, fractional, and longer than any
+/// generated envelope.
+fn delay_strategy() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        Just(0.0),
+        (1usize..64).prop_map(|d| d as f64),
+        0.0f64..64.0,
+        900.0f64..1400.0,
+    ]
+}
+
+/// One tag: an envelope of 0–900 samples (OOK levels and arbitrary
+/// reals), a phase and beat of either sign, a start delay, and 0–4 echo
+/// taps up to 4 samples late (echo `t` lands `min(t + 1, spread)` late)
+/// realized from a seeded multipath model.
+fn tag_strategy() -> impl Strategy<Value = TagSignal> {
+    let level = prop_oneof![Just(0.0), Just(1.0), -1.0f64..1.0];
+    (
+        (collection::vec(level, 0..=900), 1e-6f64..1e-2),
+        (-7.0f64..7.0, -0.05f64..0.05, delay_strategy()),
+        (0usize..=4, 1usize..=4, 0.0f64..20.0, any::<u64>()),
+    )
+        .prop_map(
+            |((envelope, amplitude), (phase, beat, delay), (echoes, spread, k, seed))| {
+                let model = MultipathModel {
+                    k_factor: k,
+                    echo_taps: echoes,
+                    echo_decay: 0.3,
+                    max_echo_delay: spread,
+                };
+                TagSignal {
+                    envelope,
+                    amplitude,
+                    phase,
+                    taps: model.realize(&mut StdRng::seed_from_u64(seed)),
+                    delay_samples: delay,
+                    freq_offset_rad_per_sample: beat,
+                }
+            },
+        )
+}
+
+/// A receiver front end: paper noise with tone or OFDM excitation and no,
+/// WiFi or Bluetooth interference.
+fn mixer_strategy() -> impl Strategy<Value = Mixer> {
+    let excitation = prop_oneof![
+        Just(Excitation::tone()),
+        (0.05f64..1.0, 1usize..300).prop_map(|(duty, burst)| Excitation::ofdm(duty, burst)),
+    ];
+    let interference = prop_oneof![
+        Just(InterferenceModel::none()),
+        (-95.0f64..-40.0, 1usize..400)
+            .prop_map(|(dbm, burst)| InterferenceModel::wifi(Dbm::new(dbm), burst)),
+        (-95.0f64..-40.0, 1usize..400)
+            .prop_map(|(dbm, slot)| InterferenceModel::bluetooth(Dbm::new(dbm), slot)),
+    ];
+    (excitation, interference, 0usize..300, 0usize..80).prop_map(
+        |(excitation, interference, lead_in, tail)| Mixer {
+            noise: NoiseModel::paper_default(),
+            bandwidth: Hertz::from_mhz(8.0),
+            excitation,
+            interference,
+            lead_in,
+            tail,
+        },
+    )
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The fused mixer reproduces the staged chain exactly: every sample
+    /// has the same bits, and both leave the RNG at the same draw.
+    #[test]
+    fn fused_mixer_matches_the_staged_chain_bit_for_bit(
+        mixer in mixer_strategy(),
+        signals in collection::vec(tag_strategy(), 0..=6),
+        seed in any::<u64>(),
+    ) {
+        let mut fused_rng = StdRng::seed_from_u64(seed);
+        let fused = mixer.combine(&mut fused_rng, &signals);
+        let mut staged_rng = StdRng::seed_from_u64(seed);
+        let staged = staged_combine(&mixer, &mut staged_rng, &signals);
+        prop_assert_eq!(fused.len(), staged.len());
+        for (k, (a, b)) in fused.iter().zip(&staged).enumerate() {
+            prop_assert!(
+                a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
+                "sample {} differs: fused {:?}, staged {:?}",
+                k,
+                a,
+                b
+            );
+        }
+        prop_assert_eq!(fused_rng.gen::<u64>(), staged_rng.gen::<u64>());
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -161,7 +302,7 @@ proptest! {
     #[test]
     fn excitation_masks_are_well_formed(
         n in 0usize..4096,
-        duty in 0.05f64..1.0,
+        duty in 0.05f64..=1.0,
         seed in any::<u64>(),
     ) {
         let mut rng = StdRng::seed_from_u64(seed);

@@ -92,22 +92,6 @@ pub fn fractional_delay(input: &[Iq], delay: f64) -> Vec<Iq> {
     out
 }
 
-/// Pads a buffer with `n` zero samples in front (pure integer delay that
-/// grows the buffer instead of truncating).
-pub fn prepend_zeros(input: &[Iq], n: usize) -> Vec<Iq> {
-    let mut out = vec![Iq::ZERO; n];
-    out.extend_from_slice(input);
-    out
-}
-
-/// Extends (or truncates) a buffer to exactly `len` samples, padding with
-/// zeros at the back.
-pub fn fit_length(input: &[Iq], len: usize) -> Vec<Iq> {
-    let mut out = input.to_vec();
-    out.resize(len, Iq::ZERO);
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,18 +181,6 @@ mod tests {
         // One sample of the original pulse is pushed out; 3/4 remains... no:
         // pulse occupies [0,4), shifted to [3,7) which still fits.
         assert!((ex - ey).abs() < 1e-12);
-    }
-
-    #[test]
-    fn prepend_and_fit() {
-        let x = re(&[1.0]);
-        let padded = prepend_zeros(&x, 2);
-        assert_eq!(padded.len(), 3);
-        assert!(padded[0].abs() < 1e-12 && padded[1].abs() < 1e-12);
-        let fitted = fit_length(&padded, 5);
-        assert_eq!(fitted.len(), 5);
-        let trimmed = fit_length(&padded, 2);
-        assert_eq!(trimmed.len(), 2);
     }
 
     #[test]

@@ -13,7 +13,10 @@ use std::time::Instant;
 use rand::Rng;
 
 use cbma_channel::mixer::{Mixer, TagSignal};
-use cbma_obs::{Counter, Event, Gauge, Histogram, MetricsRegistry, NoopSink, Sink, Tracer};
+use cbma_obs::{
+    Counter, Event, Gauge, Histogram, MetricsRegistry, NoopSink, Sink, SpanGuard, SpanId,
+    StageTimer, TraceId, Tracer,
+};
 use cbma_rx::{Receiver, RxReport};
 use cbma_tag::{ImpedanceBank, Tag};
 use cbma_types::geometry::Point;
@@ -74,6 +77,10 @@ struct SimMetrics {
     bit_errors: Counter,
     bits_measured: Counter,
     round_ns: Histogram,
+    tag_transmit_ns: Histogram,
+    channel_realize_ns: Histogram,
+    channel_mix_ns: Histogram,
+    settle_ns: Histogram,
     active_tags: Gauge,
     delivery_ratio: Gauge,
 }
@@ -87,6 +94,10 @@ impl SimMetrics {
             bit_errors: registry.counter("cbma.sim.bit_errors"),
             bits_measured: registry.counter("cbma.sim.bits_measured"),
             round_ns: registry.histogram("cbma.sim.round_ns"),
+            tag_transmit_ns: registry.histogram("cbma.sim.stage.tag_transmit_ns"),
+            channel_realize_ns: registry.histogram("cbma.sim.stage.channel_realize_ns"),
+            channel_mix_ns: registry.histogram("cbma.sim.stage.channel_mix_ns"),
+            settle_ns: registry.histogram("cbma.sim.stage.settle_ns"),
             active_tags: registry.gauge("cbma.sim.active_tags"),
             delivery_ratio: registry.gauge("cbma.sim.delivery_ratio"),
         }
@@ -112,6 +123,10 @@ impl SimMetrics {
         }
     }
 }
+
+/// The trace context of the round in flight: its trace and its `round`
+/// span, under which the engine's stage spans nest. `None` untraced.
+type RoundSpan = Option<(TraceId, SpanId)>;
 
 /// One round between channel realization and settlement: everything
 /// [`Engine::settle_round`] needs besides the receiver's report.
@@ -205,9 +220,11 @@ impl Engine {
     }
 
     /// Attaches a span tracer: every subsequent round records a `round`
-    /// root span, with the receiver wired so its `capture` span tree
-    /// (stages and correlation kernels) nests underneath. Each round is
-    /// its own trace. Without this call rounds pay one `Option` branch.
+    /// root span with the engine's stage spans (`tag_transmit`,
+    /// `channel_realize`, `channel_mix`, `settle`) beneath it, and the
+    /// receiver wired so its `capture` span tree (stages and correlation
+    /// kernels) nests underneath too. Each round is its own trace.
+    /// Without this call rounds pay one `Option` branch per stage.
     pub fn attach_tracer(&mut self, tracer: &Tracer) {
         self.tracer = Some(tracer.clone());
         self.receiver.attach_tracer(tracer);
@@ -286,23 +303,44 @@ impl Engine {
         // The guard owns a tracer clone, so the later `&mut self` receiver
         // call is unencumbered; dropping it at function end closes the
         // round span around the whole round.
-        let _round_span = self.tracer.clone().map(|tracer| {
+        let round_span = self.tracer.clone().map(|tracer| {
             let trace = tracer.new_trace();
             let mut span = tracer.span(trace, None, "round");
             span.set_arg(self.round);
             self.receiver.set_trace_parent(trace, span.id());
-            span
+            (trace, span)
         });
-        let pending = self.begin_round(active, round_start);
+        let span: RoundSpan = round_span.as_ref().map(|(trace, s)| (*trace, s.id()));
+        let pending = self.begin_round(active, round_start, span);
         let report = self.receiver.receive(&pending.iq);
+        let _settle = self.stage(span, "settle", |m| &m.settle_ns);
         self.settle_round(pending, report)
+    }
+
+    /// Opens stage `name` of the round in flight: a timer into the
+    /// stage's `cbma.sim.stage.<name>_ns` histogram when metrics are
+    /// attached, and a span under the round's span when tracing. Both
+    /// record when the returned guards drop.
+    fn stage(
+        &self,
+        span: RoundSpan,
+        name: &'static str,
+        histogram: fn(&SimMetrics) -> &Histogram,
+    ) -> (Option<StageTimer>, Option<SpanGuard>) {
+        (
+            self.metrics.as_ref().map(|m| histogram(m).time()),
+            self.tracer
+                .as_ref()
+                .zip(span)
+                .map(|(tracer, (trace, parent))| tracer.span(trace, Some(parent), name)),
+        )
     }
 
     /// The pre-reception half of [`Engine::run_round_subset`]: takes the
     /// next round index, derives its `round-{n}` seed child with the
     /// `channel`, `faults` and `mobility` streams, drops injected dead
     /// tags from `active`, realizes the channel, then steps mobility.
-    fn begin_round(&mut self, active: &[usize], start: Instant) -> PendingRound {
+    fn begin_round(&mut self, active: &[usize], start: Instant, span: RoundSpan) -> PendingRound {
         let round = self.round;
         self.round += 1;
         let round_seq = self.seq.child(&format!("round-{round}"));
@@ -316,7 +354,7 @@ impl Engine {
             .filter(|&i| !self.scenario.faults.is_dead(i, round))
             .collect();
 
-        let (iq, signal_meta, payloads) = self.realize_round(&active, round, &mut chan_rng);
+        let (iq, signal_meta, payloads) = self.realize_round(&active, round, &mut chan_rng, span);
         // Mobility: positions evolve between rounds (shadowing and the
         // frozen carrier phases follow automatically, both being
         // position-keyed). Its own seed stream — not `fault_rng`, whose
@@ -344,23 +382,36 @@ impl Engine {
     /// Realizes one round's channel: every active tag's waveform with its
     /// link amplitude, fading, timing and phase, mixed (with noise and
     /// quantization) into the received IQ capture. Also returns the
-    /// per-tag payloads for delivery accounting.
+    /// per-tag payloads for delivery accounting. Each of the three stages
+    /// (`tag_transmit`, `channel_realize`, `channel_mix`) is timed on its
+    /// own.
     fn realize_round(
         &mut self,
         active: &[usize],
         round: u64,
         mut chan_rng: &mut rand::rngs::StdRng,
+        span: RoundSpan,
     ) -> (Vec<Iq>, Vec<SignalMeta>, Vec<Vec<u8>>) {
-        let mut signals = Vec::with_capacity(active.len());
-        let mut signal_meta = Vec::with_capacity(active.len());
+        let stage = self.stage(span, "tag_transmit", |m| &m.tag_transmit_ns);
         let mut payloads = vec![Vec::new(); self.tags.len()];
+        let mut envelopes = Vec::with_capacity(active.len());
         for &i in active {
             let payload = self.payload_for(i, round);
             payloads[i] = payload.clone();
-            let envelope = self.tags[i]
-                .transmit(payload, &self.scenario.phy)
-                .expect("configured payload length is valid");
+            envelopes.push(
+                self.tags[i]
+                    .transmit(payload, &self.scenario.phy)
+                    .expect("configured payload length is valid"),
+            );
+        }
+        drop(stage);
 
+        // Transmitting draws nothing from `chan_rng`, so realizing every
+        // tag's channel after all have transmitted keeps the stream.
+        let stage = self.stage(span, "channel_realize", |m| &m.channel_realize_ns);
+        let mut signals = Vec::with_capacity(active.len());
+        let mut signal_meta = Vec::with_capacity(active.len());
+        for (&i, envelope) in active.iter().zip(envelopes) {
             // Mean link amplitude: Friis with this tag's |ΔΓ| state,
             // shadowed by the frozen large-scale environment.
             let dg = self.bank.delta_gamma(self.tags[i].impedance());
@@ -406,7 +457,9 @@ impl Engine {
                 freq_offset_rad_per_sample: beat,
             });
         }
+        drop(stage);
 
+        let _stage = self.stage(span, "channel_mix", |m| &m.channel_mix_ns);
         let mixer = Mixer {
             noise: self.scenario.noise,
             bandwidth: self.scenario.phy.sample_rate,
@@ -755,6 +808,10 @@ mod tests {
         // The inner receiver records into the same registry.
         assert_eq!(snap.counters["cbma.rx.captures"], 3);
         assert_eq!(snap.histograms["cbma.sim.round_ns"].count, 3);
+        for stage in ["tag_transmit", "channel_realize", "channel_mix", "settle"] {
+            let name = format!("cbma.sim.stage.{stage}_ns");
+            assert_eq!(snap.histograms[&name].count, 3, "{name}");
+        }
         assert_eq!(snap.gauges["cbma.sim.active_tags"], 2.0);
         assert_eq!(snap.gauges["cbma.sim.delivery_ratio"], 1.0);
 
@@ -785,15 +842,32 @@ mod tests {
         assert_eq!(rounds.len(), 2);
         assert_eq!(rounds[0].arg, Some(0));
         assert_eq!(rounds[1].arg, Some(1));
-        // Each round is its own trace, with its capture span nested inside.
+        // Each round is its own trace: the engine's stages and the
+        // capture nest directly under its span, one after another in
+        // pipeline order.
         for round in rounds {
-            let capture = spans
+            let mut children: Vec<_> = spans
                 .iter()
-                .find(|s| s.name == "capture" && s.trace == round.trace)
-                .expect("capture span in round trace");
-            assert_eq!(capture.parent, round.span);
-            assert!(capture.start_ns >= round.start_ns);
-            assert!(capture.start_ns + capture.dur_ns <= round.start_ns + round.dur_ns);
+                .filter(|s| s.trace == round.trace && s.parent == round.span)
+                .collect();
+            children.sort_by_key(|s| s.start_ns);
+            let names: Vec<_> = children.iter().map(|s| s.name).collect();
+            assert_eq!(
+                names,
+                [
+                    "tag_transmit",
+                    "channel_realize",
+                    "channel_mix",
+                    "capture",
+                    "settle"
+                ]
+            );
+            for pair in children.windows(2) {
+                assert!(pair[0].start_ns + pair[0].dur_ns <= pair[1].start_ns);
+            }
+            let (first, last) = (children[0], children[children.len() - 1]);
+            assert!(first.start_ns >= round.start_ns);
+            assert!(last.start_ns + last.dur_ns <= round.start_ns + round.dur_ns);
         }
         // The export is one valid Chrome trace-event document.
         let json = tracer.chrome_trace(None);

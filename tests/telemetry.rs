@@ -46,6 +46,10 @@ fn snapshot_json_round_trips_exactly() {
         "cbma.rx.stage.user_detect_ns",
         "cbma.rx.stage.decode_ns",
         "cbma.sim.round_ns",
+        "cbma.sim.stage.tag_transmit_ns",
+        "cbma.sim.stage.channel_realize_ns",
+        "cbma.sim.stage.channel_mix_ns",
+        "cbma.sim.stage.settle_ns",
     ] {
         let hist = snapshot
             .histograms

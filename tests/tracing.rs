@@ -97,6 +97,10 @@ fn instrumented_run_exports_a_valid_chrome_trace() {
     }
     for name in [
         "round",
+        "tag_transmit",
+        "channel_realize",
+        "channel_mix",
+        "settle",
         "capture",
         "frame_sync",
         "user_detect",
@@ -107,6 +111,9 @@ fn instrumented_run_exports_a_valid_chrome_trace() {
         assert!(by_name.contains_key(name), "missing span {name:?}: {by_name:?}");
     }
     assert_eq!(by_name["round"], 3, "one round span per round");
+    for stage in ["tag_transmit", "channel_realize", "channel_mix", "settle"] {
+        assert_eq!(by_name[stage], 3, "one {stage} span per round");
+    }
 }
 
 #[test]
@@ -157,17 +164,29 @@ fn sibling_stage_spans_do_not_overlap() {
     let events = parse_events(&text);
     let by_id: BTreeMap<u64, &Ev> = events.iter().map(|e| (e.span, e)).collect();
 
-    // Group the stage spans under each capture and check pairwise
-    // disjointness: the receive pipeline runs its stages sequentially.
+    // Group the stage spans under each capture, and every child of each
+    // round, and check pairwise disjointness: the receive pipeline runs
+    // its stages sequentially, and so does the engine's round (tag,
+    // channel, capture, settlement).
     let mut children: BTreeMap<u64, Vec<&Ev>> = BTreeMap::new();
-    for e in &events {
-        if matches!(e.name.as_str(), "frame_sync" | "user_detect" | "decode" | "sic")
-            && by_id[&e.parent].name == "capture"
+    for e in events.iter().filter(|e| e.parent != 0) {
+        let parent = by_id[&e.parent].name.as_str();
+        if parent == "round"
+            || (parent == "capture"
+                && matches!(
+                    e.name.as_str(),
+                    "frame_sync" | "user_detect" | "decode" | "sic"
+                ))
         {
             children.entry(e.parent).or_default().push(e);
         }
     }
-    assert!(!children.is_empty());
+    let rounds = children
+        .keys()
+        .filter(|&id| by_id[id].name == "round")
+        .count();
+    assert_eq!(rounds, 2, "every round has child spans");
+    assert!(children.len() > rounds, "no capture has stage spans");
     for siblings in children.values() {
         let mut sorted = siblings.clone();
         sorted.sort_by(|a, b| a.ts.total_cmp(&b.ts));
