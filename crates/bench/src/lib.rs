@@ -90,17 +90,6 @@ pub fn table_area() -> Rect {
     Rect::new(Point::new(-0.6, -0.5), Point::new(0.6, 0.5))
 }
 
-/// Builds a paper-default scenario at full tag power (the micro-benchmark
-/// baseline: adaptation disabled unless the experiment studies it).
-pub fn scenario_at_full_power(positions: Vec<Point>, seed: u64) -> Engine {
-    let scenario = Scenario::paper_default(positions).with_seed(seed);
-    let mut engine = Engine::new(scenario).expect("bench scenario is valid");
-    for tag in engine.tags_mut() {
-        tag.set_impedance(ImpedanceState::Open);
-    }
-    engine
-}
-
 /// Formats a fraction as a percentage with one decimal.
 pub fn pct(x: f64) -> String {
     format!("{:.1} %", x * 100.0)
@@ -125,12 +114,17 @@ mod tests {
     }
 
     #[test]
-    fn engine_builder_sets_full_power() {
-        let engine = scenario_at_full_power(balanced_positions(2), 1);
-        assert!(engine
-            .tags()
+    fn balanced_positions_share_link_budgets() {
+        let s = Scenario::paper_default(balanced_positions(10));
+        let link = BackscatterLink::paper_default();
+        let powers: Vec<f64> = s
+            .tag_positions
             .iter()
-            .all(|t| t.impedance() == ImpedanceState::Open));
+            .map(|&p| link.received_power(s.es, p, s.rx).get())
+            .collect();
+        let max = powers.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+        let min = powers.iter().copied().fold(f64::INFINITY, f64::min);
+        assert!(max - min < 3.5, "spread {} dB", max - min);
     }
 
     #[test]

@@ -143,12 +143,6 @@ impl Mixer {
         }
     }
 
-    /// The sample index at which tag signals start (end of the lead-in).
-    #[inline]
-    pub fn signal_start(&self) -> usize {
-        self.lead_in
-    }
-
     /// Builds the composite received IQ stream.
     ///
     /// The buffer is `lead_in + max tag extent + tail` samples: noise-only

@@ -11,7 +11,7 @@
 //! | Module | Crate | Contents |
 //! |---|---|---|
 //! | [`types`] | `cbma-types` | units, geometry, IQ, bits, seeding |
-//! | [`dsp`] | `cbma-dsp` | filters, correlators, resampling, FFT |
+//! | [`dsp`] | `cbma-dsp` | energy detection, correlators, resampling, FFT |
 //! | [`codes`] | `cbma-codes` | Gold and 2NC spreading-code families |
 //! | [`channel`] | `cbma-channel` | Friis link budget, fading, interference |
 //! | [`tag`] | `cbma-tag` | framing, CRC, impedance bank, OOK modulation |
@@ -58,8 +58,6 @@
 //! # Ok::<(), cbma_types::CbmaError>(())
 //! ```
 
-pub mod system;
-
 pub use cbma_channel as channel;
 pub use cbma_codes as codes;
 pub use cbma_dsp as dsp;
@@ -78,7 +76,6 @@ pub mod prelude {
 
 pub use cbma_sim::{Engine, RoundOutcome, Scenario};
 pub use cbma_types::{CbmaError, Result};
-pub use system::{CbmaSystem, SystemReport};
 
 #[cfg(test)]
 mod tests {

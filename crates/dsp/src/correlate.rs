@@ -1,4 +1,4 @@
-//! Cross-correlation and peak search.
+//! Cross-correlation.
 //!
 //! Correlation is the workhorse of CBMA's receiver: user detection
 //! cross-correlates every known PN code against the received preamble, and
@@ -116,65 +116,6 @@ pub fn normalized_iq_correlation(samples: &[Iq], reference: &[f64]) -> f64 {
     correlate_iq_bipolar(samples, reference).abs() / (es.sqrt() * er.sqrt())
 }
 
-/// Slides `reference` across `samples` and returns the noncoherent
-/// correlation magnitude at each offset (length
-/// `samples.len() - reference.len() + 1`). Returns an empty vector when the
-/// reference is longer than the samples.
-pub fn sliding_correlation(samples: &[Iq], reference: &[f64]) -> Vec<f64> {
-    if reference.is_empty() || reference.len() > samples.len() {
-        return Vec::new();
-    }
-    (0..=samples.len() - reference.len())
-        .map(|off| correlate_iq_bipolar(&samples[off..off + reference.len()], reference).abs())
-        .collect()
-}
-
-/// Result of a correlation peak search.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct PeakSearch {
-    /// Offset of the maximum correlation.
-    pub offset: usize,
-    /// Correlation value at the peak.
-    pub value: f64,
-    /// Ratio of the peak to the mean of all other offsets — a measure of
-    /// how unambiguous the alignment is.
-    pub peak_to_mean: f64,
-}
-
-/// Finds the peak of a correlation profile.
-///
-/// Returns `None` for an empty profile.
-pub fn find_peak(profile: &[f64]) -> Option<PeakSearch> {
-    if profile.is_empty() {
-        return None;
-    }
-    let (offset, &value) = profile
-        .iter()
-        .enumerate()
-        .max_by(|a, b| a.1.partial_cmp(b.1).expect("correlation values are finite"))?;
-    let rest_sum: f64 = profile.iter().sum::<f64>() - value;
-    let rest_mean = if profile.len() > 1 {
-        rest_sum / (profile.len() - 1) as f64
-    } else {
-        0.0
-    };
-    let peak_to_mean = if rest_mean > 0.0 {
-        value / rest_mean
-    } else {
-        f64::INFINITY
-    };
-    Some(PeakSearch {
-        offset,
-        value,
-        peak_to_mean,
-    })
-}
-
-/// Convenience: sliding correlation followed by peak search.
-pub fn best_alignment(samples: &[Iq], reference: &[f64]) -> Option<PeakSearch> {
-    find_peak(&sliding_correlation(samples, reference))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -254,35 +195,19 @@ mod tests {
     }
 
     #[test]
-    fn sliding_correlation_peaks_at_true_offset() {
-        let code = bipolar(&[1, 1, 0, 1, 0, 0, 1, 0, 1, 1, 1, 0]);
-        let mut rx = vec![Iq::ZERO; 37];
-        for (i, &c) in code.iter().enumerate() {
-            rx[20 + i] = Iq::new(c, 0.0);
-        }
-        let peak = best_alignment(&rx, &code).unwrap();
-        assert_eq!(peak.offset, 20);
-        assert!(peak.peak_to_mean > 2.0);
-    }
-
-    #[test]
-    fn sliding_correlation_handles_short_input() {
-        let code = bipolar(&[1, 0, 1]);
-        assert!(sliding_correlation(&[Iq::ONE], &code).is_empty());
-        assert!(best_alignment(&[Iq::ONE], &code).is_none());
-        assert!(find_peak(&[]).is_none());
-    }
-
-    #[test]
     fn periodic_correlation_of_shifted_self_peaks_at_shift() {
         let c = bipolar(&[1, 0, 0, 1, 0, 1, 1]);
         let shifted: Vec<f64> = (0..c.len()).map(|i| c[(i + 3) % c.len()]).collect();
         let prof = periodic_cross_correlation(&shifted, &c);
-        let peak = find_peak(&prof).unwrap();
+        let (offset, &value) = prof
+            .iter()
+            .enumerate()
+            .max_by(|a, b| a.1.total_cmp(b.1))
+            .unwrap();
         // shifted[k] = c[k+3], so the profile peaks at the lag that
         // re-aligns `shifted` onto `c`.
-        assert!((peak.value - c.len() as f64).abs() < 1e-12);
-        assert_eq!(peak.offset, 3);
+        assert!((value - c.len() as f64).abs() < 1e-12);
+        assert_eq!(offset, 3);
     }
 
     #[test]
@@ -290,12 +215,5 @@ mod tests {
         let a = [1.0, 2.0, 3.0];
         let b = [4.0, 5.0, 6.0];
         assert!((dot(&a, &b) - 32.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn peak_to_mean_of_single_element_profile() {
-        let p = find_peak(&[5.0]).unwrap();
-        assert_eq!(p.offset, 0);
-        assert!(p.peak_to_mean.is_infinite());
     }
 }

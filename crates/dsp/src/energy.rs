@@ -16,27 +16,6 @@ use cbma_types::units::Db;
 use cbma_types::Iq;
 
 use crate::mafilter::MovingAverage;
-use crate::simd;
-
-/// Computes the instantaneous power series |I+jQ|² of a sample buffer.
-pub fn power_series(samples: &[Iq]) -> Vec<f64> {
-    samples.iter().map(|s| s.power()).collect()
-}
-
-/// Computes the magnitude series √(I²+Q²) — the paper's P(t) (§V-B).
-pub fn magnitude_series(samples: &[Iq]) -> Vec<f64> {
-    let mut out = vec![0.0; samples.len()];
-    simd::magnitudes_into(samples, &mut out);
-    out
-}
-
-/// Mean power of a sample buffer, zero for an empty buffer.
-pub fn mean_power(samples: &[Iq]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    simd::sum_power(samples) / samples.len() as f64
-}
 
 /// An energy rise event reported by [`EnergyDetector`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -252,15 +231,6 @@ mod tests {
         // 1 dB threshold (~1.26x) now catches the 1.5x rise.
         let mut det = EnergyDetector::new(16, Db::new(1.0));
         assert_eq!(det.detect(&samples).len(), 1);
-    }
-
-    #[test]
-    fn power_helpers() {
-        let buf = [Iq::new(3.0, 4.0), Iq::new(0.0, 2.0)];
-        assert_eq!(power_series(&buf), vec![25.0, 4.0]);
-        assert_eq!(magnitude_series(&buf), vec![5.0, 2.0]);
-        assert!((mean_power(&buf) - 14.5).abs() < 1e-12);
-        assert_eq!(mean_power(&[]), 0.0);
     }
 
     #[test]

@@ -1,16 +1,13 @@
-//! Radix-2 decimation-in-time FFT.
+//! One-shot FFTs for spectrum inspection.
 //!
-//! Used by the OFDM excitation model in `cbma-channel` (an OFDM symbol is
-//! an IFFT of subcarrier constellation points) and for spectrum inspection
-//! in tests and ablation benches. Power-of-two sizes only, which covers
-//! every internal use.
+//! The spectral integration tests and the dsp property tests use these to
+//! measure signals. Power-of-two sizes only.
 //!
 //! These free functions build a throwaway [`crate::xcorr::FftPlan`] per
-//! call — convenient for one-shot transforms. Hot paths that transform the
-//! same size repeatedly (the overlap-save correlator, the OFDM symbol
-//! loop) should hold a plan instead: it precomputes the bit-reversal
-//! permutation and twiddle table once, so the butterfly loop performs no
-//! `sin`/`cos` work.
+//! call, which runs merged radix-4 stages. Hot paths that transform the
+//! same size repeatedly (the overlap-save correlators) hold a plan
+//! instead: it precomputes the bit-reversal permutation and twiddle tables
+//! once, so the butterfly loop performs no `sin`/`cos` work.
 
 use cbma_types::{Iq, Result};
 
@@ -20,8 +17,9 @@ use crate::xcorr::FftPlan;
 ///
 /// # Errors
 ///
-/// Returns [`CbmaError::ShapeMismatch`] when the length is not a power of
-/// two (length zero is accepted as a no-op).
+/// Returns [`CbmaError::ShapeMismatch`](cbma_types::CbmaError::ShapeMismatch)
+/// when the length is not a power of two (length zero is accepted as a
+/// no-op).
 pub fn fft_in_place(buf: &mut [Iq]) -> Result<()> {
     FftPlan::new(buf.len())?.forward(buf)
 }
@@ -30,8 +28,8 @@ pub fn fft_in_place(buf: &mut [Iq]) -> Result<()> {
 ///
 /// # Errors
 ///
-/// Returns [`CbmaError::ShapeMismatch`] when the length is not a power of
-/// two.
+/// Returns [`CbmaError::ShapeMismatch`](cbma_types::CbmaError::ShapeMismatch)
+/// when the length is not a power of two.
 pub fn ifft_in_place(buf: &mut [Iq]) -> Result<()> {
     FftPlan::new(buf.len())?.inverse(buf)
 }
@@ -40,8 +38,8 @@ pub fn ifft_in_place(buf: &mut [Iq]) -> Result<()> {
 ///
 /// # Errors
 ///
-/// Returns [`CbmaError::ShapeMismatch`] when the length is not a power of
-/// two.
+/// Returns [`CbmaError::ShapeMismatch`](cbma_types::CbmaError::ShapeMismatch)
+/// when the length is not a power of two.
 pub fn fft(input: &[Iq]) -> Result<Vec<Iq>> {
     let mut buf = input.to_vec();
     fft_in_place(&mut buf)?;
@@ -52,8 +50,8 @@ pub fn fft(input: &[Iq]) -> Result<Vec<Iq>> {
 ///
 /// # Errors
 ///
-/// Returns [`CbmaError::ShapeMismatch`] when the length is not a power of
-/// two.
+/// Returns [`CbmaError::ShapeMismatch`](cbma_types::CbmaError::ShapeMismatch)
+/// when the length is not a power of two.
 pub fn ifft(input: &[Iq]) -> Result<Vec<Iq>> {
     let mut buf = input.to_vec();
     ifft_in_place(&mut buf)?;
@@ -64,8 +62,8 @@ pub fn ifft(input: &[Iq]) -> Result<Vec<Iq>> {
 ///
 /// # Errors
 ///
-/// Returns [`CbmaError::ShapeMismatch`] when the length is not a power of
-/// two.
+/// Returns [`CbmaError::ShapeMismatch`](cbma_types::CbmaError::ShapeMismatch)
+/// when the length is not a power of two.
 pub fn power_spectrum(input: &[Iq]) -> Result<Vec<f64>> {
     let n = input.len().max(1) as f64;
     Ok(fft(input)?.into_iter().map(|x| x.power() / n).collect())

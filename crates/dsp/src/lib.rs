@@ -8,15 +8,10 @@
 //!   the received energy level (§III-B),
 //! * [`energy`] — sliding-window energy detection with the +3 dB comparator
 //!   threshold,
-//! * [`correlate`] — normalized cross-correlation and peak search, the core
-//!   of user detection and chip decoding,
-//! * [`resample`] — up/down-sampling and fractional-delay interpolation
-//!   (tag upsampling §III-A, receiver downsampling §V-B, asynchrony
-//!   modelling §VII-C.2),
-//! * [`squarewave`] — Fourier synthesis of the Δf square-wave subcarrier
-//!   (paper Eq. 2) including the first-harmonic approximation,
-//! * [`fft`] — a radix-2 FFT used for spectrum inspection and the OFDM
-//!   interference model,
+//! * [`correlate`] — normalized cross-correlation, the core of user
+//!   detection and chip decoding,
+//! * [`resample`] — up-sampling and fractional-delay interpolation (tag
+//!   upsampling §III-A, asynchrony modelling §VII-C.2),
 //! * [`xcorr`] — the fast sliding-correlation engine: precomputed
 //!   [`xcorr::FftPlan`]s, the overlap-save [`xcorr::SlidingCorrelator`]
 //!   with cached reference spectra, the K-code [`xcorr::BatchCorrelator`]
@@ -25,8 +20,11 @@
 //!   power/mean queries — the receiver's user detector runs on these,
 //! * [`simd`] — the explicit-SIMD inner-loop kernels (AVX2+FMA with
 //!   portable scalar fallbacks and one-time runtime dispatch) that all of
-//!   the above funnel through,
-//! * [`window`] — taper functions for spectral analysis.
+//!   the above funnel through.
+//!
+//! Two measuring tools round it out: one-shot [`fft`]s and the
+//! single-bin [`goertzel`] detector, which the spectral tests use to check
+//! what the channel produces.
 //!
 //! # Examples
 //!
@@ -38,27 +36,18 @@
 //! assert!((same - 1.0).abs() < 1e-12);
 //! ```
 
-pub mod biquad;
 pub mod correlate;
 pub mod energy;
 pub mod fft;
-pub mod fir;
 pub mod goertzel;
 pub mod mafilter;
 pub mod resample;
 pub mod simd;
-pub mod squarewave;
-pub mod window;
 pub mod xcorr;
 
-pub use biquad::Biquad;
-pub use correlate::{
-    correlate_iq_bipolar, normalized_correlation, sliding_correlation, PeakSearch,
-};
+pub use correlate::{correlate_iq_bipolar, normalized_correlation};
 pub use xcorr::{BatchCorrelator, BatchScratch, FftPlan, RunningEnergy, SlidingCorrelator};
-pub use energy::{power_series, EnergyDetector};
-pub use fir::Fir;
+pub use energy::EnergyDetector;
 pub use goertzel::Goertzel;
 pub use mafilter::MovingAverage;
 pub use resample::{downsample_mean, fractional_delay, upsample_repeat};
-pub use squarewave::SquareWave;

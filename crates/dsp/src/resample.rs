@@ -1,10 +1,11 @@
 //! Up-sampling, down-sampling and fractional delay.
 //!
 //! The tag up-samples its coded bit stream to the subcarrier rate before
-//! the AND operation with the square wave (§III-A, §VI), and the receiver
-//! down-samples its ADC stream to the chip rate before decoding (§V-B).
-//! Asynchronous tags arrive with arbitrary sub-chip delays (§VII-C.2),
-//! which [`fractional_delay`] models with linear interpolation.
+//! the AND operation with the square wave (§III-A, §VI).
+//! [`downsample_mean`] is its block-averaging inverse, which tests use to
+//! check [`upsample_repeat`]. Asynchronous tags arrive with arbitrary
+//! sub-chip delays (§VII-C.2), which [`fractional_delay`] models with
+//! linear interpolation.
 
 use cbma_types::Iq;
 
@@ -26,9 +27,9 @@ pub fn upsample_repeat<T: Copy>(input: &[T], factor: usize) -> Vec<T> {
     out
 }
 
-/// Down-samples by integer factor `factor`, averaging each block — the
-/// receiver's decimation step (§V-B "we downsample the received data").
-/// A trailing partial block is averaged over its actual length.
+/// Down-samples by integer factor `factor`, averaging each block, so
+/// `downsample_mean(&upsample_repeat(x, f), f)` gives back `x`. A trailing
+/// partial block is averaged over its actual length.
 ///
 /// # Panics
 ///
@@ -41,19 +42,6 @@ pub fn downsample_mean(input: &[Iq], factor: usize) -> Vec<Iq> {
             let sum: Iq = chunk.iter().copied().sum();
             sum / chunk.len() as f64
         })
-        .collect()
-}
-
-/// Down-samples a real-valued series by block averaging.
-///
-/// # Panics
-///
-/// Panics if `factor` is zero.
-pub fn downsample_mean_real(input: &[f64], factor: usize) -> Vec<f64> {
-    assert!(factor > 0, "downsample factor must be non-zero");
-    input
-        .chunks(factor)
-        .map(|chunk| chunk.iter().sum::<f64>() / chunk.len() as f64)
         .collect()
 }
 
@@ -126,14 +114,6 @@ mod tests {
         assert_eq!(down.len(), 2);
         assert!((down[0].re - 3.0).abs() < 1e-12);
         assert!((down[1].re - 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn downsample_real_series() {
-        assert_eq!(
-            downsample_mean_real(&[1.0, 3.0, 5.0, 7.0], 2),
-            vec![2.0, 6.0]
-        );
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //!
 //! Every hot inner loop of the receive chain — real dot products, complex
 //! multiply-accumulate against a real reference, pointwise spectrum
-//! multiplication, radix-2 butterflies, energy sums — funnels through this
-//! module. On x86-64 with AVX2+FMA (detected once at runtime) the kernels
-//! process two complex samples (four `f64` lanes) per instruction; on
-//! other machines, or when the features are absent, the portable scalar
-//! versions run instead. The `*_scalar` functions are public so the
+//! multiplication, radix-4 FFT butterflies, energy sums — funnels through
+//! this module. On x86-64 with AVX2+FMA (detected once at runtime) the
+//! kernels process two complex samples (four `f64` lanes) per instruction;
+//! on every other machine, or when the features are absent, the portable
+//! scalar versions run instead. The `*_scalar` functions are public so the
 //! equivalence tests in `crates/dsp/tests/simd_equivalence.rs` can pin
 //! both implementations together across every lane-remainder case.
 //!
@@ -22,59 +22,6 @@
 //! `is_x86_feature_detected!` has confirmed both features.
 
 use cbma_types::Iq;
-
-/// The SIMD backend runtime dispatch selected for this machine.
-///
-/// The enum is the dispatch *seam*: detection distinguishes every tier so
-/// wider backends can be dropped in behind the same cached check without
-/// touching call sites. Today `Avx512` routes through the AVX2 kernel
-/// bodies (512-bit bodies are a planned drop-in) and `Neon` routes
-/// through the scalar bodies (NEON is architecturally guaranteed on
-/// aarch64, so detection is a constant there).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimdLevel {
-    /// Portable scalar kernels only.
-    Scalar,
-    /// AVX2 + FMA: two complex (four `f64`) lanes per vector.
-    Avx2,
-    /// AVX-512F detected; kernels currently execute the AVX2 bodies.
-    Avx512,
-    /// aarch64 NEON detected; kernels currently execute the scalar
-    /// bodies.
-    Neon,
-}
-
-/// The backend the kernels dispatch to on this machine (cached after the
-/// first call).
-#[inline]
-pub fn simd_level() -> SimdLevel {
-    #[cfg(target_arch = "x86_64")]
-    {
-        x86::level()
-    }
-    #[cfg(target_arch = "aarch64")]
-    {
-        aarch64::level()
-    }
-    #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
-    {
-        SimdLevel::Scalar
-    }
-}
-
-/// `true` when vector (non-scalar) kernel bodies are active on this
-/// machine — today that means the AVX2+FMA tier or above.
-#[inline]
-pub fn simd_active() -> bool {
-    #[cfg(target_arch = "x86_64")]
-    {
-        x86::available()
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    {
-        false
-    }
-}
 
 /// Views a complex slice as its interleaved `[re, im, re, im, …]` floats.
 #[inline]
@@ -342,42 +289,20 @@ pub fn fft_stage_first_scalar(buf: &mut [Iq]) {
     }
 }
 
-/// One radix-2 butterfly stage of size `len ≥ 4` over the whole buffer:
-/// for every chunk of `len` samples and every `k < len/2`,
-/// `(chunk[k], chunk[k+len/2])` becomes `(u + w·v, u − w·v)` with
-/// `w = tw[k]` (conjugated when `inverse`). `tw` must hold the stage's
-/// `len/2` contiguous twiddles.
+/// One radix-2 decimation-in-time butterfly stage of size `len ≥ 4` over
+/// the whole buffer: for every chunk of `len` samples and every
+/// `k < len/2`, `(chunk[k], chunk[k+len/2])` becomes `(u + w·v, u − w·v)`
+/// with `w = tw[k]` (conjugated when `inverse`). `tw` must hold the
+/// stage's `len/2` contiguous twiddles.
+///
+/// [`crate::xcorr::FftPlan`] never runs this stage: it runs
+/// [`fft_stage4`], which merges two of them. This scalar form is the
+/// reference that merge is tested against.
 ///
 /// # Panics
 ///
 /// Panics if `len < 4`, `len` is not a multiple of 4, `buf.len()` is not a
 /// multiple of `len`, or `tw.len() != len / 2`.
-#[inline]
-pub fn fft_stage(buf: &mut [Iq], len: usize, tw: &[Iq], inverse: bool) {
-    assert!(len >= 4 && len.is_multiple_of(4), "stage length must be 4k");
-    assert!(buf.len().is_multiple_of(len), "buffer must tile into chunks");
-    assert_eq!(tw.len(), len / 2, "one twiddle per butterfly");
-    #[cfg(target_arch = "x86_64")]
-    if x86::available() {
-        // SAFETY: available() confirmed avx2+fma at runtime; len/2 is even
-        // so every chunk half splits into whole 2-butterfly vectors.
-        unsafe {
-            if inverse {
-                x86::fft_stage::<true>(buf, len, tw);
-            } else {
-                x86::fft_stage::<false>(buf, len, tw);
-            }
-        }
-        return;
-    }
-    fft_stage_scalar(buf, len, tw, inverse);
-}
-
-/// Portable reference implementation of [`fft_stage`].
-///
-/// # Panics
-///
-/// Panics under the same shape conditions as [`fft_stage`].
 pub fn fft_stage_scalar(buf: &mut [Iq], len: usize, tw: &[Iq], inverse: bool) {
     assert!(len >= 4 && len.is_multiple_of(4), "stage length must be 4k");
     assert!(buf.len().is_multiple_of(len), "buffer must tile into chunks");
@@ -395,46 +320,17 @@ pub fn fft_stage_scalar(buf: &mut [Iq], len: usize, tw: &[Iq], inverse: bool) {
     }
 }
 
-/// One decimation-in-frequency radix-2 stage of size `len ≥ 4`: for every
+/// One radix-2 decimation-in-frequency stage of size `len ≥ 4`: for every
 /// chunk of `len` samples and every `k < len/2`,
 /// `(chunk[k], chunk[k+len/2])` becomes `(u + v, (u − v)·w)` with
 /// `w = tw[k]` (conjugated when `inverse`) — the twiddle multiply lands
-/// *after* the butterfly, the mirror of [`fft_stage`]. Running the DIF
-/// stages from `len = n` down to 4 followed by [`fft_stage_first`]
-/// transforms a natural-order buffer into a **bit-reversed-order**
-/// spectrum with no permutation pass; [`crate::xcorr::FftPlan`] pairs it
-/// with the plain DIT stages to keep the whole correlation pipeline
-/// permutation-free.
+/// *after* the butterfly, the mirror of [`fft_stage_scalar`]. Like that
+/// stage it is the scalar reference for a merged pass, here
+/// [`fft_stage4_dif`].
 ///
 /// # Panics
 ///
-/// Panics under the same shape conditions as [`fft_stage`].
-#[inline]
-pub fn fft_stage_dif(buf: &mut [Iq], len: usize, tw: &[Iq], inverse: bool) {
-    assert!(len >= 4 && len.is_multiple_of(4), "stage length must be 4k");
-    assert!(buf.len().is_multiple_of(len), "buffer must tile into chunks");
-    assert_eq!(tw.len(), len / 2, "one twiddle per butterfly");
-    #[cfg(target_arch = "x86_64")]
-    if x86::available() {
-        // SAFETY: available() confirmed avx2+fma at runtime; len/2 is even
-        // so every chunk half splits into whole 2-butterfly vectors.
-        unsafe {
-            if inverse {
-                x86::fft_stage_dif::<true>(buf, len, tw);
-            } else {
-                x86::fft_stage_dif::<false>(buf, len, tw);
-            }
-        }
-        return;
-    }
-    fft_stage_dif_scalar(buf, len, tw, inverse);
-}
-
-/// Portable reference implementation of [`fft_stage_dif`].
-///
-/// # Panics
-///
-/// Panics under the same shape conditions as [`fft_stage`].
+/// Panics under the same shape conditions as [`fft_stage_scalar`].
 pub fn fft_stage_dif_scalar(buf: &mut [Iq], len: usize, tw: &[Iq], inverse: bool) {
     assert!(len >= 4 && len.is_multiple_of(4), "stage length must be 4k");
     assert!(buf.len().is_multiple_of(len), "buffer must tile into chunks");
@@ -737,63 +633,28 @@ fn check_stage4(buf: &[Iq], len: usize, tw1: &[Iq], tw2: &[Iq], tw3: &[Iq]) {
     assert_eq!(tw3.len(), q, "one W³ᵏ twiddle per butterfly");
 }
 
-#[cfg(target_arch = "aarch64")]
-mod aarch64 {
-    use super::SimdLevel;
-
-    /// NEON is architecturally guaranteed on aarch64, so detection is a
-    /// constant. Kernel bodies still run scalar on this tier — the NEON
-    /// implementations slot in behind this same seam.
-    #[inline]
-    pub fn level() -> SimdLevel {
-        SimdLevel::Neon
-    }
-}
-
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{Iq, SimdLevel};
+    use super::Iq;
     use std::arch::x86_64::*;
     use std::sync::atomic::{AtomicU8, Ordering};
 
-    /// 0 = undetected, 1 = scalar only, 2 = avx2+fma, 3 = avx512f on top
-    /// (kernel bodies still run the AVX2 tier — the 512-bit bodies are a
-    /// planned drop-in behind the same cached check).
+    /// 0 = undetected, 1 = scalar only, 2 = avx2+fma.
     static LEVEL: AtomicU8 = AtomicU8::new(0);
 
     #[inline]
-    fn detect() -> u8 {
+    fn detect() -> bool {
         let avx2 =
             std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma");
-        let tier = if !avx2 {
-            1
-        } else if std::is_x86_feature_detected!("avx512f") {
-            3
-        } else {
-            2
-        };
-        LEVEL.store(tier, Ordering::Relaxed);
-        tier
+        LEVEL.store(if avx2 { 2 } else { 1 }, Ordering::Relaxed);
+        avx2
     }
 
     #[inline]
     pub fn available() -> bool {
         match LEVEL.load(Ordering::Relaxed) {
-            0 => detect() >= 2,
-            level => level >= 2,
-        }
-    }
-
-    #[inline]
-    pub fn level() -> SimdLevel {
-        let tier = match LEVEL.load(Ordering::Relaxed) {
             0 => detect(),
-            level => level,
-        };
-        match tier {
-            3 => SimdLevel::Avx512,
-            2 => SimdLevel::Avx2,
-            _ => SimdLevel::Scalar,
+            level => level == 2,
         }
     }
 
@@ -1072,77 +933,6 @@ mod x86 {
         }
         // Odd single-complex tail cannot occur (even length asserted by
         // the dispatcher), so nothing remains.
-    }
-
-    /// # Safety
-    ///
-    /// The CPU must support AVX2 and FMA (the dispatcher checks
-    /// `available()`), `buf.len()` is a multiple of `len`, `len/2` is even,
-    /// and `tw.len() == len/2`: each butterfly loop reads and writes whole
-    /// 2-complex vectors inside one half of one chunk.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn fft_stage<const INVERSE: bool>(buf: &mut [Iq], len: usize, tw: &[Iq]) {
-        let half = len / 2;
-        let tp = tw.as_ptr() as *const f64;
-        for chunk in buf.chunks_exact_mut(len) {
-            let (lo, hi) = chunk.split_at_mut(half);
-            let lp = lo.as_mut_ptr() as *mut f64;
-            let hp = hi.as_mut_ptr() as *mut f64;
-            let mut k = 0;
-            while k < 2 * half {
-                let v = _mm256_loadu_pd(hp.add(k));
-                let w = _mm256_loadu_pd(tp.add(k));
-                let wre = _mm256_movedup_pd(w);
-                let wim = _mm256_permute_pd(w, 0xF);
-                let t2 = _mm256_mul_pd(_mm256_permute_pd(v, 0x5), wim);
-                // Forward: v·w. Inverse: v·conj(w) — the conjugate flips
-                // the add/sub interleave of the fused multiply.
-                let prod = if INVERSE {
-                    _mm256_fmsubadd_pd(v, wre, t2)
-                } else {
-                    _mm256_fmaddsub_pd(v, wre, t2)
-                };
-                let u = _mm256_loadu_pd(lp.add(k));
-                _mm256_storeu_pd(lp.add(k), _mm256_add_pd(u, prod));
-                _mm256_storeu_pd(hp.add(k), _mm256_sub_pd(u, prod));
-                k += 4;
-            }
-        }
-    }
-
-    /// # Safety
-    ///
-    /// As [`fft_stage`]: the CPU must support AVX2 and FMA (the dispatcher
-    /// checks `available()`), `buf.len()` is a multiple of `len`, `len/2` is
-    /// even, and `tw.len() == len/2`.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn fft_stage_dif<const INVERSE: bool>(buf: &mut [Iq], len: usize, tw: &[Iq]) {
-        let half = len / 2;
-        let tp = tw.as_ptr() as *const f64;
-        for chunk in buf.chunks_exact_mut(len) {
-            let (lo, hi) = chunk.split_at_mut(half);
-            let lp = lo.as_mut_ptr() as *mut f64;
-            let hp = hi.as_mut_ptr() as *mut f64;
-            let mut k = 0;
-            while k < 2 * half {
-                let u = _mm256_loadu_pd(lp.add(k));
-                let v = _mm256_loadu_pd(hp.add(k));
-                _mm256_storeu_pd(lp.add(k), _mm256_add_pd(u, v));
-                // (u − v)·w, twiddle applied after the butterfly.
-                let d = _mm256_sub_pd(u, v);
-                let w = _mm256_loadu_pd(tp.add(k));
-                let wre = _mm256_movedup_pd(w);
-                let wim = _mm256_permute_pd(w, 0xF);
-                let t2 = _mm256_mul_pd(_mm256_permute_pd(d, 0x5), wim);
-                let prod = if INVERSE {
-                    _mm256_fmsubadd_pd(d, wre, t2)
-                } else {
-                    _mm256_fmaddsub_pd(d, wre, t2)
-                };
-                _mm256_storeu_pd(hp.add(k), prod);
-                k += 4;
-            }
-        }
     }
 
     /// Two packed complex products `v·w` (or `v·conj(w)` when `INVERSE`).
@@ -1424,33 +1214,6 @@ mod tests {
 
     #[test]
     fn butterfly_stages_match_scalar() {
-        for log in 2..8usize {
-            let len = 1 << log;
-            let half = len / 2;
-            let tw: Vec<Iq> = (0..half)
-                .map(|k| Iq::phasor(-2.0 * std::f64::consts::PI * k as f64 / len as f64))
-                .collect();
-            for chunks in [1usize, 2, 4] {
-                let buf = signal(len * chunks);
-                for inverse in [false, true] {
-                    let mut fast = buf.clone();
-                    let mut slow = buf.clone();
-                    fft_stage(&mut fast, len, &tw, inverse);
-                    fft_stage_scalar(&mut slow, len, &tw, inverse);
-                    for (a, b) in fast.iter().zip(&slow) {
-                        assert!((*a - *b).abs() < 1e-12, "len={len} inv={inverse}");
-                    }
-
-                    let mut fast = buf.clone();
-                    let mut slow = buf.clone();
-                    fft_stage_dif(&mut fast, len, &tw, inverse);
-                    fft_stage_dif_scalar(&mut slow, len, &tw, inverse);
-                    for (a, b) in fast.iter().zip(&slow) {
-                        assert!((*a - *b).abs() < 1e-12, "dif len={len} inv={inverse}");
-                    }
-                }
-            }
-        }
         let buf = signal(16);
         let mut fast = buf.clone();
         let mut slow = buf;
@@ -1534,8 +1297,8 @@ mod tests {
                 let mut merged = buf.clone();
                 fft_stage4(&mut merged, len, &tw1, &tw2, &tw3, inverse);
                 let mut pair = buf.clone();
-                fft_stage(&mut pair, half, &tw_for(half), inverse);
-                fft_stage(&mut pair, len, &tw_for(len), inverse);
+                fft_stage_scalar(&mut pair, half, &tw_for(half), inverse);
+                fft_stage_scalar(&mut pair, len, &tw_for(len), inverse);
                 for (a, b) in merged.iter().zip(&pair) {
                     assert!((*a - *b).abs() < 1e-9, "dit len={len} inv={inverse}");
                 }
@@ -1543,22 +1306,12 @@ mod tests {
                 let mut merged = buf.clone();
                 fft_stage4_dif(&mut merged, len, &tw1, &tw2, &tw3, inverse);
                 let mut pair = buf.clone();
-                fft_stage_dif(&mut pair, len, &tw_for(len), inverse);
-                fft_stage_dif(&mut pair, half, &tw_for(half), inverse);
+                fft_stage_dif_scalar(&mut pair, len, &tw_for(len), inverse);
+                fft_stage_dif_scalar(&mut pair, half, &tw_for(half), inverse);
                 for (a, b) in merged.iter().zip(&pair) {
                     assert!((*a - *b).abs() < 1e-9, "dif len={len} inv={inverse}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn simd_level_is_cached_and_consistent() {
-        let level = simd_level();
-        assert_eq!(level, simd_level(), "level must be stable");
-        match level {
-            SimdLevel::Avx2 | SimdLevel::Avx512 => assert!(simd_active()),
-            SimdLevel::Scalar | SimdLevel::Neon => assert!(!simd_active()),
         }
     }
 }

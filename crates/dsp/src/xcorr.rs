@@ -6,10 +6,10 @@
 //! Done directly that is O(lags × ref_len) *per code* — the receiver's
 //! dominant cost. This module turns the sliding dot products into
 //! frequency-domain multiplications (overlap-save block convolution on the
-//! workspace's radix-2 FFT) and the per-lag segment-energy normalization
-//! into prefix-sum lookups:
+//! workspace's FFT) and the per-lag segment-energy normalization into
+//! prefix-sum lookups:
 //!
-//! * [`FftPlan`] — a reusable radix-2 plan with the bit-reversal
+//! * [`FftPlan`] — a reusable power-of-two plan with the bit-reversal
 //!   permutation and twiddle factors precomputed once, so the butterfly
 //!   loop performs no `sin`/`cos` calls,
 //! * [`SlidingCorrelator`] — caches the conjugate spectrum of one real
@@ -35,7 +35,7 @@ use cbma_types::{CbmaError, Iq, Result};
 
 use crate::simd;
 
-/// A precomputed radix-2 FFT plan for one power-of-two size.
+/// A precomputed FFT plan for one power-of-two size.
 ///
 /// Building a plan computes the bit-reversal permutation and the twiddle
 /// tables once; [`FftPlan::forward`] and [`FftPlan::inverse`] then run the
@@ -328,17 +328,6 @@ impl RunningEnergy {
             prefix_sq: Vec::with_capacity(samples.len() + 1),
         };
         re.rebuild(samples);
-        re
-    }
-
-    /// Builds the prefix sums for a real-valued series (|v| and v²), e.g.
-    /// a reconstructed OOK envelope or an |s| magnitude series.
-    pub fn from_real(values: &[f64]) -> RunningEnergy {
-        let mut re = RunningEnergy {
-            prefix_abs: Vec::with_capacity(values.len() + 1),
-            prefix_sq: Vec::with_capacity(values.len() + 1),
-        };
-        re.rebuild_real(values);
         re
     }
 

@@ -72,7 +72,6 @@ pub mod timer;
 pub mod trace;
 
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
-pub use quantile::Quantiles;
 pub use sink::{Event, FieldValue, NoopSink, RecordingSink, Sink};
 pub use snapshot::{HistogramSnapshot, Snapshot, SnapshotError};
 pub use timer::StageTimer;

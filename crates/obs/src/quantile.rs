@@ -18,19 +18,6 @@
 use crate::metrics::Histogram;
 use crate::snapshot::HistogramSnapshot;
 
-/// The derived quantile summary exported in snapshots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Quantiles {
-    /// Median estimate.
-    pub p50: u64,
-    /// 90th-percentile estimate.
-    pub p90: u64,
-    /// 99th-percentile estimate.
-    pub p99: u64,
-    /// Exact maximum recorded value.
-    pub max: u64,
-}
-
 impl HistogramSnapshot {
     /// Estimates the `q`-quantile (`0.0 ..= 1.0`) of the recorded
     /// samples, or `None` if the histogram is empty.
@@ -71,16 +58,6 @@ impl HistogramSnapshot {
         // Counts and bucket sums always agree; unreachable in practice.
         Some(self.max)
     }
-
-    /// The p50/p90/p99/max summary, or `None` if the histogram is empty.
-    pub fn quantiles(&self) -> Option<Quantiles> {
-        Some(Quantiles {
-            p50: self.quantile(0.50)?,
-            p90: self.quantile(0.90)?,
-            p99: self.quantile(0.99)?,
-            max: self.max,
-        })
-    }
 }
 
 #[cfg(test)]
@@ -100,8 +77,9 @@ mod tests {
     #[test]
     fn empty_has_no_quantiles() {
         let h = hist_of(&[]);
-        assert_eq!(h.quantile(0.5), None);
-        assert_eq!(h.quantiles(), None);
+        for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
+            assert_eq!(h.quantile(q), None);
+        }
     }
 
     #[test]
@@ -116,10 +94,10 @@ mod tests {
     fn quantiles_bracket_and_order() {
         let samples: Vec<u64> = (1..=1000).map(|i| i * 17 % 4096 + 1).collect();
         let h = hist_of(&samples);
-        let q = h.quantiles().unwrap();
-        assert!(q.p50 <= q.p90 && q.p90 <= q.p99 && q.p99 <= q.max);
-        assert!(q.p50 >= h.min && q.p99 <= h.max);
-        assert_eq!(q.max, *samples.iter().max().unwrap());
+        let [p50, p90, p99, max] = [0.50, 0.90, 0.99, 1.0].map(|q| h.quantile(q).unwrap());
+        assert!(p50 <= p90 && p90 <= p99 && p99 <= max);
+        assert!(p50 >= h.min && p99 <= h.max);
+        assert_eq!(max, *samples.iter().max().unwrap());
     }
 
     #[test]

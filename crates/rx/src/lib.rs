@@ -31,7 +31,6 @@
 
 pub mod ack;
 pub mod decoder;
-pub mod downlink;
 pub mod frame_sync;
 pub mod receiver;
 pub mod runtime;
@@ -40,7 +39,6 @@ pub mod user_detect;
 
 pub use ack::AckMessage;
 pub use decoder::{DecodeOutcome, Decoder, DecoderKind};
-pub use downlink::AckWire;
 pub use frame_sync::FrameSync;
 pub use receiver::{Receiver, ReceiverConfig, RxReport, RxScratch, RxTelemetry};
 pub use runtime::{

@@ -15,7 +15,7 @@
 //!   sends the report (or the panic message of a receive that panicked)
 //!   back over one `mpsc` channel. Captures of one stream may be decided
 //!   concurrently; the driver puts reports back into per-stream capture
-//!   order with [`InOrderEmitter`] before the sink sees them.
+//!   order with `InOrderEmitter` before the sink sees them.
 //! * The driver holds at most `ring_capacity × streams` captures between
 //!   source and sink (queued, being decided, or reported and awaiting a
 //!   predecessor). At the bound it stops pulling the source and waits

@@ -46,23 +46,6 @@ pub fn random_positions<R: Rng + ?Sized>(
     points
 }
 
-/// Draws `n` positions on a circle of radius `r` around `center` — a
-/// controlled geometry where every tag has the same tag→RX distance.
-pub fn ring_positions(center: Point, r: f64, n: usize) -> Vec<Point> {
-    (0..n)
-        .map(|i| {
-            let theta = std::f64::consts::TAU * i as f64 / n.max(1) as f64;
-            Point::new(center.x + r * theta.cos(), center.y + r * theta.sin())
-        })
-        .collect()
-}
-
-/// The paper's benchmark geometry (§IV / Fig. 3): ES at (−D, 0), RX at
-/// (D, 0); returns `(es, rx)` for D in meters.
-pub fn benchmark_geometry(d: f64) -> (Point, Point) {
-    (Point::new(-d, 0.0), Point::new(d, 0.0))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -103,21 +86,5 @@ mod tests {
         let a = random_positions(&mut StdRng::seed_from_u64(7), Rect::office(), 5, 0.0);
         let b = random_positions(&mut StdRng::seed_from_u64(7), Rect::office(), 5, 0.0);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn ring_is_equidistant() {
-        let pts = ring_positions(Point::ORIGIN, 1.5, 8);
-        assert_eq!(pts.len(), 8);
-        for p in &pts {
-            assert!((p.distance_to(Point::ORIGIN) - 1.5).abs() < 1e-12);
-        }
-    }
-
-    #[test]
-    fn benchmark_geometry_matches_paper() {
-        let (es, rx) = benchmark_geometry(0.5);
-        assert_eq!(es, Point::new(-0.5, 0.0));
-        assert_eq!(rx, Point::new(0.5, 0.0));
     }
 }

@@ -38,7 +38,6 @@ pub mod deployment;
 pub mod engine;
 pub mod faults;
 pub mod latency;
-pub mod presets;
 pub mod scenario;
 pub mod stats;
 pub mod sweep;
@@ -51,10 +50,9 @@ pub mod prelude {
     pub use crate::engine::{Engine, RoundOutcome};
     pub use crate::faults::{FaultPlan, MobilityModel};
     pub use crate::latency::LatencyTracker;
-    pub use crate::presets;
     pub use crate::scenario::Scenario;
     pub use crate::stats::{Cdf, RunStats};
-    pub use crate::sweep::{parallel_sweep, parallel_sweep_instrumented};
+    pub use crate::sweep::parallel_sweep;
     pub use cbma_obs::{
         Event, MetricsRegistry, NoopSink, RecordingSink, Sink, Snapshot, StageTimer,
     };

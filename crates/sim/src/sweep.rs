@@ -14,8 +14,6 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use cbma_obs::{MetricsRegistry, Snapshot};
-
 /// Maps `f` over `params` in parallel, preserving order.
 ///
 /// `f` must be deterministic per parameter (seed your RNGs from the
@@ -76,80 +74,6 @@ where
         .collect()
 }
 
-/// [`parallel_sweep`] with per-worker observability: each worker thread
-/// owns a private [`MetricsRegistry`] (zero cross-thread contention on the
-/// recording path — every atomic is worker-local), the closure records
-/// into the registry it is handed, and the per-worker snapshots are merged
-/// when the workers are joined (counters and histograms add, gauges keep
-/// the high-water mark).
-///
-/// Returns the results in input order plus the merged telemetry snapshot
-/// of the whole sweep.
-pub fn parallel_sweep_instrumented<P, R, F>(params: &[P], f: F) -> (Vec<R>, Snapshot)
-where
-    P: Sync,
-    R: Send,
-    F: Fn(&P, &MetricsRegistry) -> R + Sync,
-{
-    let n = params.len();
-    if n == 0 {
-        return (Vec::new(), Snapshot::default());
-    }
-    let workers = std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(4)
-        .min(n);
-    if workers <= 1 {
-        let registry = MetricsRegistry::new();
-        let results = params.iter().map(|p| f(p, &registry)).collect();
-        return (results, registry.snapshot());
-    }
-
-    let next = AtomicUsize::new(0);
-
-    let per_worker: Vec<(Vec<(usize, R)>, Snapshot)> = crossbeam::scope(|scope| {
-        let handles: Vec<_> = (0..workers)
-            .map(|_| {
-                scope.spawn(|_| {
-                    // Worker-private registry: recording never crosses a
-                    // cache line with another worker; merging happens once
-                    // at join.
-                    let registry = MetricsRegistry::new();
-                    let mut local: Vec<(usize, R)> = Vec::new();
-                    loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed);
-                        if i >= n {
-                            break;
-                        }
-                        local.push((i, f(&params[i], &registry)));
-                    }
-                    (local, registry.snapshot())
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("sweep worker panicked"))
-            .collect()
-    })
-    .expect("sweep scope failed");
-
-    let mut merged = Snapshot::default();
-    let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
-    for (pairs, snapshot) in per_worker {
-        merged.merge(&snapshot);
-        for (i, r) in pairs {
-            debug_assert!(results[i].is_none(), "index {i} computed twice");
-            results[i] = Some(r);
-        }
-    }
-    let results = results
-        .into_iter()
-        .map(|r| r.expect("every index was computed"))
-        .collect();
-    (results, merged)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -170,52 +94,6 @@ mod tests {
     #[test]
     fn single_param() {
         assert_eq!(parallel_sweep(&[5u32], |&p| p + 1), vec![6]);
-    }
-
-    #[test]
-    fn instrumented_sweep_merges_worker_registries() {
-        let params: Vec<u64> = (0..48).collect();
-        let (out, snapshot) = parallel_sweep_instrumented(&params, |&p, registry| {
-            registry.counter("sweep.points").inc();
-            registry.counter("sweep.total").add(p);
-            registry.histogram("sweep.value").record(p);
-            p * 2
-        });
-        assert_eq!(out, params.iter().map(|p| p * 2).collect::<Vec<_>>());
-        // Counters add across workers …
-        assert_eq!(snapshot.counters["sweep.points"], 48);
-        assert_eq!(snapshot.counters["sweep.total"], (0..48).sum::<u64>());
-        // … and histograms merge to the full population.
-        let hist = &snapshot.histograms["sweep.value"];
-        assert_eq!(hist.count, 48);
-        assert_eq!(hist.min, 0);
-        assert_eq!(hist.max, 47);
-    }
-
-    #[test]
-    fn instrumented_sweep_empty_and_engine_metrics_compose() {
-        let (out, snapshot) =
-            parallel_sweep_instrumented(&Vec::<u32>::new(), |_, _| unreachable!());
-        assert!(out.is_empty());
-        assert_eq!(snapshot.metric_count(), 0);
-
-        // Per-point engines recording into the worker registry: the merged
-        // snapshot aggregates cbma.rx.* and cbma.sim.* over the sweep.
-        let seeds: Vec<u64> = (0..4).collect();
-        let (fers, snapshot) = parallel_sweep_instrumented(&seeds, |&seed, registry| {
-            let scenario = crate::scenario::Scenario::clean(vec![
-                cbma_types::geometry::Point::new(0.0, 0.3),
-                cbma_types::geometry::Point::new(0.2, -0.4),
-            ])
-            .with_seed(seed);
-            let mut engine = crate::engine::Engine::new(scenario).unwrap();
-            engine.attach_observability(registry);
-            engine.run_rounds(2).fer()
-        });
-        assert_eq!(fers.len(), 4);
-        assert_eq!(snapshot.counters["cbma.sim.rounds"], 8);
-        assert_eq!(snapshot.counters["cbma.rx.captures"], 8);
-        assert_eq!(snapshot.histograms["cbma.sim.round_ns"].count, 8);
     }
 
     #[test]

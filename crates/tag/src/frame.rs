@@ -57,12 +57,6 @@ impl Frame {
         &self.payload
     }
 
-    /// Consumes the frame, returning the payload.
-    #[inline]
-    pub fn into_payload(self) -> Vec<u8> {
-        self.payload
-    }
-
     /// Total over-the-air length in bits for a given preamble length:
     /// preamble + 8 (length byte) + payload + 16 (CRC).
     pub fn bit_len(&self, preamble_bits: usize) -> usize {

@@ -20,8 +20,6 @@ use std::ops::{Add, Mul, Sub};
 
 use serde::{Deserialize, Serialize};
 
-use crate::units::Meters;
-
 /// A point (or displacement) in the 2-D deployment plane, in meters.
 #[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
 pub struct Point {
@@ -57,12 +55,6 @@ impl Point {
         let dx = self.x - other.x;
         let dy = self.y - other.y;
         (dx * dx + dy * dy).sqrt()
-    }
-
-    /// Euclidean distance as a typed [`Meters`] value.
-    #[inline]
-    pub fn distance_to_m(self, other: Point) -> Meters {
-        Meters::new(self.distance_to(other))
     }
 
     /// Squared distance (avoids the square root when only comparisons are

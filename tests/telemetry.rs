@@ -69,17 +69,25 @@ fn snapshot_json_round_trips_exactly() {
 
 #[test]
 fn merged_sweep_snapshots_round_trip_too() {
+    // Each seed records into a registry of its own; the per-seed
+    // snapshots are then folded into one.
     let seeds: Vec<u64> = (0..3).collect();
-    let (_, merged) = parallel_sweep_instrumented(&seeds, |&seed, registry| {
+    let snapshots = parallel_sweep(&seeds, |&seed| {
         let scenario = Scenario::paper_default(vec![
             Point::new(0.0, 0.35),
             Point::new(0.25, -0.40),
         ])
         .with_seed(seed);
+        let registry = MetricsRegistry::new();
         let mut engine = Engine::new(scenario).unwrap();
-        engine.attach_observability(registry);
-        engine.run_rounds(4).fer()
+        engine.attach_observability(&registry);
+        engine.run_rounds(4);
+        registry.snapshot()
     });
+    let mut merged = Snapshot::default();
+    for snapshot in &snapshots {
+        merged.merge(snapshot);
+    }
     assert_eq!(merged.counters["cbma.sim.rounds"], 12);
     assert_eq!(merged.histograms["cbma.sim.round_ns"].count, 12);
     let json = merged.to_json();
