@@ -355,25 +355,27 @@ fn obs_ns_per_round_once(rounds: usize, setup: impl Fn(&mut Engine)) -> f64 {
     t.elapsed().as_nanos() as f64 / rounds as f64
 }
 
-/// Runs a short paper-default deployment with full observability attached
-/// (metrics registry + recording sink) and exports the merged snapshot as
-/// `BENCH_pipeline_obs.json`: per-stage timing histograms (`cbma.rx.stage.*`,
-/// `cbma.sim.round_ns`), domain counters, the structured round-event
-/// stream and an observability-overhead A/B, so CI can diff pipeline
-/// behaviour — not just speed.
+/// Runs a short paper-default deployment with a metrics registry attached
+/// and exports the snapshot as `BENCH_pipeline_obs.json`: per-stage timing
+/// histograms (`cbma.rx.stage.*`, `cbma.sim.round_ns`), domain counters,
+/// the per-round delivery sizes from the returned outcomes and an
+/// observability-overhead A/B, so CI can diff pipeline behaviour — not
+/// just speed.
 fn write_pipeline_obs() {
-    use cbma::obs::{FieldValue, MetricsRegistry, RecordingSink, Tracer};
-    use std::collections::BTreeMap;
-    use std::sync::Arc;
+    use cbma::obs::{MetricsRegistry, Tracer};
 
     const ROUNDS: usize = 32;
 
     let registry = MetricsRegistry::new();
-    let sink = Arc::new(RecordingSink::new());
     let mut engine = Engine::new(obs_scenario()).expect("paper-default scenario is valid");
     engine.attach_observability(&registry);
-    engine.set_sink(sink.clone());
-    let stats = engine.run_rounds(ROUNDS);
+    let mut stats = RunStats::new(engine.tags().len());
+    let mut delivered_per_round = Vec::with_capacity(ROUNDS);
+    for _ in 0..ROUNDS {
+        let outcome = engine.run_round();
+        stats.record(&outcome);
+        delivered_per_round.push(outcome.delivered.len());
+    }
 
     let snapshot = registry.snapshot();
     let metrics_json = snapshot.to_json();
@@ -383,43 +385,27 @@ fn write_pipeline_obs() {
         .expect("snapshot JSON must round-trip");
     assert_eq!(reparsed, snapshot, "snapshot JSON round-trip drifted");
 
-    // Event stream digest: per-name counts plus per-round delivery sizes.
-    let events = sink.take();
-    let mut by_name: BTreeMap<String, usize> = BTreeMap::new();
-    let mut delivered_per_round: Vec<u64> = Vec::new();
-    for event in &events {
-        *by_name.entry(event.name.clone()).or_default() += 1;
-        if event.name == "cbma.sim.round" {
-            if let Some(FieldValue::List(d)) = event.field("delivered") {
-                delivered_per_round.push(d.len() as u64);
-            }
-        }
-    }
-
     // Observability overhead A/B over the identical deployment: detached
-    // registry vs attached-with-NoopSink vs full recording (event sink +
-    // span tracer). The first two should be indistinguishable — that is
-    // the branch-per-stage guarantee the receive path is built around;
-    // the ratios land in the artifact for trend-watching, not as a gate.
+    // vs an attached registry vs full recording (registry + span tracer).
+    // The ratios land in the artifact for trend-watching, not as a gate.
     const OVERHEAD_ROUNDS: usize = 24;
     let mut detached_ns = f64::INFINITY;
-    let mut noop_ns = f64::INFINITY;
+    let mut registry_ns = f64::INFINITY;
     let mut recording_ns = f64::INFINITY;
     for _ in 0..3 {
         detached_ns = detached_ns.min(obs_ns_per_round_once(OVERHEAD_ROUNDS, |_| {}));
-        noop_ns = noop_ns.min(obs_ns_per_round_once(OVERHEAD_ROUNDS, |engine| {
+        registry_ns = registry_ns.min(obs_ns_per_round_once(OVERHEAD_ROUNDS, |engine| {
             engine.attach_observability(&MetricsRegistry::new());
         }));
         recording_ns = recording_ns.min(obs_ns_per_round_once(OVERHEAD_ROUNDS, |engine| {
             engine.attach_observability(&MetricsRegistry::new());
-            engine.set_sink(Arc::new(RecordingSink::new()));
             engine.attach_tracer(&Tracer::new(1 << 16));
         }));
     }
     println!(
-        "obs overhead: detached {detached_ns:.0} ns/round, noop {noop_ns:.0} ns/round \
+        "obs overhead: detached {detached_ns:.0} ns/round, registry {registry_ns:.0} ns/round \
 ({:.3}x), recording {recording_ns:.0} ns/round ({:.3}x)",
-        noop_ns / detached_ns,
+        registry_ns / detached_ns,
         recording_ns / detached_ns
     );
 
@@ -428,13 +414,6 @@ fn write_pipeline_obs() {
     let _ = writeln!(json, "  \"tags\": 4,");
     let _ = writeln!(json, "  \"fer\": {:.4},", stats.fer());
     let _ = writeln!(json, "  \"metric_count\": {},", snapshot.metric_count());
-    let _ = writeln!(json, "  \"events_recorded\": {},", events.len());
-    json.push_str("  \"events_by_name\": {\n");
-    for (i, (name, count)) in by_name.iter().enumerate() {
-        let comma = if i + 1 == by_name.len() { "" } else { "," };
-        let _ = writeln!(json, "    \"{name}\": {count}{comma}");
-    }
-    json.push_str("  },\n");
     let _ = writeln!(
         json,
         "  \"delivered_per_round\": {:?},",
@@ -443,12 +422,12 @@ fn write_pipeline_obs() {
     json.push_str("  \"obs_overhead\": {\n");
     let _ = writeln!(json, "    \"rounds\": {OVERHEAD_ROUNDS},");
     let _ = writeln!(json, "    \"detached_ns_per_round\": {detached_ns:.1},");
-    let _ = writeln!(json, "    \"noop_ns_per_round\": {noop_ns:.1},");
+    let _ = writeln!(json, "    \"registry_ns_per_round\": {registry_ns:.1},");
     let _ = writeln!(json, "    \"recording_ns_per_round\": {recording_ns:.1},");
     let _ = writeln!(
         json,
-        "    \"noop_over_detached\": {:.4},",
-        noop_ns / detached_ns
+        "    \"registry_over_detached\": {:.4},",
+        registry_ns / detached_ns
     );
     let _ = writeln!(
         json,
@@ -467,9 +446,8 @@ fn write_pipeline_obs() {
     json.push_str("\n}\n");
     std::fs::write("BENCH_pipeline_obs.json", &json).expect("write BENCH_pipeline_obs.json");
     println!(
-        "wrote BENCH_pipeline_obs.json ({} metrics, {} events, FER {:.2}%)",
+        "wrote BENCH_pipeline_obs.json ({} metrics, FER {:.2}%)",
         snapshot.metric_count(),
-        events.len(),
         stats.fer() * 100.0
     );
 }

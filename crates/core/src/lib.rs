@@ -18,7 +18,7 @@
 //! | [`rx`] | `cbma-rx` | frame sync, user detection, decoding, ACKs |
 //! | [`mac`] | `cbma-mac` | Algorithm 1, node selection, TDMA/FSA baselines |
 //! | [`sim`] | `cbma-sim` | end-to-end engine, adaptation, experiments |
-//! | [`obs`] | `cbma-obs` | metrics, stage timers, event sinks, JSON snapshots |
+//! | [`obs`] | `cbma-obs` | metrics, stage timers, span tracing, JSON snapshots |
 //!
 //! # Quickstart
 //!

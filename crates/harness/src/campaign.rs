@@ -4,8 +4,8 @@
 //! parameter combination of a paper figure — plus the replicate/round
 //! counts the selected [`Tier`](crate::Tier) resolved. Each point carries
 //! a builder closure that turns a per-job seed into a ready-to-measure
-//! [`Engine`]; the runner owns scheduling, retries and checkpointing, so
-//! the campaign definition stays pure description.
+//! [`Engine`]; the runner owns scheduling and checkpointing, so the
+//! campaign definition stays pure description.
 
 use std::collections::BTreeMap;
 

@@ -15,7 +15,7 @@
 //!
 //! The scenario physics live in `cbma_bench::scenarios`, shared with the
 //! bench targets under `crates/bench/benches/`; this crate owns only the
-//! orchestration: sharding, retries, checkpoints and the manifest format.
+//! orchestration: sharding, checkpoints and the manifest format.
 //! See EXPERIMENTS.md for the figure ↔ campaign mapping.
 
 pub mod campaign;

@@ -7,17 +7,16 @@
 //! assembled in grid order afterwards — so worker count and scheduling
 //! order can never change the output bytes.
 //!
-//! Fault-injected scenarios can panic mid-round; a panicking point is
-//! retried with capped exponential backoff and a fresh engine (the
-//! replicate seeds do not change across attempts, so a retry that
-//! succeeds produces exactly the bytes an untroubled run would have).
+//! A point that panics fails its campaign with
+//! [`HarnessError::PointFailed`], naming the point and the panic message.
+//! It is not retried: replicate seeds are fixed, so it would panic again.
 //! Completed points are checkpointed to disk before the campaign
 //! finishes, so an interrupted run resumes instead of restarting.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use cbma::obs::MetricsRegistry;
 use cbma_types::SeedSequence;
@@ -34,16 +33,14 @@ pub enum HarnessError {
     InvalidCampaign(String),
     /// Checkpoint or manifest I/O failed.
     Io(std::io::Error),
-    /// A point kept panicking after all retry attempts.
+    /// A point panicked while it was measured.
     PointFailed {
         /// Campaign name.
         campaign: String,
         /// Point label.
         point: String,
-        /// Attempts made (= the configured maximum).
-        attempts: u32,
-        /// The last panic payload, stringified.
-        last_panic: String,
+        /// The panic payload, stringified.
+        message: String,
     },
 }
 
@@ -55,11 +52,10 @@ impl std::fmt::Display for HarnessError {
             HarnessError::PointFailed {
                 campaign,
                 point,
-                attempts,
-                last_panic,
+                message,
             } => write!(
                 f,
-                "campaign {campaign}: point {point:?} failed after {attempts} attempts: {last_panic}"
+                "campaign {campaign}: point {point:?} panicked: {message}"
             ),
         }
     }
@@ -81,12 +77,6 @@ pub struct RunnerConfig {
     pub workers: usize,
     /// Root seed every job seed derives from.
     pub root_seed: u64,
-    /// Attempts per point before the campaign fails (≥ 1).
-    pub max_attempts: u32,
-    /// Backoff before retry `k` is `base_backoff · 2^(k−1)`, capped.
-    pub base_backoff: Duration,
-    /// Backoff cap.
-    pub max_backoff: Duration,
     /// Where to checkpoint completed points; `None` disables resume.
     pub checkpoint_dir: Option<PathBuf>,
     /// Live telemetry sink; workers publish replicate/point completions
@@ -102,22 +92,9 @@ impl Default for RunnerConfig {
                 .map(|n| n.get().min(8))
                 .unwrap_or(2),
             root_seed: 0xCB3A,
-            max_attempts: 3,
-            base_backoff: Duration::from_millis(50),
-            max_backoff: Duration::from_secs(2),
             checkpoint_dir: None,
             live: None,
         }
-    }
-}
-
-impl RunnerConfig {
-    /// The backoff before retry attempt `k` (1-based over failures).
-    fn backoff(&self, failure: u32) -> Duration {
-        let factor = 1u32 << failure.saturating_sub(1).min(16);
-        self.base_backoff
-            .saturating_mul(factor)
-            .min(self.max_backoff)
     }
 }
 
@@ -172,32 +149,20 @@ fn measure_point(campaign: &Campaign, index: usize, cfg: &RunnerConfig) -> Point
     }
 }
 
-/// Measures one point with panic-retry.
-fn measure_point_with_retry(
+/// Measures one point, turning a panic into [`HarnessError::PointFailed`].
+fn try_measure_point(
     campaign: &Campaign,
     index: usize,
     cfg: &RunnerConfig,
 ) -> Result<PointResult, HarnessError> {
-    let mut last_panic = String::new();
-    for attempt in 1..=cfg.max_attempts.max(1) {
-        let run = panic::catch_unwind(AssertUnwindSafe(|| measure_point(campaign, index, cfg)));
-        match run {
-            Ok(result) => return Ok(result),
-            Err(payload) => {
-                // `&*payload`: downcast the payload itself, not the box.
-                last_panic = panic_message(&*payload);
-                if attempt < cfg.max_attempts.max(1) {
-                    std::thread::sleep(cfg.backoff(attempt));
-                }
-            }
-        }
-    }
-    Err(HarnessError::PointFailed {
-        campaign: campaign.name.to_string(),
-        point: campaign.points[index].label.clone(),
-        attempts: cfg.max_attempts.max(1),
-        last_panic,
-    })
+    panic::catch_unwind(AssertUnwindSafe(|| measure_point(campaign, index, cfg))).map_err(
+        |payload| HarnessError::PointFailed {
+            campaign: campaign.name.to_string(),
+            point: campaign.points[index].label.clone(),
+            // `&*payload`: downcast the payload itself, not the box.
+            message: panic_message(&*payload),
+        },
+    )
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -221,7 +186,7 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// # Errors
 ///
 /// Fails if the campaign definition is invalid, checkpoint I/O fails, or
-/// a point exhausts its retry budget.
+/// a point panics.
 pub fn run_campaign(
     campaign: &Campaign,
     cfg: &RunnerConfig,
@@ -288,11 +253,10 @@ pub fn run_campaign(
                                         (cached, true)
                                     }
                                     None => {
-                                        let computed =
-                                            measure_point_with_retry(campaign, index, cfg)
-                                                .inspect_err(|_| {
-                                                    failed.store(true, Ordering::Relaxed);
-                                                })?;
+                                        let computed = try_measure_point(campaign, index, cfg)
+                                            .inspect_err(|_| {
+                                                failed.store(true, Ordering::Relaxed);
+                                            })?;
                                         if let Some(s) = store {
                                             s.store(&computed).map_err(|e| {
                                                 failed.store(true, Ordering::Relaxed);
@@ -352,8 +316,6 @@ mod tests {
     use crate::campaign::CampaignPoint;
     use cbma::obs::json::JsonValue;
     use cbma::prelude::*;
-    use std::sync::atomic::AtomicU32;
-    use std::sync::Arc;
 
     fn tiny_engine(seed: u64) -> Engine {
         let scenario =
@@ -390,9 +352,6 @@ mod tests {
         RunnerConfig {
             workers,
             root_seed: 11,
-            max_attempts: 2,
-            base_backoff: Duration::from_millis(1),
-            max_backoff: Duration::from_millis(4),
             checkpoint_dir: None,
             live: None,
         }
@@ -408,45 +367,11 @@ mod tests {
     }
 
     #[test]
-    fn backoff_doubles_and_caps() {
-        let c = cfg(1);
-        assert_eq!(c.backoff(1), Duration::from_millis(1));
-        assert_eq!(c.backoff(2), Duration::from_millis(2));
-        assert_eq!(c.backoff(3), Duration::from_millis(4));
-        assert_eq!(c.backoff(9), Duration::from_millis(4)); // capped
-    }
-
-    #[test]
     fn manifest_is_independent_of_worker_count() {
         let campaign = tiny_campaign(3);
         let one = run_campaign(&campaign, &cfg(1)).unwrap().to_json();
         let four = run_campaign(&campaign, &cfg(4)).unwrap().to_json();
         assert_eq!(one, four);
-    }
-
-    #[test]
-    fn flaky_point_is_retried_to_success() {
-        let flakes = Arc::new(AtomicU32::new(0));
-        let flakes_in = Arc::clone(&flakes);
-        let campaign = Campaign {
-            name: "flaky",
-            paper_ref: "test",
-            description: "one point panics on its first attempt",
-            tier: "fast",
-            replicates: 1,
-            rounds: 2,
-            points: vec![CampaignPoint::new("p0", &[], move |ctx| {
-                if flakes_in.fetch_add(1, Ordering::Relaxed) == 0 {
-                    panic!("injected fault");
-                }
-                tiny_engine(ctx.seed)
-            })],
-        };
-        let manifest = run_campaign(&campaign, &cfg(1)).unwrap();
-        assert_eq!(manifest.points.len(), 1);
-        assert!(flakes.load(Ordering::Relaxed) >= 2, "first attempt panicked");
-        // The retried run measured the same seed an untroubled run would.
-        assert_eq!(manifest.points[0].totals.rounds, 2);
     }
 
     #[test]
@@ -464,15 +389,9 @@ mod tests {
         };
         let err = run_campaign(&campaign, &cfg(2)).unwrap_err();
         match err {
-            HarnessError::PointFailed {
-                point,
-                attempts,
-                last_panic,
-                ..
-            } => {
+            HarnessError::PointFailed { point, message, .. } => {
                 assert_eq!(point, "bad_point");
-                assert_eq!(attempts, 2);
-                assert!(last_panic.contains("unrecoverable"));
+                assert!(message.contains("unrecoverable"));
             }
             other => panic!("expected PointFailed, got {other}"),
         }
@@ -545,9 +464,7 @@ mod tests {
                 .collect(),
             ..tiny_campaign(3)
         };
-        let mut resumed_cfg = config.clone();
-        resumed_cfg.max_attempts = 1;
-        let second = run_campaign(&poisoned, &resumed_cfg).unwrap();
+        let second = run_campaign(&poisoned, &config).unwrap();
         assert_eq!(first.to_json(), second.to_json());
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -2,12 +2,12 @@
 //!
 //! The paper's whole evaluation (§VIII, Figs. 8–12) is about *why* frames
 //! are lost — detection misses, SIC residue, asynchrony, power imbalance —
-//! so the reproduction needs the same visibility: per-stage timing,
-//! domain counters, and structured per-round events, without slowing the
-//! hot path down when nobody is looking.
+//! so the reproduction needs the same visibility: per-stage timing and
+//! domain counters, without slowing the hot path down when nobody is
+//! looking. Per-round and per-control-cycle records are the values the
+//! engine returns (`RoundOutcome`, `AdaptationReport`).
 //!
-//! Three pieces, all std-only (the crate has **zero dependencies by
-//! default**):
+//! Three pieces, all std-only (the crate has **zero dependencies**):
 //!
 //! * [`MetricsRegistry`] — named [`Counter`]s, [`Gauge`]s and
 //!   log₂-bucketed [`Histogram`]s. Handles are `Arc`'d atomics: recording
@@ -17,20 +17,15 @@
 //! * [`StageTimer`] — a scoped span over a histogram using monotonic
 //!   [`std::time::Instant`] timing; records nanoseconds on drop (or
 //!   explicitly via [`StageTimer::stop`]).
-//! * [`Sink`] — a pluggable structured-event consumer. [`NoopSink`]
-//!   reports `enabled() == false`, so instrumented call sites guard with
-//!   one virtual call and skip event construction entirely; the hot path
-//!   with the no-op sink costs nothing beyond that boolean.
 //! * [`Tracer`] — hierarchical span trees (capture → stage → kernel) in a
 //!   bounded lock-free ring, exported as Chrome trace-event JSON for
-//!   Perfetto/`chrome://tracing` ([`Tracer::chrome_trace`]). Like sinks,
-//!   tracing is opt-in: uninstrumented paths pay one `Option` branch.
+//!   Perfetto/`chrome://tracing` ([`Tracer::chrome_trace`]). Tracing is
+//!   opt-in: uninstrumented paths pay one `Option` branch.
 //!
 //! [`MetricsRegistry::snapshot`] freezes everything into a [`Snapshot`]
 //! that serializes to JSON ([`Snapshot::to_json`] /
 //! [`Snapshot::from_json`]) for the `bench_summary` artifacts and CI
-//! diffing. With the `serde` feature the snapshot types additionally
-//! derive `Serialize`/`Deserialize`.
+//! diffing.
 //!
 //! # Metric naming scheme
 //!
@@ -66,13 +61,11 @@
 pub mod json;
 pub mod metrics;
 pub mod quantile;
-pub mod sink;
 pub mod snapshot;
 pub mod timer;
 pub mod trace;
 
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
-pub use sink::{Event, FieldValue, NoopSink, RecordingSink, Sink};
 pub use snapshot::{HistogramSnapshot, Snapshot, SnapshotError};
 pub use timer::StageTimer;
 pub use trace::{SpanGuard, SpanId, SpanRecord, TraceId, Tracer};

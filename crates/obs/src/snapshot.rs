@@ -11,7 +11,6 @@ use crate::json::{write_f64, write_json_string, JsonError, JsonValue};
 /// semantics are those of [`crate::Histogram::bucket_index`] (bucket 0 is
 /// the value 0, bucket `k` spans `[2^(k-1), 2^k)`).
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct HistogramSnapshot {
     /// Samples recorded.
     pub count: u64,
@@ -80,7 +79,6 @@ impl From<JsonError> for SnapshotError {
 
 /// Every metric in a registry at one instant.
 #[derive(Debug, Clone, PartialEq, Default)]
-#[cfg_attr(feature = "serde", derive(serde::Serialize, serde::Deserialize))]
 pub struct Snapshot {
     /// Counter values by name.
     pub counters: BTreeMap<String, u64>,

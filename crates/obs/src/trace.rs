@@ -23,8 +23,7 @@
 //!
 //! Cost model: like the metric handles, tracing is strictly opt-in. The
 //! receiver and engine hold `Option<Tracer>` — `None` (the default) costs
-//! one branch per stage and nothing else, preserving the NoopSink-is-free
-//! guarantee.
+//! one branch per stage and nothing else.
 //!
 //! # Examples
 //!

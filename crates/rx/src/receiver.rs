@@ -446,8 +446,8 @@ impl Receiver {
     /// records a `capture` span tree (capture → frame_sync / user_detect /
     /// decode / sic → per-code `correlate` and `fft_block` kernels) into
     /// the tracer's ring. Without this call the receive path pays one
-    /// `Option` branch per stage and records nothing — the same
-    /// NoopSink-is-free guarantee the metric handles follow.
+    /// `Option` branch per stage and records nothing, as it does without
+    /// metric handles.
     pub fn attach_tracer(&mut self, tracer: &Tracer) {
         self.tracer = Some(tracer.clone());
     }

@@ -6,7 +6,7 @@
 //! * per-capture [`RxTelemetry`](cbma_rx::RxTelemetry) on the last round's
 //!   report (stage spans, correlation margins, SIC activity),
 //! * the aggregated `cbma.rx.*` / `cbma.sim.*` metrics snapshot,
-//! * the structured `cbma.sim.round` event stream, and
+//! * a summary of the [`RoundOutcome`]s the rounds returned, and
 //! * the JSON export that `bench_summary` writes as
 //!   `BENCH_pipeline_obs.json`.
 //!
@@ -15,8 +15,6 @@
 //! ```text
 //! cargo run --release -p cbma-sim --example telemetry
 //! ```
-
-use std::sync::Arc;
 
 use cbma_sim::prelude::*;
 
@@ -35,22 +33,16 @@ fn main() {
         tag.set_impedance(ImpedanceState::Open);
     }
 
-    // Attach observability: a registry for aggregated metrics and a
-    // recording sink for per-round structured events. Without these two
-    // calls the engine runs with a no-op sink and records nothing.
+    // Attach observability: a registry for aggregated metrics. Without
+    // this call the engine records nothing.
     let registry = MetricsRegistry::new();
-    let sink = Arc::new(RecordingSink::new());
     engine.attach_observability(&registry);
-    engine.set_sink(sink.clone());
 
     let rounds = 20;
-    let mut last = None;
-    for _ in 0..rounds {
-        last = Some(engine.run_round());
-    }
+    let outcomes: Vec<RoundOutcome> = (0..rounds).map(|_| engine.run_round()).collect();
 
     // 1. Per-capture telemetry rides on every RxReport.
-    let last = last.expect("ran at least one round");
+    let last = outcomes.last().expect("ran at least one round");
     let t = &last.report.telemetry;
     println!("last round's receive pipeline:");
     println!("  frame sync    {:>9} ns", t.frame_sync_ns);
@@ -78,16 +70,11 @@ fn main() {
         }
     }
 
-    // 3. The structured event stream the engine emitted through the sink.
-    let events = sink.take();
-    let delivered_all = events
-        .iter()
-        .filter(|e| e.name == "cbma.sim.round")
-        .filter(|e| e.field("delivered") == e.field("active"))
-        .count();
+    // 3. The per-round records are the outcomes the rounds returned.
+    let delivered_all = outcomes.iter().filter(|o| o.all_delivered()).count();
     println!(
-        "\nevents: {} recorded, {} rounds delivered every active tag",
-        events.len(),
+        "\noutcomes: {} rounds, {} delivered every active tag",
+        outcomes.len(),
         delivered_all
     );
 

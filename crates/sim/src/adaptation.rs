@@ -77,7 +77,6 @@ impl Adapter {
         let mut pc = PowerController::new(n, self.fer_threshold);
         let mut fer_history = Vec::new();
         let mut impedance_steps = 0usize;
-        let sink = engine.sink().clone();
 
         loop {
             engine.reset_tag_stats();
@@ -85,18 +84,6 @@ impl Adapter {
             let obs = RoundObservation::from_ack_ratios(&batch.ack_ratios());
             let decision = pc.round(&obs);
             fer_history.push(decision.fer);
-            if sink.enabled() {
-                // One Algorithm 1 state transition: measured FER, the
-                // actuation set, and how the controller left the round.
-                sink.record(
-                    cbma_obs::Event::new("cbma.sim.power_control")
-                        .with("cycle", fer_history.len() - 1)
-                        .with("fer", decision.fer)
-                        .with("stepped", &decision.step_impedance)
-                        .with("stable", decision.is_stable())
-                        .with("exhausted", decision.exhausted),
-                );
-            }
             if decision.is_stable() || decision.exhausted {
                 return AdaptationReport {
                     fer_history,
@@ -163,19 +150,6 @@ impl Adapter {
         }
         for (i, &pos) in group.iter().enumerate() {
             engine.move_tag(i, pos);
-        }
-        let sink = engine.sink().clone();
-        if sink.enabled() {
-            for &(tag, old, new) in &relocations {
-                sink.record(
-                    cbma_obs::Event::new("cbma.sim.node_selection")
-                        .with("tag", tag)
-                        .with("old_x", old.x)
-                        .with("old_y", old.y)
-                        .with("new_x", new.x)
-                        .with("new_y", new.y),
-                );
-            }
         }
 
         // Re-run power control at the new geometry; boot relocated tags at
@@ -331,38 +305,5 @@ mod tests {
     #[should_panic(expected = "at least one packet")]
     fn zero_packets_per_round_panics() {
         Adapter::new(0, 0.1);
-    }
-
-    #[test]
-    fn power_control_emits_one_event_per_control_round() {
-        use cbma_obs::{FieldValue, RecordingSink};
-        use std::sync::Arc;
-
-        let scenario = Scenario::paper_default(vec![Point::new(0.0, 0.35), Point::new(0.55, 0.85)]);
-        let mut engine = Engine::new(scenario).unwrap();
-        engine.tags_mut()[0].set_impedance(ImpedanceState::Open);
-        engine.tags_mut()[1].set_impedance(ImpedanceState::Inductor2nH);
-        let sink = Arc::new(RecordingSink::new());
-        engine.set_sink(sink.clone());
-        let adapter = Adapter::paper_default(10);
-        let report = adapter.run_power_control(&mut engine);
-
-        let events: Vec<_> = sink
-            .take()
-            .into_iter()
-            .filter(|e| e.name == "cbma.sim.power_control")
-            .collect();
-        assert_eq!(events.len(), report.fer_history.len());
-        for (k, (event, &fer)) in events.iter().zip(&report.fer_history).enumerate() {
-            assert_eq!(event.field_u64("cycle"), Some(k as u64));
-            assert_eq!(event.field("fer"), Some(&FieldValue::F64(fer)));
-        }
-        // The loop terminates on a stable or exhausted transition.
-        let last = events.last().unwrap();
-        assert!(
-            last.field("stable") == Some(&FieldValue::Bool(true))
-                || last.field("exhausted") == Some(&FieldValue::Bool(true)),
-            "{last:?}"
-        );
     }
 }

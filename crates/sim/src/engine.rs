@@ -7,15 +7,13 @@
 //! feeds the tags' statistics. Rounds are deterministic in
 //! `(scenario.seed, round index)`.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use rand::Rng;
 
 use cbma_channel::mixer::{Mixer, TagSignal};
 use cbma_obs::{
-    Counter, Event, Gauge, Histogram, MetricsRegistry, NoopSink, Sink, SpanGuard, SpanId,
-    StageTimer, TraceId, Tracer,
+    Counter, Gauge, Histogram, MetricsRegistry, SpanGuard, SpanId, StageTimer, TraceId, Tracer,
 };
 use cbma_rx::{Receiver, RxReport};
 use cbma_tag::{ImpedanceBank, Tag};
@@ -131,7 +129,6 @@ type RoundSpan = Option<(TraceId, SpanId)>;
 /// One round between channel realization and settlement: everything
 /// [`Engine::settle_round`] needs besides the receiver's report.
 struct PendingRound {
-    round: u64,
     start: Instant,
     active: Vec<usize>,
     payloads: Vec<Vec<u8>>,
@@ -150,9 +147,6 @@ pub struct Engine {
     seq: SeedSequence,
     round: u64,
     capture_iq: bool,
-    /// Structured round/adaptation events go here; defaults to
-    /// [`NoopSink`], whose `enabled() == false` skips event assembly.
-    sink: Arc<dyn Sink>,
     /// Registered metric handles, when observability is attached.
     metrics: Option<SimMetrics>,
     /// Span recorder, when tracing is attached (see
@@ -199,7 +193,6 @@ impl Engine {
             seq,
             round: 0,
             capture_iq: false,
-            sink: Arc::new(NoopSink),
             metrics: None,
             tracer: None,
         })
@@ -228,21 +221,6 @@ impl Engine {
     pub fn attach_tracer(&mut self, tracer: &Tracer) {
         self.tracer = Some(tracer.clone());
         self.receiver.attach_tracer(tracer);
-    }
-
-    /// Replaces the event sink. Rounds emit `cbma.sim.round` events and
-    /// the adaptation layer emits `cbma.sim.power_control` /
-    /// `cbma.sim.node_selection` events through it. The default
-    /// [`NoopSink`] reports `enabled() == false`, so no event is even
-    /// assembled on the hot path.
-    pub fn set_sink(&mut self, sink: Arc<dyn Sink>) {
-        self.sink = sink;
-    }
-
-    /// The current event sink (shared with the adaptation layer).
-    #[inline]
-    pub fn sink(&self) -> &Arc<dyn Sink> {
-        &self.sink
     }
 
     /// The scenario the engine was built from.
@@ -369,7 +347,6 @@ impl Engine {
             }
         }
         PendingRound {
-            round,
             start,
             active,
             payloads,
@@ -480,7 +457,6 @@ impl Engine {
     /// round's fault stream), outcome assembly and observability.
     fn settle_round(&mut self, pending: PendingRound, report: RxReport) -> RoundOutcome {
         let PendingRound {
-            round,
             start: round_start,
             active,
             payloads,
@@ -532,19 +508,6 @@ impl Engine {
         let round_ns = round_start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         if let Some(metrics) = &self.metrics {
             metrics.record(&outcome, round_ns);
-        }
-        if self.sink.enabled() {
-            self.sink.record(
-                Event::new("cbma.sim.round")
-                    .with("round", round)
-                    .with("active", &outcome.active)
-                    .with("detected", &outcome.report.detected_ids())
-                    .with("delivered", &outcome.delivered)
-                    .with("frame_detected", outcome.report.frame_detected)
-                    .with("sic_recovered", outcome.report.telemetry.sic_recovered)
-                    .with("peak_correlation", outcome.report.telemetry.peak_correlation)
-                    .with("round_ns", round_ns),
-            );
         }
         outcome
     }
@@ -791,15 +754,16 @@ mod tests {
     }
 
     #[test]
-    fn observability_records_metrics_and_round_events() {
-        use cbma_obs::{FieldValue, RecordingSink};
-
+    fn observability_records_round_metrics() {
         let registry = MetricsRegistry::new();
-        let sink = Arc::new(RecordingSink::new());
         let mut engine = Engine::new(Scenario::clean(near_positions(2))).unwrap();
         engine.attach_observability(&registry);
-        engine.set_sink(sink.clone());
-        engine.run_rounds(3);
+        for _ in 0..3 {
+            let outcome = engine.run_round();
+            assert_eq!(outcome.active, [0, 1]);
+            assert_eq!(outcome.delivered, [0, 1]);
+        }
+        assert_eq!(engine.rounds_run(), 3);
 
         let snap = registry.snapshot();
         assert_eq!(snap.counters["cbma.sim.rounds"], 3);
@@ -814,20 +778,6 @@ mod tests {
         }
         assert_eq!(snap.gauges["cbma.sim.active_tags"], 2.0);
         assert_eq!(snap.gauges["cbma.sim.delivery_ratio"], 1.0);
-
-        let events = sink.take();
-        assert_eq!(events.len(), 3);
-        assert!(events.iter().all(|e| e.name == "cbma.sim.round"));
-        assert_eq!(events[0].field_u64("round"), Some(0));
-        assert_eq!(events[2].field_u64("round"), Some(2));
-        assert_eq!(
-            events[0].field("active"),
-            Some(&FieldValue::List(vec![0, 1]))
-        );
-        assert_eq!(
-            events[0].field("delivered"),
-            Some(&FieldValue::List(vec![0, 1]))
-        );
     }
 
     #[test]
@@ -875,10 +825,9 @@ mod tests {
     }
 
     #[test]
-    fn default_sink_is_disabled_and_rounds_are_unchanged() {
+    fn observability_does_not_perturb_rounds() {
         let mut plain = Engine::new(Scenario::clean(near_positions(2))).unwrap();
         let mut wired = Engine::new(Scenario::clean(near_positions(2))).unwrap();
-        assert!(!wired.sink().enabled());
         let registry = MetricsRegistry::new();
         wired.attach_observability(&registry);
         // Observability must not perturb the simulation itself.

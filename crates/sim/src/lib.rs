@@ -53,14 +53,12 @@ pub mod prelude {
     pub use crate::scenario::Scenario;
     pub use crate::stats::{Cdf, RunStats};
     pub use crate::sweep::parallel_sweep;
-    pub use cbma_obs::{
-        Event, MetricsRegistry, NoopSink, RecordingSink, Sink, Snapshot, StageTimer,
-    };
     pub use cbma_channel::{
         BackscatterLink, ClockModel, Excitation, InterferenceModel, MultipathModel, NoiseModel,
         ShadowingModel,
     };
     pub use cbma_codes::FamilyKind;
+    pub use cbma_obs::{MetricsRegistry, Snapshot, StageTimer};
     pub use cbma_rx::ReceiverConfig;
     pub use cbma_tag::{ImpedanceState, PhyProfile};
     pub use cbma_types::geometry::{Point, Rect};

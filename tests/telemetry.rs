@@ -1,16 +1,14 @@
 //! Integration: the pipeline observability layer end to end.
 //!
-//! Drives a real deployment with a metrics registry and a recording sink
-//! attached, exports the telemetry snapshot as JSON, and asserts the
-//! export round-trips losslessly — the contract `BENCH_pipeline_obs.json`
-//! and any external consumer of the artifact rely on.
+//! Drives a real deployment with a metrics registry attached, exports the
+//! telemetry snapshot as JSON, and asserts the export round-trips
+//! losslessly — the contract `BENCH_pipeline_obs.json` and any external
+//! consumer of the artifact rely on.
 
-use std::sync::Arc;
-
-use cbma::obs::{FieldValue, MetricsRegistry, RecordingSink, Snapshot};
+use cbma::obs::{MetricsRegistry, Snapshot};
 use cbma::prelude::*;
 
-fn observed_run(rounds: usize) -> (Snapshot, Vec<cbma::obs::Event>) {
+fn observed_run(rounds: usize) -> (Snapshot, Vec<RoundOutcome>) {
     let mut scenario = Scenario::paper_default(vec![
         Point::new(0.0, 0.35),
         Point::new(0.25, -0.40),
@@ -23,11 +21,9 @@ fn observed_run(rounds: usize) -> (Snapshot, Vec<cbma::obs::Event>) {
         tag.set_impedance(ImpedanceState::Open);
     }
     let registry = MetricsRegistry::new();
-    let sink = Arc::new(RecordingSink::new());
     engine.attach_observability(&registry);
-    engine.set_sink(sink.clone());
-    engine.run_rounds(rounds);
-    (registry.snapshot(), sink.take())
+    let outcomes = (0..rounds).map(|_| engine.run_round()).collect();
+    (registry.snapshot(), outcomes)
 }
 
 #[test]
@@ -95,26 +91,28 @@ fn merged_sweep_snapshots_round_trip_too() {
 }
 
 #[test]
-fn round_events_describe_the_run() {
-    let (_, events) = observed_run(6);
-    let rounds: Vec<_> = events
-        .iter()
-        .filter(|e| e.name == "cbma.sim.round")
-        .collect();
-    assert_eq!(rounds.len(), 6, "one cbma.sim.round event per round");
-    for (k, event) in rounds.iter().enumerate() {
-        assert_eq!(event.field_u64("round"), Some(k as u64));
-        let Some(FieldValue::List(active)) = event.field("active") else {
-            panic!("round event missing active set: {event:?}");
-        };
-        assert_eq!(active, &[0, 1, 2], "all three tags transmit every round");
-        let Some(FieldValue::List(delivered)) = event.field("delivered") else {
-            panic!("round event missing delivered set: {event:?}");
-        };
-        assert!(delivered.len() <= active.len());
-        assert!(event.field("frame_detected").is_some());
-        assert!(event.field_u64("round_ns").unwrap() > 0);
+fn round_outcomes_describe_the_run() {
+    let (snapshot, outcomes) = observed_run(6);
+    assert_eq!(outcomes.len(), 6, "one outcome per round");
+    for outcome in &outcomes {
+        assert_eq!(
+            outcome.active,
+            [0, 1, 2],
+            "all three tags transmit every round"
+        );
+        assert!(
+            outcome
+                .delivered
+                .iter()
+                .all(|id| outcome.active.contains(id)),
+            "delivered {:?} outside active {:?}",
+            outcome.delivered,
+            outcome.active
+        );
     }
+    let round_ns = &snapshot.histograms["cbma.sim.round_ns"];
+    assert_eq!(round_ns.count, 6, "one round_ns sample per round");
+    assert!(round_ns.min > 0, "every round takes time");
 }
 
 #[test]
