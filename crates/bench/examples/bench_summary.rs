@@ -17,7 +17,14 @@
 //!   `batch_speedup_over_direct`,
 //! * `periodic_xcorr_{direct,fft}_n*` — circular code-family correlation
 //!   at several sequence lengths, which picked
-//!   `cbma::dsp::correlate::PERIODIC_FFT_CROSSOVER`.
+//!   `cbma::dsp::correlate::PERIODIC_FFT_CROSSOVER`,
+//! * the per-sample loops of a round around the detector:
+//!   `tag_transmit_w256` (one 10-tag-family tag's `Tag::transmit`, a
+//!   256-sample bit window), `mixer_combine_paper4` (`Mixer::combine` of
+//!   four faded, delayed paper-default tags, noise included),
+//!   `frame_sync_paper4` (`FrameSync::best_edge_in` on that capture) and
+//!   `decode_frame_w256` (one coherent `Decoder::decode_frame` with a
+//!   256-sample bit window).
 //!
 //! Run with `cargo run --release -p cbma-bench --example bench_summary`.
 
@@ -144,6 +151,14 @@ fn main() {
         cases.push(fft);
     }
 
+    cases.extend(round_loop_cases(&phy, &codes, &buf));
+    for case in &cases[cases.len() - 4..] {
+        println!(
+            "{:24} {:>12.0} ns/op  ({} iters)",
+            case.name, case.mean_ns, case.iters
+        );
+    }
+
     // Hand-rolled JSON — no serializer dependency in the bench harness.
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut json = String::from("{\n");
@@ -169,6 +184,68 @@ fn main() {
 
     write_pipeline_obs();
     write_streaming_throughput();
+}
+
+/// The per-sample loops of a round outside user detection: tag
+/// transmit, mixing, frame sync and bit decoding. `codes` is the 10-code
+/// family (256-sample bit windows) and `capture` holds one frame of
+/// `codes[0]`, payload `0xA5 × 8`, starting at sample 400 with gain 0.01.
+fn round_loop_cases(phy: &PhyProfile, codes: &[cbma::codes::PnCode], capture: &[Iq]) -> Vec<Case> {
+    use cbma::channel::{Mixer, MultipathModel, TagSignal};
+    use cbma::rx::{Decoder, FrameSync};
+    use rand::rngs::StdRng;
+    use rand::SeedableRng;
+
+    let mut cases = Vec::new();
+    let w = codes[0].len() * phy.samples_per_chip();
+    let mut tag = Tag::new(0, Point::ORIGIN, codes[0].clone());
+    cases.push(time_case(&format!("tag_transmit_w{w}"), || {
+        tag.transmit(vec![0xA5; 8], phy).unwrap()
+    }));
+
+    // The paper4 round's shape: a 4-code family, 8-byte payloads, indoor
+    // multipath, sub-chip asynchrony and a ppm-scale subcarrier beat.
+    let paper4 = TwoNcFamily::new(4).unwrap().codes(4).unwrap();
+    let mut fading = StdRng::seed_from_u64(4);
+    let signals: Vec<TagSignal> = paper4
+        .iter()
+        .enumerate()
+        .map(|(i, code)| {
+            let mut tag = Tag::new(i as u32, Point::ORIGIN, code.clone());
+            TagSignal {
+                envelope: tag.transmit(vec![0x5A ^ i as u8; 8], phy).unwrap(),
+                amplitude: 1e-4 * (1.0 + 0.3 * i as f64),
+                phase: 0.9 * i as f64,
+                taps: MultipathModel::indoor_default().realize(&mut fading),
+                delay_samples: 1.7 * i as f64,
+                freq_offset_rad_per_sample: 2e-5 * (i as f64 - 1.5),
+            }
+        })
+        .collect();
+    let config = ReceiverConfig::default();
+    let mixer = Mixer {
+        lead_in: 4 * config.energy_window,
+        ..Mixer::new(phy.sample_rate)
+    };
+    let mut noise = StdRng::seed_from_u64(5);
+    cases.push(time_case("mixer_combine_paper4", || {
+        mixer.combine(&mut noise, &signals)
+    }));
+
+    let paper4_capture = mixer.combine(&mut StdRng::seed_from_u64(6), &signals);
+    let sync = FrameSync::paper_default(config.energy_window);
+    let mut scratch = sync.scratch();
+    cases.push(time_case("frame_sync_paper4", || {
+        sync.best_edge_in(&paper4_capture, &mut scratch)
+    }));
+
+    let decoder = Decoder::new(&codes[0], phy);
+    let gain = Iq::new(0.01, 0.0);
+    assert!(decoder.decode_frame(capture, 400, gain).is_frame());
+    cases.push(time_case(&format!("decode_frame_w{w}"), || {
+        decoder.decode_frame(capture, 400, gain)
+    }));
+    cases
 }
 
 /// Multi-stream scheduler throughput: `BENCH_streaming.json`.

@@ -9,6 +9,7 @@
 
 use rand::Rng;
 
+use cbma_dsp::simd;
 use cbma_types::units::Hertz;
 use cbma_types::Iq;
 
@@ -56,18 +57,50 @@ impl TagSignal {
         self.delay_samples.ceil() as usize + self.envelope.len() + tap_tail
     }
 
+    /// The phasor chain that rotates this tag's envelope: the static
+    /// phase, advanced by the residual subcarrier offset every sample.
+    fn rotation(&self) -> Rotation {
+        Rotation {
+            phasor: Iq::phasor(self.phase),
+            step: Iq::phasor(self.freq_offset_rad_per_sample),
+            amplitude: self.amplitude,
+        }
+    }
+
     /// Writes the complex baseband contribution before channel effects
-    /// into `clean`; the residual subcarrier offset makes the phase ramp
-    /// with time.
-    fn rotate_into(&self, clean: &mut Vec<Iq>) {
-        let step = Iq::phasor(self.freq_offset_rad_per_sample);
-        let mut phasor = Iq::phasor(self.phase);
-        clean.clear();
-        clean.extend(self.envelope.iter().map(|&e| {
-            let sample = phasor.scale(e * self.amplitude);
-            phasor *= step;
-            sample
-        }));
+    /// into `clean[..envelope.len()]`; the residual subcarrier offset
+    /// makes the phase ramp with time.
+    fn rotate_into(&self, clean: &mut [Iq]) {
+        let mut rot = self.rotation();
+        for (c, &e) in clean.iter_mut().zip(&self.envelope) {
+            *c = rot.next(e);
+        }
+    }
+
+    /// [`rotate_into`](TagSignal::rotate_into) for two tags in one loop.
+    /// Each phasor update is a serial chain of dependent multiplies and
+    /// adds; running two independent chains side by side overlaps their
+    /// latencies. Every sample is the one `rotate_into` writes.
+    fn rotate_pair_into(a: &TagSignal, b: &TagSignal, clean_a: &mut [Iq], clean_b: &mut [Iq]) {
+        let (mut ra, mut rb) = (a.rotation(), b.rotation());
+        let both = a.envelope.len().min(b.envelope.len());
+        let (head_a, tail_a) = clean_a[..a.envelope.len()].split_at_mut(both);
+        let (head_b, tail_b) = clean_b[..b.envelope.len()].split_at_mut(both);
+        for ((ca, &ea), (cb, &eb)) in head_a
+            .iter_mut()
+            .zip(&a.envelope)
+            .zip(head_b.iter_mut().zip(&b.envelope))
+        {
+            *ca = ra.next(ea);
+            *cb = rb.next(eb);
+        }
+        // At most one of the two has samples left.
+        for (c, &e) in tail_a.iter_mut().zip(&a.envelope[both..]) {
+            *c = ra.next(e);
+        }
+        for (c, &e) in tail_b.iter_mut().zip(&b.envelope[both..]) {
+            *c = rb.next(e);
+        }
     }
 
     /// Adds the faded, delayed contribution of the rotated envelope
@@ -82,32 +115,70 @@ impl TagSignal {
     /// one after another over whole buffers. Only exact no-ops are
     /// skipped: adding the `+0.0` samples before the integer delay, and
     /// multiplying by an always-on mask's 1.0.
+    ///
+    /// The interior, where every tap reads inside the envelope, runs
+    /// through [`simd::fade_delay_add`]; the head and tail samples, whose
+    /// taps reach before or past the envelope, run here one at a time.
     fn add_faded_delayed(&self, clean: &[Iq], out: &mut [Iq], mask: Option<&[f64]>) {
         let whole = self.delay_samples.floor();
         let frac = self.delay_samples - whole;
-        let start = whole as usize;
+        let span = whole as usize..self.extent();
+        let out = &mut out[span.clone()];
+        let mask = mask.map(|m| &m[span]);
         let taps = self.taps.taps();
-        let faded = |j: usize| {
-            let mut acc = Iq::ZERO;
+        let one = |j: usize, prev: &mut Iq| {
+            let mut cur = Iq::ZERO;
             for &(d, g) in taps {
                 if let Some(i) = j.checked_sub(d) {
-                    acc += clean.get(i).copied().unwrap_or(Iq::ZERO) * g;
+                    cur += clean.get(i).copied().unwrap_or(Iq::ZERO) * g;
                 }
             }
-            acc
-        };
-        let mut prev = Iq::ZERO;
-        for (j, k) in (start..self.extent()).enumerate() {
-            let cur = faded(j);
             let s = cur.scale(1.0 - frac) + prev.scale(frac);
-            prev = cur;
+            *prev = cur;
             // The tag can only reflect while the excitation is on the
             // air.
-            out[k] += match mask {
-                Some(mask) => s.scale(mask[k]),
+            match mask {
+                Some(mask) => s.scale(mask[j]),
                 None => s,
-            };
+            }
+        };
+        let delays = || taps.iter().map(|&(d, _)| d);
+        let first = delays().max().unwrap_or(0).min(out.len());
+        let min_d = delays().min().unwrap_or(0);
+        let end = (clean.len() + min_d).clamp(first, out.len());
+        let mut prev = Iq::ZERO;
+        for (j, o) in out[..first].iter_mut().enumerate() {
+            *o += one(j, &mut prev);
         }
+        prev = simd::fade_delay_add(
+            clean,
+            taps,
+            first,
+            frac,
+            prev,
+            &mut out[first..end],
+            mask.map(|m| &m[first..end]),
+        );
+        for (j, o) in out.iter_mut().enumerate().skip(end) {
+            *o += one(j, &mut prev);
+        }
+    }
+}
+
+/// One tag's phasor chain (see [`TagSignal::rotate_into`]).
+struct Rotation {
+    phasor: Iq,
+    step: Iq,
+    amplitude: f64,
+}
+
+impl Rotation {
+    /// The rotated sample for envelope value `e`, then one step on.
+    #[inline]
+    fn next(&mut self, e: f64) -> Iq {
+        let sample = self.phasor.scale(e * self.amplitude);
+        self.phasor *= self.step;
+        sample
     }
 }
 
@@ -147,9 +218,13 @@ impl Mixer {
     ///
     /// The buffer is `lead_in + max tag extent + tail` samples: noise-only
     /// lead-in, then the superposed tags (each at its own delay), then a
-    /// noise-only tail. Besides the capture it allocates one envelope
-    /// scratch, reused by every tag, plus the interference waveform and
-    /// excitation mask when those are not trivially silent or always on.
+    /// noise-only tail. Tags are rotated two at a time (see
+    /// [`TagSignal`]'s paired phasor chains) and added in order. Besides
+    /// the capture, `combine` allocates one scratch that holds two
+    /// rotated envelopes and is reused by every pair of tags, plus the
+    /// interference waveform and excitation mask when those are not
+    /// trivially silent or always on: two allocations for any number of
+    /// tags under a tone on a clean channel.
     ///
     /// # Panics
     ///
@@ -181,14 +256,19 @@ impl Mixer {
             .then(|| self.excitation.availability_mask(rng, total));
 
         let longest = signals.iter().map(|s| s.envelope.len()).max().unwrap_or(0);
-        let mut clean = Vec::with_capacity(longest);
-        for sig in signals {
-            sig.rotate_into(&mut clean);
-            sig.add_faded_delayed(
-                &clean,
-                &mut buf[self.lead_in..],
-                mask.as_deref().map(|m| &m[self.lead_in..]),
-            );
+        let mut scratch = vec![Iq::ZERO; 2 * longest];
+        let (clean_a, clean_b) = scratch.split_at_mut(longest);
+        let out = &mut buf[self.lead_in..];
+        let mask = mask.as_deref().map(|m| &m[self.lead_in..]);
+        for pair in signals.chunks(2) {
+            match pair {
+                [a, b] => TagSignal::rotate_pair_into(a, b, clean_a, clean_b),
+                [a] => a.rotate_into(clean_a),
+                _ => unreachable!("chunks(2) yields one or two tags"),
+            }
+            for (sig, clean) in pair.iter().zip([&*clean_a, &*clean_b]) {
+                sig.add_faded_delayed(&clean[..sig.envelope.len()], out, mask);
+            }
         }
         buf
     }

@@ -1,9 +1,9 @@
 //! Proves `Mixer::combine` allocates nothing per tag.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator. Mixing
-//! one tag and mixing eight tags of the same length into the same capture
+//! one, seven or eight tags of the same length into the same capture
 //! length must make the same number of heap allocations: the capture and
-//! one envelope scratch, whatever the tag count.
+//! one scratch for a pair of rotated envelopes, whatever the tag count.
 //!
 //! This file deliberately contains a single `#[test]`: the counter is
 //! process-global, and a sibling test running on another thread would
@@ -82,12 +82,20 @@ fn mixing_more_tags_allocates_nothing_more() {
 
     let (one, one_capture) =
         count_allocs(|| mixer.combine(&mut StdRng::seed_from_u64(1), &tags[..1]));
+    // Seven tags: three pairs and an odd last tag rotated on its own.
+    let (seven, seven_capture) =
+        count_allocs(|| mixer.combine(&mut StdRng::seed_from_u64(1), &tags[..7]));
     let (eight, eight_capture) =
         count_allocs(|| mixer.combine(&mut StdRng::seed_from_u64(1), &tags));
     assert_eq!(one_capture.len(), eight_capture.len());
+    assert_eq!(seven_capture.len(), eight_capture.len());
     assert_eq!(
         one, eight,
         "combine allocated {one} times for 1 tag but {eight} times for 8"
+    );
+    assert_eq!(
+        seven, eight,
+        "combine allocated {seven} times for 7 tags but {eight} times for 8"
     );
     // Under a tone and a clean channel: the capture and the envelope
     // scratch, nothing else.

@@ -16,17 +16,21 @@
 //! assert_eq!(outputs.last().copied(), Some(4.0));
 //! ```
 
-use std::collections::VecDeque;
-
 /// A streaming moving-average filter over a fixed-size window.
 ///
 /// Until the window fills, the average is taken over the samples seen so
 /// far (warm-up behaviour), which matches how a real receiver boots its
 /// noise-floor estimate.
+///
+/// The window is a fixed ring allocated once by [`MovingAverage::new`];
+/// each push performs `sum -= oldest` (once the window is full),
+/// `sum += sample` and `sum / len`, in that order.
 #[derive(Debug, Clone)]
 pub struct MovingAverage {
-    window: VecDeque<f64>,
-    capacity: usize,
+    ring: Box<[f64]>,
+    /// Index of the oldest sample in `ring`.
+    head: usize,
+    len: usize,
     sum: f64,
 }
 
@@ -39,8 +43,9 @@ impl MovingAverage {
     pub fn new(window: usize) -> MovingAverage {
         assert!(window > 0, "moving-average window must be non-zero");
         MovingAverage {
-            window: VecDeque::with_capacity(window),
-            capacity: window,
+            ring: vec![0.0; window].into_boxed_slice(),
+            head: 0,
+            len: 0,
             sum: 0.0,
         }
     }
@@ -48,46 +53,61 @@ impl MovingAverage {
     /// The configured window size Wₙ.
     #[inline]
     pub fn window_size(&self) -> usize {
-        self.capacity
+        self.ring.len()
     }
 
     /// Number of samples currently inside the window.
     #[inline]
     pub fn len(&self) -> usize {
-        self.window.len()
+        self.len
     }
 
     /// Whether no samples have been pushed yet.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.window.is_empty()
+        self.len == 0
     }
 
     /// Pushes a sample and returns the current average.
+    #[inline]
     pub fn push(&mut self, sample: f64) -> f64 {
-        if self.window.len() == self.capacity {
-            // Remove the oldest contribution before adding the new one.
-            if let Some(old) = self.window.pop_front() {
-                self.sum -= old;
+        let capacity = self.ring.len();
+        if self.len == capacity {
+            // Remove the oldest contribution before adding the new one;
+            // the new sample takes its slot and the next one becomes the
+            // oldest.
+            self.sum -= self.ring[self.head];
+            self.ring[self.head] = sample;
+            self.head += 1;
+            if self.head == capacity {
+                self.head = 0;
             }
+        } else {
+            let mut slot = self.head + self.len;
+            if slot >= capacity {
+                slot -= capacity;
+            }
+            self.ring[slot] = sample;
+            self.len += 1;
         }
-        self.window.push_back(sample);
         self.sum += sample;
-        self.sum / self.window.len() as f64
+        self.sum / self.len as f64
     }
 
     /// The current average without pushing, or `None` before any sample.
+    #[inline]
     pub fn current(&self) -> Option<f64> {
-        if self.window.is_empty() {
+        if self.len == 0 {
             None
         } else {
-            Some(self.sum / self.window.len() as f64)
+            Some(self.sum / self.len as f64)
         }
     }
 
     /// Clears all state, returning the filter to its initial condition.
     pub fn reset(&mut self) {
-        self.window.clear();
+        self.head = 0;
+        self.len = 0;
         self.sum = 0.0;
     }
 }
@@ -148,6 +168,65 @@ mod tests {
         let out = moving_average(&input, 4);
         assert!(out[8] < 1.0); // still averaging in zeros
         assert!((out[11] - 1.0).abs() < 1e-12); // fully transitioned
+    }
+
+    /// The `VecDeque` filter the ring replaced, kept as the oracle.
+    struct DequeAverage {
+        window: std::collections::VecDeque<f64>,
+        capacity: usize,
+        sum: f64,
+    }
+
+    impl DequeAverage {
+        fn push(&mut self, sample: f64) -> f64 {
+            if self.window.len() == self.capacity {
+                if let Some(old) = self.window.pop_front() {
+                    self.sum -= old;
+                }
+            }
+            self.window.push_back(sample);
+            self.sum += sample;
+            self.sum / self.window.len() as f64
+        }
+
+        fn current(&self) -> Option<f64> {
+            (!self.window.is_empty()).then(|| self.sum / self.window.len() as f64)
+        }
+
+        fn reset(&mut self) {
+            self.window.clear();
+            self.sum = 0.0;
+        }
+    }
+
+    #[test]
+    fn ring_matches_the_deque_filter_bit_for_bit() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(31);
+        for _ in 0..200 {
+            let window = rng.gen_range(1..=80);
+            let mut ring = MovingAverage::new(window);
+            let mut oracle = DequeAverage {
+                window: std::collections::VecDeque::new(),
+                capacity: window,
+                sum: 0.0,
+            };
+            for _ in 0..rng.gen_range(0..600) {
+                if rng.gen_bool(0.01) {
+                    ring.reset();
+                    oracle.reset();
+                } else {
+                    // Powers spanning many magnitudes, so every rounding
+                    // of the running sum shows.
+                    let x = rng.gen::<f64>() * 10f64.powi(rng.gen_range(-12..4));
+                    assert_eq!(ring.push(x).to_bits(), oracle.push(x).to_bits());
+                }
+                let bits = |m: Option<f64>| m.map(f64::to_bits);
+                assert_eq!(bits(ring.current()), bits(oracle.current()));
+                assert_eq!(ring.len(), oracle.window.len());
+            }
+        }
     }
 
     #[test]

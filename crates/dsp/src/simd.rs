@@ -10,16 +10,29 @@
 //! equivalence tests in `crates/dsp/tests/simd_equivalence.rs` can pin
 //! both implementations together across every lane-remainder case.
 //!
-//! Numerically the vector kernels are *not* bit-identical to the scalar
-//! ones (they reassociate additions across accumulator lanes), but both
-//! are exact to ~1e-12 relative on receiver-scale inputs, well inside the
-//! 1e-9 window the cross-path detector tests enforce.
+//! Numerically, most vector kernels are *not* bit-identical to their
+//! scalar twins: [`dot`], [`dot_iq_real`] and [`sum_power`] reassociate
+//! their sums across accumulator lanes, and they, the SIC cancellation
+//! and the FFT stage kernels fuse multiply-adds. Both forms are exact to
+//! ~1e-12 relative on receiver-scale inputs, well inside the 1e-9 window
+//! the cross-path detector tests enforce. Two kernels are exact instead:
+//!
+//! * [`fade_delay_add`], the mixer's per-tag interior, equals
+//!   [`fade_delay_add_scalar`] bit for bit: it uses no FMA and performs
+//!   each product and sum of the scalar code, so a capture does not
+//!   depend on whether the host has AVX2;
+//! * [`dot_iq_real_windows`], the decoder's per-bit correlations, equals
+//!   one [`dot_iq_real`] call per window bit for bit on every host.
 //!
 //! Safety: the only `unsafe` in `cbma-dsp` lives here. It is confined to
 //! (a) reinterpreting `&[Iq]` as interleaved `&[f64]` — sound because
 //! [`Iq`] is `#[repr(C)] { re: f64, im: f64 }` — and (b) calling
 //! `#[target_feature(enable = "avx2,fma")]` functions after
-//! `is_x86_feature_detected!` has confirmed both features.
+//! `is_x86_feature_detected!` has confirmed both features. Every kernel
+//! reads and writes only inside the slices it is given; where its indices
+//! come from arguments (the windows of [`dot_iq_real_windows`], the tap
+//! delays of [`fade_delay_add`]) the safe dispatcher asserts the bounds
+//! before the call.
 
 use cbma_types::Iq;
 
@@ -94,6 +107,143 @@ pub fn dot_iq_real_scalar(samples: &[Iq], reference: &[f64]) -> Iq {
         .zip(reference)
         .map(|(s, &r)| s.scale(r))
         .sum()
+}
+
+/// Correlates consecutive windows of `samples` against one real
+/// reference: `out[k] = dot_iq_real(&samples[k·w..(k + 1)·w], reference)`
+/// with `w = reference.len()` — the decoder's per-bit correlations.
+///
+/// Every result is bit-identical to the per-window [`dot_iq_real`] call.
+/// The vector kernel runs four windows' accumulator chains side by side,
+/// so the FMA latency that bounds one window is hidden.
+///
+/// # Panics
+///
+/// Panics if `samples` holds fewer than `out.len() · reference.len()`
+/// samples.
+#[inline]
+pub fn dot_iq_real_windows(samples: &[Iq], reference: &[f64], out: &mut [Iq]) {
+    check_windows(samples, reference, out);
+    #[cfg(target_arch = "x86_64")]
+    if x86::available() {
+        // SAFETY: available() confirmed avx2+fma at runtime, and
+        // check_windows confirmed every window lies inside `samples`.
+        unsafe { x86::dot_iq_real_windows(samples, reference, out) };
+        return;
+    }
+    dot_iq_real_windows_scalar(samples, reference, out);
+}
+
+/// Portable reference implementation of [`dot_iq_real_windows`]: one
+/// [`dot_iq_real_scalar`] per window.
+///
+/// # Panics
+///
+/// Panics under the same condition as [`dot_iq_real_windows`].
+pub fn dot_iq_real_windows_scalar(samples: &[Iq], reference: &[f64], out: &mut [Iq]) {
+    check_windows(samples, reference, out);
+    let w = reference.len();
+    for (k, o) in out.iter_mut().enumerate() {
+        *o = dot_iq_real_scalar(&samples[k * w..(k + 1) * w], reference);
+    }
+}
+
+fn check_windows(samples: &[Iq], reference: &[f64], out: &[Iq]) {
+    assert!(
+        samples.len() >= out.len() * reference.len(),
+        "{} windows of {} samples need more than {} samples",
+        out.len(),
+        reference.len(),
+        samples.len()
+    );
+}
+
+/// The interior of the mixer's per-tag pass: fades, delays and adds one
+/// rotated envelope into `out`.
+///
+/// For every `n < out.len()`, with `j = first + n`:
+///
+/// ```text
+/// cur    = 0 + clean[j − d₀]·g₀ + clean[j − d₁]·g₁ + …   (taps in order)
+/// s      = cur·(1 − frac) + prev·frac
+/// out[n] += s·mask[n]   (or s without a mask)
+/// prev   = cur
+/// ```
+///
+/// and the final `prev` is returned, so a caller can run the samples
+/// before and after the interior with its own scalar code. The vector
+/// kernel uses only multiplies, adds, subtracts and permutes — no FMA —
+/// and computes each product and sum the scalar code computes, so its
+/// output is bit-identical to [`fade_delay_add_scalar`].
+///
+/// # Panics
+///
+/// Panics if a mask's length differs from `out.len()`, or if some tap
+/// index `j − d` falls outside `clean`.
+#[inline]
+pub fn fade_delay_add(
+    clean: &[Iq],
+    taps: &[(usize, Iq)],
+    first: usize,
+    frac: f64,
+    prev: Iq,
+    out: &mut [Iq],
+    mask: Option<&[f64]>,
+) -> Iq {
+    check_fade(clean, taps, first, out, mask);
+    #[cfg(target_arch = "x86_64")]
+    if x86::available() {
+        // SAFETY: available() confirmed avx2+fma at runtime, and
+        // check_fade confirmed every tap read and mask read is in bounds.
+        return unsafe { x86::fade_delay_add(clean, taps, first, frac, prev, out, mask) };
+    }
+    fade_delay_add_scalar(clean, taps, first, frac, prev, out, mask)
+}
+
+/// Portable reference implementation of [`fade_delay_add`].
+///
+/// # Panics
+///
+/// Panics under the same conditions as [`fade_delay_add`].
+pub fn fade_delay_add_scalar(
+    clean: &[Iq],
+    taps: &[(usize, Iq)],
+    first: usize,
+    frac: f64,
+    mut prev: Iq,
+    out: &mut [Iq],
+    mask: Option<&[f64]>,
+) -> Iq {
+    check_fade(clean, taps, first, out, mask);
+    for (n, o) in out.iter_mut().enumerate() {
+        let j = first + n;
+        let mut cur = Iq::ZERO;
+        for &(d, g) in taps {
+            cur += clean[j - d] * g;
+        }
+        let s = cur.scale(1.0 - frac) + prev.scale(frac);
+        prev = cur;
+        *o += match mask {
+            Some(mask) => s.scale(mask[n]),
+            None => s,
+        };
+    }
+    prev
+}
+
+fn check_fade(clean: &[Iq], taps: &[(usize, Iq)], first: usize, out: &[Iq], mask: Option<&[f64]>) {
+    if let Some(mask) = mask {
+        assert_eq!(mask.len(), out.len(), "one mask value per output sample");
+    }
+    if out.is_empty() {
+        return;
+    }
+    for &(d, _) in taps {
+        assert!(
+            first >= d && first - d + out.len() <= clean.len(),
+            "tap at delay {d} reads outside the envelope"
+        );
+    }
 }
 
 /// Pointwise complex multiplication `dst[i] *= src[i]` — the overlap-save
@@ -753,28 +903,166 @@ mod x86 {
         let mut acc1 = _mm256_setzero_pd();
         let mut i = 0;
         while i + 4 <= n {
-            // [r0, r1, r2, r3] expanded to per-component pairs.
-            let r4 = _mm256_loadu_pd(rp.add(i));
-            let e01 = _mm256_permute4x64_pd(r4, 0x50); // [r0, r0, r1, r1]
-            let e23 = _mm256_permute4x64_pd(r4, 0xFA); // [r2, r2, r3, r3]
+            let (e01, e23) = expand_ref(rp.add(i));
             acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(sp.add(2 * i)), e01, acc0);
             acc1 = _mm256_fmadd_pd(_mm256_loadu_pd(sp.add(2 * i + 4)), e23, acc1);
             i += 4;
         }
+        finish_iq_real(acc0, acc1, samples, reference, i)
+    }
+
+    /// Four reference values `[r0, r1, r2, r3]` at `p`, expanded to the
+    /// per-component pairs `[r0, r0, r1, r1]` and `[r2, r2, r3, r3]`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA, and `p` must point at four
+    /// readable `f64`s.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn expand_ref(p: *const f64) -> (__m256d, __m256d) {
+        let r4 = _mm256_loadu_pd(p);
+        (
+            _mm256_permute4x64_pd(r4, 0x50),
+            _mm256_permute4x64_pd(r4, 0xFA),
+        )
+    }
+
+    /// The reduction and scalar tail of [`dot_iq_real`]: sums the two
+    /// accumulators, then adds samples `from..` one at a time. Every
+    /// caller ends through here, so a windowed result is the per-window
+    /// result bit for bit.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA, and
+    /// `reference.len() >= samples.len()`.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn finish_iq_real(
+        acc0: __m256d,
+        acc1: __m256d,
+        samples: &[Iq],
+        reference: &[f64],
+        from: usize,
+    ) -> Iq {
         let acc = _mm256_add_pd(acc0, acc1);
         let lo = _mm256_castpd256_pd128(acc);
         let hi = _mm256_extractf128_pd(acc, 1);
         let pair = _mm_add_pd(lo, hi); // [Σre, Σim]
         let mut re = _mm_cvtsd_f64(pair);
         let mut im = _mm_cvtsd_f64(_mm_unpackhi_pd(pair, pair));
-        while i < n {
-            let s = samples[i];
-            let r = reference[i];
+        for (s, &r) in samples[from..].iter().zip(&reference[from..]) {
             re += s.re * r;
             im += s.im * r;
-            i += 1;
         }
         Iq::new(re, im)
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA (the dispatcher checks
+    /// `available()`), and `samples.len() >= out.len() · reference.len()`:
+    /// window `k` reads samples `[k·w, (k + 1)·w)` only.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn dot_iq_real_windows(samples: &[Iq], reference: &[f64], out: &mut [Iq]) {
+        let w = reference.len();
+        let rp = reference.as_ptr();
+        let mut k = 0;
+        while k + 4 <= out.len() {
+            // The loop of `dot_iq_real` for windows k..k+4 at once: each
+            // window keeps its own two accumulators and lane order.
+            let p0 = samples.as_ptr().add(k * w) as *const f64;
+            let (p1, p2, p3) = (p0.add(2 * w), p0.add(4 * w), p0.add(6 * w));
+            let z = _mm256_setzero_pd();
+            let (mut a0, mut a1, mut a2, mut a3) = (z, z, z, z);
+            let (mut b0, mut b1, mut b2, mut b3) = (z, z, z, z);
+            let mut i = 0;
+            while i + 4 <= w {
+                let (e01, e23) = expand_ref(rp.add(i));
+                a0 = _mm256_fmadd_pd(_mm256_loadu_pd(p0.add(2 * i)), e01, a0);
+                b0 = _mm256_fmadd_pd(_mm256_loadu_pd(p0.add(2 * i + 4)), e23, b0);
+                a1 = _mm256_fmadd_pd(_mm256_loadu_pd(p1.add(2 * i)), e01, a1);
+                b1 = _mm256_fmadd_pd(_mm256_loadu_pd(p1.add(2 * i + 4)), e23, b1);
+                a2 = _mm256_fmadd_pd(_mm256_loadu_pd(p2.add(2 * i)), e01, a2);
+                b2 = _mm256_fmadd_pd(_mm256_loadu_pd(p2.add(2 * i + 4)), e23, b2);
+                a3 = _mm256_fmadd_pd(_mm256_loadu_pd(p3.add(2 * i)), e01, a3);
+                b3 = _mm256_fmadd_pd(_mm256_loadu_pd(p3.add(2 * i + 4)), e23, b3);
+                i += 4;
+            }
+            let window = |q: usize| &samples[(k + q) * w..(k + q + 1) * w];
+            out[k] = finish_iq_real(a0, b0, window(0), reference, i);
+            out[k + 1] = finish_iq_real(a1, b1, window(1), reference, i);
+            out[k + 2] = finish_iq_real(a2, b2, window(2), reference, i);
+            out[k + 3] = finish_iq_real(a3, b3, window(3), reference, i);
+            k += 4;
+        }
+        for (q, o) in out.iter_mut().enumerate().skip(k) {
+            *o = dot_iq_real(&samples[q * w..(q + 1) * w], reference);
+        }
+    }
+
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA (the dispatcher checks
+    /// `available()`); a mask, when given, holds `out.len()` values; and
+    /// for every tap `(d, _)`, `first >= d` and
+    /// `first − d + out.len() <= clean.len()`, so every envelope read
+    /// `clean[first + n − d]` is in bounds.
+    #[target_feature(enable = "avx2,fma")]
+    pub unsafe fn fade_delay_add(
+        clean: &[Iq],
+        taps: &[(usize, Iq)],
+        first: usize,
+        frac: f64,
+        prev: Iq,
+        out: &mut [Iq],
+        mask: Option<&[f64]>,
+    ) -> Iq {
+        let n = out.len();
+        let cp = clean.as_ptr() as *const f64;
+        let op = out.as_mut_ptr() as *mut f64;
+        let keep = _mm256_set1_pd(1.0 - frac);
+        let frac_v = _mm256_set1_pd(frac);
+        // The upper complex lane holds the previous sample's `cur`.
+        let mut last = _mm256_setr_pd(prev.re, prev.im, prev.re, prev.im);
+        let mut i = 0;
+        while i + 2 <= n {
+            let j = first + i;
+            let mut cur = _mm256_setzero_pd();
+            for &(d, g) in taps {
+                let c = _mm256_loadu_pd(cp.add(2 * (j - d)));
+                // [c.re·g.re, c.im·g.re] ∓ [c.im·g.im, c.re·g.im]: the
+                // products of `Iq * Iq`; the imaginary sum only swaps
+                // its operands, which addition does exactly.
+                let t1 = _mm256_mul_pd(c, _mm256_set1_pd(g.re));
+                let t2 = _mm256_mul_pd(_mm256_permute_pd(c, 0x5), _mm256_set1_pd(g.im));
+                cur = _mm256_add_pd(cur, _mm256_addsub_pd(t1, t2));
+            }
+            // [cur of sample i − 1, cur of sample i].
+            let before = _mm256_permute2f128_pd(last, cur, 0x21);
+            let mut s = _mm256_add_pd(_mm256_mul_pd(cur, keep), _mm256_mul_pd(before, frac_v));
+            if let Some(mask) = mask {
+                let m = _mm_loadu_pd(mask.as_ptr().add(i));
+                s = _mm256_mul_pd(s, _mm256_permute4x64_pd(_mm256_castpd128_pd256(m), 0x50));
+            }
+            let sum = _mm256_add_pd(_mm256_loadu_pd(op.add(2 * i)), s);
+            _mm256_storeu_pd(op.add(2 * i), sum);
+            last = cur;
+            i += 2;
+        }
+        let hi = _mm256_extractf128_pd(last, 1);
+        let prev = Iq::new(_mm_cvtsd_f64(hi), _mm_cvtsd_f64(_mm_unpackhi_pd(hi, hi)));
+        // An odd last sample goes through the scalar twin.
+        super::fade_delay_add_scalar(
+            clean,
+            taps,
+            first + i,
+            frac,
+            prev,
+            &mut out[i..],
+            mask.map(|m| &m[i..]),
+        )
     }
 
     /// # Safety

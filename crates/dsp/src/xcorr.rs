@@ -351,22 +351,38 @@ impl RunningEnergy {
         }
     }
 
-    /// Recomputes the prefix sums over a new real-valued series in place;
-    /// the real-domain counterpart of [`RunningEnergy::rebuild`].
-    pub fn rebuild_real(&mut self, values: &[f64]) {
+    /// Recomputes only the power prefix over a new complex window, in
+    /// place: the pass for callers that read [`RunningEnergy::power`] and
+    /// nothing else, which saves the square root per sample of the
+    /// magnitude prefix. [`RunningEnergy::power`] then reads exactly what
+    /// it reads after [`RunningEnergy::rebuild`]; the magnitude queries
+    /// ([`RunningEnergy::abs_sum`], [`RunningEnergy::mean_abs`],
+    /// [`RunningEnergy::centered_energy`]) panic until the next full
+    /// rebuild.
+    pub fn rebuild_power(&mut self, samples: &[Iq]) {
         self.prefix_abs.clear();
         self.prefix_sq.clear();
-        self.prefix_abs.reserve(values.len() + 1);
-        self.prefix_sq.reserve(values.len() + 1);
-        let (mut sa, mut sq) = (0.0, 0.0);
-        self.prefix_abs.push(0.0);
+        self.prefix_sq.reserve(samples.len() + 1);
+        let mut sq = 0.0;
         self.prefix_sq.push(0.0);
-        for &v in values {
-            sa += v.abs();
+        self.prefix_sq.extend(samples.iter().map(|s| {
+            sq += s.power();
+            sq
+        }));
+    }
+
+    /// [`RunningEnergy::rebuild_power`] over a real-valued series: the
+    /// prefix of `v²`.
+    pub fn rebuild_power_real(&mut self, values: &[f64]) {
+        self.prefix_abs.clear();
+        self.prefix_sq.clear();
+        self.prefix_sq.reserve(values.len() + 1);
+        let mut sq = 0.0;
+        self.prefix_sq.push(0.0);
+        self.prefix_sq.extend(values.iter().map(|&v| {
             sq += v * v;
-            self.prefix_abs.push(sa);
-            self.prefix_sq.push(sq);
-        }
+            sq
+        }));
     }
 
     /// Address of the backing storage — exposed so arena-reuse regression
@@ -408,7 +424,8 @@ impl RunningEnergy {
     ///
     /// # Panics
     ///
-    /// Panics if the segment exceeds the window.
+    /// Panics if the segment exceeds the window, or if the last rebuild
+    /// built the power prefix only.
     #[inline]
     pub fn abs_sum(&self, off: usize, len: usize) -> f64 {
         self.prefix_abs[off + len] - self.prefix_abs[off]
@@ -1040,6 +1057,31 @@ mod tests {
             let mean = if len == 0 { 0.0 } else { abs / len as f64 };
             let centered: f64 = seg.iter().map(|s| (s.abs() - mean).powi(2)).sum();
             assert!((re.centered_energy(off, len) - centered).abs() < 1e-9);
+        }
+    }
+
+    #[test]
+    fn power_only_prefix_equals_the_full_prefix_bit_for_bit() {
+        let samples: Vec<Iq> = (0..301)
+            .map(|i| Iq::new((i as f64 * 0.37).sin() * 1e-3, (i as f64 * 0.11).cos()))
+            .collect();
+        let values: Vec<f64> = samples.iter().map(|s| s.re).collect();
+        let full = RunningEnergy::new(&samples);
+        let mut power = RunningEnergy::default();
+        power.rebuild_power(&samples);
+        let mut real = RunningEnergy::default();
+        real.rebuild_power_real(&values);
+        assert_eq!(power.len(), full.len());
+        for off in (0..=301).step_by(7) {
+            for len in [0, 1, 5, 64, 301 - off] {
+                let len = len.min(301 - off);
+                assert_eq!(
+                    power.power(off, len).to_bits(),
+                    full.power(off, len).to_bits()
+                );
+                let direct: f64 = values[off..off + len].iter().map(|v| v * v).sum();
+                assert!((real.power(off, len) - direct).abs() < 1e-9);
+            }
         }
     }
 

@@ -247,3 +247,115 @@ fn batch_scratch_reuse_is_pointer_stable() {
     batch.correlate_iq_into(&second, &mut scratch);
     assert_eq!(ptr, scratch.storage_ptr(), "row storage reallocated");
 }
+
+/// The decoder's windowed correlation returns, for every window, exactly
+/// the bits of a separate `dot_iq_real` call on that window: window
+/// lengths 1..=300 cover every lane remainder of the 4-sample loop, and
+/// 0..=9 windows cover whole groups of four plus every leftover count.
+#[test]
+fn windowed_correlation_matches_per_window_calls_bit_for_bit() {
+    let mut rng = StdRng::seed_from_u64(20);
+    for w in 1..=300usize {
+        let reference = reals(&mut rng, w);
+        // One spare sample past the last window must never be read.
+        let samples = iqs(&mut rng, 9 * w + 1);
+        for windows in 0..=9usize {
+            let mut fast = vec![Iq::new(f64::NAN, f64::NAN); windows];
+            let mut slow = fast.clone();
+            simd::dot_iq_real_windows(&samples, &reference, &mut fast);
+            simd::dot_iq_real_windows_scalar(&samples, &reference, &mut slow);
+            for k in 0..windows {
+                let window = &samples[k * w..(k + 1) * w];
+                let one = simd::dot_iq_real(window, &reference);
+                assert_eq!(
+                    (fast[k].re.to_bits(), fast[k].im.to_bits()),
+                    (one.re.to_bits(), one.im.to_bits()),
+                    "w={w} windows={windows} k={k}"
+                );
+                let one = simd::dot_iq_real_scalar(window, &reference);
+                assert_eq!(
+                    (slow[k].re.to_bits(), slow[k].im.to_bits()),
+                    (one.re.to_bits(), one.im.to_bits()),
+                    "scalar w={w} windows={windows} k={k}"
+                );
+            }
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "need more than")]
+fn windowed_correlation_rejects_a_short_buffer() {
+    let mut out = [Iq::ZERO; 3];
+    simd::dot_iq_real_windows(&[Iq::ONE; 11], &[1.0; 4], &mut out);
+}
+
+fn bits(samples: &[Iq]) -> Vec<(u64, u64)> {
+    samples
+        .iter()
+        .map(|s| (s.re.to_bits(), s.im.to_bits()))
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The mixer's interior kernel equals its scalar twin bit for bit —
+    /// every output sample and the returned carry — with and without an
+    /// excitation mask, for 0–4 taps at delays 0–4 in any order, and
+    /// interiors of every length through 41 (both lane parities).
+    #[test]
+    fn fade_delay_add_matches_scalar_bit_for_bit(
+        seed in any::<u64>(),
+        tap_count in 0usize..=4,
+        len in 0usize..=41,
+        masked in any::<bool>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let taps: Vec<(usize, Iq)> = (0..tap_count)
+            .map(|_| {
+                let g = Iq::new(rng.gen::<f64>() * 2.0 - 1.0, rng.gen::<f64>() * 2.0 - 1.0);
+                (rng.gen_range(0..=4usize), g)
+            })
+            .collect();
+        let max_d = taps.iter().map(|&(d, _)| d).max().unwrap_or(0);
+        let min_d = taps.iter().map(|&(d, _)| d).min().unwrap_or(0);
+        let first = max_d + rng.gen_range(0..3usize);
+        // Exactly long enough for the furthest read, plus some slack.
+        let slack = rng.gen_range(0..3usize);
+        let clean = iqs(&mut rng, first - min_d + len + slack);
+        let frac = rng.gen::<f64>();
+        let prev = Iq::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5);
+        let mask: Vec<f64> = (0..len)
+            .map(|_| if rng.gen::<bool>() { 1.0 } else { rng.gen::<f64>() })
+            .collect();
+        let mask = masked.then_some(&mask[..]);
+        let out = iqs(&mut rng, len);
+
+        let mut fast = out.clone();
+        let mut slow = out;
+        let carry_fast = simd::fade_delay_add(&clean, &taps, first, frac, prev, &mut fast, mask);
+        let carry_slow =
+            simd::fade_delay_add_scalar(&clean, &taps, first, frac, prev, &mut slow, mask);
+        prop_assert_eq!(bits(&fast), bits(&slow));
+        prop_assert_eq!(bits(&[carry_fast]), bits(&[carry_slow]));
+    }
+}
+
+/// Runs the mixer kernel over 4 output samples from `first`.
+fn fade_four(clean: &[Iq], taps: &[(usize, Iq)], first: usize) {
+    let mut out = [Iq::ZERO; 4];
+    simd::fade_delay_add(clean, taps, first, 0.5, Iq::ZERO, &mut out, None);
+}
+
+#[test]
+#[should_panic(expected = "reads outside the envelope")]
+fn fade_delay_add_rejects_a_tap_before_the_envelope() {
+    fade_four(&[Iq::ONE; 16], &[(3, Iq::ONE)], 2);
+}
+
+#[test]
+#[should_panic(expected = "reads outside the envelope")]
+fn fade_delay_add_rejects_a_tap_past_the_envelope() {
+    fade_four(&[Iq::ONE; 5], &[(0, Iq::ONE)], 2);
+}

@@ -15,8 +15,8 @@
 //! the length field implies, and finally verifies the CRC.
 
 use cbma_codes::PnCode;
-use cbma_dsp::correlate::correlate_iq_bipolar;
 use cbma_dsp::resample::upsample_repeat;
+use cbma_dsp::simd;
 use cbma_tag::frame::{Frame, MAX_PAYLOAD};
 use cbma_tag::phy::PhyProfile;
 use cbma_types::{Bits, CbmaError, Iq, Result};
@@ -71,6 +71,8 @@ impl DecodeOutcome {
 pub struct Decoder {
     /// Bipolar one-word reference at sample rate.
     reference: Vec<f64>,
+    /// Σ of `reference`, for the per-bit gain observation.
+    ref_sum: f64,
     preamble_bits: usize,
     kind: DecoderKind,
 }
@@ -84,8 +86,10 @@ impl Decoder {
 
     /// Creates a decoder with an explicit decision statistic.
     pub fn with_kind(code: &PnCode, phy: &PhyProfile, kind: DecoderKind) -> Decoder {
+        let reference = upsample_repeat(code.bipolar_one(), phy.samples_per_chip());
         Decoder {
-            reference: upsample_repeat(code.bipolar_one(), phy.samples_per_chip()),
+            ref_sum: reference.iter().sum(),
+            reference,
             preamble_bits: phy.preamble_bits,
             kind,
         }
@@ -124,48 +128,66 @@ impl Decoder {
             });
         }
         let mut bits = Bits::with_capacity(n_bits);
-        // Decision-directed channel tracking: the tag's residual
-        // subcarrier offset rotates the phase over the frame, so the
-        // preamble estimate alone would go stale; each decided bit
-        // refreshes it. α trades tracking speed against noise.
-        let mut g = gain;
-        let ref_sum: f64 = self.reference.iter().sum();
-        let n_ref = self.reference.len() as f64;
-        let alpha = 0.45;
-        for k in 0..n_bits {
-            let window = &samples[start + k * w..start + (k + 1) * w];
-            let statistic = match self.kind {
-                DecoderKind::Coherent => {
-                    let corr = correlate_iq_bipolar(window, &self.reference);
-                    let stat = (corr * g.conj()).re;
-                    // Per-bit gain observation: for bit b the expected
-                    // correlation is g·(±n + Σref)/2, so invert with the
-                    // decided sign.
-                    let scale = if stat >= 0.0 {
-                        (n_ref + ref_sum) / 2.0
-                    } else {
-                        (ref_sum - n_ref) / 2.0
-                    };
-                    if scale.abs() > 1e-9 {
-                        let observed = corr / scale;
-                        g = g.scale(1.0 - alpha) + observed.scale(alpha);
+        match self.kind {
+            DecoderKind::Coherent => {
+                // The window correlations do not depend on the tracked
+                // gain, so they are computed four windows per kernel call
+                // (each bit-identical to its own `dot_iq_real`) before the
+                // gain recurrence consumes them in order.
+                let mut g = gain;
+                let mut corrs = [Iq::ZERO; 4];
+                for first in (0..n_bits).step_by(4) {
+                    let corrs = &mut corrs[..(n_bits - first).min(4)];
+                    let windows = &samples[start + first * w..needed];
+                    simd::dot_iq_real_windows(windows, &self.reference, corrs);
+                    for &corr in corrs.iter() {
+                        let stat = self.track(corr, &mut g);
+                        bits.push(u8::from(stat >= 0.0));
                     }
-                    stat
                 }
-                DecoderKind::Envelope => {
+            }
+            DecoderKind::Envelope => {
+                for k in 0..n_bits {
+                    let window = &samples[start + k * w..start + (k + 1) * w];
                     // §V-B: P(t) = √(I² + Q²); correlate the mean-removed
                     // envelope against the bipolar code word.
                     let mean = window.iter().map(|s| s.abs()).sum::<f64>() / w as f64;
-                    window
+                    let statistic: f64 = window
                         .iter()
                         .zip(&self.reference)
                         .map(|(s, &r)| (s.abs() - mean) * r)
-                        .sum()
+                        .sum();
+                    bits.push(u8::from(statistic >= 0.0));
                 }
-            };
-            bits.push(u8::from(statistic >= 0.0));
+            }
         }
         Ok(bits)
+    }
+
+    /// The coherent decision statistic of one bit window's correlation
+    /// `corr`, derotated by the tracked gain `g`, which the decided bit
+    /// then refreshes.
+    ///
+    /// Decision-directed channel tracking: the tag's residual subcarrier
+    /// offset rotates the phase over the frame, so the preamble estimate
+    /// alone would go stale; each decided bit refreshes it. α trades
+    /// tracking speed against noise.
+    fn track(&self, corr: Iq, g: &mut Iq) -> f64 {
+        const ALPHA: f64 = 0.45;
+        let n_ref = self.reference.len() as f64;
+        let stat = (corr * g.conj()).re;
+        // Per-bit gain observation: for bit b the expected correlation is
+        // g·(±n + Σref)/2, so invert with the decided sign.
+        let scale = if stat >= 0.0 {
+            (n_ref + self.ref_sum) / 2.0
+        } else {
+            (self.ref_sum - n_ref) / 2.0
+        };
+        if scale.abs() > 1e-9 {
+            let observed = corr / scale;
+            *g = g.scale(1.0 - ALPHA) + observed.scale(ALPHA);
+        }
+        stat
     }
 
     /// Decodes a complete frame starting at `start` (the position user

@@ -123,9 +123,10 @@ impl FrameSync {
             return None;
         }
         // Prefix sums make each edge's post-window mean power an O(1)
-        // lookup; post_ratio is evaluated twice per edge below.
+        // lookup; post_ratio is evaluated twice per edge below. Only the
+        // power prefix is read, so only it is built.
         let SyncScratch { edges, running, .. } = scratch;
-        running.rebuild(samples);
+        running.rebuild_power(samples);
         let post_ratio = |e: &EnergyEdge| -> f64 {
             let end = (e.index + self.window).min(samples.len());
             if end <= e.index {

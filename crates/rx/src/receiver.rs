@@ -787,12 +787,14 @@ impl Receiver {
                 }
             }
         }
+        // `total_cmp` orders every float, so a non-finite correlation
+        // cannot panic here; on the finite, non-negative correlations
+        // detection produces it is the usual order.
         order.sort_by(|a, b| {
             decoded[b.0][b.1]
                 .detection
                 .correlation
-                .partial_cmp(&decoded[a.0][a.1].detection.correlation)
-                .expect("correlations are finite")
+                .total_cmp(&decoded[a.0][a.1].detection.correlation)
         });
         accepted.clear();
         accepted.resize(decoded.len(), None);
@@ -1210,6 +1212,40 @@ mod tests {
             .collect();
         assert_eq!(roots.len(), 1);
         assert_ne!(roots[0].trace, round.trace);
+    }
+
+    #[test]
+    fn one_nonfinite_or_huge_sample_never_panics() {
+        // Four colliding tags, then one sample replaced by NaN, ±Inf or a
+        // finite 1e300 whose power overflows: in the lead-in, mid-frame
+        // and at the last sample, with SIC off and on.
+        let phy = PhyProfile::paper_default();
+        let codes = TwoNcFamily::new(4).unwrap().codes(4).unwrap();
+        let envs: Vec<_> = (0..4)
+            .map(|i| {
+                let mut tag = Tag::new(i as u32, Point::ORIGIN, codes[i].clone());
+                let env = tag.transmit(format!("tag {i}").into_bytes(), &phy).unwrap();
+                (env, Iq::from_polar(0.01, 0.8 * i as f64), 3 * i)
+            })
+            .collect();
+        let clean = clean_capture(&envs, 400);
+        for sic_passes in [0, 2] {
+            let config = ReceiverConfig {
+                sic_passes,
+                ..ReceiverConfig::default()
+            };
+            let mut rx = Receiver::new(codes.clone(), phy, config);
+            let before = rx.receive(&clean);
+            for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, 1e300] {
+                for at in [10, clean.len() / 2, clean.len() - 1] {
+                    let mut capture = clean.clone();
+                    capture[at] = Iq::new(value, value);
+                    rx.receive(&capture);
+                }
+            }
+            // Nothing carries over to the next clean capture.
+            assert_eq!(rx.receive(&clean), before, "sic_passes {sic_passes}");
+        }
     }
 
     #[test]

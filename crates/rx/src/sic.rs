@@ -6,7 +6,8 @@
 //! can be reconstructed and subtracted, after which previously-buried weak
 //! users become detectable. This module implements one cancellation pass:
 //!
-//! 1. re-spread the decoded frame to its OOK chip envelope,
+//! 1. rebuild the decoded frame's OOK envelope from the code-word
+//!    waveforms, as the tag's transmit path does,
 //! 2. estimate the complex channel *per bit window* by least squares
 //!    against the received samples (piecewise estimation tracks the
 //!    inter-tag subcarrier beat that a single gain could not),
@@ -16,21 +17,22 @@
 //! quantifies the benefit.
 
 use cbma_codes::PnCode;
-use cbma_dsp::resample::upsample_repeat;
 use cbma_dsp::simd;
 use cbma_dsp::xcorr::RunningEnergy;
-use cbma_tag::encoder::spread;
 use cbma_tag::frame::Frame;
+use cbma_tag::modulator::spread_envelope;
 use cbma_tag::phy::PhyProfile;
 use cbma_types::Iq;
 
 /// Reconstructs a decoded user's OOK envelope at the receiver sample
-/// rate: frame → bits → chips → envelope.
+/// rate: frame → bits → one code word or its complement per bit, the
+/// same [`spread_envelope`] the tag transmits.
 pub fn reconstruct_envelope(frame: &Frame, code: &PnCode, phy: &PhyProfile) -> Vec<f64> {
-    let bits = frame.to_bits(phy.preamble_bits);
-    let chips = spread(&bits, code);
-    let per_chip: Vec<f64> = chips.iter().map(f64::from).collect();
-    upsample_repeat(&per_chip, phy.samples_per_chip())
+    spread_envelope(
+        &frame.to_bits(phy.preamble_bits),
+        code,
+        phy.samples_per_chip(),
+    )
 }
 
 /// Subtracts a decoded user's contribution from `samples` in place.
@@ -59,8 +61,9 @@ pub fn cancel_user_in(
 ) -> f64 {
     assert!(window > 0, "window must be non-zero");
     // One prefix-sum pass over the envelope gives every window's ⟨e, e⟩
-    // in O(1) instead of a per-window summation.
-    env_energy.rebuild_real(envelope);
+    // in O(1) instead of a per-window summation; only the power prefix
+    // is read.
+    env_energy.rebuild_power_real(envelope);
     let mut cancelled_power = 0.0;
     let mut affected = 0usize;
     let mut pos = 0usize;

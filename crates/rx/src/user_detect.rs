@@ -367,12 +367,17 @@ impl UserDetector {
         } = scratch;
         // One prefix-sum pass over the window serves every code's per-lag
         // normalization: Σ|s|² for the coherent denominator, Σ|s| (mean)
-        // and the mean-removed energy for the envelope statistic.
-        running.rebuild(window);
+        // and the mean-removed energy for the envelope statistic. Only
+        // envelope mode reads Σ|s|, so only it pays for the magnitudes.
+        let envelope_mode = matches!(self.kind, DecoderKind::Envelope);
+        if envelope_mode {
+            running.rebuild(window);
+        } else {
+            running.rebuild_power(window);
+        }
         // Envelope mode correlates the |s| magnitude series; materialize
         // it once (plus an IQ copy for the batch engine) and share it
         // across codes.
-        let envelope_mode = matches!(self.kind, DecoderKind::Envelope);
         if envelope_mode {
             mags.clear();
             mags.resize(window.len(), 0.0);
@@ -460,7 +465,7 @@ impl UserDetector {
             self.select_peaks(profile, max_candidates, peaks, selected);
             out[idx].extend(selected.iter().map(|&(off, val)| {
                 let seg = &window[off..off + reference.len()];
-                let gain = self.gain_estimate(seg, reference, idx);
+                let gain = self.gain_estimate(correlate_iq_bipolar(seg, reference), idx);
                 DetectedUser {
                     code_index: idx,
                     start: window_origin + off,
@@ -488,11 +493,11 @@ impl UserDetector {
         }
         let seg = &samples[start..start + reference.len()];
         let ref_energy = self.ref_energy[code_index];
+        // One IQ correlation serves both the coherent statistic and the
+        // channel-gain estimate.
+        let corr = correlate_iq_bipolar(seg, reference);
         let (c, seg_energy) = match self.kind {
-            DecoderKind::Coherent => (
-                correlate_iq_bipolar(seg, reference).abs(),
-                seg.iter().map(|s| s.power()).sum(),
-            ),
+            DecoderKind::Coherent => (corr.abs(), seg.iter().map(|s| s.power()).sum()),
             DecoderKind::Envelope => {
                 let (corr, energy) = envelope_correlation(seg, reference);
                 (corr.abs(), energy)
@@ -503,14 +508,15 @@ impl UserDetector {
             code_index,
             start,
             correlation: if denom > 0.0 { c / denom } else { 0.0 },
-            channel_gain: self.gain_estimate(seg, reference, code_index),
+            channel_gain: self.gain_estimate(corr, code_index),
         })
     }
 
-    /// Channel-gain estimate at an exact alignment (used by the coherent
-    /// decoder; informational in envelope mode).
-    fn gain_estimate(&self, seg: &[Iq], reference: &[f64], code_index: usize) -> Iq {
-        correlate_iq_bipolar(seg, reference) / self.gain_scale[code_index]
+    /// Channel-gain estimate from the preamble correlation `corr` at an
+    /// exact alignment (used by the coherent decoder; informational in
+    /// envelope mode).
+    fn gain_estimate(&self, corr: Iq, code_index: usize) -> Iq {
+        corr / self.gain_scale[code_index]
     }
 
     /// Local maxima of `profile` above the threshold, non-maximum-

@@ -9,6 +9,7 @@
 //! α, see DESIGN.md). This module produces that envelope at the receiver
 //! sample rate.
 
+use cbma_codes::PnCode;
 use cbma_dsp::resample::upsample_repeat;
 use cbma_types::Bits;
 
@@ -22,6 +23,38 @@ pub fn ook_envelope(chips: &Bits, samples_per_chip: usize) -> Vec<f64> {
     assert!(samples_per_chip > 0, "need at least one sample per chip");
     let per_chip: Vec<f64> = chips.iter().map(f64::from).collect();
     upsample_repeat(&per_chip, samples_per_chip)
+}
+
+/// The OOK envelope of `data` spread by `code`, built from the two
+/// code-word waveforms: for each data bit, the code word (bit 1) or its
+/// complement (bit 0) at sample rate, `code.len() × samples_per_chip`
+/// samples of 0.0/1.0.
+///
+/// Equal to `ook_envelope(&spread(data, code), samples_per_chip)` sample
+/// for sample, without the chip sequence, the per-bit complement or the
+/// per-chip buffer in between. The tag's transmit path and SIC's
+/// reconstruction both build their envelopes here.
+///
+/// # Panics
+///
+/// Panics if `samples_per_chip` is zero.
+pub fn spread_envelope(data: &Bits, code: &PnCode, samples_per_chip: usize) -> Vec<f64> {
+    assert!(samples_per_chip > 0, "need at least one sample per chip");
+    let word = code.len() * samples_per_chip;
+    // The code word for a 1, then its complement for a 0.
+    let mut words = Vec::with_capacity(2 * word);
+    for complement in [0, 1] {
+        for chip in code.bits().iter() {
+            let level = f64::from(chip ^ complement);
+            words.extend(std::iter::repeat_n(level, samples_per_chip));
+        }
+    }
+    let (one, zero) = words.split_at(word);
+    let mut out = Vec::with_capacity(data.len() * word);
+    for bit in data.iter() {
+        out.extend_from_slice(if bit == 1 { one } else { zero });
+    }
+    out
 }
 
 /// Fraction of time the tag reflects (its RF duty cycle) for a chip
@@ -61,6 +94,29 @@ mod tests {
         assert!(ook_envelope(&chips, 5)
             .iter()
             .all(|&s| s == 0.0 || s == 1.0));
+    }
+
+    #[test]
+    fn spread_envelope_equals_the_chip_path() {
+        use crate::encoder::spread;
+        use cbma_codes::{CodeFamily, GoldFamily, TwoNcFamily};
+        let data = Bits::from_str("1011001110001011").unwrap();
+        let codes = [
+            GoldFamily::new(5).unwrap().code(3).unwrap(),
+            TwoNcFamily::new(10).unwrap().code(7).unwrap(),
+            PnCode::new(0, Bits::from_str("01001").unwrap()),
+        ];
+        for code in &codes {
+            for spc in [1, 3, 8] {
+                assert_eq!(
+                    spread_envelope(&data, code, spc),
+                    ook_envelope(&spread(&data, code), spc),
+                    "code {} spc {spc}",
+                    code.index()
+                );
+            }
+            assert!(spread_envelope(&Bits::new(), code, 8).is_empty());
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@ use cbma_types::{Bits, Result};
 use crate::encoder::spread;
 use crate::frame::Frame;
 use crate::impedance::ImpedanceState;
-use crate::modulator::ook_envelope;
+use crate::modulator::spread_envelope;
 use crate::phy::PhyProfile;
 
 /// One backscatter tag.
@@ -93,15 +93,21 @@ impl Tag {
     }
 
     /// Full transmit path: frame → spread → OOK envelope at the receiver
-    /// sample rate. Also counts the packet as sent.
+    /// sample rate, the envelope of [`Tag::encode`]'s chips built straight
+    /// from the code-word waveforms ([`spread_envelope`]). Also counts the
+    /// packet as sent.
     ///
     /// # Errors
     ///
     /// Propagates frame construction errors.
     pub fn transmit(&mut self, payload: Vec<u8>, phy: &PhyProfile) -> Result<Vec<f64>> {
-        let chips = self.encode(payload, phy)?;
+        let frame = Frame::new(payload)?;
         self.packets_sent += 1;
-        Ok(ook_envelope(&chips, phy.samples_per_chip()))
+        Ok(spread_envelope(
+            &frame.to_bits(phy.preamble_bits),
+            &self.code,
+            phy.samples_per_chip(),
+        ))
     }
 
     /// Records an ACK from the receiver for this tag.
@@ -173,6 +179,18 @@ mod tests {
         assert_eq!(env.len(), (8 + 8 + 16 + 16) * 31 * 8);
         assert_eq!(tag.packets_sent(), 1);
         assert!(env.iter().all(|&s| s == 0.0 || s == 1.0));
+    }
+
+    #[test]
+    fn transmit_is_the_envelope_of_the_encoded_chips() {
+        let mut tag = make_tag();
+        let phy = PhyProfile::paper_default();
+        let chips = tag.encode(b"chip path".to_vec(), &phy).unwrap();
+        let env = tag.transmit(b"chip path".to_vec(), &phy).unwrap();
+        assert_eq!(
+            env,
+            crate::modulator::ook_envelope(&chips, phy.samples_per_chip())
+        );
     }
 
     #[test]
