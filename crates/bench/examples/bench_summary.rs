@@ -241,7 +241,7 @@ fn round_loop_cases(phy: &PhyProfile, codes: &[cbma::codes::PnCode], capture: &[
 
     let decoder = Decoder::new(&codes[0], phy);
     let gain = Iq::new(0.01, 0.0);
-    assert!(decoder.decode_frame(capture, 400, gain).is_frame());
+    assert!(decoder.decode_frame(capture, 400, gain).0.is_frame());
     cases.push(time_case(&format!("decode_frame_w{w}"), || {
         decoder.decode_frame(capture, 400, gain)
     }));

@@ -12,14 +12,15 @@
 //! comparison is exactly the sign test.
 //!
 //! The decoder first recovers the length byte, then decodes only the bits
-//! the length field implies, and finally verifies the CRC.
+//! the length field implies into the same buffer, and finally parses the
+//! frame once, which checks the preamble and the CRC.
 
 use cbma_codes::PnCode;
 use cbma_dsp::resample::upsample_repeat;
 use cbma_dsp::simd;
-use cbma_tag::frame::{Frame, MAX_PAYLOAD};
+use cbma_tag::frame::{Frame, FrameError, MAX_PAYLOAD};
 use cbma_tag::phy::PhyProfile;
-use cbma_types::{Bits, CbmaError, Iq, Result};
+use cbma_types::{Bits, Iq};
 
 /// Which decision statistic the decoder (and user detector) run on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -46,9 +47,12 @@ pub enum DecodeOutcome {
     /// Frame recovered and CRC verified.
     Frame(Frame),
     /// Bits were recovered but the frame failed validation.
-    Invalid(CbmaError),
+    Invalid(FrameError),
     /// The buffer ended before the frame did.
     Truncated,
+    /// A valid frame the receiver suppressed: its payload is accepted
+    /// under a stronger user's code, so it is a cross-code alias.
+    Alias,
 }
 
 impl DecodeOutcome {
@@ -107,27 +111,22 @@ impl Decoder {
         self.reference.len()
     }
 
-    /// Decodes `n_bits` starting at `start`, derotated by `gain`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CbmaError::ShapeMismatch`] if the buffer ends first.
+    /// Decodes `n_bits` starting at `start`, derotated by `gain`, and
+    /// appends them to `bits`. Returns `false`, appending nothing, if the
+    /// buffer ends first.
     pub fn decode_bits(
         &self,
         samples: &[Iq],
         start: usize,
         n_bits: usize,
         gain: Iq,
-    ) -> Result<Bits> {
+        bits: &mut Bits,
+    ) -> bool {
         let w = self.reference.len();
         let needed = start + n_bits * w;
         if needed > samples.len() {
-            return Err(CbmaError::ShapeMismatch {
-                expected: format!("{needed} samples"),
-                actual: format!("{} samples", samples.len()),
-            });
+            return false;
         }
-        let mut bits = Bits::with_capacity(n_bits);
         match self.kind {
             DecoderKind::Coherent => {
                 // The window correlations do not depend on the tracked
@@ -161,7 +160,7 @@ impl Decoder {
                 }
             }
         }
-        Ok(bits)
+        true
     }
 
     /// The coherent decision statistic of one bit window's correlation
@@ -194,16 +193,13 @@ impl Decoder {
     /// detection aligned to), using the channel estimate `gain`.
     ///
     /// Decodes the header first, reads the length byte, then decodes
-    /// exactly the implied number of remaining bits.
-    pub fn decode_frame(&self, samples: &[Iq], start: usize, gain: Iq) -> DecodeOutcome {
-        self.decode_frame_with_bits(samples, start, gain).0
-    }
-
-    /// Like [`decode_frame`](Decoder::decode_frame) but also returns the
-    /// raw decoded bit stream (preamble + length + whatever body was
-    /// recovered) — the hook bit-error-rate instrumentation uses, since a
-    /// CRC-failed frame still carries measurable bits.
-    pub fn decode_frame_with_bits(
+    /// exactly the implied number of remaining bits into the same buffer.
+    /// Also returns that raw bit stream (preamble + length + whatever body
+    /// was recovered) whenever the header decoded — the hook bit-error-rate
+    /// instrumentation uses, since a CRC-failed frame still carries
+    /// measurable bits. The buffer has room for the longest frame; a
+    /// caller that keeps it can shrink it.
+    pub fn decode_frame(
         &self,
         samples: &[Iq],
         start: usize,
@@ -211,37 +207,27 @@ impl Decoder {
     ) -> (DecodeOutcome, Option<Bits>) {
         // Header: preamble + 8-bit length field.
         let header_bits = self.preamble_bits + 8;
-        let header = match self.decode_bits(samples, start, header_bits, gain) {
-            Ok(b) => b,
-            Err(_) => return (DecodeOutcome::Truncated, None),
-        };
-        let len_byte = (self.preamble_bits..header_bits)
-            .fold(0usize, |acc, i| (acc << 1) | header[i] as usize);
-        if len_byte > MAX_PAYLOAD {
-            return (
-                DecodeOutcome::Invalid(CbmaError::MalformedFrame(format!(
-                    "length field {len_byte} exceeds maximum payload {MAX_PAYLOAD}"
-                ))),
-                Some(header),
-            );
+        let mut bits = Bits::with_capacity(header_bits + MAX_PAYLOAD * 8 + 16);
+        if !self.decode_bits(samples, start, header_bits, gain, &mut bits) {
+            return (DecodeOutcome::Truncated, None);
         }
-        let tail_bits = len_byte * 8 + 16;
-        let tail = match self.decode_bits(
-            samples,
-            start + header_bits * self.reference.len(),
-            tail_bits,
-            gain,
-        ) {
-            Ok(b) => b,
-            Err(_) => return (DecodeOutcome::Truncated, Some(header)),
-        };
-        let mut all = header;
-        all.extend_bits(&tail);
-        let outcome = match Frame::from_bits(&all, self.preamble_bits) {
+        // The length field bounds the tail decode, so it is checked here,
+        // before the parser sees the frame.
+        let len_byte = bits.as_slice()[self.preamble_bits..]
+            .iter()
+            .fold(0usize, |acc, &bit| (acc << 1) | usize::from(bit));
+        if len_byte > MAX_PAYLOAD {
+            return (DecodeOutcome::Invalid(FrameError::LengthField), Some(bits));
+        }
+        let tail_start = start + header_bits * self.reference.len();
+        if !self.decode_bits(samples, tail_start, len_byte * 8 + 16, gain, &mut bits) {
+            return (DecodeOutcome::Truncated, Some(bits));
+        }
+        let outcome = match Frame::from_bits(&bits, self.preamble_bits) {
             Ok(frame) => DecodeOutcome::Frame(frame),
             Err(e) => DecodeOutcome::Invalid(e),
         };
-        (outcome, Some(all))
+        (outcome, Some(bits))
     }
 }
 
@@ -256,16 +242,25 @@ mod tests {
         PhyProfile::paper_default()
     }
 
-    fn tx(code: &PnCode, frame: &Frame, gain: Iq, lead: usize) -> Vec<Iq> {
-        let p = phy();
-        let env = ook_envelope(
-            &spread(&frame.to_bits(p.preamble_bits), code),
-            p.samples_per_chip(),
-        );
+    /// The capture of `bits` spread by `code` at amplitude `gain`, after
+    /// `lead` silent samples.
+    fn tx_bits(code: &PnCode, bits: &Bits, gain: Iq, lead: usize) -> Vec<Iq> {
+        let env = ook_envelope(&spread(bits, code), phy().samples_per_chip());
         let mut buf = vec![Iq::ZERO; lead];
         buf.extend(env.iter().map(|&e| gain.scale(e)));
         buf.extend(vec![Iq::ZERO; 32]);
         buf
+    }
+
+    fn tx(code: &PnCode, frame: &Frame, gain: Iq, lead: usize) -> Vec<Iq> {
+        tx_bits(code, &frame.to_bits(phy().preamble_bits), gain, lead)
+    }
+
+    /// `frame`'s bits with bit `index` flipped.
+    fn flipped(frame: &Frame, index: usize) -> Bits {
+        let mut raw: Vec<u8> = frame.to_bits(phy().preamble_bits).iter().collect();
+        raw[index] ^= 1;
+        Bits::from_slice(&raw).unwrap()
     }
 
     #[test]
@@ -275,22 +270,49 @@ mod tests {
         let gain = Iq::from_polar(0.01, 0.7);
         let buf = tx(&code, &frame, gain, 50);
         let dec = Decoder::new(&code, &phy());
-        let out = dec.decode_frame(&buf, 50, gain);
+        let (out, bits) = dec.decode_frame(&buf, 50, gain);
         assert_eq!(out.frame().unwrap(), &frame);
+        assert_eq!(bits.unwrap(), frame.to_bits(phy().preamble_bits));
     }
 
     #[test]
     fn coherent_decode_requires_phase_reference() {
         // With a deliberately wrong (opposite) phase reference every bit
-        // inverts, so the preamble check fails — demonstrating why the
-        // coherent decoder needs the channel estimate.
+        // inverts: the length byte 1 reads 254, which the decoder rejects
+        // before decoding the tail — demonstrating why the coherent
+        // decoder needs the channel estimate.
         let code = GoldFamily::new(5).unwrap().code(0).unwrap();
         let frame = Frame::new(b"x".to_vec()).unwrap();
         let gain = Iq::new(0.01, 0.0);
         let buf = tx(&code, &frame, gain, 10);
         let dec = Decoder::with_kind(&code, &phy(), DecoderKind::Coherent);
-        let out = dec.decode_frame(&buf, 10, -gain);
-        assert!(!out.is_frame());
+        let (out, bits) = dec.decode_frame(&buf, 10, -gain);
+        assert_eq!(out, DecodeOutcome::Invalid(FrameError::LengthField));
+        assert_eq!(bits.unwrap().len(), phy().preamble_bits + 8);
+    }
+
+    #[test]
+    fn flipped_preamble_bit_is_a_preamble_failure() {
+        let code = GoldFamily::new(5).unwrap().code(0).unwrap();
+        let frame = Frame::new(b"preamble".to_vec()).unwrap();
+        let gain = Iq::from_polar(0.01, 0.4);
+        let sent = flipped(&frame, 1);
+        let buf = tx_bits(&code, &sent, gain, 10);
+        let (out, bits) = Decoder::new(&code, &phy()).decode_frame(&buf, 10, gain);
+        assert_eq!(out, DecodeOutcome::Invalid(FrameError::Preamble));
+        assert_eq!(bits.unwrap(), sent);
+    }
+
+    #[test]
+    fn flipped_payload_bit_is_a_crc_failure() {
+        let code = GoldFamily::new(5).unwrap().code(0).unwrap();
+        let frame = Frame::new(b"payload".to_vec()).unwrap();
+        let gain = Iq::from_polar(0.01, -0.9);
+        let sent = flipped(&frame, phy().preamble_bits + 8 + 3);
+        let buf = tx_bits(&code, &sent, gain, 10);
+        let (out, bits) = Decoder::new(&code, &phy()).decode_frame(&buf, 10, gain);
+        assert_eq!(out, DecodeOutcome::Invalid(FrameError::Crc));
+        assert_eq!(bits.unwrap(), sent);
     }
 
     #[test]
@@ -303,7 +325,7 @@ mod tests {
         let buf = tx(&code, &frame, gain, 10);
         let dec = Decoder::with_kind(&code, &phy(), DecoderKind::Envelope);
         assert_eq!(dec.kind(), DecoderKind::Envelope);
-        let out = dec.decode_frame(&buf, 10, -gain);
+        let (out, _) = dec.decode_frame(&buf, 10, -gain);
         assert_eq!(out.frame().unwrap(), &frame);
     }
 
@@ -326,8 +348,8 @@ mod tests {
         for (i, s) in b.into_iter().enumerate() {
             buf[i] += s;
         }
-        let pa = Decoder::new(&ca, &phy()).decode_frame(&buf, 20, ga);
-        let pb = Decoder::new(&cb, &phy()).decode_frame(&buf, 20, gb);
+        let (pa, _) = Decoder::new(&ca, &phy()).decode_frame(&buf, 20, ga);
+        let (pb, _) = Decoder::new(&cb, &phy()).decode_frame(&buf, 20, gb);
         assert_eq!(pa.frame().unwrap(), &fa, "tag a failed under collision");
         assert_eq!(pb.frame().unwrap(), &fb, "tag b failed under collision");
     }
@@ -339,8 +361,14 @@ mod tests {
         let gain = Iq::new(0.01, 0.0);
         let buf = tx(&code, &frame, gain, 0);
         let dec = Decoder::new(&code, &phy());
-        let out = dec.decode_frame(&buf[..buf.len() / 2], 0, gain);
+        // The tail runs past the capture: the header's bits are kept.
+        let (out, bits) = dec.decode_frame(&buf[..buf.len() / 2], 0, gain);
         assert_eq!(out, DecodeOutcome::Truncated);
+        assert_eq!(bits.unwrap().len(), phy().preamble_bits + 8);
+        // The header runs past the capture: there are no bits.
+        let (out, bits) = dec.decode_frame(&buf[..dec.samples_per_bit()], 0, gain);
+        assert_eq!(out, DecodeOutcome::Truncated);
+        assert_eq!(bits, None);
     }
 
     #[test]
@@ -349,7 +377,7 @@ mod tests {
         let frame = Frame::new(Vec::new()).unwrap();
         let gain = Iq::new(0.02, 0.0);
         let buf = tx(&code, &frame, gain, 5);
-        let out = Decoder::new(&code, &phy()).decode_frame(&buf, 5, gain);
+        let (out, _) = Decoder::new(&code, &phy()).decode_frame(&buf, 5, gain);
         assert_eq!(out.frame().unwrap().payload(), &[] as &[u8]);
     }
 
@@ -361,19 +389,23 @@ mod tests {
     }
 
     #[test]
-    fn decode_bits_out_of_range_errors() {
+    fn decode_bits_out_of_range_appends_nothing() {
         let code = GoldFamily::new(5).unwrap().code(0).unwrap();
         let dec = Decoder::new(&code, &phy());
-        assert!(matches!(
-            dec.decode_bits(&[Iq::ZERO; 100], 0, 5, Iq::ONE),
-            Err(CbmaError::ShapeMismatch { .. })
-        ));
+        let mut bits = Bits::from_slice(&[1, 0]).unwrap();
+        assert!(!dec.decode_bits(&[Iq::ZERO; 100], 0, 5, Iq::ONE, &mut bits));
+        assert_eq!(bits, Bits::from_slice(&[1, 0]).unwrap());
     }
 
     #[test]
     fn outcome_helpers() {
-        let out = DecodeOutcome::Truncated;
-        assert!(!out.is_frame());
-        assert!(out.frame().is_none());
+        for out in [
+            DecodeOutcome::Truncated,
+            DecodeOutcome::Alias,
+            DecodeOutcome::Invalid(FrameError::Crc),
+        ] {
+            assert!(!out.is_frame());
+            assert!(out.frame().is_none());
+        }
     }
 }

@@ -125,9 +125,10 @@ pub struct RxTelemetry {
     pub candidates_evaluated: usize,
     /// Fine-alignment probe correlations attempted (phase 3).
     pub probes_attempted: usize,
-    /// Valid decodes suppressed as cross-code aliases.
+    /// Codes reported as [`DecodeOutcome::Alias`].
     pub aliases_suppressed: usize,
-    /// Candidate decodes that did not yield a CRC-valid frame.
+    /// Sync-candidate decodes (probes excluded) that did not yield a
+    /// valid frame.
     pub decode_failures: usize,
     /// The strongest preamble correlation seen (0 when nothing was
     /// detected).
@@ -293,8 +294,6 @@ pub struct RxScratch {
     order: Vec<(usize, usize)>,
     /// Accepted candidate index per code, if any.
     accepted: Vec<Option<usize>>,
-    /// `(code, payload)` pairs claimed by accepted candidates.
-    claimed: Vec<(usize, Vec<u8>)>,
     /// Phase-3 timing hypotheses (accepted starts + window origin).
     accepted_starts: Vec<usize>,
     /// Deduplicated phase-3 probe offsets (±1 chip around hypotheses).
@@ -314,7 +313,6 @@ impl RxScratch {
             decoded: Vec::new(),
             order: Vec::new(),
             accepted: Vec::new(),
-            claimed: Vec::new(),
             accepted_starts: Vec::new(),
             probe_offsets: Vec::new(),
             residual: Vec::new(),
@@ -343,7 +341,6 @@ impl RxScratch {
                 .sum::<usize>()
             + self.order.capacity() * std::mem::size_of::<(usize, usize)>()
             + self.accepted.capacity() * std::mem::size_of::<Option<usize>>()
-            + self.claimed.capacity() * std::mem::size_of::<(usize, Vec<u8>)>()
             + self.accepted_starts.capacity() * std::mem::size_of::<usize>()
             + self.probe_offsets.capacity() * std::mem::size_of::<usize>()
             + self.residual.capacity() * std::mem::size_of::<Iq>()
@@ -548,10 +545,8 @@ impl Receiver {
         let mut residual = std::mem::take(&mut self.scratch.residual);
         residual.clear();
         residual.extend_from_slice(samples);
-        let mut claimed: Vec<Vec<u8>> = Vec::new();
         for user in report.users.iter().filter(|u| u.outcome.is_frame()) {
             let frame = user.outcome.frame().expect("filtered to frames");
-            claimed.push(frame.payload().to_vec());
             let envelope = crate::sic::reconstruct_envelope(
                 frame,
                 &self.codes[user.detection.code_index],
@@ -576,20 +571,20 @@ impl Receiver {
         report.telemetry.absorb(&rerun.telemetry);
         let mut changed = false;
         for new_user in rerun.users {
-            if !new_user.outcome.is_frame() {
+            let Some(frame) = new_user.outcome.frame() else {
                 continue;
-            }
+            };
             let code = new_user.detection.code_index;
-            let already = report
-                .users
-                .iter()
-                .any(|u| u.detection.code_index == code && u.outcome.is_frame());
-            let duplicate = new_user
-                .outcome
-                .frame()
-                .map(|f| claimed.iter().any(|p| p.as_slice() == f.payload()))
-                .unwrap_or(false);
-            if already || duplicate {
+            // Skip a code the report has decoded and a payload it holds.
+            // The rerun accepts no payload under two codes, so the frames
+            // adopted below never match each other: checking the growing
+            // report equals checking the report the pass began with.
+            let known = report.users.iter().any(|u| {
+                u.outcome.frame().is_some_and(|f| {
+                    u.detection.code_index == code || f.payload() == frame.payload()
+                })
+            });
+            if known {
                 continue;
             }
             report.ack.insert(code as u32);
@@ -729,7 +724,6 @@ impl Receiver {
             decoded,
             order,
             accepted,
-            claimed,
             accepted_starts,
             probe_offsets,
             ..
@@ -754,7 +748,7 @@ impl Receiver {
         decoded.resize_with(candidates.len(), Vec::new);
         for (code_candidates, slot) in candidates.iter().zip(decoded.iter_mut()) {
             for &det in code_candidates {
-                let (outcome, bits) = self.decoders[det.code_index].decode_frame_with_bits(
+                let (outcome, bits) = self.decoders[det.code_index].decode_frame(
                     samples,
                     det.start,
                     det.channel_gain,
@@ -776,9 +770,8 @@ impl Receiver {
         // one tag's waveform can correlate above threshold under another
         // code and decode the victim's byte-identical frame — so accept
         // valid candidates in descending correlation order, skipping any
-        // whose payload is already claimed by an accepted candidate of a
-        // different code, then fall back per code to its strongest
-        // remaining candidate.
+        // whose payload is already accepted under a different code, then
+        // fall back per code to its strongest remaining candidate.
         order.clear();
         for (c, cands) in decoded.iter().enumerate() {
             for (k, u) in cands.iter().enumerate() {
@@ -798,23 +791,17 @@ impl Receiver {
         });
         accepted.clear();
         accepted.resize(decoded.len(), None);
-        claimed.clear();
         for &(c, k) in order.iter() {
             if accepted[c].is_some() {
                 continue;
             }
-            let payload = decoded[c][k]
+            let frame = decoded[c][k]
                 .outcome
                 .frame()
-                .expect("only valid frames enter the order")
-                .payload()
-                .to_vec();
-            let duplicate = claimed.iter().any(|(oc, p)| *oc != c && *p == payload);
-            if duplicate {
-                continue;
+                .expect("only valid frames enter the order");
+            if !accepted_elsewhere(decoded, accepted, c, frame.payload()) {
+                accepted[c] = Some(k);
             }
-            claimed.push((c, payload));
-            accepted[c] = Some(k);
         }
 
         // Phase 3: fine-alignment fallback. Orthogonal concurrent tags
@@ -861,52 +848,51 @@ impl Receiver {
                     continue;
                 }
                 let (outcome, bits) =
-                    self.decoders[c].decode_frame_with_bits(samples, det.start, det.channel_gain);
-                if let Some(frame) = outcome.frame() {
-                    let duplicate = claimed
-                        .iter()
-                        .any(|(oc, p)| *oc != c && p.as_slice() == frame.payload());
-                    if !duplicate {
-                        claimed.push((c, frame.payload().to_vec()));
-                        // Record as an extra accepted candidate.
-                        decoded[c].push(DecodedUser {
-                            detection: det,
-                            outcome,
-                            bits,
-                        });
-                        accepted[c] = Some(decoded[c].len() - 1);
-                        break 'probe;
-                    }
+                    self.decoders[c].decode_frame(samples, det.start, det.channel_gain);
+                if outcome
+                    .frame()
+                    .is_some_and(|f| !accepted_elsewhere(decoded, accepted, c, f.payload()))
+                {
+                    // Record as an extra accepted candidate.
+                    decoded[c].push(DecodedUser {
+                        detection: det,
+                        outcome,
+                        bits,
+                    });
+                    accepted[c] = Some(decoded[c].len() - 1);
+                    break 'probe;
                 }
             }
         }
 
-        // The report owns its users, so moving them out is the one
-        // unavoidable (output-proportional) allocation of the frame path.
-        // `swap_remove` leaves the arena lists intact for the next
-        // capture's clear-and-refill.
+        // The report owns its users, so moving them out allocates in
+        // proportion to the output. Callers hold reports (in batches, or
+        // for a whole run), so each user's bits give back the decode's
+        // longest-frame headroom. `swap_remove` leaves the arena lists
+        // intact for the next capture's clear-and-refill.
         let mut users = Vec::new();
         let mut ack = AckMessage::new();
         for (c, cands) in decoded.iter_mut().enumerate() {
             if cands.is_empty() {
                 continue;
             }
-            if let Some(k) = accepted[c] {
+            let mut user = if let Some(k) = accepted[c] {
                 ack.insert(c as u32);
-                users.push(cands.swap_remove(k));
+                cands.swap_remove(k)
             } else {
                 // No acceptable frame: report the strongest candidate,
                 // marking valid-but-duplicate decodes as alias suppressed.
                 let mut strongest = cands.swap_remove(0);
                 if strongest.outcome.is_frame() {
                     telemetry.aliases_suppressed += 1;
-                    strongest.outcome =
-                        DecodeOutcome::Invalid(cbma_types::CbmaError::MalformedFrame(
-                            "suppressed as a cross-code alias of a stronger user".into(),
-                        ));
+                    strongest.outcome = DecodeOutcome::Alias;
                 }
-                users.push(strongest);
+                strongest
+            };
+            if let Some(bits) = &mut user.bits {
+                bits.shrink_to_fit();
             }
+            users.push(user);
         }
         telemetry.decode_ns = stage_start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         RxReport {
@@ -916,6 +902,22 @@ impl Receiver {
             telemetry,
         }
     }
+}
+
+/// Whether `payload` is the frame accepted under some code other than
+/// `code`, where `accepted` holds each code's accepted index into its
+/// `decoded` list.
+fn accepted_elsewhere(
+    decoded: &[Vec<DecodedUser>],
+    accepted: &[Option<usize>],
+    code: usize,
+    payload: &[u8],
+) -> bool {
+    accepted.iter().enumerate().any(|(c, k)| {
+        c != code
+            && k.and_then(|k| decoded[c][k].outcome.frame())
+                .is_some_and(|f| f.payload() == payload)
+    })
 }
 
 #[cfg(test)]
@@ -986,6 +988,43 @@ mod tests {
         assert!(report.ack.acknowledges(4));
         assert!(!report.ack.acknowledges(1));
         assert!(!report.ack.acknowledges(3));
+    }
+
+    #[test]
+    fn identical_payload_under_a_weaker_code_is_an_alias() {
+        // Two tags on different codes send byte-identical frames: only the
+        // stronger code may claim the payload, and the weaker one's valid
+        // decode is reported as a suppressed alias.
+        let phy = PhyProfile::paper_default();
+        let codes = TwoNcFamily::new(5).unwrap().codes(5).unwrap();
+        let mut envs = Vec::new();
+        for (i, amplitude, phase) in [(0usize, 0.012, 0.3), (3, 0.010, 1.9)] {
+            let mut tag = Tag::new(i as u32, Point::ORIGIN, codes[i].clone());
+            let env = tag.transmit(b"same payload".to_vec(), &phy).unwrap();
+            envs.push((env, Iq::from_polar(amplitude, phase), 0));
+        }
+        let buf = clean_capture(&envs, 400);
+        let receive = |sic_passes| {
+            let config = ReceiverConfig {
+                sic_passes,
+                ..ReceiverConfig::default()
+            };
+            let report = Receiver::new(codes.clone(), phy, config).receive(&buf);
+            assert_eq!(report.ack.iter().collect::<Vec<_>>(), vec![0], "{report:?}");
+            assert_eq!(report.frames()[0].1.payload(), b"same payload");
+            let weaker = report
+                .users
+                .iter()
+                .find(|u| u.detection.code_index == 3)
+                .expect("the weaker code is reported");
+            assert_eq!(weaker.outcome, DecodeOutcome::Alias);
+            report
+        };
+        assert_eq!(receive(0).telemetry.aliases_suppressed, 1);
+        // With the stronger tag cancelled, the residual decodes the weaker
+        // code cleanly; the SIC merge must still refuse a payload the
+        // report already holds.
+        assert_eq!(receive(1).telemetry.sic_iterations, 1);
     }
 
     #[test]

@@ -27,11 +27,6 @@ pub fn crc16(data: &[u8]) -> u16 {
     crc
 }
 
-/// Verifies that `expected` matches the CRC of `data`.
-pub fn verify(data: &[u8], expected: u16) -> bool {
-    crc16(data) == expected
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -45,15 +40,6 @@ mod tests {
     #[test]
     fn empty_input_is_initial_value() {
         assert_eq!(crc16(&[]), INITIAL);
-    }
-
-    #[test]
-    fn verify_accepts_and_rejects() {
-        let data = b"backscatter";
-        let crc = crc16(data);
-        assert!(verify(data, crc));
-        assert!(!verify(data, crc ^ 1));
-        assert!(!verify(b"backscattex", crc));
     }
 
     #[test]

@@ -76,54 +76,63 @@ impl Frame {
         bits
     }
 
-    /// Parses a frame from bits, verifying structure and CRC.
+    /// Parses a frame from bits in one pass, verifying its structure and
+    /// CRC. Bits past the frame's end are ignored.
     ///
     /// # Errors
     ///
-    /// * [`CbmaError::MalformedFrame`] when the buffer is too short, the
-    ///   preamble does not match, or the length field is inconsistent.
-    /// * [`CbmaError::CrcMismatch`] when the CRC check fails.
-    pub fn from_bits(bits: &Bits, preamble_bits: usize) -> Result<Frame> {
-        let min_len = preamble_bits + 8 + 16;
-        if bits.len() < min_len {
-            return Err(CbmaError::MalformedFrame(format!(
-                "need at least {min_len} bits, got {}",
-                bits.len()
-            )));
+    /// The first failed check, in this order: [`FrameError::Short`] below
+    /// an empty frame's length, [`FrameError::Preamble`],
+    /// [`FrameError::LengthField`] above [`MAX_PAYLOAD`],
+    /// [`FrameError::Short`] below the length the field implies, and
+    /// [`FrameError::Crc`].
+    pub fn from_bits(bits: &Bits, preamble_bits: usize) -> std::result::Result<Frame, FrameError> {
+        let bits = bits.as_slice();
+        if bits.len() < preamble_bits + 8 + 16 {
+            return Err(FrameError::Short);
         }
-        let expected_preamble = preamble_pattern(preamble_bits);
-        for i in 0..preamble_bits {
-            if bits[i] != expected_preamble[i] {
-                return Err(CbmaError::MalformedFrame(format!(
-                    "preamble mismatch at bit {i}"
-                )));
-            }
+        if (0..preamble_bits).any(|i| bits[i] != u8::from(i % 2 == 0)) {
+            return Err(FrameError::Preamble);
         }
-        let body_bits: Bits = (preamble_bits..bits.len()).map(|i| bits[i]).collect();
-        // Length byte first.
-        let len_byte = (0..8).fold(0usize, |acc, i| (acc << 1) | body_bits[i] as usize);
-        if len_byte > MAX_PAYLOAD {
-            return Err(CbmaError::MalformedFrame(format!(
-                "length field {len_byte} exceeds maximum payload {MAX_PAYLOAD}"
-            )));
+        let body = &bits[preamble_bits..];
+        let len = usize::from(msb_value(&body[..8]));
+        if len > MAX_PAYLOAD {
+            return Err(FrameError::LengthField);
         }
-        let needed = 8 + len_byte * 8 + 16;
-        if body_bits.len() < needed {
-            return Err(CbmaError::MalformedFrame(format!(
-                "length field {len_byte} implies {needed} body bits, got {}",
-                body_bits.len()
-            )));
+        let Some(rest) = body[8..].get(..len * 8 + 16) else {
+            return Err(FrameError::Short);
+        };
+        let (payload_bits, crc_bits) = rest.split_at(len * 8);
+        let mut payload = [0u8; MAX_PAYLOAD];
+        for (byte, chunk) in payload.iter_mut().zip(payload_bits.chunks_exact(8)) {
+            *byte = msb_value(chunk) as u8;
         }
-        let body: Bits = (0..needed).map(|i| body_bits[i]).collect();
-        let bytes = body.to_bytes_msb()?;
-        let payload = bytes[1..1 + len_byte].to_vec();
-        let expected = (u16::from(bytes[1 + len_byte]) << 8) | u16::from(bytes[2 + len_byte]);
-        let computed = crc16(&payload);
-        if expected != computed {
-            return Err(CbmaError::CrcMismatch { expected, computed });
+        let payload = &payload[..len];
+        if crc16(payload) != msb_value(crc_bits) {
+            return Err(FrameError::Crc);
         }
-        Ok(Frame { payload })
+        Ok(Frame {
+            payload: payload.to_vec(),
+        })
     }
+}
+
+/// Why [`Frame::from_bits`] rejected a bit stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum FrameError {
+    /// The bits end before the frame does.
+    Short,
+    /// The preamble is not the alternating `10…` pattern.
+    Preamble,
+    /// The length field exceeds [`MAX_PAYLOAD`].
+    LengthField,
+    /// The CRC does not match the payload.
+    Crc,
+}
+
+/// The value of at most 16 bits, most significant first.
+fn msb_value(bits: &[u8]) -> u16 {
+    bits.iter().fold(0, |acc, &bit| (acc << 1) | u16::from(bit))
 }
 
 #[cfg(test)]
@@ -194,45 +203,42 @@ mod tests {
         let mut raw: Vec<u8> = bits.iter().collect();
         raw[8 + 8 + 3] ^= 1;
         let corrupted = Bits::from_slice(&raw).unwrap();
-        assert!(matches!(
-            Frame::from_bits(&corrupted, 8),
-            Err(CbmaError::CrcMismatch { .. })
-        ));
+        assert_eq!(Frame::from_bits(&corrupted, 8), Err(FrameError::Crc));
     }
 
     #[test]
-    fn corrupted_preamble_is_malformed() {
+    fn corrupted_preamble_is_rejected() {
         let frame = Frame::new(b"x".to_vec()).unwrap();
         let bits = frame.to_bits(8);
         let mut raw: Vec<u8> = bits.iter().collect();
         raw[0] ^= 1;
         let corrupted = Bits::from_slice(&raw).unwrap();
-        assert!(matches!(
-            Frame::from_bits(&corrupted, 8),
-            Err(CbmaError::MalformedFrame(_))
-        ));
+        assert_eq!(Frame::from_bits(&corrupted, 8), Err(FrameError::Preamble));
     }
 
     #[test]
-    fn truncated_frame_is_malformed() {
+    fn truncated_frame_is_short() {
         let frame = Frame::new(b"abcdef".to_vec()).unwrap();
         let bits = frame.to_bits(8);
         let truncated: Bits = (0..bits.len() - 10).map(|i| bits[i]).collect();
-        assert!(matches!(
-            Frame::from_bits(&truncated, 8),
-            Err(CbmaError::MalformedFrame(_))
-        ));
+        assert_eq!(Frame::from_bits(&truncated, 8), Err(FrameError::Short));
+        let under_minimum: Bits = (0..8 + 8 + 15).map(|i| bits[i]).collect();
+        assert_eq!(Frame::from_bits(&under_minimum, 8), Err(FrameError::Short));
     }
 
     #[test]
-    fn inconsistent_length_field_is_malformed() {
+    fn inconsistent_length_field_is_short() {
         // Claim 126 bytes of payload but provide only a short body.
         let mut bits = preamble_pattern(8);
         bits.extend_bits(&Bits::from_bytes_msb(&[126, 0, 0, 0, 0]));
-        assert!(matches!(
-            Frame::from_bits(&bits, 8),
-            Err(CbmaError::MalformedFrame(_))
-        ));
+        assert_eq!(Frame::from_bits(&bits, 8), Err(FrameError::Short));
+    }
+
+    #[test]
+    fn oversized_length_field_is_rejected() {
+        let mut bits = preamble_pattern(8);
+        bits.extend_bits(&Bits::from_bytes_msb(&[127, 0, 0]));
+        assert_eq!(Frame::from_bits(&bits, 8), Err(FrameError::LengthField));
     }
 
     #[test]

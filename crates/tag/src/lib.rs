@@ -28,7 +28,7 @@
 //!
 //! let frame = Frame::new(b"hello".to_vec())?;
 //! let bits = frame.to_bits(PhyProfile::default().preamble_bits);
-//! let decoded = Frame::from_bits(&bits, PhyProfile::default().preamble_bits)?;
+//! let decoded = Frame::from_bits(&bits, PhyProfile::default().preamble_bits).unwrap();
 //! assert_eq!(decoded.payload(), b"hello");
 //! # Ok::<(), cbma_types::CbmaError>(())
 //! ```

@@ -137,6 +137,12 @@ impl Bits {
         self.bits.push(bit & 1);
     }
 
+    /// Releases capacity beyond the current length.
+    #[inline]
+    pub fn shrink_to_fit(&mut self) {
+        self.bits.shrink_to_fit();
+    }
+
     /// Appends all bits of `other`.
     #[inline]
     pub fn extend_bits(&mut self, other: &Bits) {

@@ -1,7 +1,8 @@
 //! The workspace-wide error type.
 //!
 //! Every fallible public function in the CBMA crates returns
-//! [`Result<T>`](Result) with [`CbmaError`]. The variants are grouped by the
+//! [`Result<T>`](Result) with [`CbmaError`], except the frame parser, whose
+//! typed failure the receiver matches on. The variants are grouped by the
 //! subsystem that raises them; keeping one error enum across the workspace
 //! lets the simulation engine propagate failures from any layer with `?`.
 
@@ -31,14 +32,7 @@ pub enum CbmaError {
         /// Maximum allowed.
         max: usize,
     },
-    /// A received frame failed its CRC check.
-    CrcMismatch {
-        /// CRC carried in the frame.
-        expected: u16,
-        /// CRC computed over the received payload.
-        computed: u16,
-    },
-    /// A received frame was truncated or structurally malformed.
+    /// A recorded round trace was malformed.
     MalformedFrame(String),
     /// A PN-code family could not produce the requested code.
     CodeUnavailable {
@@ -56,10 +50,6 @@ pub enum CbmaError {
         /// What it received.
         actual: String,
     },
-    /// The receiver found no frame in the supplied samples.
-    NoFrameDetected,
-    /// An operation referenced a tag id that is not part of the scenario.
-    UnknownTag(u32),
 }
 
 impl fmt::Display for CbmaError {
@@ -79,10 +69,6 @@ impl fmt::Display for CbmaError {
                     "payload of {actual} bytes exceeds the {max}-byte maximum"
                 )
             }
-            CbmaError::CrcMismatch { expected, computed } => write!(
-                f,
-                "crc mismatch: frame carries {expected:#06x} but payload computes {computed:#06x}"
-            ),
             CbmaError::MalformedFrame(why) => write!(f, "malformed frame: {why}"),
             CbmaError::CodeUnavailable { family, reason } => {
                 write!(f, "{family} code unavailable: {reason}")
@@ -91,8 +77,6 @@ impl fmt::Display for CbmaError {
             CbmaError::ShapeMismatch { expected, actual } => {
                 write!(f, "shape mismatch: expected {expected}, got {actual}")
             }
-            CbmaError::NoFrameDetected => write!(f, "no frame detected in the supplied samples"),
-            CbmaError::UnknownTag(id) => write!(f, "tag id {id} is not part of the scenario"),
         }
     }
 }
@@ -121,10 +105,6 @@ mod tests {
                 actual: 200,
                 max: 126,
             },
-            CbmaError::CrcMismatch {
-                expected: 0xBEEF,
-                computed: 0xDEAD,
-            },
             CbmaError::MalformedFrame("too short".into()),
             CbmaError::CodeUnavailable {
                 family: "gold",
@@ -135,8 +115,6 @@ mod tests {
                 expected: "len 8".into(),
                 actual: "len 5".into(),
             },
-            CbmaError::NoFrameDetected,
-            CbmaError::UnknownTag(3),
         ];
         for err in samples {
             let msg = err.to_string();
@@ -153,9 +131,9 @@ mod tests {
     #[test]
     fn question_mark_compatible() {
         fn inner() -> Result<()> {
-            Err(CbmaError::NoFrameDetected)?;
+            Err(CbmaError::InvalidBit(2))?;
             Ok(())
         }
-        assert_eq!(inner(), Err(CbmaError::NoFrameDetected));
+        assert_eq!(inner(), Err(CbmaError::InvalidBit(2)));
     }
 }

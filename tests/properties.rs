@@ -3,7 +3,8 @@
 use cbma::codes::FamilyKind;
 use cbma::prelude::*;
 use cbma::rx::{Receiver, ReceiverConfig};
-use cbma::tag::{frame::Frame, PhyProfile, Tag};
+use cbma::tag::frame::{Frame, FrameError, MAX_PAYLOAD};
+use cbma::tag::{PhyProfile, Tag};
 use proptest::prelude::*;
 
 proptest! {
@@ -51,6 +52,42 @@ proptest! {
         // Either the structure breaks or the CRC catches it; it must
         // never silently produce a different valid payload.
         if let Ok(decoded) = Frame::from_bits(&corrupted, 8) { prop_assert_eq!(decoded, frame) }
+    }
+
+    /// The parser reports the first check a damaged frame breaks, in its
+    /// documented order, and ignores bits past the frame's end.
+    #[test]
+    fn parser_names_the_first_broken_check(
+        payload in proptest::collection::vec(any::<u8>(), 0..=MAX_PAYLOAD),
+        preamble in prop_oneof![Just(4usize), Just(8), Just(16), Just(32), Just(64)],
+        garbage in proptest::collection::vec(0u8..2, 0..40),
+        preamble_flip in any::<usize>(),
+        length_field in (MAX_PAYLOAD as u8 + 1)..=u8::MAX,
+    ) {
+        let frame = Frame::new(payload).unwrap();
+        let raw: Vec<u8> = frame.to_bits(preamble).iter().collect();
+        let parse = |bits: &[u8]| Frame::from_bits(&Bits::from_slice(bits).unwrap(), preamble);
+
+        let mut padded = raw.clone();
+        padded.extend(&garbage);
+        prop_assert_eq!(parse(&padded), Ok(frame));
+        for cut in 0..raw.len() {
+            prop_assert_eq!(parse(&raw[..cut]), Err(FrameError::Short), "cut at {}", cut);
+        }
+        let mut bad = raw.clone();
+        bad[preamble_flip % preamble] ^= 1;
+        prop_assert_eq!(parse(&bad), Err(FrameError::Preamble));
+        let mut bad = raw.clone();
+        for (i, bit) in bad[preamble..preamble + 8].iter_mut().enumerate() {
+            *bit = (length_field >> (7 - i)) & 1;
+        }
+        prop_assert_eq!(parse(&bad), Err(FrameError::LengthField));
+        // CRC-16 catches every single-bit error in the payload or the CRC.
+        for i in preamble + 8..raw.len() {
+            let mut bad = raw.clone();
+            bad[i] ^= 1;
+            prop_assert_eq!(parse(&bad), Err(FrameError::Crc), "bit {} flipped", i);
+        }
     }
 
     /// Scenario seeds fully determine outcomes.
