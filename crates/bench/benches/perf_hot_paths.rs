@@ -46,6 +46,7 @@ fn bench_correlation(c: &mut Criterion) {
                 CorrelationPath::Auto,
                 &mut scratch,
                 &mut out,
+                None,
             );
             out.len()
         })

@@ -1,4 +1,5 @@
-//! Dependency-free A/B timing of the sliding-correlation backends.
+//! Dependency-free timing of the detector backends and of the other
+//! per-sample loops of a round.
 //!
 //! Criterion's statistics live in `benches/perf_hot_paths.rs`; this
 //! runner is the machine-readable companion: plain `std::time::Instant`
@@ -6,7 +7,8 @@
 //! so CI (or the crossover-tuning workflow) can diff numbers without
 //! parsing criterion's output directory.
 //!
-//! Cases:
+//! Cases (`bench_gate` gates all six against
+//! `ci/BENCH_user_detect.baseline.json`):
 //!
 //! * `user_detect_{direct,auto}` — the full 10-code detector on the
 //!   paper-default window (the `user_detect_10_codes` workload), which
@@ -15,9 +17,6 @@
 //!   the shared-FFT K-code batch engine (one forward transform per
 //!   overlap-save block for all ten codes), so the direct/auto ratio is
 //!   `batch_speedup_over_direct`,
-//! * `periodic_xcorr_{direct,fft}_n*` — circular code-family correlation
-//!   at several sequence lengths, which picked
-//!   `cbma::dsp::correlate::PERIODIC_FFT_CROSSOVER`,
 //! * the per-sample loops of a round around the detector:
 //!   `tag_transmit_w256` (one 10-tag-family tag's `Tag::transmit`, a
 //!   256-sample bit window), `mixer_combine_paper4` (`Mixer::combine` of
@@ -32,8 +31,6 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use cbma::codes::{CodeFamily, TwoNcFamily};
-use cbma::dsp::correlate::dot;
-use cbma::dsp::xcorr::SlidingCorrelator;
 use cbma::prelude::*;
 use cbma::rx::{CorrelationPath, DecoderKind, DetectScratch, UserDetector};
 use cbma::tag::{PhyProfile, Tag};
@@ -100,7 +97,7 @@ fn main() {
         ("user_detect_auto", CorrelationPath::Auto),
     ] {
         let case = time_case(name, || {
-            detector.detect_candidates_in(window, 350, 8, path, &mut scratch, &mut out);
+            detector.detect_candidates_in(window, 350, 8, path, &mut scratch, &mut out, None);
             out.len()
         });
         println!(
@@ -119,37 +116,6 @@ fn main() {
         window.len()
     );
     println!("real-time factor (batch): {realtime_factor:.2}x");
-
-    // Circular correlation A/B at the lengths around
-    // PERIODIC_FFT_CROSSOVER: direct = unrolled ring dot products,
-    // fft = the overlap-save engine on the doubled sequence.
-    for n in [31usize, 63, 95, 127, 255, 511] {
-        let a: Vec<f64> = (0..n)
-            .map(|i| if (i * 5) % 3 == 0 { 1.0 } else { -1.0 })
-            .collect();
-        let b: Vec<f64> = (0..n)
-            .map(|i| if (i * 11) % 7 < 3 { 1.0 } else { -1.0 })
-            .collect();
-        let mut bb = b.clone();
-        bb.extend_from_slice(&b);
-        let direct = time_case(&format!("periodic_xcorr_direct_n{n}"), || {
-            (0..n).map(|lag| dot(&a, &bb[lag..lag + n])).collect::<Vec<f64>>()
-        });
-        let xc = SlidingCorrelator::new(&a);
-        let fft = time_case(&format!("periodic_xcorr_fft_n{n}"), || {
-            let mut c = xc.correlate_real(&bb);
-            c.truncate(n);
-            c
-        });
-        println!(
-            "periodic n={n:<4} direct {:>9.0} ns/op   fft {:>9.0} ns/op   ratio {:.2}x",
-            direct.mean_ns,
-            fft.mean_ns,
-            direct.mean_ns / fft.mean_ns
-        );
-        cases.push(direct);
-        cases.push(fft);
-    }
 
     cases.extend(round_loop_cases(&phy, &codes, &buf));
     for case in &cases[cases.len() - 4..] {

@@ -13,11 +13,11 @@
 //! * [`resample`] — up-sampling and fractional-delay interpolation (tag
 //!   upsampling §III-A, asynchrony modelling §VII-C.2),
 //! * [`xcorr`] — the fast sliding-correlation engine: precomputed
-//!   [`xcorr::FftPlan`]s, the overlap-save [`xcorr::SlidingCorrelator`]
-//!   with cached reference spectra, the K-code [`xcorr::BatchCorrelator`]
-//!   that shares one forward FFT per block across every cached reference
-//!   spectrum, and [`xcorr::RunningEnergy`] prefix sums for O(1) segment
-//!   power/mean queries — the receiver's user detector runs on these,
+//!   [`xcorr::FftPlan`]s, the one overlap-save engine — the K-code
+//!   [`xcorr::BatchCorrelator`], which caches every reference spectrum
+//!   and shares one forward FFT per block across them — and
+//!   [`xcorr::RunningEnergy`] prefix sums for O(1) segment power/mean
+//!   queries — the receiver's user detector runs on these,
 //! * [`simd`] — the explicit-SIMD inner-loop kernels (AVX2+FMA with
 //!   portable scalar fallbacks and one-time runtime dispatch) that all of
 //!   the above funnel through.
@@ -46,7 +46,7 @@ pub mod simd;
 pub mod xcorr;
 
 pub use correlate::{correlate_iq_bipolar, normalized_correlation};
-pub use xcorr::{BatchCorrelator, BatchScratch, FftPlan, RunningEnergy, SlidingCorrelator};
+pub use xcorr::{BatchCorrelator, BatchScratch, FftPlan, RunningEnergy};
 pub use energy::EnergyDetector;
 pub use goertzel::Goertzel;
 pub use mafilter::MovingAverage;

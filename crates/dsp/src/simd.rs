@@ -1,21 +1,24 @@
 //! Explicit-SIMD inner-loop kernels with scalar fallbacks.
 //!
 //! Every hot inner loop of the receive chain — real dot products, complex
-//! multiply-accumulate against a real reference, pointwise spectrum
-//! multiplication, radix-4 FFT butterflies, energy sums — funnels through
-//! this module. On x86-64 with AVX2+FMA (detected once at runtime) the
-//! kernels process two complex samples (four `f64` lanes) per instruction;
-//! on every other machine, or when the features are absent, the portable
-//! scalar versions run instead. The `*_scalar` functions are public so the
-//! equivalence tests in `crates/dsp/tests/simd_equivalence.rs` can pin
-//! both implementations together across every lane-remainder case.
+//! multiply-accumulate against a real reference, the batch correlator's
+//! three-operand spectrum product, radix-4 FFT butterflies, SIC
+//! cancellation, magnitudes — and the mixer's per-tag interior funnel
+//! through this module. On x86-64 with AVX2+FMA (detected once at
+//! runtime) the kernels process two complex samples (four `f64` lanes)
+//! per instruction; on every other machine, or when the features are
+//! absent, the portable scalar versions run instead. The `*_scalar`
+//! functions are public so the equivalence tests in
+//! `crates/dsp/tests/simd_equivalence.rs` can pin both implementations
+//! together across every lane-remainder case.
 //!
 //! Numerically, most vector kernels are *not* bit-identical to their
-//! scalar twins: [`dot`], [`dot_iq_real`] and [`sum_power`] reassociate
-//! their sums across accumulator lanes, and they, the SIC cancellation
-//! and the FFT stage kernels fuse multiply-adds. Both forms are exact to
-//! ~1e-12 relative on receiver-scale inputs, well inside the 1e-9 window
-//! the cross-path detector tests enforce. Two kernels are exact instead:
+//! scalar twins: [`dot`] and [`dot_iq_real`] reassociate their sums
+//! across accumulator lanes, and they, the spectrum product, the SIC
+//! cancellation and the FFT stage kernels fuse multiply-adds. Both forms
+//! are exact to ~1e-12 relative on receiver-scale inputs, well inside the
+//! 1e-9 window the cross-path detector tests enforce. Two kernels are
+//! exact instead:
 //!
 //! * [`fade_delay_add`], the mixer's per-tag interior, equals
 //!   [`fade_delay_add_scalar`] bit for bit: it uses no FMA and performs
@@ -35,14 +38,6 @@
 //! before the call.
 
 use cbma_types::Iq;
-
-/// Views a complex slice as its interleaved `[re, im, re, im, …]` floats.
-#[inline]
-fn as_f64(samples: &[Iq]) -> &[f64] {
-    // SAFETY: Iq is #[repr(C)] with exactly two f64 fields, so a slice of
-    // n Iq is layout-identical to 2n contiguous f64s.
-    unsafe { std::slice::from_raw_parts(samples.as_ptr() as *const f64, 2 * samples.len()) }
-}
 
 /// Raw dot product of two equal-length real sequences.
 ///
@@ -246,36 +241,6 @@ fn check_fade(clean: &[Iq], taps: &[(usize, Iq)], first: usize, out: &[Iq], mask
     }
 }
 
-/// Pointwise complex multiplication `dst[i] *= src[i]` — the overlap-save
-/// spectrum product.
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-#[inline]
-pub fn spectrum_mul(dst: &mut [Iq], src: &[Iq]) {
-    assert_eq!(dst.len(), src.len(), "spectrum product requires equal lengths");
-    #[cfg(target_arch = "x86_64")]
-    if x86::available() {
-        // SAFETY: available() confirmed avx2+fma at runtime.
-        unsafe { x86::spectrum_mul(dst, src) };
-        return;
-    }
-    spectrum_mul_scalar(dst, src);
-}
-
-/// Portable reference implementation of [`spectrum_mul`].
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-pub fn spectrum_mul_scalar(dst: &mut [Iq], src: &[Iq]) {
-    assert_eq!(dst.len(), src.len(), "spectrum product requires equal lengths");
-    for (x, r) in dst.iter_mut().zip(src) {
-        *x *= *r;
-    }
-}
-
 /// Three-operand spectrum product `dst[i] = a[i] · b[i]` — fuses the
 /// copy-then-multiply of the batched overlap-save inner loop into one
 /// pass (the K-code engine reads the shared window spectrum K times but
@@ -308,22 +273,6 @@ pub fn spectrum_mul_to_scalar(dst: &mut [Iq], a: &[Iq], b: &[Iq]) {
     for ((x, u), v) in dst.iter_mut().zip(a).zip(b) {
         *x = *u * *v;
     }
-}
-
-/// Total power `Σ |s|²` of a complex window.
-#[inline]
-pub fn sum_power(samples: &[Iq]) -> f64 {
-    #[cfg(target_arch = "x86_64")]
-    if x86::available() {
-        // SAFETY: available() confirmed avx2+fma at runtime.
-        return unsafe { x86::sum_sq(as_f64(samples)) };
-    }
-    sum_power_scalar(samples)
-}
-
-/// Portable reference implementation of [`sum_power`].
-pub fn sum_power_scalar(samples: &[Iq]) -> f64 {
-    samples.iter().map(|s| s.power()).sum()
 }
 
 /// Scales every sample by a real factor in place (the inverse-FFT 1/N
@@ -860,37 +809,6 @@ mod x86 {
     /// # Safety
     ///
     /// The CPU must support AVX2 and FMA (the dispatcher checks
-    /// `available()`). Loads stay below `a.len()`.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn sum_sq(a: &[f64]) -> f64 {
-        let n = a.len();
-        let ap = a.as_ptr();
-        let mut acc0 = _mm256_setzero_pd();
-        let mut acc1 = _mm256_setzero_pd();
-        let mut i = 0;
-        while i + 8 <= n {
-            let x0 = _mm256_loadu_pd(ap.add(i));
-            let x1 = _mm256_loadu_pd(ap.add(i + 4));
-            acc0 = _mm256_fmadd_pd(x0, x0, acc0);
-            acc1 = _mm256_fmadd_pd(x1, x1, acc1);
-            i += 8;
-        }
-        if i + 4 <= n {
-            let x0 = _mm256_loadu_pd(ap.add(i));
-            acc0 = _mm256_fmadd_pd(x0, x0, acc0);
-            i += 4;
-        }
-        let mut total = hsum(_mm256_add_pd(acc0, acc1));
-        while i < n {
-            total += a[i] * a[i];
-            i += 1;
-        }
-        total
-    }
-
-    /// # Safety
-    ///
-    /// The CPU must support AVX2 and FMA (the dispatcher checks
     /// `available()`), and `reference.len() >= samples.len()`. `Iq` is
     /// `#[repr(C)]` with two `f64`s, so sample `i` is the `f64` pair at `2i`;
     /// loads stay below `2·samples.len()` and `samples.len()`.
@@ -1063,35 +981,6 @@ mod x86 {
             &mut out[i..],
             mask.map(|m| &m[i..]),
         )
-    }
-
-    /// # Safety
-    ///
-    /// The CPU must support AVX2 and FMA (the dispatcher checks
-    /// `available()`), and `src.len() >= dst.len()`; `Iq` viewed as `f64`
-    /// pairs as in `dot_iq_real`, with loads and stores below `2·dst.len()`.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn spectrum_mul(dst: &mut [Iq], src: &[Iq]) {
-        let n = dst.len();
-        let dp = dst.as_mut_ptr() as *mut f64;
-        let sp = src.as_ptr() as *const f64;
-        let mut i = 0;
-        while i + 2 <= n {
-            let v = _mm256_loadu_pd(dp.add(2 * i)); // [a, b] pairs
-            let w = _mm256_loadu_pd(sp.add(2 * i)); // [c, d] pairs
-            let wre = _mm256_movedup_pd(w); // [c, c]
-            let wim = _mm256_permute_pd(w, 0xF); // [d, d]
-            let vsw = _mm256_permute_pd(v, 0x5); // [b, a]
-            let t2 = _mm256_mul_pd(vsw, wim); // [b·d, a·d]
-            // [a·c − b·d, b·c + a·d]
-            let prod = _mm256_fmaddsub_pd(v, wre, t2);
-            _mm256_storeu_pd(dp.add(2 * i), prod);
-            i += 2;
-        }
-        while i < n {
-            dst[i] *= src[i];
-            i += 1;
-        }
     }
 
     /// # Safety
@@ -1455,25 +1344,25 @@ mod tests {
     }
 
     #[test]
-    fn spectrum_mul_matches_scalar() {
+    fn spectrum_mul_to_matches_scalar() {
         for n in 0..20 {
-            let src = signal(n);
-            let mut fast = signal(n);
+            let a = signal(n);
+            let b = &signal(n + 3)[3..];
+            // Every output is written: no NaN may survive either kernel.
+            let mut fast = vec![Iq::new(f64::NAN, f64::NAN); n];
             let mut slow = fast.clone();
-            spectrum_mul(&mut fast, &src);
-            spectrum_mul_scalar(&mut slow, &src);
-            for (a, b) in fast.iter().zip(&slow) {
-                assert!((*a - *b).abs() < 1e-12, "n={n}");
+            spectrum_mul_to(&mut fast, &a, b);
+            spectrum_mul_to_scalar(&mut slow, &a, b);
+            for (x, y) in fast.iter().zip(&slow) {
+                assert!((*x - *y).abs() < 1e-12, "n={n}");
             }
         }
     }
 
     #[test]
-    fn power_scale_magnitude_and_cancel_match_scalar() {
+    fn scale_magnitude_and_cancel_match_scalar() {
         for n in 0..33 {
             let s = signal(n);
-            assert!((sum_power(&s) - sum_power_scalar(&s)).abs() < 1e-9, "n={n}");
-
             let mut a = s.clone();
             let mut b = s.clone();
             scale_iq(&mut a, 0.37);

@@ -12,11 +12,11 @@
 //! * [`FftPlan`] — a reusable power-of-two plan with the bit-reversal
 //!   permutation and twiddle factors precomputed once, so the butterfly
 //!   loop performs no `sin`/`cos` calls,
-//! * [`SlidingCorrelator`] — caches the conjugate spectrum of one real
-//!   (bipolar) reference and correlates it against arbitrary-length
-//!   complex-IQ or real windows in O(N log B) via overlap-save blocks,
-//! * [`BatchCorrelator`] — K equal-length references sharing one forward
-//!   FFT per block (the receiver's detection engine),
+//! * [`BatchCorrelator`] — the one overlap-save engine: caches the
+//!   conjugate spectra of K equal-length real (bipolar) references and
+//!   correlates them against an arbitrary-length complex-IQ window in
+//!   O(N log B), sharing one forward FFT per block across all K (the
+//!   receiver's detection engine; K = 1 is a plain sliding correlation),
 //! * [`RunningEnergy`] — prefix sums of |s| and |s|² giving O(1) segment
 //!   power, mean and mean-removed energy over any `[off, off + len)`,
 //!   serving both the coherent power normalization and the envelope
@@ -25,10 +25,10 @@
 //! The engine is exact up to FFT rounding (≈1e-12 relative); the receiver
 //! keeps a direct path for short windows. This module's unit tests pin
 //! overlap-save against direct sliding dot products,
-//! `crates/dsp/tests/simd_equivalence.rs` pins the vector kernels and the
-//! batched rows against the single-code engine, and
-//! `crates/rx/tests/detect_equivalence.rs` pins the detector's two paths
-//! together within 1e-9.
+//! `crates/dsp/tests/simd_equivalence.rs` pins the vector kernels and
+//! each batched row against a one-reference batch and the direct oracle,
+//! and `crates/rx/tests/detect_equivalence.rs` pins the detector's two
+//! paths together within 1e-9.
 
 use cbma_obs::trace::{SpanId, TraceId, Tracer};
 use cbma_types::{CbmaError, Iq, Result};
@@ -42,8 +42,8 @@ use crate::simd;
 /// butterflies with table lookups only, through the SIMD stage kernels in
 /// [`crate::simd`]. The [`FftPlan::forward_raw`] / [`FftPlan::inverse_raw`]
 /// pair additionally skips the permutation passes by working in
-/// bit-reversed spectral order (DIF forward, DIT inverse) — the form the
-/// overlap-save correlators use, since a pointwise spectrum product does
+/// bit-reversed spectral order (DIF forward, DIT inverse) — the form
+/// [`BatchCorrelator`] uses, since a pointwise spectrum product does
 /// not care about bin order. Twiddles are stored *stage-major*: the stage with
 /// `half = len/2` butterflies owns the contiguous run
 /// `[half − 1, 2·half − 1)`, so the vector kernels load neighbouring
@@ -173,9 +173,9 @@ impl FftPlan {
     /// Pointwise spectrum products are order-agnostic as long as both
     /// operands use the same order, so a correlation pipeline can chain
     /// `forward_raw → multiply → inverse_raw` and skip both bit-reversal
-    /// permutations entirely — the overlap-save engines below do exactly
-    /// that. Equal to [`FftPlan::forward`] up to the output permutation
-    /// and FFT rounding (the DIF stages accumulate in a different order).
+    /// permutations entirely — [`BatchCorrelator`] does exactly that.
+    /// Equal to [`FftPlan::forward`] up to the output permutation and FFT
+    /// rounding (the DIF stages accumulate in a different order).
     ///
     /// # Errors
     ///
@@ -213,10 +213,10 @@ impl FftPlan {
 
     /// [`FftPlan::inverse_raw`] **without** the 1/N normalization pass.
     ///
-    /// The overlap-save correlators fold 1/N into their cached conjugate
-    /// reference spectra at construction, so the per-block inverse needs
-    /// no trailing scale sweep over the buffer — one fewer O(N) memory
-    /// pass per (block, code) pair.
+    /// [`BatchCorrelator`] folds 1/N into its cached conjugate reference
+    /// spectra at construction, so the per-block inverse needs no
+    /// trailing scale sweep over the buffer — one fewer O(N) memory pass
+    /// per (block, code) pair.
     ///
     /// # Errors
     ///
@@ -453,197 +453,17 @@ impl RunningEnergy {
     }
 }
 
-/// Loads one overlap-save block into `dst`: copies
-/// `samples[pos .. pos + take]` (with `take = min(remaining, dst.len())`)
-/// and zero-fills the ragged tail.
-///
-/// Both overlap-save engines in this module (single-code and batched)
-/// load their blocks through this one helper, so a ragged final block is
-/// padded identically on both and a batched row stays bit-identical to
-/// the single-code correlator's output.
-#[inline]
-fn load_block(dst: &mut [Iq], samples: &[Iq], pos: usize) {
-    let take = (samples.len() - pos).min(dst.len());
-    dst[..take].copy_from_slice(&samples[pos..pos + take]);
-    for x in dst[take..].iter_mut() {
-        *x = Iq::ZERO;
-    }
-}
-
-/// One cached block size: the FFT plan plus the reference's conjugate
-/// spectrum at that size.
-#[derive(Debug, Clone)]
-struct BlockSpec {
-    /// conj(FFT(reference zero-padded to `fft_size`)) / `fft_size`, in
-    /// the bit-reversed order of [`FftPlan::forward_raw`]. The 1/N
-    /// inverse-FFT normalization is folded in here once so every
-    /// per-block inverse can run unscaled.
-    ref_conj_spec: Vec<Iq>,
-    plan: FftPlan,
-    fft_size: usize,
-    /// Valid correlation outputs per block: `fft_size − ref_len + 1`.
-    block_out: usize,
-}
-
-impl BlockSpec {
-    fn new(reference: &[f64], fft_size: usize) -> BlockSpec {
-        let plan = FftPlan::new(fft_size).expect("power-of-two by construction");
-        let mut spec: Vec<Iq> = reference
-            .iter()
-            .map(|&r| Iq::new(r, 0.0))
-            .chain(std::iter::repeat(Iq::ZERO))
-            .take(fft_size)
-            .collect();
-        plan.forward_raw(&mut spec).expect("sized to plan");
-        for x in spec.iter_mut() {
-            *x = x.conj();
-        }
-        simd::scale_iq(&mut spec, 1.0 / fft_size as f64);
-        BlockSpec {
-            ref_conj_spec: spec,
-            plan,
-            fft_size,
-            block_out: fft_size - reference.len() + 1,
-        }
-    }
-}
-
-/// Overlap-save FFT sliding correlator for one cached real reference.
-///
-/// Construction pads the reference to power-of-two block sizes, computes
-/// its conjugate spectrum once per size, and keeps the [`FftPlan`]s. Each
-/// [`SlidingCorrelator::correlate_iq`] call then processes the window in
-/// blocks of `B` samples overlapping by `ref_len − 1`, producing the exact
-/// linear cross-correlation
-/// `c[k] = Σ_i s[k+i]·r[i]` for every lag `k in 0..=n − ref_len`
-/// in O(N log B) instead of O(N · ref_len).
-///
-/// Two block sizes are cached: a *compact* one (`≈2L` rounded up) used
-/// whenever the whole window fits in a single block — the receiver's
-/// common case, where a frame-head search window is only a few hundred
-/// lags past the reference — and a *streaming* one (`≈4L`) whose larger
-/// valid region amortizes FFT work better over long, many-block windows.
-#[derive(Debug, Clone)]
-pub struct SlidingCorrelator {
-    reference: Vec<f64>,
-    /// Cached block sizes, ascending; the last is the streaming size.
-    blocks: Vec<BlockSpec>,
-}
-
-impl SlidingCorrelator {
-    /// Builds a correlator for `reference`, caching its conjugate
-    /// spectrum at each block size.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `reference` is empty.
-    pub fn new(reference: &[f64]) -> SlidingCorrelator {
-        assert!(!reference.is_empty(), "reference must be non-empty");
-        let l = reference.len();
-        // Compact size: the smallest power of two holding the reference
-        // plus a same-order slack of lags — one block, minimal FFT work
-        // for short search windows. Streaming size: ≈4L keeps FFT work
-        // per output low (2·B·log B for B−L+1 lags) without ballooning
-        // block memory. Floors of 64 so tiny references still amortize
-        // the permutation overhead.
-        let compact = (2 * l).next_power_of_two().max(64);
-        let streaming = (4 * l.next_power_of_two()).max(64);
-        let mut blocks = vec![BlockSpec::new(reference, compact)];
-        if streaming > compact {
-            blocks.push(BlockSpec::new(reference, streaming));
-        }
-        SlidingCorrelator {
-            reference: reference.to_vec(),
-            blocks,
-        }
-    }
-
-    /// Length of the cached reference.
-    #[inline]
-    pub fn reference_len(&self) -> usize {
-        self.reference.len()
-    }
-
-    /// The largest (streaming) overlap-save FFT block size `B`.
-    #[inline]
-    pub fn fft_size(&self) -> usize {
-        self.blocks.last().expect("at least one block size").fft_size
-    }
-
-    /// The cached reference sequence.
-    #[inline]
-    pub fn reference(&self) -> &[f64] {
-        &self.reference
-    }
-
-    /// The block spec a window of `n` samples runs on: the smallest
-    /// cached size that covers the window in a single block, else the
-    /// streaming size.
-    fn block_for(&self, n: usize) -> &BlockSpec {
-        self.blocks
-            .iter()
-            .find(|b| n <= b.fft_size)
-            .unwrap_or_else(|| self.blocks.last().expect("at least one block size"))
-    }
-
-    /// Complex sliding correlation `c[k] = Σ_i s[k+i]·r[i]` for every lag
-    /// `k in 0..=samples.len() − ref_len` (empty when the window is
-    /// shorter than the reference). Matches
-    /// [`crate::correlate::correlate_iq_bipolar`] per lag up to FFT
-    /// rounding.
-    pub fn correlate_iq(&self, samples: &[Iq]) -> Vec<Iq> {
-        let mut work = Vec::new();
-        let mut out = Vec::new();
-        self.correlate_iq_into(samples, &mut work, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`SlidingCorrelator::correlate_iq`]:
-    /// `out` receives the per-lag correlations (cleared first) and `work`
-    /// is the FFT block scratch. Both buffers grow to a high-water mark on
-    /// first use and are reused untouched afterwards.
-    pub fn correlate_iq_into(&self, samples: &[Iq], work: &mut Vec<Iq>, out: &mut Vec<Iq>) {
-        out.clear();
-        let l = self.reference.len();
-        if samples.len() < l {
-            return;
-        }
-        let block = self.block_for(samples.len());
-        let lags = samples.len() - l + 1;
-        out.reserve(lags);
-        work.clear();
-        work.resize(block.fft_size, Iq::ZERO);
-        let mut pos = 0;
-        while pos < lags {
-            load_block(work, samples, pos);
-            // The product runs in bit-reversed spectral order, which the
-            // raw DIF/DIT pair makes permutation-free end to end.
-            block.plan.forward_raw(work).expect("sized to plan");
-            simd::spectrum_mul(work, &block.ref_conj_spec);
-            block.plan.inverse_raw_unscaled(work).expect("sized to plan");
-            let valid = (lags - pos).min(block.block_out);
-            out.extend_from_slice(&work[..valid]);
-            pos += block.block_out;
-        }
-    }
-
-    /// Real sliding correlation of a real-valued window (e.g. an |s|
-    /// magnitude series) against the cached reference.
-    pub fn correlate_real(&self, samples: &[f64]) -> Vec<f64> {
-        let as_iq: Vec<Iq> = samples.iter().map(|&v| Iq::new(v, 0.0)).collect();
-        self.correlate_iq(&as_iq).into_iter().map(|c| c.re).collect()
-    }
-}
-
 /// One cached block size of a [`BatchCorrelator`]: the shared FFT plan
 /// plus all K conjugate reference spectra at that size, stored flat
 /// (`code k` occupies `k·fft_size .. (k+1)·fft_size`) so the per-code
 /// inner loop walks contiguous memory.
 #[derive(Debug, Clone)]
 struct BatchBlock {
-    /// Flat K × `fft_size` conjugate spectra (1/N-prescaled, exactly as
-    /// [`BlockSpec`]), in the bit-reversed order of
-    /// [`FftPlan::forward_raw`].
+    /// Flat K × `fft_size` conjugate spectra, each
+    /// conj(FFT(reference zero-padded to `fft_size`)) / `fft_size`, in the
+    /// bit-reversed order of [`FftPlan::forward_raw`]. The 1/N
+    /// inverse-FFT normalization is folded in here once so every
+    /// per-block inverse can run unscaled.
     spectra: Vec<Iq>,
     plan: FftPlan,
     fft_size: usize,
@@ -749,7 +569,15 @@ impl BatchScratch {
 /// Batched K-code overlap-save correlator: one forward FFT per window
 /// block shared across every cached reference spectrum.
 ///
-/// The per-code [`SlidingCorrelator`] spends `2·K` FFTs per block
+/// Construction pads each reference to power-of-two block sizes and
+/// caches its conjugate spectrum once per size. Each
+/// [`BatchCorrelator::correlate_iq_into`] call then processes the window
+/// in blocks of `B` samples overlapping by `ref_len − 1`, producing the
+/// exact linear cross-correlation `c_k[lag] = Σ_i s[lag+i]·r_k[i]` for
+/// every code k and every lag in `0..=n − ref_len`, in O(N log B)
+/// instead of O(N · ref_len) per code.
+///
+/// Correlating each code on its own would spend `2·K` FFTs per block
 /// (forward + inverse for each of the K codes). Since all K references
 /// see the *same* window, the forward transform is identical across
 /// codes — this engine hoists it: per block it runs **one** forward FFT,
@@ -759,10 +587,13 @@ impl BatchScratch {
 /// a ~1.8× transform-count reduction; the SIMD butterfly kernels in
 /// [`crate::simd`] stack multiplicatively on top.
 ///
-/// Block sizes mirror [`SlidingCorrelator`] exactly (compact ≈ 2L for
-/// single-block windows, streaming ≈ 4L for long windows), so each
-/// output row is bit-identical to the corresponding per-code
-/// correlator's output.
+/// Two block sizes are cached: a *compact* one (≈ 2L rounded up) used
+/// whenever the whole window fits in a single block — the receiver's
+/// common case, where a frame-head search window is only a few hundred
+/// lags past the reference — and a *streaming* one (≈ 4L) whose larger
+/// valid region amortizes FFT work better over long, many-block windows.
+/// A row depends only on its own reference, so each row of a K-code
+/// batch is bit-identical to a one-reference batch on that reference.
 #[derive(Debug, Clone)]
 pub struct BatchCorrelator {
     ref_len: usize,
@@ -788,8 +619,12 @@ impl BatchCorrelator {
             refs.iter().all(|r| r.len() == l),
             "batched references must share one length"
         );
-        // Same sizing policy as SlidingCorrelator::new so per-code rows
-        // match the single-code engine bit for bit.
+        // Compact size: the smallest power of two holding the reference
+        // plus a same-order slack of lags — one block, minimal FFT work
+        // for short search windows. Streaming size: ≈4L keeps FFT work
+        // per output low (2·B·log B for B−L+1 lags) without ballooning
+        // block memory. Floors of 64 so tiny references still amortize
+        // the per-transform overhead.
         let compact = (2 * l).next_power_of_two().max(64);
         let streaming = (4 * l.next_power_of_two()).max(64);
         let mut blocks = vec![BatchBlock::new(&refs, compact)];
@@ -815,8 +650,9 @@ impl BatchCorrelator {
         self.codes
     }
 
-    /// The block spec a window of `n` samples runs on — same policy as
-    /// [`SlidingCorrelator`]: smallest single-block size, else streaming.
+    /// The block a window of `n` samples runs on: the smallest cached
+    /// size that covers the window in a single block, else the streaming
+    /// size.
     fn block_for(&self, n: usize) -> &BatchBlock {
         self.blocks
             .iter()
@@ -826,28 +662,14 @@ impl BatchCorrelator {
 
     /// Correlates `samples` against all K references in one shared-FFT
     /// pass, leaving the K × lags matrix in `scratch` (query it with
-    /// [`BatchScratch::code`]). Steady-state calls are allocation-free
-    /// once the scratch has reached its high-water size.
-    pub fn correlate_iq_into(&self, samples: &[Iq], scratch: &mut BatchScratch) {
-        self.correlate_iq_into_impl(samples, scratch, None);
-    }
-
-    /// [`BatchCorrelator::correlate_iq_into`] with span instrumentation:
-    /// each overlap-save block records an `fft_block` child span (arg =
-    /// block index) under `parent`. The untraced entry point shares this
-    /// body with `trace = None`, which costs one branch per block.
-    pub fn correlate_iq_into_traced(
-        &self,
-        samples: &[Iq],
-        scratch: &mut BatchScratch,
-        tracer: &Tracer,
-        trace: TraceId,
-        parent: SpanId,
-    ) {
-        self.correlate_iq_into_impl(samples, scratch, Some((tracer, trace, parent)));
-    }
-
-    fn correlate_iq_into_impl(
+    /// [`BatchScratch::code`]); a window shorter than the references
+    /// leaves zero lags. Steady-state calls are allocation-free once the
+    /// scratch has reached its high-water size.
+    ///
+    /// `trace` is `(tracer, trace id, parent span)`: with it, each
+    /// overlap-save block records an `fft_block` child span (arg = block
+    /// index) under the parent; `None` costs one branch per block.
+    pub fn correlate_iq_into(
         &self,
         samples: &[Iq],
         scratch: &mut BatchScratch,
@@ -876,7 +698,10 @@ impl BatchCorrelator {
                 span.set_arg(block_index);
                 span
             });
-            load_block(&mut scratch.win, samples, pos);
+            // Load the block, zero-padding a ragged final one.
+            let take = (samples.len() - pos).min(block.fft_size);
+            scratch.win[..take].copy_from_slice(&samples[pos..pos + take]);
+            scratch.win[take..].fill(Iq::ZERO);
             // The expensive part, done once per block instead of once
             // per (block, code) pair; bit-reversed spectral order skips
             // the permutation passes on every transform.
@@ -896,7 +721,6 @@ impl BatchCorrelator {
             block_index += 1;
         }
     }
-
 }
 
 #[cfg(test)]
@@ -1004,11 +828,13 @@ mod tests {
 
     #[test]
     fn overlap_save_equals_direct_across_lengths() {
+        let mut scratch = BatchScratch::new();
         for &(n, l) in &[(40usize, 7usize), (64, 64), (65, 64), (300, 31), (1000, 248), (129, 128)] {
             let samples = test_signal(n);
             let reference = test_reference(l);
-            let xc = SlidingCorrelator::new(&reference);
-            let fft = xc.correlate_iq(&samples);
+            let xc = BatchCorrelator::new(&[&reference[..]]);
+            xc.correlate_iq_into(&samples, &mut scratch, None);
+            let fft = scratch.code(0);
             let direct = direct_sliding(&samples, &reference);
             assert_eq!(fft.len(), direct.len(), "n={n} l={l}");
             for (i, (a, b)) in fft.iter().zip(&direct).enumerate() {
@@ -1017,29 +843,6 @@ mod tests {
                     "n={n} l={l} lag {i}: {a} vs {b}"
                 );
             }
-        }
-    }
-
-    #[test]
-    fn short_window_yields_empty() {
-        let xc = SlidingCorrelator::new(&test_reference(16));
-        assert!(xc.correlate_iq(&test_signal(15)).is_empty());
-        assert!(xc.correlate_real(&[0.0; 3]).is_empty());
-    }
-
-    #[test]
-    fn real_correlation_matches_iq_path() {
-        let reference = test_reference(24);
-        let series: Vec<f64> = (0..200).map(|i| (0.17 * i as f64).sin().abs()).collect();
-        let xc = SlidingCorrelator::new(&reference);
-        let real = xc.correlate_real(&series);
-        for (off, r) in real.iter().enumerate() {
-            let direct: f64 = series[off..off + 24]
-                .iter()
-                .zip(&reference)
-                .map(|(s, c)| s * c)
-                .sum();
-            assert!((r - direct).abs() < 1e-9, "lag {off}");
         }
     }
 

@@ -1,6 +1,6 @@
 //! Property-based tests for the DSP primitives.
 
-use cbma_dsp::correlate::{normalized_correlation, normalized_iq_correlation};
+use cbma_dsp::correlate::{correlate_iq_bipolar, normalized_correlation};
 use cbma_dsp::fft::{fft, ifft};
 use cbma_dsp::goertzel::bin_power;
 use cbma_dsp::mafilter::moving_average;
@@ -94,8 +94,8 @@ proptest! {
             .map(|i| if i % 2 == 0 { 1.0 } else { -1.0 })
             .collect();
         let rotated: Vec<Iq> = buf.iter().map(|s| *s * Iq::phasor(phase)).collect();
-        let m0 = normalized_iq_correlation(&buf, &reference);
-        let m1 = normalized_iq_correlation(&rotated, &reference);
+        let m0 = correlate_iq_bipolar(&buf, &reference).abs();
+        let m1 = correlate_iq_bipolar(&rotated, &reference).abs();
         prop_assert!((m0 - m1).abs() < 1e-9);
     }
 

@@ -1,13 +1,13 @@
-//! SIMD-vs-scalar and batched-vs-per-code correlation equivalence.
+//! SIMD-vs-scalar and batched-vs-one-reference correlation equivalence.
 //!
 //! The explicit-SIMD kernels in `cbma_dsp::simd` and the shared-FFT
 //! [`BatchCorrelator`] are pure optimizations: across random inputs —
 //! including every lane-remainder length around the 4-wide AVX2 vector
-//! width — each must agree with its scalar / per-code counterpart to
+//! width — each must agree with its scalar / one-reference counterpart to
 //! floating-point rounding (1e-9 relative on unit-scale data).
 
 use cbma_dsp::simd;
-use cbma_dsp::xcorr::{BatchCorrelator, BatchScratch, FftPlan, SlidingCorrelator};
+use cbma_dsp::xcorr::{BatchCorrelator, BatchScratch, FftPlan};
 use cbma_types::Iq;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -54,13 +54,14 @@ proptest! {
         prop_assert!(
             (simd::dot_iq_real(&s, &a) - simd::dot_iq_real_scalar(&s, &a)).abs() < 1e-9
         );
-        prop_assert!((simd::sum_power(&s) - simd::sum_power_scalar(&s)).abs() < 1e-9);
 
+        // The batch correlator's spectrum product: every output written,
+        // none of the NaN the destination starts with surviving.
         let src = iqs(&mut rng, n);
-        let mut dst_v = s.clone();
-        let mut dst_s = s.clone();
-        simd::spectrum_mul(&mut dst_v, &src);
-        simd::spectrum_mul_scalar(&mut dst_s, &src);
+        let mut dst_v = vec![Iq::new(f64::NAN, f64::NAN); n];
+        let mut dst_s = dst_v.clone();
+        simd::spectrum_mul_to(&mut dst_v, &s, &src);
+        simd::spectrum_mul_to_scalar(&mut dst_s, &s, &src);
         for (v, w) in dst_v.iter().zip(&dst_s) {
             prop_assert!((*v - *w).abs() < 1e-9);
         }
@@ -91,10 +92,10 @@ proptest! {
         }
     }
 
-    /// The shared-FFT batch engine returns exactly the rows the per-code
-    /// sliding correlator returns, which in turn match the O(n·m) direct
-    /// oracle — for K = 1 and larger, and windows of non-power-of-two
-    /// lengths spanning several overlap-save blocks.
+    /// Each row of a K-reference batch is exactly the row a one-reference
+    /// batch on that row's reference returns, and matches the O(n·m)
+    /// direct oracle — for K = 1 and larger, and windows of
+    /// non-power-of-two lengths spanning several overlap-save blocks.
     #[test]
     fn batch_rows_match_per_code_and_direct(
         seed in 0u64..1 << 48,
@@ -114,17 +115,18 @@ proptest! {
 
         let batch = BatchCorrelator::new(&references);
         let mut scratch = BatchScratch::new();
-        batch.correlate_iq_into(&samples, &mut scratch);
+        batch.correlate_iq_into(&samples, &mut scratch, None);
         prop_assert_eq!(scratch.num_codes(), num_codes);
         prop_assert_eq!(scratch.lags(), samples.len() - ref_len + 1);
 
+        let mut single = BatchScratch::new();
         for (k, reference) in references.iter().enumerate() {
-            let per_code = SlidingCorrelator::new(reference).correlate_iq(&samples);
+            BatchCorrelator::new(&[reference]).correlate_iq_into(&samples, &mut single, None);
             let row = scratch.code(k);
-            // Bit-identical to the per-code engine: the batch pass uses
-            // the same block sizing and the same butterflies, only the
-            // forward transform of each block is shared.
-            prop_assert_eq!(row, per_code.as_slice());
+            // Bit-identical to the one-reference batch: both use the same
+            // block sizing and the same butterflies, and a row never
+            // reads another code's spectrum.
+            prop_assert_eq!(row, single.code(0));
             let oracle = direct_sliding(&samples, reference);
             prop_assert_eq!(row.len(), oracle.len());
             for (b, d) in row.iter().zip(&oracle) {
@@ -197,22 +199,6 @@ proptest! {
     }
 }
 
-/// K = 1 degenerates to a plain sliding correlation.
-#[test]
-fn single_code_batch_equals_sliding() {
-    let mut rng = StdRng::seed_from_u64(7);
-    let reference: Vec<f64> = (0..63).map(|_| if rng.gen::<bool>() { 1.0 } else { -1.0 }).collect();
-    let samples = iqs(&mut rng, 500);
-    let batch = BatchCorrelator::new(&[&reference[..]]);
-    let mut scratch = BatchScratch::new();
-    batch.correlate_iq_into(&samples, &mut scratch);
-    assert_eq!(scratch.num_codes(), 1);
-    assert_eq!(
-        scratch.code(0),
-        SlidingCorrelator::new(&reference).correlate_iq(&samples).as_slice()
-    );
-}
-
 /// A window shorter than the reference produces zero lags; the scratch
 /// must report empty rows, not stale data from a previous capture.
 #[test]
@@ -222,9 +208,9 @@ fn short_window_yields_empty_rows() {
     let mut scratch = BatchScratch::new();
     // Prime the scratch with a real pass first.
     let mut rng = StdRng::seed_from_u64(3);
-    batch.correlate_iq_into(&iqs(&mut rng, 200), &mut scratch);
+    batch.correlate_iq_into(&iqs(&mut rng, 200), &mut scratch, None);
     assert!(scratch.lags() > 0);
-    batch.correlate_iq_into(&iqs(&mut rng, 31), &mut scratch);
+    batch.correlate_iq_into(&iqs(&mut rng, 31), &mut scratch, None);
     assert_eq!(scratch.lags(), 0);
     assert!(scratch.code(0).is_empty());
     assert!(scratch.code(1).is_empty());
@@ -241,10 +227,10 @@ fn batch_scratch_reuse_is_pointer_stable() {
     let batch = BatchCorrelator::new(&references);
     let mut scratch = BatchScratch::new();
     let first = iqs(&mut rng, 400);
-    batch.correlate_iq_into(&first, &mut scratch);
+    batch.correlate_iq_into(&first, &mut scratch, None);
     let ptr = scratch.storage_ptr();
     let second = iqs(&mut rng, 400);
-    batch.correlate_iq_into(&second, &mut scratch);
+    batch.correlate_iq_into(&second, &mut scratch, None);
     assert_eq!(ptr, scratch.storage_ptr(), "row storage reallocated");
 }
 

@@ -678,30 +678,20 @@ impl Receiver {
         let RxScratch {
             detect, candidates, ..
         } = &mut self.scratch;
-        match trace {
-            Some((tracer, tr, parent)) => {
-                let span = tracer.span(tr, Some(parent), "user_detect");
-                self.detector.detect_candidates_traced(
-                    window,
-                    window_start,
-                    8,
-                    CorrelationPath::Auto,
-                    detect,
-                    candidates,
-                    tracer,
-                    tr,
-                    span.id(),
-                );
-            }
-            None => self.detector.detect_candidates_in(
-                window,
-                window_start,
-                8,
-                CorrelationPath::Auto,
-                detect,
-                candidates,
-            ),
-        }
+        let detect_span = trace.map(|(t, tr, parent)| t.span(tr, Some(parent), "user_detect"));
+        let detect_trace: TraceCtx = trace
+            .zip(detect_span.as_ref())
+            .map(|((t, tr, _), span)| (t, tr, span.id()));
+        self.detector.detect_candidates_in(
+            window,
+            window_start,
+            8,
+            CorrelationPath::Auto,
+            detect,
+            candidates,
+            detect_trace,
+        );
+        drop(detect_span);
         telemetry.user_detect_ns = stage_start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
     }
 
@@ -1223,6 +1213,45 @@ mod tests {
         let traces: std::collections::BTreeSet<u64> =
             tracer.spans().iter().map(|s| s.trace).collect();
         assert_eq!(traces.len(), 2);
+    }
+
+    #[test]
+    fn tracing_never_changes_a_report() {
+        // Three colliding tags, one of them 30 dB down so only SIC finds
+        // it: the traced run goes through every stage, SIC re-runs and
+        // the batch engine included.
+        let phy = PhyProfile::paper_default();
+        let codes = TwoNcFamily::new(4).unwrap().codes(4).unwrap();
+        let envs: Vec<_> = [
+            (0usize, 0.02, 0.4, 0usize),
+            (1, 0.00063, 2.0, 3),
+            (3, 0.01, 1.1, 40),
+        ]
+        .into_iter()
+        .map(|(i, amplitude, phase, delay)| {
+            let mut tag = Tag::new(i as u32, Point::ORIGIN, codes[i].clone());
+            let env = tag
+                .transmit(format!("tag {i} here").into_bytes(), &phy)
+                .unwrap();
+            (env, Iq::from_polar(amplitude, phase), delay)
+        })
+        .collect();
+        let buf = clean_capture(&envs, 400);
+        let config = ReceiverConfig {
+            sic_passes: 2,
+            ..ReceiverConfig::default()
+        };
+        let untraced = Receiver::new(codes.clone(), phy, config).receive(&buf);
+        assert!(untraced.telemetry.sic_recovered >= 1, "{untraced:?}");
+
+        let tracer = Tracer::new(4096);
+        let mut rx = Receiver::new(codes, phy, config);
+        rx.attach_tracer(&tracer);
+        assert_eq!(rx.receive(&buf), untraced);
+        let spans = tracer.spans();
+        for name in ["sic", "batch_correlate", "fft_block"] {
+            assert!(spans.iter().any(|s| s.name == name), "no {name} span");
+        }
     }
 
     #[test]

@@ -290,7 +290,15 @@ impl UserDetector {
     ) -> Vec<Vec<DetectedUser>> {
         let mut scratch = DetectScratch::new();
         let mut out = Vec::new();
-        self.detect_candidates_in(window, window_origin, max_candidates, path, &mut scratch, &mut out);
+        self.detect_candidates_in(
+            window,
+            window_origin,
+            max_candidates,
+            path,
+            &mut scratch,
+            &mut out,
+            None,
+        );
         out
     }
 
@@ -298,50 +306,14 @@ impl UserDetector {
     /// all intermediates live in `scratch`, and `out` is reused per code
     /// (inner vectors are cleared, not dropped). Once both have reached
     /// their high-water sizes a call performs zero heap allocation.
-    pub fn detect_candidates_in(
-        &self,
-        window: &[Iq],
-        window_origin: usize,
-        max_candidates: usize,
-        path: CorrelationPath,
-        scratch: &mut DetectScratch,
-        out: &mut Vec<Vec<DetectedUser>>,
-    ) {
-        self.detect_candidates_impl(window, window_origin, max_candidates, path, scratch, out, None);
-    }
-
-    /// [`UserDetector::detect_candidates_in`] with span instrumentation:
-    /// the shared-FFT pass records a `batch_correlate` child span (with
+    ///
+    /// `trace` is `(tracer, trace id, parent span)`: with it, the
+    /// shared-FFT pass records a `batch_correlate` child span (with
     /// `fft_block` grandchildren from the engine) and every per-code
     /// profile scan records a `correlate` span (arg = code index) under
-    /// `parent`. The untraced entry point shares this body with
-    /// `trace = None`, which costs one branch per code.
+    /// the parent; `None` costs one branch per code.
     #[allow(clippy::too_many_arguments)]
-    pub fn detect_candidates_traced(
-        &self,
-        window: &[Iq],
-        window_origin: usize,
-        max_candidates: usize,
-        path: CorrelationPath,
-        scratch: &mut DetectScratch,
-        out: &mut Vec<Vec<DetectedUser>>,
-        tracer: &Tracer,
-        trace: TraceId,
-        parent: SpanId,
-    ) {
-        self.detect_candidates_impl(
-            window,
-            window_origin,
-            max_candidates,
-            path,
-            scratch,
-            out,
-            Some((tracer, trace, parent)),
-        );
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn detect_candidates_impl(
+    pub fn detect_candidates_in(
         &self,
         window: &[Iq],
         window_origin: usize,
@@ -398,13 +370,12 @@ impl UserDetector {
         let use_batch = engine.is_some();
         if let Some(engine) = engine {
             let input: &[Iq] = if envelope_mode { mags_iq } else { window };
-            match trace {
-                Some((tracer, trace, parent)) => {
-                    let span = tracer.span(trace, Some(parent), "batch_correlate");
-                    engine.correlate_iq_into_traced(input, batch, tracer, trace, span.id());
-                }
-                None => engine.correlate_iq_into(input, batch),
-            }
+            let span = trace
+                .map(|(tracer, trace, parent)| tracer.span(trace, Some(parent), "batch_correlate"));
+            let batch_trace = trace
+                .zip(span.as_ref())
+                .map(|((tracer, trace, _), span)| (tracer, trace, span.id()));
+            engine.correlate_iq_into(input, batch, batch_trace);
         }
         for (idx, reference) in self.references.iter().enumerate() {
             if reference.len() > window.len() {
@@ -589,6 +560,19 @@ mod tests {
         buf
     }
 
+    /// Codes 0 and 1 received asynchronously, starting at samples 20
+    /// and 60 with orthogonal phases.
+    fn two_users(codes: &[PnCode]) -> Vec<Iq> {
+        let mut buf = rx_signal(&codes[1], Iq::new(0.0, 1.0), 60, "11");
+        for (i, s) in rx_signal(&codes[0], Iq::new(1.0, 0.0), 20, "01")
+            .into_iter()
+            .enumerate()
+        {
+            buf[i] += s;
+        }
+        buf
+    }
+
     #[test]
     fn detects_single_user_at_correct_offset() {
         let family = GoldFamily::new(5).unwrap();
@@ -623,16 +607,7 @@ mod tests {
         let family = GoldFamily::new(5).unwrap();
         let codes = family.codes(3).unwrap();
         let det = UserDetector::with_kind(&codes, &phy(), 0.35, DecoderKind::Coherent);
-        let a = rx_signal(&codes[0], Iq::new(1.0, 0.0), 20, "01");
-        let b = rx_signal(&codes[1], Iq::new(0.0, 1.0), 60, "11");
-        let n = a.len().max(b.len());
-        let mut buf = vec![Iq::ZERO; n];
-        for (i, s) in a.into_iter().enumerate() {
-            buf[i] += s;
-        }
-        for (i, s) in b.into_iter().enumerate() {
-            buf[i] += s;
-        }
+        let buf = two_users(&codes);
         let candidates = det.detect_candidates(&buf, 0, 4);
         assert!(!candidates[0].is_empty(), "user 0 missed");
         assert!(!candidates[1].is_empty(), "user 1 missed");
@@ -653,6 +628,53 @@ mod tests {
             "user 1 candidates {:?}",
             candidates[1]
         );
+    }
+
+    #[test]
+    fn tracing_fills_the_same_candidates_and_nests_the_kernel_spans() {
+        let family = GoldFamily::new(5).unwrap();
+        let codes = family.codes(3).unwrap();
+        let det = UserDetector::with_kind(&codes, &phy(), 0.35, DecoderKind::Coherent);
+        let buf = two_users(&codes);
+        let detect = |trace| {
+            let mut out = Vec::new();
+            det.detect_candidates_in(
+                &buf,
+                0,
+                4,
+                CorrelationPath::Auto,
+                &mut DetectScratch::new(),
+                &mut out,
+                trace,
+            );
+            out
+        };
+        let untraced = detect(None);
+        assert!(
+            !untraced[0].is_empty() && !untraced[1].is_empty(),
+            "{untraced:?}"
+        );
+
+        let tracer = Tracer::new(256);
+        let trace = tracer.new_trace();
+        let stage = tracer.span(trace, None, "user_detect");
+        let traced = detect(Some((&tracer, trace, stage.id())));
+        assert_eq!(traced, untraced);
+
+        let parent = stage.id().get();
+        stage.finish();
+        let spans = tracer.spans();
+        let named = |name: &'static str| spans.iter().filter(move |s| s.name == name);
+        let batch: Vec<_> = named("batch_correlate").collect();
+        assert_eq!(batch.len(), 1, "the window takes the batch engine");
+        assert_eq!(batch[0].parent, parent);
+        assert!(named("fft_block").count() >= 1);
+        assert!(named("fft_block").all(|s| s.parent == batch[0].span));
+        let correlates: Vec<_> = named("correlate").collect();
+        assert_eq!(correlates.len(), codes.len());
+        for (k, c) in correlates.iter().enumerate() {
+            assert_eq!((c.parent, c.arg), (parent, Some(k as u64)));
+        }
     }
 
     #[test]
