@@ -17,10 +17,12 @@
 //!   the shared-FFT K-code batch engine (one forward transform per
 //!   overlap-save block for all ten codes), so the direct/auto ratio is
 //!   `batch_speedup_over_direct`,
-//! * the per-sample loops of a round around the detector:
-//!   `tag_transmit_w256` (one 10-tag-family tag's `Tag::transmit`, a
-//!   256-sample bit window), `mixer_combine_paper4` (`Mixer::combine` of
-//!   four faded, delayed paper-default tags, noise included),
+//! * the per-sample loops of a round around the detector, each as the
+//!   engine runs it, into buffers kept across iterations:
+//!   `tag_transmit_w256` (one 10-tag-family tag's `Tag::transmit_into`,
+//!   a 256-sample bit window), `mixer_combine_paper4`
+//!   (`Mixer::combine_into` of four faded, delayed paper-default tags,
+//!   noise included),
 //!   `frame_sync_paper4` (`FrameSync::best_edge_in` on that capture) and
 //!   `decode_frame_w256` (one coherent `Decoder::decode_frame` with a
 //!   256-sample bit window).
@@ -165,8 +167,9 @@ fn round_loop_cases(phy: &PhyProfile, codes: &[cbma::codes::PnCode], capture: &[
     let mut cases = Vec::new();
     let w = codes[0].len() * phy.samples_per_chip();
     let mut tag = Tag::new(0, Point::ORIGIN, codes[0].clone());
+    let mut envelope = Vec::new();
     cases.push(time_case(&format!("tag_transmit_w{w}"), || {
-        tag.transmit(vec![0xA5; 8], phy).unwrap()
+        tag.transmit_into(vec![0xA5; 8], phy, std::hint::black_box(&mut envelope)).unwrap()
     }));
 
     // The paper4 round's shape: a 4-code family, 8-byte payloads, indoor
@@ -194,8 +197,10 @@ fn round_loop_cases(phy: &PhyProfile, codes: &[cbma::codes::PnCode], capture: &[
         ..Mixer::new(phy.sample_rate)
     };
     let mut noise = StdRng::seed_from_u64(5);
+    let (mut mixed, mut mix_scratch) = (Vec::new(), Vec::new());
     cases.push(time_case("mixer_combine_paper4", || {
-        mixer.combine(&mut noise, &signals)
+        let capture = std::hint::black_box(&mut mixed);
+        mixer.combine_into(&mut noise, &signals, capture, &mut mix_scratch)
     }));
 
     let paper4_capture = mixer.combine(&mut StdRng::seed_from_u64(6), &signals);

@@ -68,11 +68,24 @@ impl NoiseModel {
     /// [`noise_power`](NoiseModel::noise_power) over `bandwidth`.
     /// Amplitudes are in √W, matching the mixer's signal scale.
     pub fn samples<R: Rng + ?Sized>(&self, rng: &mut R, n: usize, bandwidth: Hertz) -> Vec<Iq> {
+        let mut out = Vec::new();
+        self.samples_into(rng, n, bandwidth, &mut out);
+        out
+    }
+
+    /// [`samples`](NoiseModel::samples) into a caller-owned buffer: `out`
+    /// is cleared and refilled with `n` samples, keeping its capacity.
+    pub fn samples_into<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        n: usize,
+        bandwidth: Hertz,
+        out: &mut Vec<Iq>,
+    ) {
         let power_w = self.noise_power(bandwidth).to_watts().get();
         let sigma = (power_w / 2.0).sqrt(); // per quadrature component
-        (0..n)
-            .map(|_| Iq::new(gaussian(rng, sigma), gaussian(rng, sigma)))
-            .collect()
+        out.clear();
+        out.extend((0..n).map(|_| Iq::new(gaussian(rng, sigma), gaussian(rng, sigma))));
     }
 }
 

@@ -4,8 +4,8 @@
 //! waveform — each scaled by its own link gain (the near-far problem of
 //! §IV), rotated by an unknown static phase, spread by multipath, shifted
 //! by its clock offset — plus ambient interference and the noise floor.
-//! [`Mixer::combine`] produces that composite IQ stream, which is exactly
-//! what `cbma-rx` decodes.
+//! [`Mixer::combine_into`] produces that composite IQ stream, which is
+//! exactly what `cbma-rx` decodes.
 
 use rand::Rng;
 
@@ -218,18 +218,43 @@ impl Mixer {
     ///
     /// The buffer is `lead_in + max tag extent + tail` samples: noise-only
     /// lead-in, then the superposed tags (each at its own delay), then a
-    /// noise-only tail. Tags are rotated two at a time (see
-    /// [`TagSignal`]'s paired phasor chains) and added in order. Besides
-    /// the capture, `combine` allocates one scratch that holds two
-    /// rotated envelopes and is reused by every pair of tags, plus the
-    /// interference waveform and excitation mask when those are not
-    /// trivially silent or always on: two allocations for any number of
-    /// tags under a tone on a clean channel.
+    /// noise-only tail. This allocating form makes two allocations for
+    /// any number of tags under a tone on a clean channel: the capture and
+    /// the scratch of [`combine_into`](Mixer::combine_into), which does
+    /// the work.
     ///
     /// # Panics
     ///
     /// Panics if a tag's delay is negative or non-finite.
     pub fn combine<R: Rng + ?Sized>(&self, rng: &mut R, signals: &[TagSignal]) -> Vec<Iq> {
+        let mut capture = Vec::new();
+        self.combine_into(rng, signals, &mut capture, &mut Vec::new());
+        capture
+    }
+
+    /// [`combine`](Mixer::combine) into caller-owned buffers: `capture` is
+    /// cleared and refilled with the composite stream, and `scratch`
+    /// holds two rotated envelopes. Both keep their capacity, so a caller
+    /// that mixes round after round into the same two buffers allocates
+    /// nothing once they have grown to the longest round; stale contents
+    /// of either never reach the capture.
+    ///
+    /// Tags are rotated two at a time (see [`TagSignal`]'s paired phasor
+    /// chains) into the scratch, shared by every pair, and added to the
+    /// capture in order. The interference waveform and excitation mask
+    /// are allocated only when they are not trivially silent or always
+    /// on: nothing for any number of tags under a tone on a clean channel.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a tag's delay is negative or non-finite.
+    pub fn combine_into<R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        signals: &[TagSignal],
+        capture: &mut Vec<Iq>,
+        scratch: &mut Vec<Iq>,
+    ) {
         for sig in signals {
             assert!(
                 sig.delay_samples >= 0.0 && sig.delay_samples.is_finite(),
@@ -240,12 +265,12 @@ impl Mixer {
         let body = signals.iter().map(TagSignal::extent).max().unwrap_or(0);
         let total = self.lead_in + body + self.tail;
 
-        let mut buf = self.noise.samples(rng, total, self.bandwidth);
+        self.noise.samples_into(rng, total, self.bandwidth, capture);
 
         // A clean channel draws nothing and would only add +0.0 to noise
         // samples, which are never ±0.
         if !matches!(self.interference.kind, InterferenceKind::None) {
-            for (b, x) in buf.iter_mut().zip(self.interference.waveform(rng, total)) {
+            for (b, x) in capture.iter_mut().zip(self.interference.waveform(rng, total)) {
                 *b += x;
             }
         }
@@ -255,10 +280,14 @@ impl Mixer {
         let mask = (!self.excitation.is_continuous())
             .then(|| self.excitation.availability_mask(rng, total));
 
+        // Every rotation writes the samples it is read back for, so the
+        // scratch only has to be long enough.
         let longest = signals.iter().map(|s| s.envelope.len()).max().unwrap_or(0);
-        let mut scratch = vec![Iq::ZERO; 2 * longest];
-        let (clean_a, clean_b) = scratch.split_at_mut(longest);
-        let out = &mut buf[self.lead_in..];
+        if scratch.len() < 2 * longest {
+            scratch.resize(2 * longest, Iq::ZERO);
+        }
+        let (clean_a, clean_b) = scratch[..2 * longest].split_at_mut(longest);
+        let out = &mut capture[self.lead_in..];
         let mask = mask.as_deref().map(|m| &m[self.lead_in..]);
         for pair in signals.chunks(2) {
             match pair {
@@ -270,7 +299,6 @@ impl Mixer {
                 sig.add_faded_delayed(&clean[..sig.envelope.len()], out, mask);
             }
         }
-        buf
     }
 }
 

@@ -1,9 +1,11 @@
-//! Proves `Mixer::combine` allocates nothing per tag.
+//! Proves `Mixer::combine_into` allocates nothing into warm buffers.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator. Mixing
-//! one, seven or eight tags of the same length into the same capture
-//! length must make the same number of heap allocations: the capture and
-//! one scratch for a pair of rotated envelopes, whatever the tag count.
+//! one, seven or eight tags of the same length into a capture and a
+//! scratch that an earlier call has grown must make no heap allocation
+//! at all, whatever the tag count; the allocating `Mixer::combine` makes
+//! exactly two, the capture and one scratch for a pair of rotated
+//! envelopes.
 //!
 //! This file deliberately contains a single `#[test]`: the counter is
 //! process-global, and a sibling test running on another thread would
@@ -80,24 +82,40 @@ fn mixing_more_tags_allocates_nothing_more() {
         })
         .collect();
 
-    let (one, one_capture) =
-        count_allocs(|| mixer.combine(&mut StdRng::seed_from_u64(1), &tags[..1]));
+    // One warm-up call grows both buffers; every later call fits.
+    let (mut capture, mut scratch) = (Vec::new(), Vec::new());
+    mixer.combine_into(
+        &mut StdRng::seed_from_u64(1),
+        &tags,
+        &mut capture,
+        &mut scratch,
+    );
     // Seven tags: three pairs and an odd last tag rotated on its own.
-    let (seven, seven_capture) =
-        count_allocs(|| mixer.combine(&mut StdRng::seed_from_u64(1), &tags[..7]));
-    let (eight, eight_capture) =
-        count_allocs(|| mixer.combine(&mut StdRng::seed_from_u64(1), &tags));
-    assert_eq!(one_capture.len(), eight_capture.len());
-    assert_eq!(seven_capture.len(), eight_capture.len());
-    assert_eq!(
-        one, eight,
-        "combine allocated {one} times for 1 tag but {eight} times for 8"
-    );
-    assert_eq!(
-        seven, eight,
-        "combine allocated {seven} times for 7 tags but {eight} times for 8"
-    );
-    // Under a tone and a clean channel: the capture and the envelope
-    // scratch, nothing else.
-    assert_eq!(eight, 2, "combine allocated {eight} times");
+    for n in [1, 7, 8] {
+        let (allocs, ()) = count_allocs(|| {
+            mixer.combine_into(
+                &mut StdRng::seed_from_u64(1),
+                &tags[..n],
+                &mut capture,
+                &mut scratch,
+            )
+        });
+        assert_eq!(
+            allocs, 0,
+            "combine_into allocated {allocs} times for {n} tags"
+        );
+        assert_eq!(
+            capture,
+            mixer.combine(&mut StdRng::seed_from_u64(1), &tags[..n])
+        );
+    }
+
+    // The allocating form, under a tone and a clean channel: the capture
+    // and the envelope scratch, nothing else, for any tag count.
+    for n in [1, 7, 8] {
+        let (allocs, fresh) =
+            count_allocs(|| mixer.combine(&mut StdRng::seed_from_u64(1), &tags[..n]));
+        assert_eq!(fresh.len(), capture.len());
+        assert_eq!(allocs, 2, "combine allocated {allocs} times for {n} tags");
+    }
 }

@@ -128,28 +128,48 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     /// The fused mixer reproduces the staged chain exactly: every sample
-    /// has the same bits, and both leave the RNG at the same draw.
+    /// has the same bits, and both leave the RNG at the same draw. So
+    /// does `combine_into` into a capture and a scratch that are longer
+    /// than needed and full of NaN, as reused buffers are after a longer
+    /// round: no stale sample reaches the capture.
     #[test]
     fn fused_mixer_matches_the_staged_chain_bit_for_bit(
         mixer in mixer_strategy(),
         signals in collection::vec(tag_strategy(), 0..=6),
         seed in any::<u64>(),
+        spare in 1usize..512,
     ) {
-        let mut fused_rng = StdRng::seed_from_u64(seed);
-        let fused = mixer.combine(&mut fused_rng, &signals);
         let mut staged_rng = StdRng::seed_from_u64(seed);
         let staged = staged_combine(&mixer, &mut staged_rng, &signals);
-        prop_assert_eq!(fused.len(), staged.len());
-        for (k, (a, b)) in fused.iter().zip(&staged).enumerate() {
-            prop_assert!(
-                a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
-                "sample {} differs: fused {:?}, staged {:?}",
-                k,
-                a,
-                b
-            );
+        let staged_next = staged_rng.gen::<u64>();
+
+        let mut fused_rng = StdRng::seed_from_u64(seed);
+        let fused = mixer.combine(&mut fused_rng, &signals);
+        let longest = signals.iter().map(|s| s.envelope.len()).max().unwrap_or(0);
+        let nan = Iq::new(f64::NAN, f64::NAN);
+        let mut capture = vec![nan; staged.len() + spare];
+        let mut scratch = vec![nan; 2 * longest + spare];
+        let mut into_rng = StdRng::seed_from_u64(seed);
+        mixer.combine_into(&mut into_rng, &signals, &mut capture, &mut scratch);
+
+        let forms = [
+            ("combine", &fused, &mut fused_rng),
+            ("combine_into", &capture, &mut into_rng),
+        ];
+        for (form, out, rng) in forms {
+            prop_assert_eq!(out.len(), staged.len(), "{} length", form);
+            for (k, (a, b)) in out.iter().zip(&staged).enumerate() {
+                prop_assert!(
+                    a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
+                    "{} sample {} differs: {:?}, staged {:?}",
+                    form,
+                    k,
+                    a,
+                    b
+                );
+            }
+            prop_assert_eq!(rng.gen::<u64>(), staged_next, "{} RNG draw", form);
         }
-        prop_assert_eq!(fused_rng.gen::<u64>(), staged_rng.gen::<u64>());
     }
 }
 

@@ -278,12 +278,13 @@ impl RxMetrics {
 
 /// Reusable per-receiver working memory for the whole receive pipeline:
 /// frame-sync state, detection buffers, decode candidate lists, alias-
-/// resolution tables and the SIC residual. Every buffer is cleared — not
-/// dropped — per capture, so a receiver in steady state (repeated captures
-/// of similar size) performs **zero heap allocation** on quiet captures
-/// and only output-proportional allocation when frames decode. One
-/// instance lives in each [`Receiver`]; `parallel_sweep` workers each own
-/// a receiver and therefore a private arena.
+/// resolution tables, and the SIC residual and reconstruction. Every
+/// buffer is cleared — not dropped — per capture, so a receiver in steady
+/// state (repeated captures of similar size) performs **zero heap
+/// allocation** on quiet captures and only output-proportional allocation
+/// when frames decode. One instance lives in each [`Receiver`];
+/// `parallel_sweep` workers each own a receiver and therefore a private
+/// arena.
 #[derive(Debug)]
 pub struct RxScratch {
     sync: SyncScratch,
@@ -300,6 +301,9 @@ pub struct RxScratch {
     probe_offsets: Vec<usize>,
     /// SIC working copy of the capture.
     residual: Vec<Iq>,
+    /// SIC's reconstruction of the user being cancelled
+    /// ([`crate::sic::reconstruct_envelope_into`]).
+    sic_envelope: Vec<f64>,
     /// Envelope prefix sums for [`crate::sic::cancel_user_in`].
     env_energy: RunningEnergy,
 }
@@ -316,6 +320,7 @@ impl RxScratch {
             accepted_starts: Vec::new(),
             probe_offsets: Vec::new(),
             residual: Vec::new(),
+            sic_envelope: Vec::new(),
             env_energy: RunningEnergy::default(),
         }
     }
@@ -344,6 +349,7 @@ impl RxScratch {
             + self.accepted_starts.capacity() * std::mem::size_of::<usize>()
             + self.probe_offsets.capacity() * std::mem::size_of::<usize>()
             + self.residual.capacity() * std::mem::size_of::<Iq>()
+            + self.sic_envelope.capacity() * std::mem::size_of::<f64>()
             + self.env_energy.capacity_bytes()
     }
 }
@@ -545,20 +551,21 @@ impl Receiver {
         let mut residual = std::mem::take(&mut self.scratch.residual);
         residual.clear();
         residual.extend_from_slice(samples);
+        let RxScratch {
+            sic_envelope,
+            env_energy,
+            ..
+        } = &mut self.scratch;
         for user in report.users.iter().filter(|u| u.outcome.is_frame()) {
             let frame = user.outcome.frame().expect("filtered to frames");
-            let envelope = crate::sic::reconstruct_envelope(
-                frame,
-                &self.codes[user.detection.code_index],
-                &self.phy,
-            );
-            let window = self.codes[user.detection.code_index].len() * spc;
+            let code = &self.codes[user.detection.code_index];
+            crate::sic::reconstruct_envelope_into(frame, code, &self.phy, sic_envelope);
             crate::sic::cancel_user_in(
                 &mut residual,
                 user.detection.start,
-                &envelope,
-                window,
-                &mut self.scratch.env_energy,
+                sic_envelope,
+                code.len() * spc,
+                env_energy,
             );
         }
         if !residual.is_empty() {

@@ -20,19 +20,34 @@ use cbma_codes::PnCode;
 use cbma_dsp::simd;
 use cbma_dsp::xcorr::RunningEnergy;
 use cbma_tag::frame::Frame;
-use cbma_tag::modulator::spread_envelope;
+use cbma_tag::modulator::spread_envelope_into;
 use cbma_tag::phy::PhyProfile;
 use cbma_types::Iq;
 
 /// Reconstructs a decoded user's OOK envelope at the receiver sample
 /// rate: frame → bits → one code word or its complement per bit, the
-/// same [`spread_envelope`] the tag transmits.
+/// same [`spread_envelope_into`] the tag transmits.
 pub fn reconstruct_envelope(frame: &Frame, code: &PnCode, phy: &PhyProfile) -> Vec<f64> {
-    spread_envelope(
+    let mut envelope = Vec::new();
+    reconstruct_envelope_into(frame, code, phy, &mut envelope);
+    envelope
+}
+
+/// [`reconstruct_envelope`] into a caller-owned buffer, cleared and
+/// refilled with its capacity kept: the receiver rebuilds every cancelled
+/// user's envelope in one arena buffer.
+pub fn reconstruct_envelope_into(
+    frame: &Frame,
+    code: &PnCode,
+    phy: &PhyProfile,
+    envelope: &mut Vec<f64>,
+) {
+    spread_envelope_into(
         &frame.to_bits(phy.preamble_bits),
         code,
         phy.samples_per_chip(),
-    )
+        envelope,
+    );
 }
 
 /// Subtracts a decoded user's contribution from `samples` in place.

@@ -152,6 +152,13 @@ pub struct Engine {
     /// Span recorder, when tracing is attached (see
     /// [`Engine::attach_tracer`]).
     tracer: Option<Tracer>,
+    /// A round's large buffers, kept from round to round and refilled
+    /// (grow-only), so rounds after the first few allocate none of them:
+    /// one envelope per transmitting tag, the capture (see
+    /// [`Engine::set_capture_iq`]) and the mixer's rotation scratch.
+    envelopes: Vec<Vec<f64>>,
+    capture: Vec<Iq>,
+    mix_scratch: Vec<Iq>,
 }
 
 impl Engine {
@@ -195,11 +202,17 @@ impl Engine {
             capture_iq: false,
             metrics: None,
             tracer: None,
+            envelopes: Vec::new(),
+            capture: Vec::new(),
+            mix_scratch: Vec::new(),
         })
     }
 
     /// Enables capturing the raw IQ buffer into each [`RoundOutcome`]
-    /// (for waveform inspection; costs memory per round).
+    /// (for waveform inspection; costs memory per round). The engine
+    /// otherwise keeps each round's capture and refills it the next round;
+    /// with capturing on, every outcome takes its capture away, so every
+    /// round allocates a fresh one.
     pub fn set_capture_iq(&mut self, capture: bool) {
         self.capture_iq = capture;
     }
@@ -371,15 +384,18 @@ impl Engine {
     ) -> (Vec<Iq>, Vec<SignalMeta>, Vec<Vec<u8>>) {
         let stage = self.stage(span, "tag_transmit", |m| &m.tag_transmit_ns);
         let mut payloads = vec![Vec::new(); self.tags.len()];
-        let mut envelopes = Vec::with_capacity(active.len());
-        for &i in active {
+        // The engine's envelope buffers, one per transmitting tag: lent
+        // to this round's signals and given back after mixing.
+        let mut envelopes = std::mem::take(&mut self.envelopes);
+        if envelopes.len() < active.len() {
+            envelopes.resize_with(active.len(), Vec::new);
+        }
+        for (&i, envelope) in active.iter().zip(&mut envelopes) {
             let payload = self.payload_for(i, round);
             payloads[i] = payload.clone();
-            envelopes.push(
-                self.tags[i]
-                    .transmit(payload, &self.scenario.phy)
-                    .expect("configured payload length is valid"),
-            );
+            self.tags[i]
+                .transmit_into(payload, &self.scenario.phy, envelope)
+                .expect("configured payload length is valid");
         }
         drop(stage);
 
@@ -388,7 +404,7 @@ impl Engine {
         let stage = self.stage(span, "channel_realize", |m| &m.channel_realize_ns);
         let mut signals = Vec::with_capacity(active.len());
         let mut signal_meta = Vec::with_capacity(active.len());
-        for (&i, envelope) in active.iter().zip(envelopes) {
+        for (&i, envelope) in active.iter().zip(&mut envelopes) {
             // Mean link amplitude: Friis with this tag's |ΔΓ| state,
             // shadowed by the frozen large-scale environment.
             let dg = self.bank.delta_gamma(self.tags[i].impedance());
@@ -426,7 +442,7 @@ impl Engine {
                 phase,
             });
             signals.push(TagSignal {
-                envelope,
+                envelope: std::mem::take(envelope),
                 amplitude,
                 phase,
                 taps,
@@ -445,10 +461,15 @@ impl Engine {
             lead_in: 4 * self.scenario.rx_config.energy_window.max(32),
             tail: 64,
         };
-        let mut iq = mixer.combine(chan_rng, &signals);
+        let mut iq = std::mem::take(&mut self.capture);
+        mixer.combine_into(chan_rng, &signals, &mut iq, &mut self.mix_scratch);
         if let Some(adc) = self.scenario.adc {
             adc.quantize(chan_rng, &mut iq);
         }
+        for (envelope, signal) in envelopes.iter_mut().zip(signals) {
+            *envelope = signal.envelope;
+        }
+        self.envelopes = envelopes;
         (iq, signal_meta, payloads)
     }
 
@@ -503,7 +524,13 @@ impl Engine {
             delivered,
             bit_errors,
             signal_meta,
-            iq: if self.capture_iq { Some(iq) } else { None },
+            iq: if self.capture_iq {
+                Some(iq)
+            } else {
+                // Back to the engine, for the next round to refill.
+                self.capture = iq;
+                None
+            },
         };
         let round_ns = round_start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
         if let Some(metrics) = &self.metrics {

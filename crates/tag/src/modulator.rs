@@ -39,6 +39,24 @@ pub fn ook_envelope(chips: &Bits, samples_per_chip: usize) -> Vec<f64> {
 ///
 /// Panics if `samples_per_chip` is zero.
 pub fn spread_envelope(data: &Bits, code: &PnCode, samples_per_chip: usize) -> Vec<f64> {
+    let mut out = Vec::new();
+    spread_envelope_into(data, code, samples_per_chip, &mut out);
+    out
+}
+
+/// [`spread_envelope`] into a caller-owned buffer: `out` is cleared and
+/// refilled, keeping its capacity, so a caller that spreads a frame every
+/// round reuses one buffer instead of allocating the envelope each time.
+///
+/// # Panics
+///
+/// Panics if `samples_per_chip` is zero.
+pub fn spread_envelope_into(
+    data: &Bits,
+    code: &PnCode,
+    samples_per_chip: usize,
+    out: &mut Vec<f64>,
+) {
     assert!(samples_per_chip > 0, "need at least one sample per chip");
     let word = code.len() * samples_per_chip;
     // The code word for a 1, then its complement for a 0.
@@ -50,11 +68,11 @@ pub fn spread_envelope(data: &Bits, code: &PnCode, samples_per_chip: usize) -> V
         }
     }
     let (one, zero) = words.split_at(word);
-    let mut out = Vec::with_capacity(data.len() * word);
+    out.clear();
+    out.reserve(data.len() * word);
     for bit in data.iter() {
         out.extend_from_slice(if bit == 1 { one } else { zero });
     }
-    out
 }
 
 /// Fraction of time the tag reflects (its RF duty cycle) for a chip
@@ -108,12 +126,17 @@ mod tests {
         ];
         for code in &codes {
             for spc in [1, 3, 8] {
+                let expected = ook_envelope(&spread(&data, code), spc);
                 assert_eq!(
                     spread_envelope(&data, code, spc),
-                    ook_envelope(&spread(&data, code), spc),
+                    expected,
                     "code {} spc {spc}",
                     code.index()
                 );
+                // A reused buffer: longer than needed and full of NaN.
+                let mut reused = vec![f64::NAN; expected.len() + 100];
+                spread_envelope_into(&data, code, spc, &mut reused);
+                assert_eq!(reused, expected, "code {} spc {spc}", code.index());
             }
             assert!(spread_envelope(&Bits::new(), code, 8).is_empty());
         }

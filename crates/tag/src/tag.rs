@@ -14,7 +14,7 @@ use cbma_types::{Bits, Result};
 use crate::encoder::spread;
 use crate::frame::Frame;
 use crate::impedance::ImpedanceState;
-use crate::modulator::spread_envelope;
+use crate::modulator::spread_envelope_into;
 use crate::phy::PhyProfile;
 
 /// One backscatter tag.
@@ -94,20 +94,41 @@ impl Tag {
 
     /// Full transmit path: frame → spread → OOK envelope at the receiver
     /// sample rate, the envelope of [`Tag::encode`]'s chips built straight
-    /// from the code-word waveforms ([`spread_envelope`]). Also counts the
-    /// packet as sent.
+    /// from the code-word waveforms ([`spread_envelope_into`]). Also counts
+    /// the packet as sent.
     ///
     /// # Errors
     ///
     /// Propagates frame construction errors.
     pub fn transmit(&mut self, payload: Vec<u8>, phy: &PhyProfile) -> Result<Vec<f64>> {
+        let mut envelope = Vec::new();
+        self.transmit_into(payload, phy, &mut envelope)?;
+        Ok(envelope)
+    }
+
+    /// [`Tag::transmit`] into a caller-owned envelope buffer, which is
+    /// cleared and refilled with its capacity kept
+    /// ([`spread_envelope_into`]). On error `envelope` is left untouched
+    /// and nothing is counted.
+    ///
+    /// # Errors
+    ///
+    /// Propagates frame construction errors.
+    pub fn transmit_into(
+        &mut self,
+        payload: Vec<u8>,
+        phy: &PhyProfile,
+        envelope: &mut Vec<f64>,
+    ) -> Result<()> {
         let frame = Frame::new(payload)?;
         self.packets_sent += 1;
-        Ok(spread_envelope(
+        spread_envelope_into(
             &frame.to_bits(phy.preamble_bits),
             &self.code,
             phy.samples_per_chip(),
-        ))
+            envelope,
+        );
+        Ok(())
     }
 
     /// Records an ACK from the receiver for this tag.
@@ -191,6 +212,10 @@ mod tests {
             env,
             crate::modulator::ook_envelope(&chips, phy.samples_per_chip())
         );
+        // A reused buffer: longer than needed and full of NaN.
+        let mut reused = vec![f64::NAN; env.len() + 100];
+        tag.transmit_into(b"chip path".to_vec(), &phy, &mut reused).unwrap();
+        assert_eq!(reused, env);
     }
 
     #[test]
@@ -231,6 +256,9 @@ mod tests {
         let mut tag = make_tag();
         let phy = PhyProfile::paper_default();
         assert!(tag.transmit(vec![0; 127], &phy).is_err());
+        let mut envelope = vec![0.5; 3];
+        assert!(tag.transmit_into(vec![0; 127], &phy, &mut envelope).is_err());
+        assert_eq!(envelope, [0.5; 3], "failed transmit must leave the buffer");
         assert_eq!(tag.packets_sent(), 0, "failed transmit must not count");
     }
 }

@@ -125,3 +125,60 @@ fn subset_transmissions_are_detected_exactly() {
         assert!(!outcome.report.ack.acknowledges(id));
     }
 }
+
+/// The 4-tag paper deployment: seed-drawn boot impedances, SIC off.
+fn paper4_positions() -> Vec<Point> {
+    vec![
+        Point::new(0.0, 0.35),
+        Point::new(0.25, -0.40),
+        Point::new(-0.30, 0.45),
+        Point::new(0.40, 0.55),
+    ]
+}
+
+#[test]
+fn reused_round_buffers_never_leak_into_a_capture() {
+    // Two same-seed engines: one hands every capture to its outcome from
+    // round 0, so it never refills a capture buffer; the other refills
+    // the engine's own capture for rounds 0..K and only then keeps it.
+    // Round K must read the same samples and decide the same way.
+    const K: usize = 4;
+    let paper4 = Scenario::paper_default(paper4_positions()).with_seed(7);
+    let mut dense10 = Scenario::paper_default(balanced_ten()).with_seed(7);
+    dense10.rx_config.sic_passes = 2;
+    for (name, scenario, open) in [("paper4", paper4, false), ("dense10", dense10, true)] {
+        let mut fresh = Engine::new(scenario.clone()).unwrap();
+        let mut reused = Engine::new(scenario).unwrap();
+        if open {
+            full_power(&mut fresh);
+            full_power(&mut reused);
+        }
+        fresh.set_capture_iq(true);
+        // Whether SIC rebuilt some user's envelope in its reused buffer.
+        let mut cancelled = false;
+        for round in 0..K {
+            let (a, b) = (fresh.run_round(), reused.run_round());
+            assert_eq!(a.report, b.report, "{name} round {round}");
+            assert!(b.iq.is_none());
+            cancelled |= a.report.telemetry.sic_residual_energy > 0.0;
+        }
+        reused.set_capture_iq(true);
+        let (a, b) = (fresh.run_round(), reused.run_round());
+        cancelled |= a.report.telemetry.sic_residual_energy > 0.0;
+        let (a_iq, b_iq) = (a.iq.unwrap(), b.iq.unwrap());
+        assert_eq!(a_iq.len(), b_iq.len(), "{name}");
+        for (k, (x, y)) in a_iq.iter().zip(&b_iq).enumerate() {
+            assert!(
+                x.re.to_bits() == y.re.to_bits() && x.im.to_bits() == y.im.to_bits(),
+                "{name} round {K} sample {k}: {x:?} vs {y:?}"
+            );
+        }
+        assert_eq!(a.report, b.report, "{name} round {K}");
+        assert_eq!(
+            (a.active, a.delivered, a.bit_errors),
+            (b.active, b.delivered, b.bit_errors),
+            "{name} round {K}"
+        );
+        assert_eq!(cancelled, open, "{name}: SIC cancelled a user: {cancelled}");
+    }
+}
