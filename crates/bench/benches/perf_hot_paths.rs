@@ -9,7 +9,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use cbma::codes::{CodeFamily, TwoNcFamily};
 use cbma::prelude::*;
-use cbma::rx::{CorrelationPath, Decoder, DecoderKind, DetectScratch, UserDetector};
+use cbma::rx::{Decoder, DecoderKind, DetectScratch, UserDetector};
 use cbma::tag::{encoder::spread, modulator::ook_envelope, PhyProfile, Tag};
 
 fn bench_correlation(c: &mut Criterion) {
@@ -22,16 +22,9 @@ fn bench_correlation(c: &mut Criterion) {
     buf.extend(env.iter().map(|&e| Iq::new(0.01 * e, 0.0)));
     buf.extend(vec![Iq::ZERO; 64]);
 
-    // The production entry point (Auto picks the batch FFT engine at
-    // this window size).
+    // The allocating entry point: a fresh scratch and output per call.
     c.bench_function("user_detect_10_codes", |b| {
         b.iter(|| detector.detect_candidates(&buf[350..3000], 350, 8))
-    });
-    // A/B against the direct backend on the identical workload — the
-    // headline speedup of the overlap-save engine is measured here (and
-    // in machine-readable form by `--example bench_summary`).
-    c.bench_function("user_detect_direct", |b| {
-        b.iter(|| detector.detect_candidates_with(&buf[350..3000], 350, 8, CorrelationPath::Direct))
     });
     // Shared-FFT K-code matrix pass on the steady-state (scratch-reusing)
     // entry point — the receiver's production configuration.
@@ -39,15 +32,7 @@ fn bench_correlation(c: &mut Criterion) {
         let mut scratch = DetectScratch::new();
         let mut out = Vec::new();
         b.iter(|| {
-            detector.detect_candidates_in(
-                &buf[350..3000],
-                350,
-                8,
-                CorrelationPath::Auto,
-                &mut scratch,
-                &mut out,
-                None,
-            );
+            detector.detect_candidates_in(&buf[350..3000], 350, 8, &mut scratch, &mut out, None);
             out.len()
         })
     });

@@ -1,22 +1,20 @@
-//! Dependency-free timing of the detector backends and of the other
+//! Dependency-free timing of the user detector and of the other
 //! per-sample loops of a round.
 //!
 //! Criterion's statistics live in `benches/perf_hot_paths.rs`; this
 //! runner is the machine-readable companion: plain `std::time::Instant`
 //! loops, mean ns/op per case, and a hand-written `BENCH_user_detect.json`
-//! so CI (or the crossover-tuning workflow) can diff numbers without
-//! parsing criterion's output directory.
+//! so CI can diff numbers without parsing criterion's output directory.
 //!
-//! Cases (`bench_gate` gates all six against
-//! `ci/BENCH_user_detect.baseline.json`):
+//! Cases (`bench_gate` gates each one that
+//! `ci/BENCH_user_detect.baseline.json` also holds):
 //!
-//! * `user_detect_{direct,auto}` — the full 10-code detector on the
-//!   paper-default window (the `user_detect_10_codes` workload), which
-//!   backs the receiver's headline speedup and the
-//!   `cbma::rx::FFT_LAG_CROSSOVER` constant; at this window `auto` runs
-//!   the shared-FFT K-code batch engine (one forward transform per
-//!   overlap-save block for all ten codes), so the direct/auto ratio is
-//!   `batch_speedup_over_direct`,
+//! * `user_detect_auto` — the full 10-code detector on the paper-default
+//!   window (the `user_detect_10_codes` workload): the shared-FFT K-code
+//!   batch engine, one forward transform per overlap-save block for all
+//!   ten codes. Its air time over this time is `realtime_factor_batch`.
+//!   The name predates the removal of the direct path it was chosen
+//!   against, and stays so the baseline keeps gating it,
 //! * the per-sample loops of a round around the detector, each as the
 //!   engine runs it, into buffers kept across iterations:
 //!   `tag_transmit_w256` (one 10-tag-family tag's `Tag::transmit_into`,
@@ -34,7 +32,7 @@ use std::time::Instant;
 
 use cbma::codes::{CodeFamily, TwoNcFamily};
 use cbma::prelude::*;
-use cbma::rx::{CorrelationPath, DecoderKind, DetectScratch, UserDetector};
+use cbma::rx::{DecoderKind, DetectScratch, UserDetector};
 use cbma::tag::{PhyProfile, Tag};
 
 /// One timed case: best-of-3 mean ns/op, each repetition covering ~40 ms.
@@ -85,40 +83,31 @@ fn main() {
     buf.extend(env.iter().map(|&e| Iq::new(0.01 * e, 0.0)));
     buf.extend(vec![Iq::ZERO; 64]);
     let window = &buf[350..3000];
-    let ref_len = detector.reference_len(0);
+    let ref_len = detector.reference_len();
     let lags = window.len() - ref_len + 1;
 
-    let mut cases = Vec::new();
     // Steady-state protocol: the receiver owns a scratch arena and reuses
     // it every capture, so the timed op is `detect_candidates_in` over a
     // warm arena — allocation-free by the `alloc_free` test's guarantee.
     let mut scratch = DetectScratch::new();
     let mut out = Vec::new();
-    for (name, path) in [
-        ("user_detect_direct", CorrelationPath::Direct),
-        ("user_detect_auto", CorrelationPath::Auto),
-    ] {
-        let case = time_case(name, || {
-            detector.detect_candidates_in(window, 350, 8, path, &mut scratch, &mut out, None);
-            out.len()
-        });
-        println!(
-            "{:24} {:>12.0} ns/op  ({} iters)",
-            case.name, case.mean_ns, case.iters
-        );
-        cases.push(case);
-    }
-    let speedup = cases[0].mean_ns / cases[1].mean_ns;
+    let detect = time_case("user_detect_auto", || {
+        detector.detect_candidates_in(window, 350, 8, &mut scratch, &mut out, None);
+        out.len()
+    });
+    println!(
+        "{:24} {:>12.0} ns/op  ({} iters)",
+        detect.name, detect.mean_ns, detect.iters
+    );
     // Real-time factor: air time the window represents (samples at the
     // paper-default rate) over the time the detector needs to scan it.
     let window_ns = window.len() as f64 / phy.sample_rate.get() * 1e9;
-    let realtime_factor = window_ns / cases[1].mean_ns;
+    let realtime_factor = window_ns / detect.mean_ns;
     println!(
-        "batch speedup over direct: {speedup:.2}x  (window {}, ref {ref_len}, {lags} lags, 10 codes)",
+        "real-time factor (batch): {realtime_factor:.2}x  (window {}, ref {ref_len}, {lags} lags, 10 codes)",
         window.len()
     );
-    println!("real-time factor (batch): {realtime_factor:.2}x");
-
+    let mut cases = vec![detect];
     cases.extend(round_loop_cases(&phy, &codes, &buf));
     for case in &cases[cases.len() - 4..] {
         println!(
@@ -135,7 +124,6 @@ fn main() {
     let _ = writeln!(json, "  \"reference_len\": {ref_len},");
     let _ = writeln!(json, "  \"lags\": {lags},");
     let _ = writeln!(json, "  \"codes\": {},", codes.len());
-    let _ = writeln!(json, "  \"batch_speedup_over_direct\": {speedup:.3},");
     let _ = writeln!(json, "  \"realtime_factor_batch\": {realtime_factor:.3},");
     json.push_str("  \"cases\": [\n");
     for (i, case) in cases.iter().enumerate() {

@@ -8,8 +8,9 @@
 //!   the received energy level (§III-B),
 //! * [`energy`] — sliding-window energy detection with the +3 dB comparator
 //!   threshold,
-//! * [`correlate`] — normalized cross-correlation, the core of user
-//!   detection and chip decoding,
+//! * [`correlate`] — the single-lag correlation of IQ samples against a
+//!   bipolar code reference, behind the detector's probes and channel-gain
+//!   estimates,
 //! * [`resample`] — up-sampling and fractional-delay interpolation (tag
 //!   upsampling §III-A, asynchrony modelling §VII-C.2),
 //! * [`xcorr`] — the fast sliding-correlation engine: precomputed
@@ -29,11 +30,16 @@
 //! # Examples
 //!
 //! ```
-//! use cbma_dsp::correlate::normalized_correlation;
+//! use cbma_dsp::correlate_iq_bipolar;
+//! use cbma_types::Iq;
 //!
+//! // The code's chips received under an unknown phase rotation: the
+//! // magnitude of the complex correlation is the code's energy whatever
+//! // the phase.
 //! let code = [1.0, -1.0, 1.0, 1.0, -1.0];
-//! let same = normalized_correlation(&code, &code);
-//! assert!((same - 1.0).abs() < 1e-12);
+//! let received: Vec<Iq> = code.iter().map(|&c| Iq::phasor(0.7).scale(c)).collect();
+//! let corr = correlate_iq_bipolar(&received, &code);
+//! assert!((corr.abs() - 5.0).abs() < 1e-12);
 //! ```
 
 pub mod correlate;
@@ -45,7 +51,7 @@ pub mod resample;
 pub mod simd;
 pub mod xcorr;
 
-pub use correlate::{correlate_iq_bipolar, normalized_correlation};
+pub use correlate::correlate_iq_bipolar;
 pub use xcorr::{BatchCorrelator, BatchScratch, FftPlan, RunningEnergy};
 pub use energy::EnergyDetector;
 pub use goertzel::Goertzel;

@@ -1,6 +1,6 @@
 //! Explicit-SIMD inner-loop kernels with scalar fallbacks.
 //!
-//! Every hot inner loop of the receive chain — real dot products, complex
+//! Every hot inner loop of the receive chain — complex
 //! multiply-accumulate against a real reference, the batch correlator's
 //! three-operand spectrum product, radix-4 FFT butterflies, SIC
 //! cancellation, magnitudes — and the mixer's per-tag interior funnel
@@ -13,12 +13,12 @@
 //! together across every lane-remainder case.
 //!
 //! Numerically, most vector kernels are *not* bit-identical to their
-//! scalar twins: [`dot`] and [`dot_iq_real`] reassociate their sums
-//! across accumulator lanes, and they, the spectrum product, the SIC
+//! scalar twins: [`dot_iq_real`] reassociates its sums across
+//! accumulator lanes, and it, the spectrum product, the SIC
 //! cancellation and the FFT stage kernels fuse multiply-adds. Both forms
 //! are exact to ~1e-12 relative on receiver-scale inputs, well inside the
-//! 1e-9 window the cross-path detector tests enforce. Two kernels are
-//! exact instead:
+//! 1e-9 window the batch-against-direct correlation tests enforce. Two
+//! kernels are exact instead:
 //!
 //! * [`fade_delay_add`], the mixer's per-tag interior, equals
 //!   [`fade_delay_add_scalar`] bit for bit: it uses no FMA and performs
@@ -38,32 +38,6 @@
 //! before the call.
 
 use cbma_types::Iq;
-
-/// Raw dot product of two equal-length real sequences.
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-#[inline]
-pub fn dot(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dot product requires equal lengths");
-    #[cfg(target_arch = "x86_64")]
-    if x86::available() {
-        // SAFETY: available() confirmed avx2+fma at runtime.
-        return unsafe { x86::dot(a, b) };
-    }
-    dot_scalar(a, b)
-}
-
-/// Portable reference implementation of [`dot`].
-///
-/// # Panics
-///
-/// Panics if the lengths differ.
-pub fn dot_scalar(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len(), "dot product requires equal lengths");
-    a.iter().zip(b).map(|(x, y)| x * y).sum()
-}
 
 /// Complex multiply-accumulate of IQ samples against a real reference:
 /// `Σ_i samples[i] · reference[i]` — the decoder/detector MAC kernel.
@@ -757,55 +731,6 @@ mod x86 {
         }
     }
 
-    /// Sums the four lanes of a vector.
-    ///
-    /// # Safety
-    ///
-    /// The CPU must support AVX2 and FMA (the dispatcher checks
-    /// `available()`).
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn hsum(v: __m256d) -> f64 {
-        let lo = _mm256_castpd256_pd128(v);
-        let hi = _mm256_extractf128_pd(v, 1);
-        let s = _mm_add_pd(lo, hi);
-        _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)))
-    }
-
-    /// # Safety
-    ///
-    /// The CPU must support AVX2 and FMA (the dispatcher checks
-    /// `available()`), and `b.len() >= a.len()`: every 4-lane load reads
-    /// indices below `a.len()` of both slices.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn dot(a: &[f64], b: &[f64]) -> f64 {
-        let n = a.len();
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let mut acc0 = _mm256_setzero_pd();
-        let mut acc1 = _mm256_setzero_pd();
-        let mut i = 0;
-        while i + 8 <= n {
-            acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(ap.add(i)), _mm256_loadu_pd(bp.add(i)), acc0);
-            acc1 = _mm256_fmadd_pd(
-                _mm256_loadu_pd(ap.add(i + 4)),
-                _mm256_loadu_pd(bp.add(i + 4)),
-                acc1,
-            );
-            i += 8;
-        }
-        if i + 4 <= n {
-            acc0 = _mm256_fmadd_pd(_mm256_loadu_pd(ap.add(i)), _mm256_loadu_pd(bp.add(i)), acc0);
-            i += 4;
-        }
-        let mut total = hsum(_mm256_add_pd(acc0, acc1));
-        while i < n {
-            total += a[i] * b[i];
-            i += 1;
-        }
-        total
-    }
-
     /// # Safety
     ///
     /// The CPU must support AVX2 and FMA (the dispatcher checks
@@ -1319,17 +1244,6 @@ mod tests {
 
     fn reals(n: usize) -> Vec<f64> {
         (0..n).map(|i| (0.73 * i as f64).sin() - 0.1).collect()
-    }
-
-    #[test]
-    fn dot_matches_scalar_across_remainders() {
-        for n in 0..40 {
-            let a = reals(n);
-            let b: Vec<f64> = (0..n).map(|i| (0.31 * i as f64).cos()).collect();
-            let fast = dot(&a, &b);
-            let slow = dot_scalar(&a, &b);
-            assert!((fast - slow).abs() < 1e-9, "n={n}: {fast} vs {slow}");
-        }
     }
 
     #[test]

@@ -22,13 +22,13 @@
 //!   serving both the coherent power normalization and the envelope
 //!   mean-removed statistic.
 //!
-//! The engine is exact up to FFT rounding (≈1e-12 relative); the receiver
-//! keeps a direct path for short windows. This module's unit tests pin
+//! The engine is exact up to FFT rounding (≈1e-12 relative) and is the
+//! receiver's only sliding correlation. This module's unit tests pin
 //! overlap-save against direct sliding dot products,
 //! `crates/dsp/tests/simd_equivalence.rs` pins the vector kernels and
 //! each batched row against a one-reference batch and the direct oracle,
-//! and `crates/rx/tests/detect_equivalence.rs` pins the detector's two
-//! paths together within 1e-9.
+//! and `crates/rx/tests/detect_equivalence.rs` checks the detector's
+//! correlations against direct ones within 1e-9.
 
 use cbma_obs::trace::{SpanId, TraceId, Tracer};
 use cbma_types::{CbmaError, Iq, Result};

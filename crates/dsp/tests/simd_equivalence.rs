@@ -47,10 +47,8 @@ proptest! {
         let n = base * 4 + tail;
         let mut rng = StdRng::seed_from_u64(seed);
         let a = reals(&mut rng, n);
-        let b = reals(&mut rng, n);
         let s = iqs(&mut rng, n);
 
-        prop_assert!((simd::dot(&a, &b) - simd::dot_scalar(&a, &b)).abs() < 1e-9);
         prop_assert!(
             (simd::dot_iq_real(&s, &a) - simd::dot_iq_real_scalar(&s, &a)).abs() < 1e-9
         );
@@ -94,13 +92,17 @@ proptest! {
 
     /// Each row of a K-reference batch is exactly the row a one-reference
     /// batch on that row's reference returns, and matches the O(n·m)
-    /// direct oracle — for K = 1 and larger, and windows of
-    /// non-power-of-two lengths spanning several overlap-save blocks.
+    /// direct oracle — for K = 1 and larger, references up to 256
+    /// samples (the user detector's spread preambles at one and two
+    /// samples per chip are 128 and 256), and windows from a single lag
+    /// to non-power-of-two lengths spanning several overlap-save blocks.
+    /// The detector has no other sliding correlation, so this is its
+    /// equivalence proof against direct dot products.
     #[test]
     fn batch_rows_match_per_code_and_direct(
         seed in 0u64..1 << 48,
         num_codes in 1usize..=8,
-        ref_len in 2usize..=96,
+        ref_len in 2usize..=256,
         extra in 0usize..700,
     ) {
         let mut rng = StdRng::seed_from_u64(seed);

@@ -45,6 +45,4 @@ pub use runtime::{
     CaptureSource, FlowgraphError, RunOutput, RunStats, RuntimeConfig, RxFlowgraph, SampleSource,
     Scheduler, SourceBlock, StreamResult,
 };
-pub use user_detect::{
-    CorrelationPath, DetectScratch, DetectedUser, UserDetector, FFT_LAG_CROSSOVER,
-};
+pub use user_detect::{DetectScratch, DetectedUser, UserDetector};

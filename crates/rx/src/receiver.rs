@@ -45,7 +45,7 @@ use cbma_types::Iq;
 use crate::ack::AckMessage;
 use crate::decoder::{DecodeOutcome, Decoder, DecoderKind};
 use crate::frame_sync::{FrameSync, SyncScratch};
-use crate::user_detect::{CorrelationPath, DetectScratch, DetectedUser, UserDetector};
+use crate::user_detect::{DetectScratch, DetectedUser, UserDetector};
 
 /// Tunable receiver parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -400,8 +400,9 @@ impl Receiver {
     ///
     /// # Panics
     ///
-    /// Panics if `codes` is empty or the config thresholds are out of
-    /// range (see [`UserDetector::new`]).
+    /// Panics if `codes` is empty, the codes differ in length, or the
+    /// config thresholds are out of range (see
+    /// [`UserDetector::with_kind`]).
     pub fn new(codes: Vec<PnCode>, phy: PhyProfile, config: ReceiverConfig) -> Receiver {
         let sync = FrameSync::new(
             config.energy_window,
@@ -631,13 +632,10 @@ impl Receiver {
         let back = (self.config.search_back_chips + self.leading_silence_chips) * spc;
         let ahead = self.config.search_ahead_chips * spc;
         let window_start = edge.index.saturating_sub(back);
-        // The search window must cover the longest spread preamble plus
-        // the asynchrony allowance.
-        let max_ref = (0..self.codes.len())
-            .map(|i| self.detector.reference_len(i))
-            .max()
-            .unwrap_or(0);
-        let window_end = (window_start + back + ahead + max_ref).min(samples.len());
+        // The search window must cover the spread preamble plus the
+        // asynchrony allowance.
+        let window_end =
+            (window_start + back + ahead + self.detector.reference_len()).min(samples.len());
         if window_end <= window_start {
             SyncOutcome::EmptyWindow
         } else {
@@ -693,7 +691,6 @@ impl Receiver {
             window,
             window_start,
             8,
-            CorrelationPath::Auto,
             detect,
             candidates,
             detect_trace,

@@ -17,60 +17,33 @@
 //!
 //! # Computational structure
 //!
-//! The sliding correlation is the receiver's dominant cost. When every
-//! code's spread preamble has the same length (every built-in code
-//! family), the detector precomputes one [`BatchCorrelator`] at
-//! construction — the K reference spectra cached against one
-//! overlap-save FFT plan — and [`UserDetector::detect_candidates`]
-//! evaluates all K correlation profiles with one forward FFT per block,
-//! O(N log B) instead of O(K × lags × ref_len). Per-lag segment energies
-//! come from a single [`RunningEnergy`] prefix sum over the window (O(1)
-//! per lag instead of O(ref_len)). Short windows — fewer than
-//! [`FFT_LAG_CROSSOVER`] lags — and mixed-length code sets stay on the
-//! direct time-domain path; both paths agree within 1e-9 (see
-//! `tests/detect_equivalence.rs`).
+//! The sliding correlation is the receiver's dominant cost. Every code's
+//! spread preamble has one length (the constructor rejects a code set
+//! whose codes differ in length), so the detector precomputes one
+//! [`BatchCorrelator`] at construction — the K reference spectra cached
+//! against one overlap-save FFT plan — and
+//! [`UserDetector::detect_candidates`] evaluates all K correlation
+//! profiles with one forward FFT per block, O(N log B) instead of
+//! O(K × lags × ref_len). Every window at least one reference long takes
+//! this engine, for both decision statistics; a shorter window has no
+//! lag and reports no candidate. Per-lag segment energies come from a
+//! single [`RunningEnergy`] prefix sum over the window (O(1) per lag
+//! instead of O(ref_len)). Each batched row is pinned against the direct
+//! sliding dot products within 1e-9 by `cbma-dsp`'s
+//! `tests/simd_equivalence.rs`. [`UserDetector::probe`] and the
+//! per-candidate gain estimate correlate one exact lag directly.
 
 use cbma_codes::PnCode;
-use cbma_dsp::correlate::{correlate_iq_bipolar, dot};
-use cbma_obs::trace::{SpanId, TraceId, Tracer};
+use cbma_dsp::correlate::correlate_iq_bipolar;
 use cbma_dsp::resample::upsample_repeat;
 use cbma_dsp::simd;
 use cbma_dsp::xcorr::{BatchCorrelator, BatchScratch, RunningEnergy};
+use cbma_obs::trace::{SpanId, TraceId, Tracer};
 use cbma_tag::frame::preamble_pattern;
 use cbma_tag::phy::PhyProfile;
 use cbma_types::Iq;
 
 use crate::decoder::DecoderKind;
-
-/// Minimum number of candidate lags for which the batch FFT engine beats the
-/// direct time-domain path at paper-default reference lengths (≈2 k
-/// samples). Below this the window is so short that the FFTs of the
-/// correlator's block cost more than the handful of direct dot products
-/// (direct ≈ lags·ref_len mults vs FFT ≈ 3·B·log₂B for a single compact
-/// block — and the SIMD kernels speed *both* sides up, so the break-even
-/// moves less than either speedup alone suggests). Measured by the
-/// `user_detect` cases of the `bench_summary` runner in `cbma-bench`
-/// (release build, AVX2 kernels, permutation-free raw FFTs): at the
-/// paper-default search window — 603 lags, 10 codes — the batch engine
-/// measures ≈11× faster than direct (≈0.40 ms vs ≈4.5 ms); sweeping the
-/// window down, 10-code direct wins at 32 lags (≈0.24 ms vs ≈0.26 ms)
-/// and the shared-FFT pass wins from 48 lags (≈0.32 ms vs ≈0.35 ms),
-/// with roughly flat batch cost across the single-block regime — the
-/// crossing sits near 40 lags.
-pub const FFT_LAG_CROSSOVER: usize = 40;
-
-/// Which sliding-correlation backend [`UserDetector::detect_candidates_with`]
-/// uses to evaluate the per-lag correlation profile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum CorrelationPath {
-    /// Batched shared-FFT pass when the references are uniform and the
-    /// window offers at least [`FFT_LAG_CROSSOVER`] lags, direct
-    /// otherwise.
-    #[default]
-    Auto,
-    /// Always the O(lags × ref_len) time-domain path (the test oracle).
-    Direct,
-}
 
 /// Reusable buffers for [`UserDetector::detect_candidates_in`].
 ///
@@ -84,7 +57,8 @@ pub struct DetectScratch {
     running: RunningEnergy,
     /// |s| magnitude series (envelope mode only).
     mags: Vec<f64>,
-    /// The magnitude series as IQ, for the batch engine (envelope mode).
+    /// The magnitude series as IQ, the batch engine's input (envelope
+    /// mode).
     mags_iq: Vec<Iq>,
     /// K × lags correlation matrix from the batch engine.
     batch: BatchScratch,
@@ -157,10 +131,8 @@ pub struct UserDetector {
     /// Bipolar spread-preamble reference per code, at sample rate.
     references: Vec<Vec<f64>>,
     /// Shared-FFT K-code engine: one forward FFT per block multiplied
-    /// against every cached reference spectrum. `None` when the spread
-    /// preambles do not share one length (mixed code families), which
-    /// then always take the direct path.
-    batch: Option<BatchCorrelator>,
+    /// against every cached reference spectrum.
+    batch: BatchCorrelator,
     /// Σr² per code, precomputed for the normalization denominator.
     ref_energy: Vec<f64>,
     /// Σr per code, precomputed for the envelope mean correction.
@@ -181,7 +153,8 @@ impl UserDetector {
     ///
     /// # Panics
     ///
-    /// Panics if `threshold` is outside (0, 1) or `codes` is empty.
+    /// Panics if `threshold` is outside (0, 1), `codes` is empty or the
+    /// codes differ in length (see [`UserDetector::with_kind`]).
     pub fn new(codes: &[PnCode], phy: &PhyProfile, threshold: f64) -> UserDetector {
         UserDetector::with_kind(codes, phy, threshold, DecoderKind::Coherent)
     }
@@ -190,7 +163,10 @@ impl UserDetector {
     ///
     /// # Panics
     ///
-    /// Panics if `threshold` is outside (0, 1) or `codes` is empty.
+    /// Panics if `threshold` is outside (0, 1), `codes` is empty, or the
+    /// codes differ in length: the shared-FFT engine needs every spread
+    /// preamble to have one length, and every built-in code family
+    /// yields codes of one length.
     pub fn with_kind(
         codes: &[PnCode],
         phy: &PhyProfile,
@@ -202,6 +178,10 @@ impl UserDetector {
             "threshold must be in (0, 1), got {threshold}"
         );
         assert!(!codes.is_empty(), "need at least one code");
+        assert!(
+            codes.iter().all(|c| c.len() == codes[0].len()),
+            "codes must share one length so their spread preambles do"
+        );
         let spc = phy.samples_per_chip();
         let preamble = preamble_pattern(phy.preamble_bits);
         let mut references = Vec::with_capacity(codes.len());
@@ -228,8 +208,7 @@ impl UserDetector {
             ref_sum.push(sum);
             references.push(reference);
         }
-        let uniform = references.iter().all(|r| r.len() == references[0].len());
-        let batch = uniform.then(|| BatchCorrelator::new(&references));
+        let batch = BatchCorrelator::new(&references);
         UserDetector {
             references,
             batch,
@@ -248,9 +227,10 @@ impl UserDetector {
         self.threshold
     }
 
-    /// Length of the spread-preamble reference in samples.
-    pub fn reference_len(&self, code_index: usize) -> usize {
-        self.references[code_index].len()
+    /// Length of the spread-preamble reference in samples, the same for
+    /// every code.
+    pub fn reference_len(&self) -> usize {
+        self.batch.reference_len()
     }
 
     /// Scans `window` (a slice of the received buffer starting at
@@ -271,39 +251,20 @@ impl UserDetector {
         window_origin: usize,
         max_candidates: usize,
     ) -> Vec<Vec<DetectedUser>> {
-        self.detect_candidates_with(window, window_origin, max_candidates, CorrelationPath::Auto)
-    }
-
-    /// [`UserDetector::detect_candidates`] with an explicit correlation
-    /// backend. `Auto` (the default path) runs the shared-FFT batch
-    /// engine when the references share one length and the window offers
-    /// at least [`FFT_LAG_CROSSOVER`] candidate lags, direct otherwise.
-    /// Both backends produce identical detections (offsets and gains
-    /// exactly, correlations within FFT rounding ≈1e-12); `Direct` exists
-    /// as the equivalence-test oracle and benchmark baseline.
-    pub fn detect_candidates_with(
-        &self,
-        window: &[Iq],
-        window_origin: usize,
-        max_candidates: usize,
-        path: CorrelationPath,
-    ) -> Vec<Vec<DetectedUser>> {
-        let mut scratch = DetectScratch::new();
         let mut out = Vec::new();
         self.detect_candidates_in(
             window,
             window_origin,
             max_candidates,
-            path,
-            &mut scratch,
+            &mut DetectScratch::new(),
             &mut out,
             None,
         );
         out
     }
 
-    /// Allocation-free core of [`UserDetector::detect_candidates_with`]:
-    /// all intermediates live in `scratch`, and `out` is reused per code
+    /// Allocation-free core of [`UserDetector::detect_candidates`]: all
+    /// intermediates live in `scratch`, and `out` is reused per code
     /// (inner vectors are cleared, not dropped). Once both have reached
     /// their high-water sizes a call performs zero heap allocation.
     ///
@@ -312,13 +273,11 @@ impl UserDetector {
     /// `fft_block` grandchildren from the engine) and every per-code
     /// profile scan records a `correlate` span (arg = code index) under
     /// the parent; `None` costs one branch per code.
-    #[allow(clippy::too_many_arguments)]
     pub fn detect_candidates_in(
         &self,
         window: &[Iq],
         window_origin: usize,
         max_candidates: usize,
-        path: CorrelationPath,
         scratch: &mut DetectScratch,
         out: &mut Vec<Vec<DetectedUser>>,
         trace: Option<(&Tracer, TraceId, SpanId)>,
@@ -328,6 +287,10 @@ impl UserDetector {
             v.clear();
         }
         out.resize_with(self.references.len(), Vec::new);
+        let len = self.reference_len();
+        if window.len() < len {
+            return;
+        }
         let DetectScratch {
             running,
             mags,
@@ -347,81 +310,50 @@ impl UserDetector {
         } else {
             running.rebuild_power(window);
         }
-        // Envelope mode correlates the |s| magnitude series; materialize
-        // it once (plus an IQ copy for the batch engine) and share it
-        // across codes.
-        if envelope_mode {
+        // Envelope mode correlates the |s| magnitude series: materialize
+        // it once, as IQ for the batch engine, and share it across codes.
+        let input: &[Iq] = if envelope_mode {
             mags.clear();
             mags.resize(window.len(), 0.0);
             simd::magnitudes_into(window, mags);
             mags_iq.clear();
             mags_iq.extend(mags.iter().map(|&v| Iq::new(v, 0.0)));
-        }
-        // The batch engine runs once for every code; decide up front.
-        let engine = match (path, &self.batch) {
-            (CorrelationPath::Auto, Some(engine))
-                if window.len() >= engine.reference_len()
-                    && window.len() - engine.reference_len() + 1 >= FFT_LAG_CROSSOVER =>
-            {
-                Some(engine)
-            }
-            _ => None,
+            mags_iq
+        } else {
+            window
         };
-        let use_batch = engine.is_some();
-        if let Some(engine) = engine {
-            let input: &[Iq] = if envelope_mode { mags_iq } else { window };
+        {
             let span = trace
                 .map(|(tracer, trace, parent)| tracer.span(trace, Some(parent), "batch_correlate"));
             let batch_trace = trace
                 .zip(span.as_ref())
                 .map(|((tracer, trace, _), span)| (tracer, trace, span.id()));
-            engine.correlate_iq_into(input, batch, batch_trace);
+            self.batch.correlate_iq_into(input, batch, batch_trace);
         }
         for (idx, reference) in self.references.iter().enumerate() {
-            if reference.len() > window.len() {
-                continue;
-            }
             let _code_span = trace.map(|(tracer, trace, parent)| {
                 let mut span = tracer.span(trace, Some(parent), "correlate");
                 span.set_arg(idx as u64);
                 span
             });
-            let len = reference.len();
-            let lags = window.len() - len + 1;
             let ref_energy = self.ref_energy[idx];
             let ref_sum = self.ref_sum[idx];
             // Raw (unnormalized) decision statistic at every lag. Coherent
             // mode takes |Σ s·r| (noncoherent magnitude of the complex
             // correlation); envelope mode takes |Σ(|s|−mean)·r| =
-            // |Σ|s|·r − mean·Σr|, with the batch FFT (when it runs)
-            // supplying the Σ|s|·r term.
+            // |Σ|s|·r − mean·Σr|, with the batch row supplying Σ|s|·r.
+            let row = batch.code(idx);
             profile.clear();
-            if use_batch {
-                let row = batch.code(idx);
-                if envelope_mode {
-                    profile.extend(row.iter().enumerate().map(|(off, c)| {
-                        (c.re - running.mean_abs(off, len) * ref_sum).abs()
-                    }));
-                } else {
-                    profile.resize(lags, 0.0);
-                    simd::magnitudes_into(row, profile);
-                }
+            if envelope_mode {
+                profile.extend(
+                    row.iter()
+                        .enumerate()
+                        .map(|(off, c)| (c.re - running.mean_abs(off, len) * ref_sum).abs()),
+                );
             } else {
-                match self.kind {
-                    DecoderKind::Coherent => {
-                        profile.extend((0..lags).map(|off| {
-                            correlate_iq_bipolar(&window[off..off + len], reference).abs()
-                        }))
-                    }
-                    DecoderKind::Envelope => {
-                        profile.extend((0..lags).map(|off| {
-                            let mean = running.mean_abs(off, len);
-                            (dot(&mags[off..off + len], reference) - mean * ref_sum).abs()
-                        }));
-                    }
-                }
+                profile.resize(row.len(), 0.0);
+                simd::magnitudes_into(row, profile);
             }
-            debug_assert_eq!(profile.len(), lags);
             // Sliding normalized correlation, in place: normalize by the
             // reference energy and the per-lag windowed signal energy
             // (O(1) prefix lookups).
@@ -435,7 +367,7 @@ impl UserDetector {
             }
             self.select_peaks(profile, max_candidates, peaks, selected);
             out[idx].extend(selected.iter().map(|&(off, val)| {
-                let seg = &window[off..off + reference.len()];
+                let seg = &window[off..off + len];
                 let gain = self.gain_estimate(correlate_iq_bipolar(seg, reference), idx);
                 DetectedUser {
                     code_index: idx,
@@ -638,15 +570,7 @@ mod tests {
         let buf = two_users(&codes);
         let detect = |trace| {
             let mut out = Vec::new();
-            det.detect_candidates_in(
-                &buf,
-                0,
-                4,
-                CorrelationPath::Auto,
-                &mut DetectScratch::new(),
-                &mut out,
-                trace,
-            );
+            det.detect_candidates_in(&buf, 0, 4, &mut DetectScratch::new(), &mut out, trace);
             out
         };
         let untraced = detect(None);
