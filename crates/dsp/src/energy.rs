@@ -57,18 +57,9 @@ impl EnergyDetector {
     ///
     /// Panics if `window` is zero.
     pub fn new(window: usize, threshold: Db) -> EnergyDetector {
-        EnergyDetector::with_smoothing(window, (window / 4).max(4), threshold)
-    }
-
-    /// Creates a detector with an explicit statistic-smoothing window.
-    ///
-    /// # Panics
-    ///
-    /// Panics if either window is zero.
-    pub fn with_smoothing(window: usize, smooth: usize, threshold: Db) -> EnergyDetector {
         EnergyDetector {
             filter: MovingAverage::new(window),
-            smoother: MovingAverage::new(smooth),
+            smoother: MovingAverage::new((window / 4).max(4)),
             threshold_ratio: threshold.to_ratio(),
             warmup: window,
             seen: 0,
@@ -242,10 +233,13 @@ mod tests {
         // A detector held in a scratch arena is reset between captures;
         // identical captures must then produce bit-identical edges. A
         // reset that forgets the statistic smoother leaks the previous
-        // capture's burst power into the next run's decision statistic.
-        let samples = noise_then_burst(1.0, 4.0, 96, 64);
-        let mut det = EnergyDetector::with_smoothing(16, 128, Db::new(3.0));
+        // capture's burst power into the next run's first statistics,
+        // and through them into the noise floor. The burst starts as the
+        // 16-sample warm-up ends, while the floor still holds them.
+        let samples = noise_then_burst(1.0, 4.0, 16, 16);
+        let mut det = EnergyDetector::paper_default(16);
         let first = det.detect(&samples);
+        assert_eq!(first.len(), 1);
         det.reset();
         let second = det.detect(&samples);
         assert_eq!(first, second);

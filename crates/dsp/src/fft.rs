@@ -4,13 +4,17 @@
 //! measure signals. Power-of-two sizes only.
 //!
 //! These free functions build a throwaway [`crate::xcorr::FftPlan`] per
-//! call, which runs merged radix-4 stages. Hot paths that transform the
-//! same size repeatedly (the overlap-save correlators) hold a plan
-//! instead: it precomputes the bit-reversal permutation and twiddle tables
-//! once, so the butterfly loop performs no `sin`/`cos` work.
+//! call and add a bit-reversal pass to its transforms, which work in
+//! bit-reversed spectral order: the forward runs the plan's
+//! decimation-in-frequency ladder and then reorders the spectrum, the
+//! inverse reorders first and then runs the decimation-in-time ladder and
+//! the 1/N scale. The correlator holds a plan instead: its twiddle tables
+//! are computed once, so the butterfly loop performs no `sin`/`cos` work,
+//! and a pointwise spectrum product never needs the reordering.
 
 use cbma_types::{Iq, Result};
 
+use crate::simd;
 use crate::xcorr::FftPlan;
 
 /// Forward FFT (no normalization), in place over a power-of-two buffer.
@@ -21,7 +25,9 @@ use crate::xcorr::FftPlan;
 /// when the length is not a power of two (length zero is accepted as a
 /// no-op).
 pub fn fft_in_place(buf: &mut [Iq]) -> Result<()> {
-    FftPlan::new(buf.len())?.forward(buf)
+    FftPlan::new(buf.len())?.forward_raw(buf)?;
+    bit_reverse(buf);
+    Ok(())
 }
 
 /// Inverse FFT with 1/N normalization, in place.
@@ -31,7 +37,28 @@ pub fn fft_in_place(buf: &mut [Iq]) -> Result<()> {
 /// Returns [`CbmaError::ShapeMismatch`](cbma_types::CbmaError::ShapeMismatch)
 /// when the length is not a power of two.
 pub fn ifft_in_place(buf: &mut [Iq]) -> Result<()> {
-    FftPlan::new(buf.len())?.inverse(buf)
+    let plan = FftPlan::new(buf.len())?;
+    bit_reverse(buf);
+    plan.inverse_raw_unscaled(buf)?;
+    simd::scale_iq(buf, 1.0 / buf.len().max(1) as f64);
+    Ok(())
+}
+
+/// Swaps every sample of a power-of-two buffer with the sample at its
+/// bit-reversed index: the permutation between natural and bit-reversed
+/// spectral order, its own inverse.
+fn bit_reverse(buf: &mut [Iq]) {
+    let n = buf.len();
+    if n <= 2 {
+        return;
+    }
+    let shift = usize::BITS - n.trailing_zeros();
+    for i in 0..n {
+        let j = i.reverse_bits() >> shift;
+        if j > i {
+            buf.swap(i, j);
+        }
+    }
 }
 
 /// Forward FFT returning a new buffer.

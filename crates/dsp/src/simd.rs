@@ -362,11 +362,11 @@ pub fn fft_stage_first_scalar(buf: &mut [Iq]) {
     }
 }
 
-/// One radix-2 decimation-in-time butterfly stage of size `len ≥ 4` over
-/// the whole buffer: for every chunk of `len` samples and every
-/// `k < len/2`, `(chunk[k], chunk[k+len/2])` becomes `(u + w·v, u − w·v)`
-/// with `w = tw[k]` (conjugated when `inverse`). `tw` must hold the
-/// stage's `len/2` contiguous twiddles.
+/// One radix-2 decimation-in-time stage of the **inverse** transform, of
+/// size `len ≥ 4`, over the whole buffer: for every chunk of `len`
+/// samples and every `k < len/2`, `(chunk[k], chunk[k+len/2])` becomes
+/// `(u + w̄·v, u − w̄·v)` with `w̄` the conjugate of the forward twiddle
+/// `tw[k]`. `tw` must hold the stage's `len/2` contiguous twiddles.
 ///
 /// [`crate::xcorr::FftPlan`] never runs this stage: it runs
 /// [`fft_stage4`], which merges two of them. This scalar form is the
@@ -376,27 +376,26 @@ pub fn fft_stage_first_scalar(buf: &mut [Iq]) {
 ///
 /// Panics if `len < 4`, `len` is not a multiple of 4, `buf.len()` is not a
 /// multiple of `len`, or `tw.len() != len / 2`.
-pub fn fft_stage_scalar(buf: &mut [Iq], len: usize, tw: &[Iq], inverse: bool) {
+pub fn fft_stage_scalar(buf: &mut [Iq], len: usize, tw: &[Iq]) {
     assert!(len >= 4 && len.is_multiple_of(4), "stage length must be 4k");
     assert!(buf.len().is_multiple_of(len), "buffer must tile into chunks");
     assert_eq!(tw.len(), len / 2, "one twiddle per butterfly");
     let half = len / 2;
     for chunk in buf.chunks_exact_mut(len) {
         let (lo, hi) = chunk.split_at_mut(half);
-        for (k, (&w0, h)) in tw.iter().zip(hi.iter_mut()).enumerate() {
-            let w = if inverse { w0.conj() } else { w0 };
+        for (k, (&w, h)) in tw.iter().zip(hi.iter_mut()).enumerate() {
             let u = lo[k];
-            let v = *h * w;
+            let v = *h * w.conj();
             lo[k] = u + v;
             *h = u - v;
         }
     }
 }
 
-/// One radix-2 decimation-in-frequency stage of size `len ≥ 4`: for every
-/// chunk of `len` samples and every `k < len/2`,
-/// `(chunk[k], chunk[k+len/2])` becomes `(u + v, (u − v)·w)` with
-/// `w = tw[k]` (conjugated when `inverse`) — the twiddle multiply lands
+/// One radix-2 decimation-in-frequency stage of the **forward**
+/// transform, of size `len ≥ 4`: for every chunk of `len` samples and
+/// every `k < len/2`, `(chunk[k], chunk[k+len/2])` becomes
+/// `(u + v, (u − v)·w)` with `w = tw[k]` — the twiddle multiply lands
 /// *after* the butterfly, the mirror of [`fft_stage_scalar`]. Like that
 /// stage it is the scalar reference for a merged pass, here
 /// [`fft_stage4_dif`].
@@ -404,15 +403,14 @@ pub fn fft_stage_scalar(buf: &mut [Iq], len: usize, tw: &[Iq], inverse: bool) {
 /// # Panics
 ///
 /// Panics under the same shape conditions as [`fft_stage_scalar`].
-pub fn fft_stage_dif_scalar(buf: &mut [Iq], len: usize, tw: &[Iq], inverse: bool) {
+pub fn fft_stage_dif_scalar(buf: &mut [Iq], len: usize, tw: &[Iq]) {
     assert!(len >= 4 && len.is_multiple_of(4), "stage length must be 4k");
     assert!(buf.len().is_multiple_of(len), "buffer must tile into chunks");
     assert_eq!(tw.len(), len / 2, "one twiddle per butterfly");
     let half = len / 2;
     for chunk in buf.chunks_exact_mut(len) {
         let (lo, hi) = chunk.split_at_mut(half);
-        for (k, (&w0, h)) in tw.iter().zip(hi.iter_mut()).enumerate() {
-            let w = if inverse { w0.conj() } else { w0 };
+        for (k, (&w, h)) in tw.iter().zip(hi.iter_mut()).enumerate() {
             let u = lo[k];
             let v = *h;
             lo[k] = u + v;
@@ -421,23 +419,23 @@ pub fn fft_stage_dif_scalar(buf: &mut [Iq], len: usize, tw: &[Iq], inverse: bool
     }
 }
 
-/// One merged **radix-4 decimation-in-time** stage of size `len ≥ 8`: the
-/// exact algebraic fusion of the two radix-2 DIT stages `len/2` and `len`,
-/// done in a single pass over the buffer. For every chunk of `len` samples
-/// and every `k < q = len/4`, with `W = e^{−2πi/len}` (conjugated when
-/// `inverse`, which also flips the `∓i` below to `±i`):
+/// One merged **radix-4 decimation-in-time** stage of the **inverse**
+/// transform, of size `len ≥ 8`: the exact algebraic fusion of the two
+/// radix-2 stages `len/2` and `len` of [`fft_stage_scalar`], done in a
+/// single pass over the buffer. For every chunk of `len` samples and
+/// every `k < q = len/4`, with `W̄` the conjugate of `W = e^{−2πi/len}`:
 ///
 /// ```text
-/// b̂ = chunk[k+q]·W²ᵏ   ĉ = chunk[k+2q]·Wᵏ   d̂ = chunk[k+3q]·W³ᵏ
-/// chunk[k]    = (a + b̂) + (ĉ + d̂)     chunk[k+q]  = (a − b̂) ∓ i(ĉ − d̂)
-/// chunk[k+2q] = (a + b̂) − (ĉ + d̂)     chunk[k+3q] = (a − b̂) ± i(ĉ − d̂)
+/// b̂ = chunk[k+q]·W̄²ᵏ   ĉ = chunk[k+2q]·W̄ᵏ   d̂ = chunk[k+3q]·W̄³ᵏ
+/// chunk[k]    = (a + b̂) + (ĉ + d̂)     chunk[k+q]  = (a − b̂) + i(ĉ − d̂)
+/// chunk[k+2q] = (a + b̂) − (ĉ + d̂)     chunk[k+3q] = (a − b̂) − i(ĉ − d̂)
 /// ```
 ///
 /// Three complex twiddle multiplies replace the four of the two radix-2
 /// stages — ~25% fewer multiplies — and the buffer is walked once instead
-/// of twice. `tw1`/`tw2`/`tw3` hold `Wᵏ`/`W²ᵏ`/`W³ᵏ` for `k < q`
-/// ([`crate::xcorr::FftPlan`] slices the first two out of its stage-major
-/// radix-2 table and owns a dedicated `W³ᵏ` table).
+/// of twice. `tw1`/`tw2`/`tw3` hold the forward `Wᵏ`/`W²ᵏ`/`W³ᵏ` for
+/// `k < q` ([`crate::xcorr::FftPlan`] slices the first two out of its
+/// stage-major radix-2 table and owns a dedicated `W³ᵏ` table).
 ///
 /// # Panics
 ///
@@ -445,22 +443,16 @@ pub fn fft_stage_dif_scalar(buf: &mut [Iq], len: usize, tw: &[Iq], inverse: bool
 /// a multiple of `len`, or any twiddle slice's length differs from
 /// `len / 4`.
 #[inline]
-pub fn fft_stage4(buf: &mut [Iq], len: usize, tw1: &[Iq], tw2: &[Iq], tw3: &[Iq], inverse: bool) {
+pub fn fft_stage4(buf: &mut [Iq], len: usize, tw1: &[Iq], tw2: &[Iq], tw3: &[Iq]) {
     check_stage4(buf, len, tw1, tw2, tw3);
     #[cfg(target_arch = "x86_64")]
     if x86::available() {
         // SAFETY: available() confirmed avx2+fma at runtime; len/4 is
         // even so the quarter strides split into whole 2-complex vectors.
-        unsafe {
-            if inverse {
-                x86::fft_stage4::<true>(buf, len, tw1, tw2, tw3);
-            } else {
-                x86::fft_stage4::<false>(buf, len, tw1, tw2, tw3);
-            }
-        }
+        unsafe { x86::fft_stage4(buf, len, tw1, tw2, tw3) };
         return;
     }
-    fft_stage4_scalar(buf, len, tw1, tw2, tw3, inverse);
+    fft_stage4_scalar(buf, len, tw1, tw2, tw3);
 }
 
 /// Portable reference implementation of [`fft_stage4`].
@@ -468,27 +460,15 @@ pub fn fft_stage4(buf: &mut [Iq], len: usize, tw1: &[Iq], tw2: &[Iq], tw3: &[Iq]
 /// # Panics
 ///
 /// Panics under the same shape conditions as [`fft_stage4`].
-pub fn fft_stage4_scalar(
-    buf: &mut [Iq],
-    len: usize,
-    tw1: &[Iq],
-    tw2: &[Iq],
-    tw3: &[Iq],
-    inverse: bool,
-) {
+pub fn fft_stage4_scalar(buf: &mut [Iq], len: usize, tw1: &[Iq], tw2: &[Iq], tw3: &[Iq]) {
     check_stage4(buf, len, tw1, tw2, tw3);
     let q = len / 4;
     for chunk in buf.chunks_exact_mut(len) {
         for k in 0..q {
-            let (w1, w2, w3) = if inverse {
-                (tw1[k].conj(), tw2[k].conj(), tw3[k].conj())
-            } else {
-                (tw1[k], tw2[k], tw3[k])
-            };
             let a = chunk[k];
-            let b = chunk[k + q] * w2;
-            let c = chunk[k + 2 * q] * w1;
-            let d = chunk[k + 3 * q] * w3;
+            let b = chunk[k + q] * tw2[k].conj();
+            let c = chunk[k + 2 * q] * tw1[k].conj();
+            let d = chunk[k + 3 * q] * tw3[k].conj();
             let s0 = a + b;
             let s1 = a - b;
             let s2 = c + d;
@@ -496,41 +476,30 @@ pub fn fft_stage4_scalar(
             let j3 = Iq::new(-s3.im, s3.re); // i·s3
             chunk[k] = s0 + s2;
             chunk[k + 2 * q] = s0 - s2;
-            if inverse {
-                chunk[k + q] = s1 + j3;
-                chunk[k + 3 * q] = s1 - j3;
-            } else {
-                chunk[k + q] = s1 - j3;
-                chunk[k + 3 * q] = s1 + j3;
-            }
+            chunk[k + q] = s1 + j3;
+            chunk[k + 3 * q] = s1 - j3;
         }
     }
 }
 
-/// The final **radix-4 decimation-in-time** stage (`len = 4`, all unit
-/// twiddles): the fusion of [`fft_stage_first`] with the `len = 4` DIT
-/// stage, so a DIT ladder over an even-log₂ transform never runs a
-/// separate radix-2 pass.
+/// The final **radix-4 decimation-in-time** stage of the **inverse**
+/// transform (`len = 4`, all unit twiddles): the fusion of
+/// [`fft_stage_first`] with the `len = 4` DIT stage, so a DIT ladder over
+/// an even-log₂ transform never runs a separate radix-2 pass.
 ///
 /// # Panics
 ///
 /// Panics if `buf.len()` is not a multiple of 4.
 #[inline]
-pub fn fft_stage4_last(buf: &mut [Iq], inverse: bool) {
+pub fn fft_stage4_last(buf: &mut [Iq]) {
     assert!(buf.len().is_multiple_of(4), "radix-4 stage needs 4k samples");
     #[cfg(target_arch = "x86_64")]
     if x86::available() {
         // SAFETY: available() confirmed avx2+fma at runtime.
-        unsafe {
-            if inverse {
-                x86::fft_stage4_last::<true>(buf);
-            } else {
-                x86::fft_stage4_last::<false>(buf);
-            }
-        }
+        unsafe { x86::fft_stage4_last(buf) };
         return;
     }
-    fft_stage4_last_scalar(buf, inverse);
+    fft_stage4_last_scalar(buf);
 }
 
 /// Portable reference implementation of [`fft_stage4_last`].
@@ -538,7 +507,7 @@ pub fn fft_stage4_last(buf: &mut [Iq], inverse: bool) {
 /// # Panics
 ///
 /// Panics if `buf.len()` is not a multiple of 4.
-pub fn fft_stage4_last_scalar(buf: &mut [Iq], inverse: bool) {
+pub fn fft_stage4_last_scalar(buf: &mut [Iq]) {
     assert!(buf.len().is_multiple_of(4), "radix-4 stage needs 4k samples");
     for chunk in buf.chunks_exact_mut(4) {
         let s0 = chunk[0] + chunk[1];
@@ -548,25 +517,21 @@ pub fn fft_stage4_last_scalar(buf: &mut [Iq], inverse: bool) {
         let j3 = Iq::new(-s3.im, s3.re);
         chunk[0] = s0 + s2;
         chunk[2] = s0 - s2;
-        if inverse {
-            chunk[1] = s1 + j3;
-            chunk[3] = s1 - j3;
-        } else {
-            chunk[1] = s1 - j3;
-            chunk[3] = s1 + j3;
-        }
+        chunk[1] = s1 + j3;
+        chunk[3] = s1 - j3;
     }
 }
 
-/// One merged **radix-4 decimation-in-frequency** stage of size
-/// `len ≥ 8`: the fusion of the radix-2 DIF stages `len` and `len/2`,
-/// with the twiddle multiplies landing *after* the butterfly (the mirror
-/// of [`fft_stage4`]):
+/// One merged **radix-4 decimation-in-frequency** stage of the
+/// **forward** transform, of size `len ≥ 8`: the fusion of the radix-2
+/// stages `len` and `len/2` of [`fft_stage_dif_scalar`], with the twiddle
+/// multiplies landing *after* the butterfly (the mirror of
+/// [`fft_stage4`]):
 ///
 /// ```text
 /// t0 = a + c   t1 = a − c   t2 = b + d   t3 = b − d
 /// chunk[k]    = t0 + t2            chunk[k+q]  = (t0 − t2)·W²ᵏ
-/// chunk[k+2q] = (t1 ∓ i·t3)·Wᵏ     chunk[k+3q] = (t1 ± i·t3)·W³ᵏ
+/// chunk[k+2q] = (t1 − i·t3)·Wᵏ     chunk[k+3q] = (t1 + i·t3)·W³ᵏ
 /// ```
 ///
 /// Chained largest-first this produces the same bit-reversed spectral
@@ -577,29 +542,16 @@ pub fn fft_stage4_last_scalar(buf: &mut [Iq], inverse: bool) {
 ///
 /// Panics under the same shape conditions as [`fft_stage4`].
 #[inline]
-pub fn fft_stage4_dif(
-    buf: &mut [Iq],
-    len: usize,
-    tw1: &[Iq],
-    tw2: &[Iq],
-    tw3: &[Iq],
-    inverse: bool,
-) {
+pub fn fft_stage4_dif(buf: &mut [Iq], len: usize, tw1: &[Iq], tw2: &[Iq], tw3: &[Iq]) {
     check_stage4(buf, len, tw1, tw2, tw3);
     #[cfg(target_arch = "x86_64")]
     if x86::available() {
         // SAFETY: available() confirmed avx2+fma at runtime; len/4 is
         // even so the quarter strides split into whole 2-complex vectors.
-        unsafe {
-            if inverse {
-                x86::fft_stage4_dif::<true>(buf, len, tw1, tw2, tw3);
-            } else {
-                x86::fft_stage4_dif::<false>(buf, len, tw1, tw2, tw3);
-            }
-        }
+        unsafe { x86::fft_stage4_dif(buf, len, tw1, tw2, tw3) };
         return;
     }
-    fft_stage4_dif_scalar(buf, len, tw1, tw2, tw3, inverse);
+    fft_stage4_dif_scalar(buf, len, tw1, tw2, tw3);
 }
 
 /// Portable reference implementation of [`fft_stage4_dif`].
@@ -607,23 +559,11 @@ pub fn fft_stage4_dif(
 /// # Panics
 ///
 /// Panics under the same shape conditions as [`fft_stage4`].
-pub fn fft_stage4_dif_scalar(
-    buf: &mut [Iq],
-    len: usize,
-    tw1: &[Iq],
-    tw2: &[Iq],
-    tw3: &[Iq],
-    inverse: bool,
-) {
+pub fn fft_stage4_dif_scalar(buf: &mut [Iq], len: usize, tw1: &[Iq], tw2: &[Iq], tw3: &[Iq]) {
     check_stage4(buf, len, tw1, tw2, tw3);
     let q = len / 4;
     for chunk in buf.chunks_exact_mut(len) {
         for k in 0..q {
-            let (w1, w2, w3) = if inverse {
-                (tw1[k].conj(), tw2[k].conj(), tw3[k].conj())
-            } else {
-                (tw1[k], tw2[k], tw3[k])
-            };
             let a = chunk[k];
             let b = chunk[k + q];
             let c = chunk[k + 2 * q];
@@ -634,41 +574,30 @@ pub fn fft_stage4_dif_scalar(
             let t3 = b - d;
             let j3 = Iq::new(-t3.im, t3.re); // i·t3
             chunk[k] = t0 + t2;
-            chunk[k + q] = (t0 - t2) * w2;
-            if inverse {
-                chunk[k + 2 * q] = (t1 + j3) * w1;
-                chunk[k + 3 * q] = (t1 - j3) * w3;
-            } else {
-                chunk[k + 2 * q] = (t1 - j3) * w1;
-                chunk[k + 3 * q] = (t1 + j3) * w3;
-            }
+            chunk[k + q] = (t0 - t2) * tw2[k];
+            chunk[k + 2 * q] = (t1 - j3) * tw1[k];
+            chunk[k + 3 * q] = (t1 + j3) * tw3[k];
         }
     }
 }
 
-/// The final **radix-4 decimation-in-frequency** stage (`len = 4`, all
-/// unit twiddles): the fusion of the `len = 4` DIF stage with
-/// [`fft_stage_first`].
+/// The final **radix-4 decimation-in-frequency** stage of the
+/// **forward** transform (`len = 4`, all unit twiddles): the fusion of
+/// the `len = 4` DIF stage with [`fft_stage_first`].
 ///
 /// # Panics
 ///
 /// Panics if `buf.len()` is not a multiple of 4.
 #[inline]
-pub fn fft_stage4_dif_last(buf: &mut [Iq], inverse: bool) {
+pub fn fft_stage4_dif_last(buf: &mut [Iq]) {
     assert!(buf.len().is_multiple_of(4), "radix-4 stage needs 4k samples");
     #[cfg(target_arch = "x86_64")]
     if x86::available() {
         // SAFETY: available() confirmed avx2+fma at runtime.
-        unsafe {
-            if inverse {
-                x86::fft_stage4_dif_last::<true>(buf);
-            } else {
-                x86::fft_stage4_dif_last::<false>(buf);
-            }
-        }
+        unsafe { x86::fft_stage4_dif_last(buf) };
         return;
     }
-    fft_stage4_dif_last_scalar(buf, inverse);
+    fft_stage4_dif_last_scalar(buf);
 }
 
 /// Portable reference implementation of [`fft_stage4_dif_last`].
@@ -676,7 +605,7 @@ pub fn fft_stage4_dif_last(buf: &mut [Iq], inverse: bool) {
 /// # Panics
 ///
 /// Panics if `buf.len()` is not a multiple of 4.
-pub fn fft_stage4_dif_last_scalar(buf: &mut [Iq], inverse: bool) {
+pub fn fft_stage4_dif_last_scalar(buf: &mut [Iq]) {
     assert!(buf.len().is_multiple_of(4), "radix-4 stage needs 4k samples");
     for chunk in buf.chunks_exact_mut(4) {
         let t0 = chunk[0] + chunk[2];
@@ -686,13 +615,8 @@ pub fn fft_stage4_dif_last_scalar(buf: &mut [Iq], inverse: bool) {
         let j3 = Iq::new(-t3.im, t3.re);
         chunk[0] = t0 + t2;
         chunk[1] = t0 - t2;
-        if inverse {
-            chunk[2] = t1 + j3;
-            chunk[3] = t1 - j3;
-        } else {
-            chunk[2] = t1 - j3;
-            chunk[3] = t1 + j3;
-        }
+        chunk[2] = t1 - j3;
+        chunk[3] = t1 + j3;
     }
 }
 
@@ -1037,7 +961,7 @@ mod x86 {
         // the dispatcher), so nothing remains.
     }
 
-    /// Two packed complex products `v·w` (or `v·conj(w)` when `INVERSE`).
+    /// Two packed complex products `v·w`.
     ///
     /// # Safety
     ///
@@ -1045,15 +969,26 @@ mod x86 {
     /// `available()`).
     #[inline]
     #[target_feature(enable = "avx2,fma")]
-    unsafe fn cmul<const INVERSE: bool>(v: __m256d, w: __m256d) -> __m256d {
+    unsafe fn cmul(v: __m256d, w: __m256d) -> __m256d {
         let wre = _mm256_movedup_pd(w);
         let wim = _mm256_permute_pd(w, 0xF);
         let t2 = _mm256_mul_pd(_mm256_permute_pd(v, 0x5), wim);
-        if INVERSE {
-            _mm256_fmsubadd_pd(v, wre, t2)
-        } else {
-            _mm256_fmaddsub_pd(v, wre, t2)
-        }
+        _mm256_fmaddsub_pd(v, wre, t2)
+    }
+
+    /// Two packed complex products `v·conj(w)`.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2 and FMA (the dispatcher checks
+    /// `available()`).
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    unsafe fn cmul_conj(v: __m256d, w: __m256d) -> __m256d {
+        let wre = _mm256_movedup_pd(w);
+        let wim = _mm256_permute_pd(w, 0xF);
+        let t2 = _mm256_mul_pd(_mm256_permute_pd(v, 0x5), wim);
+        _mm256_fmsubadd_pd(v, wre, t2)
     }
 
     /// Two packed `i·v` rotations: `(re, im) → (−im, re)`.
@@ -1076,13 +1011,7 @@ mod x86 {
     /// multiple of `len`, and `tw1`/`tw2`/`tw3` each hold `len/4` twiddles:
     /// every load and store stays inside one quarter of one chunk.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn fft_stage4<const INVERSE: bool>(
-        buf: &mut [Iq],
-        len: usize,
-        tw1: &[Iq],
-        tw2: &[Iq],
-        tw3: &[Iq],
-    ) {
+    pub unsafe fn fft_stage4(buf: &mut [Iq], len: usize, tw1: &[Iq], tw2: &[Iq], tw3: &[Iq]) {
         let q = len / 4;
         let flim = 2 * q; // f64 length of one quarter
         let t1p = tw1.as_ptr() as *const f64;
@@ -1096,9 +1025,9 @@ mod x86 {
                 let b = _mm256_loadu_pd(p.add(f + 2 * q));
                 let c = _mm256_loadu_pd(p.add(f + 4 * q));
                 let d = _mm256_loadu_pd(p.add(f + 6 * q));
-                let bh = cmul::<INVERSE>(b, _mm256_loadu_pd(t2p.add(f)));
-                let ch = cmul::<INVERSE>(c, _mm256_loadu_pd(t1p.add(f)));
-                let dh = cmul::<INVERSE>(d, _mm256_loadu_pd(t3p.add(f)));
+                let bh = cmul_conj(b, _mm256_loadu_pd(t2p.add(f)));
+                let ch = cmul_conj(c, _mm256_loadu_pd(t1p.add(f)));
+                let dh = cmul_conj(d, _mm256_loadu_pd(t3p.add(f)));
                 let s0 = _mm256_add_pd(a, bh);
                 let s1 = _mm256_sub_pd(a, bh);
                 let s2 = _mm256_add_pd(ch, dh);
@@ -1106,13 +1035,8 @@ mod x86 {
                 let j3 = rot90(s3);
                 _mm256_storeu_pd(p.add(f), _mm256_add_pd(s0, s2));
                 _mm256_storeu_pd(p.add(f + 4 * q), _mm256_sub_pd(s0, s2));
-                if INVERSE {
-                    _mm256_storeu_pd(p.add(f + 2 * q), _mm256_add_pd(s1, j3));
-                    _mm256_storeu_pd(p.add(f + 6 * q), _mm256_sub_pd(s1, j3));
-                } else {
-                    _mm256_storeu_pd(p.add(f + 2 * q), _mm256_sub_pd(s1, j3));
-                    _mm256_storeu_pd(p.add(f + 6 * q), _mm256_add_pd(s1, j3));
-                }
+                _mm256_storeu_pd(p.add(f + 2 * q), _mm256_add_pd(s1, j3));
+                _mm256_storeu_pd(p.add(f + 6 * q), _mm256_sub_pd(s1, j3));
                 f += 4;
             }
         }
@@ -1124,16 +1048,13 @@ mod x86 {
     /// `available()`), and `buf.len()` is a multiple of 4, so each 4-complex
     /// step stays inside the buffer.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn fft_stage4_last<const INVERSE: bool>(buf: &mut [Iq]) {
+    pub unsafe fn fft_stage4_last(buf: &mut [Iq]) {
         let n2 = 2 * buf.len();
         let p = buf.as_mut_ptr() as *mut f64;
         let signs = _mm256_setr_pd(1.0, 1.0, -1.0, -1.0);
-        // Sign mask giving `[s2, ∓i·s3]` from `[s2, (s3.im, s3.re)]`.
-        let jmask = if INVERSE {
-            _mm256_setr_pd(0.0, 0.0, -0.0, 0.0) // +i·s3 = (−im, re)
-        } else {
-            _mm256_setr_pd(0.0, 0.0, 0.0, -0.0) // −i·s3 = (im, −re)
-        };
+        // Sign mask giving `[s2, i·s3]` = `[s2, (−s3.im, s3.re)]` from
+        // `[s2, (s3.im, s3.re)]`.
+        let jmask = _mm256_setr_pd(0.0, 0.0, -0.0, 0.0);
         let mut i = 0;
         while i + 8 <= n2 {
             let v01 = _mm256_loadu_pd(p.add(i));
@@ -1141,7 +1062,7 @@ mod x86 {
             // [c0 + c1, c0 − c1] and [c2 + c3, c2 − c3].
             let s01 = _mm256_fmadd_pd(v01, signs, _mm256_permute2f128_pd(v01, v01, 0x01));
             let s23 = _mm256_fmadd_pd(v23, signs, _mm256_permute2f128_pd(v23, v23, 0x01));
-            // [s2.re, s2.im, s3.im, s3.re] → sign-flip into [s2, ∓i·s3].
+            // [s2.re, s2.im, s3.im, s3.re] → sign-flip into [s2, i·s3].
             let t = _mm256_xor_pd(_mm256_permute_pd(s23, 0x6), jmask);
             _mm256_storeu_pd(p.add(i), _mm256_add_pd(s01, t));
             _mm256_storeu_pd(p.add(i + 4), _mm256_sub_pd(s01, t));
@@ -1155,13 +1076,7 @@ mod x86 {
     /// checks `available()`), `len >= 8` with `len/4` even, `buf.len()` a
     /// multiple of `len`, and `len/4` twiddles in each table.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn fft_stage4_dif<const INVERSE: bool>(
-        buf: &mut [Iq],
-        len: usize,
-        tw1: &[Iq],
-        tw2: &[Iq],
-        tw3: &[Iq],
-    ) {
+    pub unsafe fn fft_stage4_dif(buf: &mut [Iq], len: usize, tw1: &[Iq], tw2: &[Iq], tw3: &[Iq]) {
         let q = len / 4;
         let t1p = tw1.as_ptr() as *const f64;
         let t2p = tw2.as_ptr() as *const f64;
@@ -1181,16 +1096,13 @@ mod x86 {
                 let j3 = rot90(t3);
                 _mm256_storeu_pd(p.add(f), _mm256_add_pd(t0, t2));
                 let w2 = _mm256_loadu_pd(t2p.add(f));
-                _mm256_storeu_pd(p.add(f + 2 * q), cmul::<INVERSE>(_mm256_sub_pd(t0, t2), w2));
-                let (hi, lo) = if INVERSE {
-                    (_mm256_add_pd(t1, j3), _mm256_sub_pd(t1, j3))
-                } else {
-                    (_mm256_sub_pd(t1, j3), _mm256_add_pd(t1, j3))
-                };
+                _mm256_storeu_pd(p.add(f + 2 * q), cmul(_mm256_sub_pd(t0, t2), w2));
+                let hi = _mm256_sub_pd(t1, j3); // t1 − i·t3
+                let lo = _mm256_add_pd(t1, j3); // t1 + i·t3
                 let w1 = _mm256_loadu_pd(t1p.add(f));
                 let w3 = _mm256_loadu_pd(t3p.add(f));
-                _mm256_storeu_pd(p.add(f + 4 * q), cmul::<INVERSE>(hi, w1));
-                _mm256_storeu_pd(p.add(f + 6 * q), cmul::<INVERSE>(lo, w3));
+                _mm256_storeu_pd(p.add(f + 4 * q), cmul(hi, w1));
+                _mm256_storeu_pd(p.add(f + 6 * q), cmul(lo, w3));
                 f += 4;
             }
         }
@@ -1201,16 +1113,12 @@ mod x86 {
     /// The CPU must support AVX2 and FMA (the dispatcher checks
     /// `available()`), and `buf.len()` is a multiple of 4.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn fft_stage4_dif_last<const INVERSE: bool>(buf: &mut [Iq]) {
+    pub unsafe fn fft_stage4_dif_last(buf: &mut [Iq]) {
         let n2 = 2 * buf.len();
         let p = buf.as_mut_ptr() as *mut f64;
         let signs = _mm256_setr_pd(1.0, 1.0, -1.0, -1.0);
-        // [t1 ∓ i·t3, t1 ± i·t3] = [t1, t1] + signs·[t3.im, t3.re, …].
-        let jsigns = if INVERSE {
-            _mm256_setr_pd(-1.0, 1.0, 1.0, -1.0)
-        } else {
-            _mm256_setr_pd(1.0, -1.0, -1.0, 1.0)
-        };
+        // [t1 − i·t3, t1 + i·t3] = [t1, t1] + jsigns·[t3.im, t3.re, …].
+        let jsigns = _mm256_setr_pd(1.0, -1.0, -1.0, 1.0);
         let mut i = 0;
         while i + 8 <= n2 {
             let v01 = _mm256_loadu_pd(p.add(i));
@@ -1330,43 +1238,39 @@ mod tests {
             let (tw1, tw2, tw3) = radix4_twiddles(len);
             for chunks in [1usize, 2, 4] {
                 let buf = signal(len * chunks);
-                for inverse in [false, true] {
-                    let mut fast = buf.clone();
-                    let mut slow = buf.clone();
-                    fft_stage4(&mut fast, len, &tw1, &tw2, &tw3, inverse);
-                    fft_stage4_scalar(&mut slow, len, &tw1, &tw2, &tw3, inverse);
-                    for (a, b) in fast.iter().zip(&slow) {
-                        assert!((*a - *b).abs() < 1e-12, "dit len={len} inv={inverse}");
-                    }
+                let mut fast = buf.clone();
+                let mut slow = buf.clone();
+                fft_stage4(&mut fast, len, &tw1, &tw2, &tw3);
+                fft_stage4_scalar(&mut slow, len, &tw1, &tw2, &tw3);
+                for (a, b) in fast.iter().zip(&slow) {
+                    assert!((*a - *b).abs() < 1e-12, "dit len={len}");
+                }
 
-                    let mut fast = buf.clone();
-                    let mut slow = buf.clone();
-                    fft_stage4_dif(&mut fast, len, &tw1, &tw2, &tw3, inverse);
-                    fft_stage4_dif_scalar(&mut slow, len, &tw1, &tw2, &tw3, inverse);
-                    for (a, b) in fast.iter().zip(&slow) {
-                        assert!((*a - *b).abs() < 1e-12, "dif len={len} inv={inverse}");
-                    }
+                let mut fast = buf.clone();
+                let mut slow = buf;
+                fft_stage4_dif(&mut fast, len, &tw1, &tw2, &tw3);
+                fft_stage4_dif_scalar(&mut slow, len, &tw1, &tw2, &tw3);
+                for (a, b) in fast.iter().zip(&slow) {
+                    assert!((*a - *b).abs() < 1e-12, "dif len={len}");
                 }
             }
         }
         for n in [4usize, 8, 20, 64] {
             let buf = signal(n);
-            for inverse in [false, true] {
-                let mut fast = buf.clone();
-                let mut slow = buf.clone();
-                fft_stage4_last(&mut fast, inverse);
-                fft_stage4_last_scalar(&mut slow, inverse);
-                for (a, b) in fast.iter().zip(&slow) {
-                    assert!((*a - *b).abs() < 1e-12, "last n={n} inv={inverse}");
-                }
+            let mut fast = buf.clone();
+            let mut slow = buf.clone();
+            fft_stage4_last(&mut fast);
+            fft_stage4_last_scalar(&mut slow);
+            for (a, b) in fast.iter().zip(&slow) {
+                assert!((*a - *b).abs() < 1e-12, "last n={n}");
+            }
 
-                let mut fast = buf.clone();
-                let mut slow = buf.clone();
-                fft_stage4_dif_last(&mut fast, inverse);
-                fft_stage4_dif_last_scalar(&mut slow, inverse);
-                for (a, b) in fast.iter().zip(&slow) {
-                    assert!((*a - *b).abs() < 1e-12, "dif last n={n} inv={inverse}");
-                }
+            let mut fast = buf.clone();
+            let mut slow = buf;
+            fft_stage4_dif_last(&mut fast);
+            fft_stage4_dif_last_scalar(&mut slow);
+            for (a, b) in fast.iter().zip(&slow) {
+                assert!((*a - *b).abs() < 1e-12, "dif last n={n}");
             }
         }
     }
@@ -1384,24 +1288,22 @@ mod tests {
             };
             let (tw1, tw2, tw3) = radix4_twiddles(len);
             let buf = signal(len * 2);
-            for inverse in [false, true] {
-                let mut merged = buf.clone();
-                fft_stage4(&mut merged, len, &tw1, &tw2, &tw3, inverse);
-                let mut pair = buf.clone();
-                fft_stage_scalar(&mut pair, half, &tw_for(half), inverse);
-                fft_stage_scalar(&mut pair, len, &tw_for(len), inverse);
-                for (a, b) in merged.iter().zip(&pair) {
-                    assert!((*a - *b).abs() < 1e-9, "dit len={len} inv={inverse}");
-                }
+            let mut merged = buf.clone();
+            fft_stage4(&mut merged, len, &tw1, &tw2, &tw3);
+            let mut pair = buf.clone();
+            fft_stage_scalar(&mut pair, half, &tw_for(half));
+            fft_stage_scalar(&mut pair, len, &tw_for(len));
+            for (a, b) in merged.iter().zip(&pair) {
+                assert!((*a - *b).abs() < 1e-9, "dit len={len}");
+            }
 
-                let mut merged = buf.clone();
-                fft_stage4_dif(&mut merged, len, &tw1, &tw2, &tw3, inverse);
-                let mut pair = buf.clone();
-                fft_stage_dif_scalar(&mut pair, len, &tw_for(len), inverse);
-                fft_stage_dif_scalar(&mut pair, half, &tw_for(half), inverse);
-                for (a, b) in merged.iter().zip(&pair) {
-                    assert!((*a - *b).abs() < 1e-9, "dif len={len} inv={inverse}");
-                }
+            let mut merged = buf.clone();
+            fft_stage4_dif(&mut merged, len, &tw1, &tw2, &tw3);
+            let mut pair = buf;
+            fft_stage_dif_scalar(&mut pair, len, &tw_for(len));
+            fft_stage_dif_scalar(&mut pair, half, &tw_for(half));
+            for (a, b) in merged.iter().zip(&pair) {
+                assert!((*a - *b).abs() < 1e-9, "dif len={len}");
             }
         }
     }

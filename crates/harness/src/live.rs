@@ -70,9 +70,9 @@ pub enum LiveUpdate {
         /// Worker threads measuring points.
         workers: usize,
     },
-    /// A replicate of an in-flight point finished. `totals` and
-    /// `snapshot` are cumulative over the point's replicates so far;
-    /// the snapshot is already timing-stripped.
+    /// A replicate of an in-flight point finished. `totals` are
+    /// cumulative over the point's replicates so far; the point's
+    /// snapshot arrives once, with [`LiveUpdate::PointDone`].
     ReplicateDone {
         /// Campaign machine name.
         campaign: String,
@@ -84,8 +84,6 @@ pub enum LiveUpdate {
         replicates_done: usize,
         /// Cumulative totals over completed replicates.
         totals: Measurement,
-        /// Cumulative timing-stripped snapshot.
-        snapshot: Snapshot,
     },
     /// A point completed (all replicates).
     PointDone {
@@ -551,7 +549,6 @@ mod tests {
             label: "p0".into(),
             replicates_done: 1,
             totals: measurement(7),
-            snapshot: Snapshot::new(),
         });
         let c = &state.campaigns["figtest"];
         assert_eq!(c.partial.len(), 1);
@@ -580,7 +577,6 @@ mod tests {
             label: "p0".into(),
             replicates_done: 1,
             totals: measurement(6),
-            snapshot: Snapshot::new(),
         });
         let c = &state.campaigns["figtest"];
         assert_eq!(c.partial.len(), 0);

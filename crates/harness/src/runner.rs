@@ -110,7 +110,7 @@ pub fn job_seed(root_seed: u64, campaign: &str, point_label: &str, replicate: us
 
 /// Measures one point: all replicates, one shared metrics registry.
 /// When a live publisher is supplied, every completed replicate streams
-/// the point's cumulative volatile-stripped snapshot.
+/// the point's cumulative totals.
 fn measure_point(campaign: &Campaign, index: usize, cfg: &RunnerConfig) -> PointResult {
     let point = &campaign.points[index];
     let registry = MetricsRegistry::new();
@@ -133,7 +133,6 @@ fn measure_point(campaign: &Campaign, index: usize, cfg: &RunnerConfig) -> Point
                 label: point.label.clone(),
                 replicates_done: replicate + 1,
                 totals,
-                snapshot: registry.snapshot().without_volatile(),
             });
         }
     }

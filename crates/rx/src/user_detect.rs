@@ -55,11 +55,9 @@ use crate::decoder::DecoderKind;
 #[derive(Debug, Default)]
 pub struct DetectScratch {
     running: RunningEnergy,
-    /// |s| magnitude series (envelope mode only).
-    mags: Vec<f64>,
-    /// The magnitude series as IQ, the batch engine's input (envelope
-    /// mode).
-    mags_iq: Vec<Iq>,
+    /// The |s| magnitude series as IQ, the batch engine's input
+    /// (envelope mode only).
+    mags: Vec<Iq>,
     /// K × lags correlation matrix from the batch engine.
     batch: BatchScratch,
     /// Per-lag decision statistic (raw, then normalized in place).
@@ -81,8 +79,7 @@ impl DetectScratch {
         let pair = std::mem::size_of::<(usize, f64)>();
         self.running.capacity_bytes()
             + self.batch.capacity_bytes()
-            + self.mags.capacity() * std::mem::size_of::<f64>()
-            + self.mags_iq.capacity() * iq
+            + self.mags.capacity() * iq
             + self.profile.capacity() * std::mem::size_of::<f64>()
             + (self.peaks.capacity() + self.selected.capacity()) * pair
     }
@@ -294,7 +291,6 @@ impl UserDetector {
         let DetectScratch {
             running,
             mags,
-            mags_iq,
             batch,
             profile,
             peaks,
@@ -314,11 +310,8 @@ impl UserDetector {
         // it once, as IQ for the batch engine, and share it across codes.
         let input: &[Iq] = if envelope_mode {
             mags.clear();
-            mags.resize(window.len(), 0.0);
-            simd::magnitudes_into(window, mags);
-            mags_iq.clear();
-            mags_iq.extend(mags.iter().map(|&v| Iq::new(v, 0.0)));
-            mags_iq
+            mags.extend(window.iter().map(|s| Iq::new(s.power().sqrt(), 0.0)));
+            mags
         } else {
             window
         };
