@@ -102,7 +102,9 @@ fn main() -> ExitCode {
     let baseline_path = args
         .next()
         .unwrap_or_else(|| "ci/BENCH_user_detect.baseline.json".into());
-    let candidate_path = args.next().unwrap_or_else(|| "BENCH_user_detect.json".into());
+    let candidate_path = args
+        .next()
+        .unwrap_or_else(|| "BENCH_user_detect.json".into());
     let tolerance: f64 = std::env::var("CBMA_BENCH_GATE_TOLERANCE")
         .ok()
         .and_then(|v| v.parse().ok())
@@ -163,9 +165,7 @@ fn main() -> ExitCode {
             "ok"
         };
         let rel_pct = (rel - 1.0) * 100.0;
-        println!(
-            "  {verdict:4} {name:28} {base:>12.0} -> {cand:>12.0} ns  (rel {rel_pct:+.1}%)"
-        );
+        println!("  {verdict:4} {name:28} {base:>12.0} -> {cand:>12.0} ns  (rel {rel_pct:+.1}%)");
     }
 
     // Every headline ratio the baseline recorded must still be present
@@ -183,7 +183,11 @@ fn main() -> ExitCode {
             continue;
         };
         let absolute_speed = key.starts_with("realtime") || key.contains("rtf");
-        let adjusted = if absolute_speed { cand * speed_factor } else { cand };
+        let adjusted = if absolute_speed {
+            cand * speed_factor
+        } else {
+            cand
+        };
         let floor = base * (1.0 - tolerance);
         let verdict = if adjusted < floor {
             failures.push(format!(

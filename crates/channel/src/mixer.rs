@@ -270,7 +270,10 @@ impl Mixer {
         // A clean channel draws nothing and would only add +0.0 to noise
         // samples, which are never ±0.
         if !matches!(self.interference.kind, InterferenceKind::None) {
-            for (b, x) in capture.iter_mut().zip(self.interference.waveform(rng, total)) {
+            for (b, x) in capture
+                .iter_mut()
+                .zip(self.interference.waveform(rng, total))
+            {
                 *b += x;
             }
         }

@@ -24,8 +24,7 @@ const MSEQ4: &str = "100011110101100";
 /// Golden degree-5 m-sequence (octal 45).
 const MSEQ5: &str = "1000010101110110001111100110100";
 /// Golden degree-6 m-sequence (octal 103).
-const MSEQ6: &str =
-    "100000111111010101100110111011010010011100010111100101000110000";
+const MSEQ6: &str = "100000111111010101100110111011010010011100010111100101000110000";
 
 /// Golden degree-5 Gold codes (preferred pair 45/75): u, v, u⊕v, u⊕T(v).
 const GOLD5: [&str; 4] = [

@@ -52,8 +52,8 @@ pub mod simd;
 pub mod xcorr;
 
 pub use correlate::correlate_iq_bipolar;
-pub use xcorr::{BatchCorrelator, BatchScratch, FftPlan, RunningEnergy};
 pub use energy::EnergyDetector;
 pub use goertzel::Goertzel;
 pub use mafilter::MovingAverage;
 pub use resample::{downsample_mean, fractional_delay, upsample_repeat};
+pub use xcorr::{BatchCorrelator, BatchScratch, FftPlan, RunningEnergy};

@@ -225,8 +225,16 @@ fn check_fade(clean: &[Iq], taps: &[(usize, Iq)], first: usize, out: &[Iq], mask
 /// Panics if the lengths differ.
 #[inline]
 pub fn spectrum_mul_to(dst: &mut [Iq], a: &[Iq], b: &[Iq]) {
-    assert_eq!(dst.len(), a.len(), "spectrum product requires equal lengths");
-    assert_eq!(dst.len(), b.len(), "spectrum product requires equal lengths");
+    assert_eq!(
+        dst.len(),
+        a.len(),
+        "spectrum product requires equal lengths"
+    );
+    assert_eq!(
+        dst.len(),
+        b.len(),
+        "spectrum product requires equal lengths"
+    );
     #[cfg(target_arch = "x86_64")]
     if x86::available() {
         // SAFETY: available() confirmed avx2+fma at runtime.
@@ -242,8 +250,16 @@ pub fn spectrum_mul_to(dst: &mut [Iq], a: &[Iq], b: &[Iq]) {
 ///
 /// Panics if the lengths differ.
 pub fn spectrum_mul_to_scalar(dst: &mut [Iq], a: &[Iq], b: &[Iq]) {
-    assert_eq!(dst.len(), a.len(), "spectrum product requires equal lengths");
-    assert_eq!(dst.len(), b.len(), "spectrum product requires equal lengths");
+    assert_eq!(
+        dst.len(),
+        a.len(),
+        "spectrum product requires equal lengths"
+    );
+    assert_eq!(
+        dst.len(),
+        b.len(),
+        "spectrum product requires equal lengths"
+    );
     for ((x, u), v) in dst.iter_mut().zip(a).zip(b) {
         *x = *u * *v;
     }
@@ -337,7 +353,10 @@ pub fn magnitudes_into_scalar(samples: &[Iq], out: &mut [f64]) {
 /// Panics on an odd-length buffer.
 #[inline]
 pub fn fft_stage_first(buf: &mut [Iq]) {
-    assert!(buf.len().is_multiple_of(2), "first stage needs an even buffer");
+    assert!(
+        buf.len().is_multiple_of(2),
+        "first stage needs an even buffer"
+    );
     #[cfg(target_arch = "x86_64")]
     if x86::available() {
         // SAFETY: available() confirmed avx2+fma at runtime.
@@ -353,7 +372,10 @@ pub fn fft_stage_first(buf: &mut [Iq]) {
 ///
 /// Panics on an odd-length buffer.
 pub fn fft_stage_first_scalar(buf: &mut [Iq]) {
-    assert!(buf.len().is_multiple_of(2), "first stage needs an even buffer");
+    assert!(
+        buf.len().is_multiple_of(2),
+        "first stage needs an even buffer"
+    );
     for pair in buf.chunks_exact_mut(2) {
         let u = pair[0];
         let v = pair[1];
@@ -378,7 +400,10 @@ pub fn fft_stage_first_scalar(buf: &mut [Iq]) {
 /// multiple of `len`, or `tw.len() != len / 2`.
 pub fn fft_stage_scalar(buf: &mut [Iq], len: usize, tw: &[Iq]) {
     assert!(len >= 4 && len.is_multiple_of(4), "stage length must be 4k");
-    assert!(buf.len().is_multiple_of(len), "buffer must tile into chunks");
+    assert!(
+        buf.len().is_multiple_of(len),
+        "buffer must tile into chunks"
+    );
     assert_eq!(tw.len(), len / 2, "one twiddle per butterfly");
     let half = len / 2;
     for chunk in buf.chunks_exact_mut(len) {
@@ -405,7 +430,10 @@ pub fn fft_stage_scalar(buf: &mut [Iq], len: usize, tw: &[Iq]) {
 /// Panics under the same shape conditions as [`fft_stage_scalar`].
 pub fn fft_stage_dif_scalar(buf: &mut [Iq], len: usize, tw: &[Iq]) {
     assert!(len >= 4 && len.is_multiple_of(4), "stage length must be 4k");
-    assert!(buf.len().is_multiple_of(len), "buffer must tile into chunks");
+    assert!(
+        buf.len().is_multiple_of(len),
+        "buffer must tile into chunks"
+    );
     assert_eq!(tw.len(), len / 2, "one twiddle per butterfly");
     let half = len / 2;
     for chunk in buf.chunks_exact_mut(len) {
@@ -492,7 +520,10 @@ pub fn fft_stage4_scalar(buf: &mut [Iq], len: usize, tw1: &[Iq], tw2: &[Iq], tw3
 /// Panics if `buf.len()` is not a multiple of 4.
 #[inline]
 pub fn fft_stage4_last(buf: &mut [Iq]) {
-    assert!(buf.len().is_multiple_of(4), "radix-4 stage needs 4k samples");
+    assert!(
+        buf.len().is_multiple_of(4),
+        "radix-4 stage needs 4k samples"
+    );
     #[cfg(target_arch = "x86_64")]
     if x86::available() {
         // SAFETY: available() confirmed avx2+fma at runtime.
@@ -508,7 +539,10 @@ pub fn fft_stage4_last(buf: &mut [Iq]) {
 ///
 /// Panics if `buf.len()` is not a multiple of 4.
 pub fn fft_stage4_last_scalar(buf: &mut [Iq]) {
-    assert!(buf.len().is_multiple_of(4), "radix-4 stage needs 4k samples");
+    assert!(
+        buf.len().is_multiple_of(4),
+        "radix-4 stage needs 4k samples"
+    );
     for chunk in buf.chunks_exact_mut(4) {
         let s0 = chunk[0] + chunk[1];
         let s1 = chunk[0] - chunk[1];
@@ -590,7 +624,10 @@ pub fn fft_stage4_dif_scalar(buf: &mut [Iq], len: usize, tw1: &[Iq], tw2: &[Iq],
 /// Panics if `buf.len()` is not a multiple of 4.
 #[inline]
 pub fn fft_stage4_dif_last(buf: &mut [Iq]) {
-    assert!(buf.len().is_multiple_of(4), "radix-4 stage needs 4k samples");
+    assert!(
+        buf.len().is_multiple_of(4),
+        "radix-4 stage needs 4k samples"
+    );
     #[cfg(target_arch = "x86_64")]
     if x86::available() {
         // SAFETY: available() confirmed avx2+fma at runtime.
@@ -606,7 +643,10 @@ pub fn fft_stage4_dif_last(buf: &mut [Iq]) {
 ///
 /// Panics if `buf.len()` is not a multiple of 4.
 pub fn fft_stage4_dif_last_scalar(buf: &mut [Iq]) {
-    assert!(buf.len().is_multiple_of(4), "radix-4 stage needs 4k samples");
+    assert!(
+        buf.len().is_multiple_of(4),
+        "radix-4 stage needs 4k samples"
+    );
     for chunk in buf.chunks_exact_mut(4) {
         let t0 = chunk[0] + chunk[2];
         let t1 = chunk[0] - chunk[2];
@@ -623,7 +663,10 @@ pub fn fft_stage4_dif_last_scalar(buf: &mut [Iq]) {
 /// Shared shape contract of the strided radix-4 stage kernels.
 fn check_stage4(buf: &[Iq], len: usize, tw1: &[Iq], tw2: &[Iq], tw3: &[Iq]) {
     assert!(len >= 8 && len.is_multiple_of(8), "stage length must be 8k");
-    assert!(buf.len().is_multiple_of(len), "buffer must tile into chunks");
+    assert!(
+        buf.len().is_multiple_of(len),
+        "buffer must tile into chunks"
+    );
     let q = len / 4;
     assert_eq!(tw1.len(), q, "one Wᵏ twiddle per butterfly");
     assert_eq!(tw2.len(), q, "one W²ᵏ twiddle per butterfly");
@@ -641,8 +684,7 @@ mod x86 {
 
     #[inline]
     fn detect() -> bool {
-        let avx2 =
-            std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma");
+        let avx2 = std::is_x86_feature_detected!("avx2") && std::is_x86_feature_detected!("fma");
         LEVEL.store(if avx2 { 2 } else { 1 }, Ordering::Relaxed);
         avx2
     }
@@ -851,7 +893,7 @@ mod x86 {
             let wim = _mm256_permute_pd(w, 0xF); // [d, d]
             let vsw = _mm256_permute_pd(v, 0x5); // [b, a]
             let t2 = _mm256_mul_pd(vsw, wim); // [b·d, a·d]
-            // [a·c − b·d, b·c + a·d]
+                                              // [a·c − b·d, b·c + a·d]
             let prod = _mm256_fmaddsub_pd(v, wre, t2);
             _mm256_storeu_pd(dp.add(2 * i), prod);
             i += 2;
@@ -953,7 +995,7 @@ mod x86 {
         while i + 4 <= n2 {
             let x = _mm256_loadu_pd(p.add(i)); // [u, v]
             let swap = _mm256_permute2f128_pd(x, x, 0x01); // [v, u]
-            // [v + u, u − v]
+                                                           // [v + u, u − v]
             _mm256_storeu_pd(p.add(i), _mm256_fmadd_pd(x, signs, swap));
             i += 4;
         }
@@ -1125,7 +1167,7 @@ mod x86 {
             let v23 = _mm256_loadu_pd(p.add(i + 4));
             let s = _mm256_add_pd(v01, v23); // [t0, t2]
             let d = _mm256_sub_pd(v01, v23); // [t1, t3]
-            // [t0 + t2, t0 − t2].
+                                             // [t0 + t2, t0 − t2].
             let out01 = _mm256_fmadd_pd(s, signs, _mm256_permute2f128_pd(s, s, 0x01));
             let t1d = _mm256_permute2f128_pd(d, d, 0x00); // [t1, t1]
             let t3sw = _mm256_permute_pd(_mm256_permute2f128_pd(d, d, 0x11), 0x5);

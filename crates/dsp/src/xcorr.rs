@@ -610,7 +610,10 @@ impl BatchCorrelator {
             // The expensive part, done once per block instead of once
             // per (block, code) pair; bit-reversed spectral order skips
             // the permutation passes on every transform.
-            block.plan.forward_raw(&mut scratch.win).expect("sized to plan");
+            block
+                .plan
+                .forward_raw(&mut scratch.win)
+                .expect("sized to plan");
             let valid = (lags - pos).min(block.block_out);
             for k in 0..self.codes {
                 let spec = &block.spectra[k * block.fft_size..(k + 1) * block.fft_size];
@@ -652,7 +655,9 @@ mod tests {
     }
 
     fn test_reference(l: usize) -> Vec<f64> {
-        (0..l).map(|i| if (i * 7) % 3 == 0 { 1.0 } else { -1.0 }).collect()
+        (0..l)
+            .map(|i| if (i * 7) % 3 == 0 { 1.0 } else { -1.0 })
+            .collect()
     }
 
     #[test]
@@ -680,7 +685,14 @@ mod tests {
     #[test]
     fn overlap_save_equals_direct_across_lengths() {
         let mut scratch = BatchScratch::new();
-        for &(n, l) in &[(40usize, 7usize), (64, 64), (65, 64), (300, 31), (1000, 248), (129, 128)] {
+        for &(n, l) in &[
+            (40usize, 7usize),
+            (64, 64),
+            (65, 64),
+            (300, 31),
+            (1000, 248),
+            (129, 128),
+        ] {
             let samples = test_signal(n);
             let reference = test_reference(l);
             let xc = BatchCorrelator::new(&[&reference[..]]);
@@ -689,10 +701,7 @@ mod tests {
             let direct = direct_sliding(&samples, &reference);
             assert_eq!(fft.len(), direct.len(), "n={n} l={l}");
             for (i, (a, b)) in fft.iter().zip(&direct).enumerate() {
-                assert!(
-                    (*a - *b).abs() < 1e-9,
-                    "n={n} l={l} lag {i}: {a} vs {b}"
-                );
+                assert!((*a - *b).abs() < 1e-9, "n={n} l={l} lag {i}: {a} vs {b}");
             }
         }
     }

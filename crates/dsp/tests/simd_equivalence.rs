@@ -228,7 +228,11 @@ fn short_window_yields_empty_rows() {
 fn batch_scratch_reuse_is_pointer_stable() {
     let mut rng = StdRng::seed_from_u64(11);
     let references: Vec<Vec<f64>> = (0..4)
-        .map(|_| (0..31).map(|_| if rng.gen::<bool>() { 1.0 } else { -1.0 }).collect())
+        .map(|_| {
+            (0..31)
+                .map(|_| if rng.gen::<bool>() { 1.0 } else { -1.0 })
+                .collect()
+        })
         .collect();
     let batch = BatchCorrelator::new(&references);
     let mut scratch = BatchScratch::new();

@@ -47,7 +47,11 @@ pub struct CampaignPoint {
 
 impl CampaignPoint {
     /// Convenience constructor.
-    pub fn new<F>(label: impl Into<String>, params: &[(&str, JsonValue)], builder: F) -> CampaignPoint
+    pub fn new<F>(
+        label: impl Into<String>,
+        params: &[(&str, JsonValue)],
+        builder: F,
+    ) -> CampaignPoint
     where
         F: Fn(JobCtx) -> Engine + Send + Sync + 'static,
     {

@@ -49,12 +49,8 @@ impl CheckpointHeader {
         let Some(o) = v.as_object() else {
             return false;
         };
-        let str_eq = |k: &str, want: &str| {
-            o.get(k).and_then(JsonValue::as_str) == Some(want)
-        };
-        let u64_eq = |k: &str, want: u64| {
-            o.get(k).and_then(JsonValue::as_u64) == Some(want)
-        };
+        let str_eq = |k: &str, want: &str| o.get(k).and_then(JsonValue::as_str) == Some(want);
+        let u64_eq = |k: &str, want: u64| o.get(k).and_then(JsonValue::as_u64) == Some(want);
         u64_eq("schema_version", SCHEMA_VERSION)
             && str_eq("campaign", &self.campaign)
             && str_eq("tier", &self.tier)

@@ -254,7 +254,8 @@ impl PointResult {
             .ok_or_else(|| err("point: missing params"))?
             .clone();
         let totals = Measurement::from_json_value(
-            o.get("totals").ok_or_else(|| err("point: missing totals"))?,
+            o.get("totals")
+                .ok_or_else(|| err("point: missing totals"))?,
         )?;
         let replicate_fers = o
             .get("replicate_fers")
@@ -477,10 +478,9 @@ mod tests {
     #[test]
     fn manifest_rejects_wrong_schema_version() {
         let m = sample_manifest();
-        let text = m.to_json().replace(
-            "\"schema_version\":1",
-            "\"schema_version\":999",
-        );
+        let text = m
+            .to_json()
+            .replace("\"schema_version\":1", "\"schema_version\":999");
         let e = CampaignManifest::from_json(&text).unwrap_err();
         assert!(e.0.contains("unsupported schema_version"), "{e}");
     }
@@ -496,8 +496,7 @@ mod tests {
     #[test]
     fn measurement_from_engine_counts_frames() {
         let scenario =
-            Scenario::paper_default(vec![Point::new(0.0, 0.4), Point::new(0.0, -0.4)])
-                .with_seed(7);
+            Scenario::paper_default(vec![Point::new(0.0, 0.4), Point::new(0.0, -0.4)]).with_seed(7);
         let mut engine = Engine::new(scenario).expect("valid scenario");
         for t in engine.tags_mut() {
             t.set_impedance(ImpedanceState::Open);

@@ -317,9 +317,8 @@ mod tests {
     use cbma::prelude::*;
 
     fn tiny_engine(seed: u64) -> Engine {
-        let scenario =
-            Scenario::paper_default(vec![Point::new(0.0, 0.4), Point::new(0.0, -0.4)])
-                .with_seed(seed);
+        let scenario = Scenario::paper_default(vec![Point::new(0.0, 0.4), Point::new(0.0, -0.4)])
+            .with_seed(seed);
         let mut engine = Engine::new(scenario).expect("valid scenario");
         for t in engine.tags_mut() {
             t.set_impedance(ImpedanceState::Open);
@@ -399,10 +398,8 @@ mod tests {
     #[test]
     fn live_stream_converges_to_the_manifest_snapshot() {
         use crate::live::{LiveAggregator, LiveConfig};
-        let path = std::env::temp_dir().join(format!(
-            "cbma-runner-live-{}.json",
-            std::process::id()
-        ));
+        let path =
+            std::env::temp_dir().join(format!("cbma-runner-live-{}.json", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let agg = LiveAggregator::start(LiveConfig::new(&path)).unwrap();
 
@@ -437,10 +434,7 @@ mod tests {
 
     #[test]
     fn checkpoints_resume_without_recompute() {
-        let dir = std::env::temp_dir().join(format!(
-            "cbma-runner-resume-{}",
-            std::process::id()
-        ));
+        let dir = std::env::temp_dir().join(format!("cbma-runner-resume-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut config = cfg(2);
         config.checkpoint_dir = Some(dir.clone());
@@ -454,11 +448,9 @@ mod tests {
         let poisoned = Campaign {
             points: (0..3)
                 .map(|i| {
-                    CampaignPoint::new(
-                        format!("p{i}"),
-                        &[("i", JsonValue::UInt(i as u64))],
-                        |_| panic!("must not rebuild a checkpointed point"),
-                    )
+                    CampaignPoint::new(format!("p{i}"), &[("i", JsonValue::UInt(i as u64))], |_| {
+                        panic!("must not rebuild a checkpointed point")
+                    })
                 })
                 .collect(),
             ..tiny_campaign(3)

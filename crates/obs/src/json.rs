@@ -335,16 +335,13 @@ impl<'a> Parser<'a> {
                                 .ok_or_else(|| self.err("surrogate \\u escape"))?;
                             out.push(c);
                         }
-                        other => {
-                            return Err(self.err(format!("bad escape {:?}", other as char)))
-                        }
+                        other => return Err(self.err(format!("bad escape {:?}", other as char))),
                     }
                 }
                 _ => {
                     // Consume the full UTF-8 sequence starting at b.
                     let start = self.pos - 1;
-                    let len = utf8_len(b)
-                        .ok_or_else(|| self.err("invalid utf-8 in string"))?;
+                    let len = utf8_len(b).ok_or_else(|| self.err("invalid utf-8 in string"))?;
                     if start + len > self.bytes.len() {
                         return Err(self.err("truncated utf-8 in string"));
                     }
@@ -383,8 +380,8 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .expect("number bytes are ascii");
+        let text =
+            std::str::from_utf8(&self.bytes[start..self.pos]).expect("number bytes are ascii");
         if integral && !text.starts_with('-') {
             if let Ok(v) = text.parse::<u64>() {
                 return Ok(JsonValue::UInt(v));
@@ -460,8 +457,18 @@ mod tests {
     #[test]
     fn malformed_inputs_error_with_offsets() {
         for text in [
-            "", "{", "[1,", "{\"a\"}", "{\"a\":}", "tru", "\"unterminated",
-            "01x", "[1 2]", "{1: 2}", "nullnull", "\"bad \\q escape\"",
+            "",
+            "{",
+            "[1,",
+            "{\"a\"}",
+            "{\"a\":}",
+            "tru",
+            "\"unterminated",
+            "01x",
+            "[1 2]",
+            "{1: 2}",
+            "nullnull",
+            "\"bad \\q escape\"",
         ] {
             let err = JsonValue::parse(text).unwrap_err();
             assert!(err.offset <= text.len(), "{text:?}: {err}");

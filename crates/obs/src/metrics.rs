@@ -252,7 +252,13 @@ impl MetricsRegistry {
 
     /// The counter named `name`, created on first use.
     pub fn counter(&self, name: &str) -> Counter {
-        if let Some(c) = self.inner.read().expect("registry poisoned").counters.get(name) {
+        if let Some(c) = self
+            .inner
+            .read()
+            .expect("registry poisoned")
+            .counters
+            .get(name)
+        {
             return c.clone();
         }
         let mut inner = self.inner.write().expect("registry poisoned");
@@ -261,7 +267,13 @@ impl MetricsRegistry {
 
     /// The gauge named `name`, created on first use.
     pub fn gauge(&self, name: &str) -> Gauge {
-        if let Some(g) = self.inner.read().expect("registry poisoned").gauges.get(name) {
+        if let Some(g) = self
+            .inner
+            .read()
+            .expect("registry poisoned")
+            .gauges
+            .get(name)
+        {
             return g.clone();
         }
         let mut inner = self.inner.write().expect("registry poisoned");
@@ -280,7 +292,11 @@ impl MetricsRegistry {
             return h.clone();
         }
         let mut inner = self.inner.write().expect("registry poisoned");
-        inner.histograms.entry(name.to_string()).or_default().clone()
+        inner
+            .histograms
+            .entry(name.to_string())
+            .or_default()
+            .clone()
     }
 
     /// Number of distinct named metrics registered.
@@ -392,10 +408,7 @@ mod tests {
         assert_eq!(snap.min, 0);
         assert_eq!(snap.max, 1024);
         // 0 → bucket 0; 1 → 1; 2,3 → 2; 4 → 3; 1024 → 11.
-        assert_eq!(
-            snap.buckets,
-            vec![(0, 1), (1, 1), (2, 2), (3, 1), (11, 1)]
-        );
+        assert_eq!(snap.buckets, vec![(0, 1), (1, 1), (2, 2), (3, 1), (11, 1)]);
         assert!((h.mean().unwrap() - 1034.0 / 6.0).abs() < 1e-12);
     }
 

@@ -421,7 +421,9 @@ mod tests {
             Err(SnapshotError::Shape(_))
         ));
         assert!(matches!(
-            Snapshot::from_json(r#"{"histograms": {"h": {"count": 0, "sum": 0, "min": 0, "max": 0, "buckets": [[70, 1]]}}}"#),
+            Snapshot::from_json(
+                r#"{"histograms": {"h": {"count": 0, "sum": 0, "min": 0, "max": 0, "buckets": [[70, 1]]}}}"#
+            ),
             Err(SnapshotError::Shape(_))
         ));
     }
@@ -515,7 +517,11 @@ mod tests {
             let mut ba = b.clone();
             ba.merge(&a);
             // Byte-identical serialization regardless of merge order.
-            assert_eq!(ab.to_json(), ba.to_json(), "merge({x}, {y}) order-dependent");
+            assert_eq!(
+                ab.to_json(),
+                ba.to_json(),
+                "merge({x}, {y}) order-dependent"
+            );
         }
         // NaN merged into an empty snapshot must not conjure -inf.
         let mut empty = Snapshot::new();

@@ -15,7 +15,10 @@ pub fn pin_current_thread(cpu: usize) -> bool {
     imp::pin_current_thread(cpu)
 }
 
-#[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
+#[cfg(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+))]
 mod imp {
     /// The kernel's historical maximum mask width; one `u64` word per 64
     /// CPUs.
@@ -71,7 +74,10 @@ mod imp {
     }
 }
 
-#[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
+#[cfg(not(all(
+    target_os = "linux",
+    any(target_arch = "x86_64", target_arch = "aarch64")
+)))]
 mod imp {
     pub fn pin_current_thread(_cpu: usize) -> bool {
         false

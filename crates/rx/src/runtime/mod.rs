@@ -642,8 +642,7 @@ mod tests {
             },
         ] {
             let mut flow = flowgraph(scheduler);
-            let source =
-                CaptureSource::single_stream(256, vec![vec![Iq::ZERO; 1500], Vec::new()]);
+            let source = CaptureSource::single_stream(256, vec![vec![Iq::ZERO; 1500], Vec::new()]);
             let out = flow.run(source).expect("clean run");
             assert_eq!(out.results.len(), 2, "{scheduler:?}");
             assert_eq!(out.stats.captures, 2);

@@ -60,7 +60,13 @@ pub fn reconstruct_envelope_into(
 ///
 /// Returns the mean cancelled power per affected sample (diagnostic).
 pub fn cancel_user(samples: &mut [Iq], start: usize, envelope: &[f64], window: usize) -> f64 {
-    cancel_user_in(samples, start, envelope, window, &mut RunningEnergy::default())
+    cancel_user_in(
+        samples,
+        start,
+        envelope,
+        window,
+        &mut RunningEnergy::default(),
+    )
 }
 
 /// [`cancel_user`] with a caller-owned prefix-sum arena: `env_energy` is

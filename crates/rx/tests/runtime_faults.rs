@@ -70,9 +70,18 @@ fn a_panicking_receive_fails_the_run_with_its_name() {
     // with an error naming the receive and carrying the panic payload,
     // and the already-buffered blocks must not deadlock the teardown.
     let schedulers = [
-        Scheduler::WorkStealing { workers: 1, pin: false },
-        Scheduler::WorkStealing { workers: 2, pin: false },
-        Scheduler::WorkStealing { workers: 4, pin: false },
+        Scheduler::WorkStealing {
+            workers: 1,
+            pin: false,
+        },
+        Scheduler::WorkStealing {
+            workers: 2,
+            pin: false,
+        },
+        Scheduler::WorkStealing {
+            workers: 4,
+            pin: false,
+        },
     ];
     for scheduler in schedulers {
         for seq in [0, 2, 5] {
@@ -124,8 +133,14 @@ fn a_failed_flowgraph_can_run_again() {
     // run, the *same* flowgraph drains normally, proving teardown left
     // no stuck workers or stale sync state behind.
     let schedulers = [
-        Scheduler::WorkStealing { workers: 1, pin: false },
-        Scheduler::WorkStealing { workers: 2, pin: false },
+        Scheduler::WorkStealing {
+            workers: 1,
+            pin: false,
+        },
+        Scheduler::WorkStealing {
+            workers: 2,
+            pin: false,
+        },
     ];
     for scheduler in schedulers {
         let mut flow = flowgraph(scheduler);
@@ -164,8 +179,14 @@ fn a_stalled_sink_applies_backpressure_not_buffering() {
     // the stall additionally must not *block* a worker: the workers just
     // find the queue empty and park until the driver queues more.
     let schedulers = [
-        Scheduler::WorkStealing { workers: 1, pin: false },
-        Scheduler::WorkStealing { workers: 2, pin: false },
+        Scheduler::WorkStealing {
+            workers: 1,
+            pin: false,
+        },
+        Scheduler::WorkStealing {
+            workers: 2,
+            pin: false,
+        },
     ];
     for scheduler in schedulers {
         let captures = 8;
@@ -224,8 +245,14 @@ fn a_panicking_sink_reaches_the_caller() {
     // fails the test instead of stalling the suite.
     let schedulers = [
         Scheduler::Inline,
-        Scheduler::WorkStealing { workers: 1, pin: false },
-        Scheduler::WorkStealing { workers: 2, pin: false },
+        Scheduler::WorkStealing {
+            workers: 1,
+            pin: false,
+        },
+        Scheduler::WorkStealing {
+            workers: 2,
+            pin: false,
+        },
     ];
     let (done_tx, done_rx) = mpsc::channel();
     let helper = std::thread::spawn(move || {
@@ -288,8 +315,14 @@ fn a_source_that_under_reports_its_streams_still_drains() {
     // instead of stalling the suite.
     let schedulers = [
         Scheduler::Inline,
-        Scheduler::WorkStealing { workers: 1, pin: false },
-        Scheduler::WorkStealing { workers: 2, pin: false },
+        Scheduler::WorkStealing {
+            workers: 1,
+            pin: false,
+        },
+        Scheduler::WorkStealing {
+            workers: 2,
+            pin: false,
+        },
     ];
     let (done_tx, done_rx) = mpsc::channel();
     let helper = std::thread::spawn(move || {
@@ -331,14 +364,17 @@ fn shutdown_drains_every_capture_in_order() {
     // arrives exactly once, in submission order, and the block count
     // matches the source's chopping.
     let captures = silence_captures(5);
-    let blocks_expected: u64 = captures
-        .iter()
-        .map(|c| c.len().div_ceil(512) as u64)
-        .sum();
+    let blocks_expected: u64 = captures.iter().map(|c| c.len().div_ceil(512) as u64).sum();
     let schedulers = [
         Scheduler::Inline,
-        Scheduler::WorkStealing { workers: 1, pin: false },
-        Scheduler::WorkStealing { workers: 2, pin: false },
+        Scheduler::WorkStealing {
+            workers: 1,
+            pin: false,
+        },
+        Scheduler::WorkStealing {
+            workers: 2,
+            pin: false,
+        },
     ];
     for scheduler in schedulers {
         let mut flow = flowgraph(scheduler);

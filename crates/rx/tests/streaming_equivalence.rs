@@ -29,7 +29,10 @@ fn capture_for(codes: &[PnCode], phy: &PhyProfile, tag_idx: usize, lead: usize) 
         .transmit(format!("streaming payload {tag_idx}").into_bytes(), phy)
         .unwrap();
     let mut buf = vec![Iq::ZERO; lead];
-    buf.extend(env.iter().map(|&e| Iq::from_polar(0.01 * e, 0.3 + 0.2 * tag_idx as f64)));
+    buf.extend(
+        env.iter()
+            .map(|&e| Iq::from_polar(0.01 * e, 0.3 + 0.2 * tag_idx as f64)),
+    );
     buf.extend(vec![Iq::ZERO; 64]);
     buf
 }
@@ -44,9 +47,7 @@ fn collision_capture(codes: &[PnCode], phy: &PhyProfile) -> Vec<Iq> {
         .collect();
     let n = a.len().max(b.len());
     (0..n)
-        .map(|i| {
-            a.get(i).copied().unwrap_or(Iq::ZERO) + b.get(i).copied().unwrap_or(Iq::ZERO)
-        })
+        .map(|i| a.get(i).copied().unwrap_or(Iq::ZERO) + b.get(i).copied().unwrap_or(Iq::ZERO))
         .collect()
 }
 
@@ -131,10 +132,22 @@ fn assert_streaming_matches(config: ReceiverConfig, label: &str) {
         Scheduler::Inline,
         // Work-stealing at a degenerate pool, a small pool, a pool wider
         // than the stream count, and auto-sized (one worker per CPU).
-        Scheduler::WorkStealing { workers: 1, pin: false },
-        Scheduler::WorkStealing { workers: 2, pin: false },
-        Scheduler::WorkStealing { workers: 4, pin: false },
-        Scheduler::WorkStealing { workers: 0, pin: false },
+        Scheduler::WorkStealing {
+            workers: 1,
+            pin: false,
+        },
+        Scheduler::WorkStealing {
+            workers: 2,
+            pin: false,
+        },
+        Scheduler::WorkStealing {
+            workers: 4,
+            pin: false,
+        },
+        Scheduler::WorkStealing {
+            workers: 0,
+            pin: false,
+        },
     ];
     for scheduler in schedulers {
         for block_size in [1usize, 257, 1024, whole] {
@@ -191,7 +204,10 @@ fn multi_stream_interleaving_preserves_per_stream_order_and_decisions() {
             vec![Iq::ZERO; 1500],
             capture_for(&codes, &phy, 1, 410),
         ],
-        vec![collision_capture(&codes, &phy), capture_for(&codes, &phy, 2, 350)],
+        vec![
+            collision_capture(&codes, &phy),
+            capture_for(&codes, &phy, 2, 350),
+        ],
     ];
     let expected: Vec<Vec<RxReport>> = per_stream
         .iter()
@@ -200,8 +216,14 @@ fn multi_stream_interleaving_preserves_per_stream_order_and_decisions() {
 
     let schedulers = [
         Scheduler::Inline,
-        Scheduler::WorkStealing { workers: 1, pin: false },
-        Scheduler::WorkStealing { workers: 3, pin: false },
+        Scheduler::WorkStealing {
+            workers: 1,
+            pin: false,
+        },
+        Scheduler::WorkStealing {
+            workers: 3,
+            pin: false,
+        },
     ];
     for scheduler in schedulers {
         let source = BlockInterleaved::new(389, &per_stream);

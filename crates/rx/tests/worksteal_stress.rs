@@ -135,9 +135,16 @@ fn jittered_sink_decisions_match_inline() {
         let runtime = RuntimeConfig {
             block_size: 512,
             ring_capacity: 2,
-            scheduler: Scheduler::WorkStealing { workers, pin: false },
+            scheduler: Scheduler::WorkStealing {
+                workers,
+                pin: false,
+            },
         };
-        let got = decisions(&per_stream, runtime, Some(Rng(0xA5A5_0000 + workers as u64)));
+        let got = decisions(
+            &per_stream,
+            runtime,
+            Some(Rng(0xA5A5_0000 + workers as u64)),
+        );
         assert_eq!(got, inline, "workers={workers} diverged from inline");
     }
 }
@@ -164,14 +171,12 @@ fn capacity_one_parks_idle_workers_on_the_condvar() {
     let runtime = RuntimeConfig {
         block_size: 96,
         ring_capacity: 1,
-        scheduler: Scheduler::WorkStealing { workers: 4, pin: false },
+        scheduler: Scheduler::WorkStealing {
+            workers: 4,
+            pin: false,
+        },
     };
-    let mut flow = RxFlowgraph::new(
-        codes,
-        phy,
-        ReceiverConfig::default(),
-        runtime,
-    );
+    let mut flow = RxFlowgraph::new(codes, phy, ReceiverConfig::default(), runtime);
     let source = source_for(&per_stream, 96);
     let mut got: Vec<Vec<RxReport>> = vec![Vec::new(); per_stream.len()];
     let mut rng = Rng(0x0BAD_5EED);
@@ -197,7 +202,10 @@ fn worker_spans_nest_stage_runs_under_the_flowgraph_root() {
     let runtime = RuntimeConfig {
         block_size: 1024,
         ring_capacity: 2,
-        scheduler: Scheduler::WorkStealing { workers: 2, pin: false },
+        scheduler: Scheduler::WorkStealing {
+            workers: 2,
+            pin: false,
+        },
     };
     let mut flow = RxFlowgraph::new(codes, phy, ReceiverConfig::default(), runtime);
     flow.attach_tracer(&tracer);
@@ -221,7 +229,10 @@ fn worker_spans_nest_stage_runs_under_the_flowgraph_root() {
 
     let worker_ids: Vec<u64> = workers.iter().map(|w| w.span).collect();
     let stage_runs: Vec<_> = spans.iter().filter(|s| s.name == "stage_run").collect();
-    assert!(!stage_runs.is_empty(), "captures must produce stage_run spans");
+    assert!(
+        !stage_runs.is_empty(),
+        "captures must produce stage_run spans"
+    );
     for s in &stage_runs {
         assert!(
             worker_ids.contains(&s.parent),
@@ -245,7 +256,10 @@ fn pool_counters_reach_the_metrics_registry() {
         ring_capacity: 2,
         // One worker: every capture comes off the shared queue, so the
         // counters are non-zero even in the degenerate pool.
-        scheduler: Scheduler::WorkStealing { workers: 1, pin: false },
+        scheduler: Scheduler::WorkStealing {
+            workers: 1,
+            pin: false,
+        },
     };
     let mut flow = RxFlowgraph::new(codes, phy, ReceiverConfig::default(), runtime);
     flow.attach_metrics(&registry);

@@ -46,15 +46,30 @@ fn main() {
     let t = &last.report.telemetry;
     println!("last round's receive pipeline:");
     println!("  frame sync    {:>9} ns", t.frame_sync_ns);
-    println!("  user detect   {:>9} ns  ({} candidates)", t.user_detect_ns, t.candidates_evaluated);
-    println!("  decode        {:>9} ns  ({} probes, {} failures)", t.decode_ns, t.probes_attempted, t.decode_failures);
-    println!("  sic           {:>9} ns  ({} passes, {} recovered)", t.sic_ns, t.sic_iterations, t.sic_recovered);
-    println!("  peak correlation {:.3} (margin {:.3} over threshold)", t.peak_correlation, t.peak_margin);
+    println!(
+        "  user detect   {:>9} ns  ({} candidates)",
+        t.user_detect_ns, t.candidates_evaluated
+    );
+    println!(
+        "  decode        {:>9} ns  ({} probes, {} failures)",
+        t.decode_ns, t.probes_attempted, t.decode_failures
+    );
+    println!(
+        "  sic           {:>9} ns  ({} passes, {} recovered)",
+        t.sic_ns, t.sic_iterations, t.sic_recovered
+    );
+    println!(
+        "  peak correlation {:.3} (margin {:.3} over threshold)",
+        t.peak_correlation, t.peak_margin
+    );
 
     // 2. Aggregated metrics: counters, gauges and log₂-bucketed timing
     //    histograms across all rounds.
     let snapshot = registry.snapshot();
-    println!("\naggregated metrics ({} named series):", snapshot.metric_count());
+    println!(
+        "\naggregated metrics ({} named series):",
+        snapshot.metric_count()
+    );
     for (name, value) in &snapshot.counters {
         println!("  {name:<32} {value}");
     }
@@ -83,5 +98,8 @@ fn main() {
     let json = snapshot.to_json();
     let reparsed = Snapshot::from_json(&json).expect("export must parse back");
     assert_eq!(reparsed, snapshot);
-    println!("\nsnapshot JSON ({} bytes, round-trips cleanly):\n{json}", json.len());
+    println!(
+        "\nsnapshot JSON ({} bytes, round-trips cleanly):\n{json}",
+        json.len()
+    );
 }

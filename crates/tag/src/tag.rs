@@ -214,7 +214,8 @@ mod tests {
         );
         // A reused buffer: longer than needed and full of NaN.
         let mut reused = vec![f64::NAN; env.len() + 100];
-        tag.transmit_into(b"chip path".to_vec(), &phy, &mut reused).unwrap();
+        tag.transmit_into(b"chip path".to_vec(), &phy, &mut reused)
+            .unwrap();
         assert_eq!(reused, env);
     }
 
@@ -257,7 +258,9 @@ mod tests {
         let phy = PhyProfile::paper_default();
         assert!(tag.transmit(vec![0; 127], &phy).is_err());
         let mut envelope = vec![0.5; 3];
-        assert!(tag.transmit_into(vec![0; 127], &phy, &mut envelope).is_err());
+        assert!(tag
+            .transmit_into(vec![0; 127], &phy, &mut envelope)
+            .is_err());
         assert_eq!(envelope, [0.5; 3], "failed transmit must leave the buffer");
         assert_eq!(tag.packets_sent(), 0, "failed transmit must not count");
     }

@@ -121,7 +121,12 @@ fn fig11_small_delays_tolerated_large_delays_not() {
     let (m, path) = fast_manifest("fig11");
 
     // Within the correlator's ~8-chip search horizon the error stays low…
-    for label in ["delay_00.00chips", "delay_00.50chips", "delay_02.00chips", "delay_06.00chips"] {
+    for label in [
+        "delay_00.00chips",
+        "delay_00.50chips",
+        "delay_02.00chips",
+        "delay_06.00chips",
+    ] {
         let f = fer(&m, label);
         assert!(
             f <= 0.2,

@@ -15,8 +15,8 @@ use cbma_harness::{
 };
 
 fn tiny_engine(seed: u64) -> Engine {
-    let scenario = Scenario::paper_default(vec![Point::new(0.0, 0.4), Point::new(0.0, -0.4)])
-        .with_seed(seed);
+    let scenario =
+        Scenario::paper_default(vec![Point::new(0.0, 0.4), Point::new(0.0, -0.4)]).with_seed(seed);
     let mut engine = Engine::new(scenario).expect("valid scenario");
     for t in engine.tags_mut() {
         t.set_impedance(ImpedanceState::Open);
@@ -134,5 +134,8 @@ fn live_rollup_is_independent_of_worker_count() {
         merged.push(c.get("merged_snapshot").unwrap().to_json());
         let _ = std::fs::remove_file(&path);
     }
-    assert_eq!(merged[0], merged[1], "scheduling must not change the rollup");
+    assert_eq!(
+        merged[0], merged[1],
+        "scheduling must not change the rollup"
+    );
 }

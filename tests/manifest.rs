@@ -29,7 +29,11 @@ fn manifest_round_trip_is_lossless() {
     let text = manifest.to_json();
     let parsed = CampaignManifest::from_json(&text).expect("canonical manifest parses");
     assert_eq!(parsed, manifest, "parse must reconstruct every field");
-    assert_eq!(parsed.to_json(), text, "re-serialization must be byte-identical");
+    assert_eq!(
+        parsed.to_json(),
+        text,
+        "re-serialization must be byte-identical"
+    );
 
     // The embedded snapshots survived the trip.
     assert_eq!(parsed.points.len(), campaign.points.len());
@@ -79,10 +83,9 @@ fn interrupted_campaign_resumes_to_identical_bytes() {
 
     // Simulate an interruption: copy the completed checkpoints, then lose
     // one shard and corrupt another (torn write).
-    let resume_dir = manifest_dir().join(".checkpoints").join(format!(
-        "fig11.resume.{}",
-        std::process::id()
-    ));
+    let resume_dir = manifest_dir()
+        .join(".checkpoints")
+        .join(format!("fig11.resume.{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&resume_dir);
     std::fs::create_dir_all(&resume_dir).unwrap();
     for entry in std::fs::read_dir(&shared).unwrap() {

@@ -73,10 +73,7 @@ fn parse_events(text: &str) -> Vec<Ev> {
                 dur: o.get("dur").and_then(JsonValue::as_f64).expect("dur"),
                 tid: o.get("tid").and_then(JsonValue::as_u64).expect("tid"),
                 span: args.get("span").and_then(JsonValue::as_u64).expect("span"),
-                parent: args
-                    .get("parent")
-                    .and_then(JsonValue::as_u64)
-                    .unwrap_or(0),
+                parent: args.get("parent").and_then(JsonValue::as_u64).unwrap_or(0),
             }
         })
         .collect()
@@ -108,7 +105,10 @@ fn instrumented_run_exports_a_valid_chrome_trace() {
         "sic",
         "correlate",
     ] {
-        assert!(by_name.contains_key(name), "missing span {name:?}: {by_name:?}");
+        assert!(
+            by_name.contains_key(name),
+            "missing span {name:?}: {by_name:?}"
+        );
     }
     assert_eq!(by_name["round"], 3, "one round span per round");
     for stage in ["tag_transmit", "channel_realize", "channel_mix", "settle"] {
