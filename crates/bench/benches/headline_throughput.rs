@@ -9,7 +9,7 @@
 
 use cbma::mac::{AccessScheme, CbmaAccess, FsaAccess, TdmaAccess};
 use cbma::prelude::*;
-use cbma_bench::{balanced_positions, header, Profile};
+use cbma_bench::{balanced_positions, header};
 use rand::SeedableRng;
 
 fn engine(seed: u64) -> Engine {
@@ -50,8 +50,7 @@ fn main() {
         "paper §I / §VII (10-tag bitrate, >10× throughput)",
         "10 concurrent tags at 1 Mbps symbols vs TDMA and slotted-ALOHA baselines",
     );
-    let profile = Profile::from_env();
-    let slots = profile.packets(200);
+    let slots = 200;
 
     let mut rows: Vec<(&str, u64, f64)> = Vec::new();
     {

@@ -14,7 +14,7 @@
 //! stricter exact-active-set rate.
 
 use cbma::prelude::*;
-use cbma_bench::{balanced_positions, header, pct, Profile};
+use cbma_bench::{balanced_positions, header, pct};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
@@ -24,8 +24,7 @@ fn main() {
         "paper §VII-B.2",
         "10-tag group, random active subsets: how often the detected set is exact",
     );
-    let profile = Profile::from_env();
-    let trials = profile.packets(1000);
+    let trials = 1000;
 
     let scenario = Scenario::paper_default(balanced_positions(10)).with_seed(0xDE7EC7);
     let mut engine = Engine::new(scenario).expect("valid scenario");

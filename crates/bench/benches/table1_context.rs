@@ -8,7 +8,7 @@
 //! distance of the headline bench.
 
 use cbma::prelude::*;
-use cbma_bench::{balanced_positions, header, Profile};
+use cbma_bench::{balanced_positions, header};
 
 fn main() {
     header(
@@ -16,8 +16,7 @@ fn main() {
         "paper §I, Table I",
         "summary of existing backscatter systems + measured CBMA row",
     );
-    let profile = Profile::from_env();
-    let packets = profile.packets(200);
+    let packets = 200;
 
     // Measure the CBMA row: 10 concurrent tags at the paper's default
     // 1 Mbps symbol rate.

@@ -1,66 +1,30 @@
-//! Shared harness utilities for the experiment benches.
+//! The physics of the paper's experiments, and the bench targets that
+//! campaigns cannot express.
 //!
-//! Every table and figure of the paper's evaluation has a dedicated bench
-//! target in `benches/` (see DESIGN.md's experiment index). Each target is
-//! a custom-harness binary that regenerates the same rows/series the paper
-//! reports and prints them to stdout, so `cargo bench --workspace`
-//! reproduces the entire evaluation.
+//! [`scenarios`] builds the engine of every table, figure and ablation;
+//! `cbma-harness` runs them as campaigns (`cbma-harness --tier fast|full
+//! --campaign NAME`) and prints each one's table. The bench targets in
+//! `benches/` are what remains outside that stack:
 //!
-//! Two profiles control the packet counts:
+//! * `headline_throughput` and `micro_user_detection` schedule a
+//!   different active subset of tags each round, which a campaign point
+//!   cannot express;
+//! * `table1_context` reprints the paper's survey table with a measured
+//!   CBMA row;
+//! * `fig5_friis_field` evaluates the link budget analytically.
 //!
-//! * **fast** (default) — reduced counts with identical shape, minutes for
-//!   the full suite,
-//! * **full** — paper-scale counts (≈1000 collided packets per point);
-//!   select with `CBMA_BENCH_PROFILE=full`.
+//! Each prints its table at paper scale (`cargo bench -p cbma-bench
+//! --bench NAME`).
 
 use cbma::prelude::*;
 
 pub mod scenarios;
-
-/// The run profile, selected by `CBMA_BENCH_PROFILE`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Profile {
-    /// Reduced packet counts (default).
-    Fast,
-    /// Paper-scale packet counts.
-    Full,
-}
-
-impl Profile {
-    /// Reads the profile from the environment.
-    pub fn from_env() -> Profile {
-        match std::env::var("CBMA_BENCH_PROFILE").as_deref() {
-            Ok("full") | Ok("FULL") => Profile::Full,
-            _ => Profile::Fast,
-        }
-    }
-
-    /// Packets per measurement point: the paper uses 1000; fast mode
-    /// scales that down.
-    pub fn packets(self, full_count: usize) -> usize {
-        match self {
-            Profile::Full => full_count,
-            Profile::Fast => (full_count / 20).max(20),
-        }
-    }
-
-    /// Number of random deployment groups (the paper uses 50 for
-    /// Fig. 9(c)/Fig. 10).
-    pub fn groups(self, full_count: usize) -> usize {
-        match self {
-            Profile::Full => full_count,
-            Profile::Fast => (full_count / 5).max(6),
-        }
-    }
-}
 
 /// Prints the standard bench header.
 pub fn header(id: &str, paper_ref: &str, what: &str) {
     println!("================================================================");
     println!("{id} — {paper_ref}");
     println!("{what}");
-    let profile = Profile::from_env();
-    println!("profile: {profile:?} (set CBMA_BENCH_PROFILE=full for paper-scale counts)");
     println!("================================================================");
 }
 
@@ -98,14 +62,6 @@ pub fn pct(x: f64) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fast_profile_scales_counts_down() {
-        assert_eq!(Profile::Fast.packets(1000), 50);
-        assert_eq!(Profile::Full.packets(1000), 1000);
-        assert_eq!(Profile::Fast.packets(100), 20);
-        assert_eq!(Profile::Fast.groups(50), 10);
-    }
 
     #[test]
     fn balanced_positions_are_clamped() {

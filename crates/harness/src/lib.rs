@@ -1,11 +1,11 @@
 //! # cbma-harness — batched campaign runner
 //!
 //! Reproduces the paper's evaluation as declarative **campaigns**: each
-//! figure is a named grid of scenario points × replicates, run by a
-//! bounded work-stealing worker pool with per-job deterministic RNG
-//! streams, checkpointed to disk so interrupted campaigns resume, and
-//! emitted as a canonical JSON [`CampaignManifest`] that is byte-identical
-//! across same-seed runs.
+//! table, figure and ablation is a named grid of scenario points ×
+//! replicates, run by a bounded work-stealing worker pool with per-job
+//! deterministic RNG streams, checkpointed to disk so interrupted
+//! campaigns resume, and emitted as a canonical JSON [`CampaignManifest`]
+//! that is byte-identical across same-seed runs.
 //!
 //! ```text
 //! cargo run -p cbma-harness -- --tier fast --out manifests/
@@ -13,10 +13,10 @@
 //! cargo run -p cbma-harness -- --list
 //! ```
 //!
-//! The scenario physics live in `cbma_bench::scenarios`, shared with the
-//! bench targets under `crates/bench/benches/`; this crate owns only the
-//! orchestration: sharding, checkpoints and the manifest format.
-//! See EXPERIMENTS.md for the figure ↔ campaign mapping.
+//! The scenario physics live in `cbma_bench::scenarios`; this crate owns
+//! the orchestration: grids, seeds, sharding, checkpoints, the manifest
+//! format and the printed tables. See EXPERIMENTS.md for the
+//! experiment ↔ campaign mapping.
 
 pub mod campaign;
 pub mod campaigns;

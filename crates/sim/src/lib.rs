@@ -14,8 +14,8 @@
 //!   selection driven by the engine's ACK feedback,
 //! * [`stats`] — FER/goodput accounting and empirical CDFs,
 //! * [`deployment`] — random tag placement,
-//! * [`sweep`] — parallel parameter sweeps for the benches,
-//! * [`trace`] — record/replay of per-round outcomes.
+//! * [`faults`] — failure injection and tag mobility,
+//! * [`latency`] — delivery-latency and data-freshness statistics.
 //!
 //! # Examples
 //!
@@ -40,8 +40,6 @@ pub mod faults;
 pub mod latency;
 pub mod scenario;
 pub mod stats;
-pub mod sweep;
-pub mod trace;
 
 /// Convenient glob import for examples and benches.
 pub mod prelude {
@@ -52,7 +50,6 @@ pub mod prelude {
     pub use crate::latency::LatencyTracker;
     pub use crate::scenario::Scenario;
     pub use crate::stats::{Cdf, RunStats};
-    pub use crate::sweep::parallel_sweep;
     pub use cbma_channel::{
         BackscatterLink, ClockModel, Excitation, InterferenceModel, MultipathModel, NoiseModel,
         ShadowingModel,
