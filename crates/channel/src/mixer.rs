@@ -5,7 +5,11 @@
 //! §IV), rotated by an unknown static phase, spread by multipath, shifted
 //! by its clock offset — plus ambient interference and the noise floor.
 //! [`Mixer::combine_into`] produces that composite IQ stream, which is
-//! exactly what `cbma-rx` decodes.
+//! exactly what `cbma-rx` decodes; [`Mixer::begin`] and [`MixPass::add`]
+//! produce it with the tags added a few at a time, so a caller needs only
+//! the envelopes of the tags it is adding.
+
+use std::ops::Range;
 
 use rand::Rng;
 
@@ -17,6 +21,13 @@ use crate::awgn::NoiseModel;
 use crate::excitation::Excitation;
 use crate::interference::{InterferenceKind, InterferenceModel};
 use crate::multipath::ChannelTaps;
+
+/// Output samples per block of [`MixPass::add`]. Each tag is rotated,
+/// faded and added through a buffer of this many samples plus its
+/// longest echo delay, so a pair's two buffers stay in the L1 cache
+/// however long the envelopes are. Public so tests can place delays and
+/// lengths across block edges.
+pub const BLOCK: usize = 1024;
 
 /// One tag's contribution to the received signal.
 #[derive(Debug, Clone)]
@@ -51,134 +62,233 @@ impl TagSignal {
         }
     }
 
+    /// Capture-body samples the contribution spans when the envelope is
+    /// `envelope_len` samples long: the delay rounded up, the envelope
+    /// and the echo tail. A caller that draws the channel before building
+    /// the envelopes passes the longest over a round's tags to
+    /// [`Mixer::begin`].
+    pub fn extent_of(&self, envelope_len: usize) -> usize {
+        self.delay_samples.ceil() as usize + envelope_len + self.echo_tail()
+    }
+
     /// Length of the contribution including its delay and echo tail.
     fn extent(&self) -> usize {
-        let tap_tail = self.taps.taps().iter().map(|(d, _)| *d).max().unwrap_or(0);
-        self.delay_samples.ceil() as usize + self.envelope.len() + tap_tail
+        self.extent_of(self.envelope.len())
     }
 
-    /// The phasor chain that rotates this tag's envelope: the static
-    /// phase, advanced by the residual subcarrier offset every sample.
-    fn rotation(&self) -> Rotation {
-        Rotation {
-            phasor: Iq::phasor(self.phase),
-            step: Iq::phasor(self.freq_offset_rad_per_sample),
-            amplitude: self.amplitude,
+    /// The longest echo delay, in samples.
+    fn echo_tail(&self) -> usize {
+        self.taps.taps().iter().map(|&(d, _)| d).max().unwrap_or(0)
+    }
+}
+
+/// The phasor chains of a pair of tags, lane by lane: lane `k` rotates
+/// tag `k`'s envelope into its complex baseband contribution before
+/// channel effects, starting at the static phase and stepping by the
+/// residual subcarrier offset every sample, so the phase ramps with time.
+/// Each rotated sample is `phasor.scale(e · amplitude)` and each step
+/// `phasor *= step` ([`Iq`]'s products, written out on the parts). Each
+/// part is stored for both lanes side by side, so the two chains' updates
+/// pack into vector multiplies (see [`Chains::rotate`]).
+#[derive(Clone, Copy, Default)]
+struct Chains {
+    re: [f64; 2],
+    im: [f64; 2],
+    step_re: [f64; 2],
+    step_im: [f64; 2],
+    amplitude: [f64; 2],
+}
+
+impl Chains {
+    fn new(pair: &[TagSignal]) -> Chains {
+        let mut chains = Chains::default();
+        for (k, sig) in pair.iter().enumerate() {
+            let phasor = Iq::phasor(sig.phase);
+            let step = Iq::phasor(sig.freq_offset_rad_per_sample);
+            chains.re[k] = phasor.re;
+            chains.im[k] = phasor.im;
+            chains.step_re[k] = step.re;
+            chains.step_im[k] = step.im;
+            chains.amplitude[k] = sig.amplitude;
         }
+        chains
     }
 
-    /// Writes the complex baseband contribution before channel effects
-    /// into `clean[..envelope.len()]`; the residual subcarrier offset
-    /// makes the phase ramp with time.
-    fn rotate_into(&self, clean: &mut [Iq]) {
-        let mut rot = self.rotation();
-        for (c, &e) in clean.iter_mut().zip(&self.envelope) {
-            *c = rot.next(e);
-        }
+    /// Lane `k`'s rotated sample for envelope value `e`, then one step on.
+    #[inline]
+    fn next(&mut self, k: usize, e: f64) -> Iq {
+        let x = e * self.amplitude[k];
+        let (re, im) = (self.re[k], self.im[k]);
+        self.re[k] = re * self.step_re[k] - im * self.step_im[k];
+        self.im[k] = re * self.step_im[k] + im * self.step_re[k];
+        Iq::new(re * x, im * x)
     }
 
-    /// [`rotate_into`](TagSignal::rotate_into) for two tags in one loop.
-    /// Each phasor update is a serial chain of dependent multiplies and
-    /// adds; running two independent chains side by side overlaps their
-    /// latencies. Every sample is the one `rotate_into` writes.
-    fn rotate_pair_into(a: &TagSignal, b: &TagSignal, clean_a: &mut [Iq], clean_b: &mut [Iq]) {
-        let (mut ra, mut rb) = (a.rotation(), b.rotation());
-        let both = a.envelope.len().min(b.envelope.len());
-        let (head_a, tail_a) = clean_a[..a.envelope.len()].split_at_mut(both);
-        let (head_b, tail_b) = clean_b[..b.envelope.len()].split_at_mut(both);
+    /// Rotates `env_a` into `clean_a` on lane 0 and `env_b` into
+    /// `clean_b` on lane 1. Each step is a serial chain of dependent
+    /// multiplies and adds; running the two chains side by side overlaps
+    /// their latencies.
+    ///
+    /// Kept out of line: compiled on its own, the loop updates both
+    /// lanes with packed multiplies, while inlined into the block loop it
+    /// compiled to scalar code and ran about 10 % slower.
+    #[inline(never)]
+    fn rotate(&mut self, clean_a: &mut [Iq], env_a: &[f64], clean_b: &mut [Iq], env_b: &[f64]) {
+        let both = clean_a.len().min(clean_b.len());
+        let (head_a, tail_a) = clean_a.split_at_mut(both);
+        let (head_b, tail_b) = clean_b.split_at_mut(both);
         for ((ca, &ea), (cb, &eb)) in head_a
             .iter_mut()
-            .zip(&a.envelope)
-            .zip(head_b.iter_mut().zip(&b.envelope))
+            .zip(env_a)
+            .zip(head_b.iter_mut().zip(env_b))
         {
-            *ca = ra.next(ea);
-            *cb = rb.next(eb);
+            *ca = self.next(0, ea);
+            *cb = self.next(1, eb);
         }
         // At most one of the two has samples left.
-        for (c, &e) in tail_a.iter_mut().zip(&a.envelope[both..]) {
-            *c = ra.next(e);
+        for (c, &e) in tail_a.iter_mut().zip(&env_a[both..]) {
+            *c = self.next(0, e);
         }
-        for (c, &e) in tail_b.iter_mut().zip(&b.envelope[both..]) {
-            *c = rb.next(e);
+        for (c, &e) in tail_b.iter_mut().zip(&env_b[both..]) {
+            *c = self.next(1, e);
+        }
+    }
+}
+
+/// One tag's progress through the blocks of [`MixPass::add`].
+///
+/// The tag adds, to output samples `start..end`, the sparse tap sum over
+/// its rotated envelope zero-padded to its extent, through the linear
+/// interpolation of [`cbma_dsp::fractional_delay`] and the excitation
+/// mask. Each block's buffer holds the `hist` padded samples before the
+/// block (zeros before the tag's first sample, else the last samples of
+/// the previous block), then the block's own, so every output sample runs
+/// through [`simd::fade_delay_add`] with every tap inside the buffer.
+/// Padding only adds `±0` products to tap sums that start at `+0`, which
+/// changes no bit, so every sample equals the stages run one after
+/// another over whole buffers.
+struct Lane<'s> {
+    envelope: &'s [f64],
+    taps: &'s [(usize, Iq)],
+    /// The longest echo delay: samples carried from block to block.
+    hist: usize,
+    /// Output sample of the whole delay, where the tag's span starts.
+    start: usize,
+    /// One past the tag's last output sample (its extent).
+    end: usize,
+    /// Fractional part of the delay.
+    frac: f64,
+    /// Tap sum of the sample before the next block.
+    prev: Iq,
+    buf: &'s mut [Iq],
+    /// Samples the last block wrote after the carried ones.
+    last: usize,
+}
+
+impl<'s> Lane<'s> {
+    fn new(sig: &'s TagSignal, buf: &'s mut [Iq]) -> Lane<'s> {
+        let whole = sig.delay_samples.floor();
+        Lane {
+            envelope: &sig.envelope,
+            taps: sig.taps.taps(),
+            hist: sig.echo_tail(),
+            start: whole as usize,
+            end: sig.extent(),
+            frac: sig.delay_samples - whole,
+            prev: Iq::ZERO,
+            buf,
+            last: 0,
         }
     }
 
-    /// Adds the faded, delayed contribution of the rotated envelope
-    /// `clean` to `out`, whose sample 0 is the tag's (the end of the
-    /// lead-in), gated by the excitation `mask` aligned with `out`.
-    ///
-    /// One pass computes, per output sample, the sparse tap convolution
-    /// over the envelope zero-padded to [`extent`](TagSignal::extent),
-    /// the linear interpolation of [`cbma_dsp::fractional_delay`] and the
-    /// masked add, each in the floating-point order of that stage run on
-    /// its own, so every sample is bit-identical to running the stages
-    /// one after another over whole buffers. Only exact no-ops are
-    /// skipped: adding the `+0.0` samples before the integer delay, and
-    /// multiplying by an always-on mask's 1.0.
-    ///
-    /// The interior, where every tap reads inside the envelope, runs
-    /// through [`simd::fade_delay_add`]; the head and tail samples, whose
-    /// taps reach before or past the envelope, run here one at a time.
-    fn add_faded_delayed(&self, clean: &[Iq], out: &mut [Iq], mask: Option<&[f64]>) {
-        let whole = self.delay_samples.floor();
-        let frac = self.delay_samples - whole;
-        let span = whole as usize..self.extent();
-        let out = &mut out[span.clone()];
-        let mask = mask.map(|m| &m[span]);
-        let taps = self.taps.taps();
-        let one = |j: usize, prev: &mut Iq| {
-            let mut cur = Iq::ZERO;
-            for &(d, g) in taps {
-                if let Some(i) = j.checked_sub(d) {
-                    cur += clean.get(i).copied().unwrap_or(Iq::ZERO) * g;
-                }
-            }
-            let s = cur.scale(1.0 - frac) + prev.scale(frac);
-            *prev = cur;
-            // The tag can only reflect while the excitation is on the
-            // air.
-            match mask {
-                Some(mask) => s.scale(mask[j]),
-                None => s,
-            }
-        };
-        let delays = || taps.iter().map(|&(d, _)| d);
-        let first = delays().max().unwrap_or(0).min(out.len());
-        let min_d = delays().min().unwrap_or(0);
-        let end = (clean.len() + min_d).clamp(first, out.len());
-        let mut prev = Iq::ZERO;
-        for (j, o) in out[..first].iter_mut().enumerate() {
-            *o += one(j, &mut prev);
+    /// The partner of an odd last tag: it covers no sample.
+    fn idle() -> Lane<'s> {
+        Lane {
+            envelope: &[],
+            taps: &[],
+            hist: 0,
+            start: 0,
+            end: 0,
+            frac: 0.0,
+            prev: Iq::ZERO,
+            buf: &mut [],
+            last: 0,
         }
-        prev = simd::fade_delay_add(
-            clean,
-            taps,
-            first,
-            frac,
-            prev,
-            &mut out[first..end],
-            mask.map(|m| &m[first..end]),
+    }
+
+    /// Opens output block `o0..o1`. Moves the `hist` padded samples before
+    /// the block to the front of the buffer (zeros before the tag's first
+    /// block) and zeroes the block's slots past the envelope; returns the
+    /// output samples the tag covers in the block, and the slots that
+    /// carry envelope samples with those samples.
+    fn open(&mut self, o0: usize, o1: usize) -> (Range<usize>, &mut [Iq], &'s [f64]) {
+        let lo = o0.clamp(self.start, self.end);
+        let hi = o1.clamp(lo, self.end);
+        if lo < hi {
+            if lo == self.start {
+                self.buf[..self.hist].fill(Iq::ZERO);
+            } else {
+                self.buf.copy_within(self.last..self.last + self.hist, 0);
+            }
+            self.last = hi - lo;
+        }
+        let len = self.envelope.len();
+        let (k0, k1) = ((lo - self.start).min(len), (hi - self.start).min(len));
+        let slots = &mut self.buf[self.hist..self.hist + (hi - lo)];
+        let (rotated, padding) = slots.split_at_mut(k1 - k0);
+        if !padding.is_empty() {
+            padding.fill(Iq::ZERO);
+        }
+        (lo..hi, rotated, &self.envelope[k0..k1])
+    }
+
+    /// Fades, delays and adds the open block into `out`.
+    fn fade(&mut self, block: Range<usize>, out: &mut [Iq], mask: Option<&[f64]>) {
+        if block.is_empty() {
+            return;
+        }
+        self.prev = simd::fade_delay_add(
+            &self.buf[..self.hist + block.len()],
+            self.taps,
+            self.hist,
+            self.frac,
+            self.prev,
+            &mut out[block.clone()],
+            mask.map(|m| &m[block]),
         );
-        for (j, o) in out.iter_mut().enumerate().skip(end) {
-            *o += one(j, &mut prev);
-        }
     }
 }
 
-/// One tag's phasor chain (see [`TagSignal::rotate_into`]).
-struct Rotation {
-    phasor: Iq,
-    step: Iq,
-    amplitude: f64,
-}
-
-impl Rotation {
-    /// The rotated sample for envelope value `e`, then one step on.
-    #[inline]
-    fn next(&mut self, e: f64) -> Iq {
-        let sample = self.phasor.scale(e * self.amplitude);
-        self.phasor *= self.step;
-        sample
+/// Adds one tag, or a pair whose two phasor chains share one rotation
+/// loop ([`Chains::rotate`]), block by block over the output index, so
+/// each output sample receives the first tag and then the second.
+fn add_pair(
+    pair: &[TagSignal],
+    buf_a: &mut [Iq],
+    buf_b: &mut [Iq],
+    out: &mut [Iq],
+    mask: Option<&[f64]>,
+) {
+    let mut a = Lane::new(&pair[0], buf_a);
+    let mut b = match pair.get(1) {
+        Some(sig) => Lane::new(sig, buf_b),
+        None => Lane::idle(),
+    };
+    let mut chains = Chains::new(pair);
+    let end = pair.iter().map(TagSignal::extent).max().unwrap_or(0);
+    let mut o0 = pair
+        .iter()
+        .map(|s| s.delay_samples.floor() as usize)
+        .min()
+        .unwrap_or(end);
+    while o0 < end {
+        let o1 = (o0 + BLOCK).min(end);
+        let (block_a, clean_a, env_a) = a.open(o0, o1);
+        let (block_b, clean_b, env_b) = b.open(o0, o1);
+        chains.rotate(clean_a, env_a, clean_b, env_b);
+        a.fade(block_a, out, mask);
+        b.fade(block_b, out, mask);
+        o0 = o1;
     }
 }
 
@@ -234,16 +344,14 @@ impl Mixer {
 
     /// [`combine`](Mixer::combine) into caller-owned buffers: `capture` is
     /// cleared and refilled with the composite stream, and `scratch`
-    /// holds two rotated envelopes. Both keep their capacity, so a caller
-    /// that mixes round after round into the same two buffers allocates
-    /// nothing once they have grown to the longest round; stale contents
-    /// of either never reach the capture.
+    /// holds the two block buffers of [`MixPass::add`], each [`BLOCK`]
+    /// samples plus the longest echo delay, whatever the envelope lengths.
+    /// Both keep their capacity, so a caller that mixes round after round
+    /// into the same two buffers allocates nothing once they have grown;
+    /// stale contents of either never reach the capture.
     ///
-    /// Tags are rotated two at a time (see [`TagSignal`]'s paired phasor
-    /// chains) into the scratch, shared by every pair, and added to the
-    /// capture in order. The interference waveform and excitation mask
-    /// are allocated only when they are not trivially silent or always
-    /// on: nothing for any number of tags under a tone on a clean channel.
+    /// This is [`begin`](Mixer::begin) for the longest tag extent, then
+    /// one [`MixPass::add`] of every signal.
     ///
     /// # Panics
     ///
@@ -255,14 +363,27 @@ impl Mixer {
         capture: &mut Vec<Iq>,
         scratch: &mut Vec<Iq>,
     ) {
-        for sig in signals {
-            assert!(
-                sig.delay_samples >= 0.0 && sig.delay_samples.is_finite(),
-                "delay must be non-negative and finite, got {}",
-                sig.delay_samples
-            );
-        }
         let body = signals.iter().map(TagSignal::extent).max().unwrap_or(0);
+        self.begin(rng, body, capture).add(signals, scratch);
+    }
+
+    /// Opens a capture for tags whose extents
+    /// ([`TagSignal::extent_of`]) are at most `body` samples: `capture`
+    /// is cleared and refilled with `lead_in + body + tail` noise samples,
+    /// the interference is added and the excitation mask drawn, in that
+    /// order from `rng`. The tags then go in through [`MixPass::add`],
+    /// which draws nothing, so a caller can build each envelope just
+    /// before adding it.
+    ///
+    /// The interference waveform and excitation mask are allocated only
+    /// when they are not trivially silent or always on: nothing under a
+    /// tone on a clean channel.
+    pub fn begin<'c, R: Rng + ?Sized>(
+        &self,
+        rng: &mut R,
+        body: usize,
+        capture: &'c mut Vec<Iq>,
+    ) -> MixPass<'c> {
         let total = self.lead_in + body + self.tail;
 
         self.noise.samples_into(rng, total, self.bandwidth, capture);
@@ -283,24 +404,72 @@ impl Mixer {
         let mask = (!self.excitation.is_continuous())
             .then(|| self.excitation.availability_mask(rng, total));
 
-        // Every rotation writes the samples it is read back for, so the
-        // scratch only has to be long enough.
-        let longest = signals.iter().map(|s| s.envelope.len()).max().unwrap_or(0);
-        if scratch.len() < 2 * longest {
-            scratch.resize(2 * longest, Iq::ZERO);
+        MixPass {
+            out: &mut capture[self.lead_in..],
+            mask,
+            lead_in: self.lead_in,
+            body,
         }
-        let (clean_a, clean_b) = scratch[..2 * longest].split_at_mut(longest);
-        let out = &mut capture[self.lead_in..];
-        let mask = mask.as_deref().map(|m| &m[self.lead_in..]);
+    }
+}
+
+/// A capture opened by [`Mixer::begin`], with its noise, interference
+/// and excitation mask in place, that tags are added to.
+#[derive(Debug)]
+pub struct MixPass<'c> {
+    /// The capture after its lead-in: every tag's sample 0 is sample 0.
+    out: &'c mut [Iq],
+    /// The whole capture's excitation mask, when it is not always on.
+    mask: Option<Vec<f64>>,
+    lead_in: usize,
+    /// The longest extent a tag may have.
+    body: usize,
+}
+
+impl MixPass<'_> {
+    /// Adds `signals` to the capture in order. Pairs of tags are rotated
+    /// in one loop (two independent phasor chains side by side) and then
+    /// faded, delayed and added, through `scratch` (see
+    /// [`combine_into`](Mixer::combine_into)), one [`BLOCK`] of output
+    /// samples at a time, so each sample still receives the tags in
+    /// order. Adding tags over several calls therefore gives the capture
+    /// that one call over all of them gives, bit for bit.
+    ///
+    /// Every sample is bit-identical to running the stages one after
+    /// another over whole buffers: rotate, zero-pad to the tag's extent,
+    /// sparse tap convolution, [`cbma_dsp::fractional_delay`], masked
+    /// add. Only exact no-ops are skipped: adding the `+0.0` samples
+    /// before the integer delay, and multiplying by an always-on mask's
+    /// 1.0.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a tag's delay is negative or non-finite, or its extent
+    /// exceeds the body the capture was opened for.
+    pub fn add(&mut self, signals: &[TagSignal], scratch: &mut Vec<Iq>) {
+        for sig in signals {
+            assert!(
+                sig.delay_samples >= 0.0 && sig.delay_samples.is_finite(),
+                "delay must be non-negative and finite, got {}",
+                sig.delay_samples
+            );
+            assert!(
+                sig.extent() <= self.body,
+                "tag extent {} exceeds the capture body of {} samples",
+                sig.extent(),
+                self.body
+            );
+        }
+        // Every block writes the samples it reads back, so the scratch
+        // only has to be long enough.
+        let len = BLOCK + signals.iter().map(TagSignal::echo_tail).max().unwrap_or(0);
+        if scratch.len() < 2 * len {
+            scratch.resize(2 * len, Iq::ZERO);
+        }
+        let (buf_a, buf_b) = scratch[..2 * len].split_at_mut(len);
+        let mask = self.mask.as_deref().map(|m| &m[self.lead_in..]);
         for pair in signals.chunks(2) {
-            match pair {
-                [a, b] => TagSignal::rotate_pair_into(a, b, clean_a, clean_b),
-                [a] => a.rotate_into(clean_a),
-                _ => unreachable!("chunks(2) yields one or two tags"),
-            }
-            for (sig, clean) in pair.iter().zip([&*clean_a, &*clean_b]) {
-                sig.add_faded_delayed(&clean[..sig.envelope.len()], out, mask);
-            }
+            add_pair(pair, buf_a, buf_b, self.out, mask);
         }
     }
 }

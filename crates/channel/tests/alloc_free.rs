@@ -3,9 +3,10 @@
 //! A counting `#[global_allocator]` wraps the system allocator. Mixing
 //! one, seven or eight tags of the same length into a capture and a
 //! scratch that an earlier call has grown must make no heap allocation
-//! at all, whatever the tag count; the allocating `Mixer::combine` makes
-//! exactly two, the capture and one scratch for a pair of rotated
-//! envelopes.
+//! at all, whatever the tag count, and neither may adding them a pair at
+//! a time to a capture opened by `Mixer::begin`; the allocating
+//! `Mixer::combine` makes exactly two, the capture and one scratch for a
+//! pair of block buffers.
 //!
 //! This file deliberately contains a single `#[test]`: the counter is
 //! process-global, and a sibling test running on another thread would
@@ -110,8 +111,23 @@ fn mixing_more_tags_allocates_nothing_more() {
         );
     }
 
+    // Pair by pair into an opened capture, as the engine mixes.
+    let body = tags.iter().map(|t| t.extent_of(t.envelope.len())).max();
+    let (allocs, ()) = count_allocs(|| {
+        let mut pass = mixer.begin(
+            &mut StdRng::seed_from_u64(1),
+            body.unwrap_or(0),
+            &mut capture,
+        );
+        for pair in tags.chunks(2) {
+            pass.add(pair, &mut scratch);
+        }
+    });
+    assert_eq!(allocs, 0, "adding pairs allocated {allocs} times");
+    assert_eq!(capture, mixer.combine(&mut StdRng::seed_from_u64(1), &tags));
+
     // The allocating form, under a tone and a clean channel: the capture
-    // and the envelope scratch, nothing else, for any tag count.
+    // and the block scratch, nothing else, for any tag count.
     for n in [1, 7, 8] {
         let (allocs, fresh) =
             count_allocs(|| mixer.combine(&mut StdRng::seed_from_u64(1), &tags[..n]));

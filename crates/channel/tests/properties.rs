@@ -1,7 +1,7 @@
 //! Property-based tests for the channel models.
 
 use cbma_channel::friis::BackscatterLink;
-use cbma_channel::mixer::{Mixer, TagSignal};
+use cbma_channel::mixer::{Mixer, TagSignal, BLOCK};
 use cbma_channel::{
     AdcModel, ClockModel, Excitation, InterferenceModel, MultipathModel, NoiseModel,
 };
@@ -57,7 +57,7 @@ fn staged_combine(mixer: &Mixer, rng: &mut StdRng, signals: &[TagSignal]) -> Vec
 }
 
 /// Tag start delays: none, whole samples, fractional, and longer than any
-/// generated envelope.
+/// short envelope.
 fn delay_strategy() -> impl Strategy<Value = f64> {
     prop_oneof![
         Just(0.0),
@@ -67,15 +67,32 @@ fn delay_strategy() -> impl Strategy<Value = f64> {
     ]
 }
 
-/// One tag: an envelope of 0–900 samples (OOK levels and arbitrary
-/// reals), a phase and beat of either sign, a start delay, and 0–4 echo
-/// taps up to 4 samples late (echo `t` lands `min(t + 1, spread)` late)
-/// realized from a seeded multipath model.
-fn tag_strategy() -> impl Strategy<Value = TagSignal> {
+/// Start delays within a few samples of one and two mixer blocks, so a
+/// tag's first sample, and the echo history carried into the next block,
+/// fall on either side of a block edge.
+fn edge_delay_strategy() -> impl Strategy<Value = f64> {
+    let near = |edge: usize| (edge - 6) as f64..(edge + 6) as f64;
+    prop_oneof![
+        Just(0.0),
+        0.0f64..8.0,
+        near(BLOCK),
+        near(2 * BLOCK),
+        (BLOCK - 6..BLOCK + 6).prop_map(|d| d as f64),
+    ]
+}
+
+/// One tag: an envelope (OOK levels and arbitrary reals) of `len`
+/// samples, a phase and beat of either sign, a start delay from `delay`,
+/// and 0–4 echo taps up to 4 samples late (echo `t` lands
+/// `min(t + 1, spread)` late) realized from a seeded multipath model.
+fn tag_with(
+    len: std::ops::RangeInclusive<usize>,
+    delay: impl Strategy<Value = f64>,
+) -> impl Strategy<Value = TagSignal> {
     let level = prop_oneof![Just(0.0), Just(1.0), -1.0f64..1.0];
     (
-        (collection::vec(level, 0..=900), 1e-6f64..1e-2),
-        (-7.0f64..7.0, -0.05f64..0.05, delay_strategy()),
+        (collection::vec(level, len), 1e-6f64..1e-2),
+        (-7.0f64..7.0, -0.05f64..0.05, delay),
         (0usize..=4, 1usize..=4, 0.0f64..20.0, any::<u64>()),
     )
         .prop_map(
@@ -96,6 +113,15 @@ fn tag_strategy() -> impl Strategy<Value = TagSignal> {
                 }
             },
         )
+}
+
+/// A short tag (0–900 samples, inside one mixer block) or one about three
+/// blocks long, whose last block is any length, odd or even.
+fn tag_strategy() -> impl Strategy<Value = TagSignal> {
+    prop_oneof![
+        tag_with(0..=900, delay_strategy()),
+        tag_with(3 * BLOCK - 40..=3 * BLOCK + 40, edge_delay_strategy()),
+    ]
 }
 
 /// A receiver front end: paper noise with tone or OFDM excitation and no,
@@ -145,10 +171,9 @@ proptest! {
 
         let mut fused_rng = StdRng::seed_from_u64(seed);
         let fused = mixer.combine(&mut fused_rng, &signals);
-        let longest = signals.iter().map(|s| s.envelope.len()).max().unwrap_or(0);
         let nan = Iq::new(f64::NAN, f64::NAN);
         let mut capture = vec![nan; staged.len() + spare];
-        let mut scratch = vec![nan; 2 * longest + spare];
+        let mut scratch = vec![nan; 2 * (BLOCK + 4) + spare];
         let mut into_rng = StdRng::seed_from_u64(seed);
         mixer.combine_into(&mut into_rng, &signals, &mut capture, &mut scratch);
 
@@ -170,6 +195,45 @@ proptest! {
             }
             prop_assert_eq!(rng.gen::<u64>(), staged_next, "{} RNG draw", form);
         }
+    }
+
+    /// Tags added to an opened capture a few at a time, as the engine adds
+    /// each pair once it has built their envelopes, give the capture one
+    /// `combine` gives, bit for bit, and leave the RNG at the same draw.
+    #[test]
+    fn adding_tags_in_pieces_matches_one_combine(
+        mixer in mixer_strategy(),
+        signals in collection::vec(tag_strategy(), 0..=7),
+        per_add in 1usize..=3,
+        seed in any::<u64>(),
+    ) {
+        let mut whole_rng = StdRng::seed_from_u64(seed);
+        let whole = mixer.combine(&mut whole_rng, &signals);
+
+        let body = signals
+            .iter()
+            .map(|s| s.extent_of(s.envelope.len()))
+            .max()
+            .unwrap_or(0);
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut capture, mut scratch) = (Vec::new(), Vec::new());
+        let mut pass = mixer.begin(&mut rng, body, &mut capture);
+        for piece in signals.chunks(per_add) {
+            pass.add(piece, &mut scratch);
+        }
+        drop(pass);
+
+        prop_assert_eq!(capture.len(), whole.len());
+        for (k, (a, b)) in capture.iter().zip(&whole).enumerate() {
+            prop_assert!(
+                a.re.to_bits() == b.re.to_bits() && a.im.to_bits() == b.im.to_bits(),
+                "sample {} differs: {:?}, one combine {:?}",
+                k,
+                a,
+                b
+            );
+        }
+        prop_assert_eq!(rng.gen::<u64>(), whole_rng.gen::<u64>(), "RNG draw");
     }
 }
 

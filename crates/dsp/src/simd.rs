@@ -3,7 +3,7 @@
 //! Every hot inner loop of the receive chain — complex
 //! multiply-accumulate against a real reference, the batch correlator's
 //! three-operand spectrum product, radix-4 FFT butterflies, SIC
-//! cancellation, magnitudes — and the mixer's per-tag interior funnel
+//! cancellation, magnitudes — and the mixer's per-tag kernel funnel
 //! through this module. On x86-64 with AVX2+FMA (detected once at
 //! runtime) the kernels process two complex samples (four `f64` lanes)
 //! per instruction; on every other machine, or when the features are
@@ -20,7 +20,7 @@
 //! 1e-9 window the batch-against-direct correlation tests enforce. Two
 //! kernels are exact instead:
 //!
-//! * [`fade_delay_add`], the mixer's per-tag interior, equals
+//! * [`fade_delay_add`], the mixer's per-tag kernel, equals
 //!   [`fade_delay_add_scalar`] bit for bit: it uses no FMA and performs
 //!   each product and sum of the scalar code, so a capture does not
 //!   depend on whether the host has AVX2;
@@ -127,7 +127,7 @@ fn check_windows(samples: &[Iq], reference: &[f64], out: &[Iq]) {
     );
 }
 
-/// The interior of the mixer's per-tag pass: fades, delays and adds one
+/// The mixer's per-tag kernel: fades, delays and adds one block of a
 /// rotated envelope into `out`.
 ///
 /// For every `n < out.len()`, with `j = first + n`:
@@ -139,8 +139,8 @@ fn check_windows(samples: &[Iq], reference: &[f64], out: &[Iq]) {
 /// prev   = cur
 /// ```
 ///
-/// and the final `prev` is returned, so a caller can run the samples
-/// before and after the interior with its own scalar code. The vector
+/// and the final `prev` is returned, so a caller can carry it into the
+/// next block of the same envelope. The vector
 /// kernel uses only multiplies, adds, subtracts and permutes — no FMA —
 /// and computes each product and sum the scalar code computes, so its
 /// output is bit-identical to [`fade_delay_add_scalar`].

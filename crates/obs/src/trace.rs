@@ -173,6 +173,30 @@ impl Tracer {
         }
     }
 
+    /// Records a completed span that starts at `start_ns` (tracer-epoch
+    /// nanoseconds, as [`Tracer::now_ns`] reads them) and lasts `dur_ns`:
+    /// for a stage that runs in pieces between other work, timed piece by
+    /// piece and recorded once with the pieces' summed time.
+    pub fn record_span(
+        &self,
+        trace: TraceId,
+        parent: Option<SpanId>,
+        name: &'static str,
+        start_ns: u64,
+        dur_ns: u64,
+    ) {
+        self.push(SpanRecord {
+            seq: 0, // assigned at push
+            trace: trace.0,
+            span: self.0.next_span.fetch_add(1, Ordering::Relaxed),
+            parent: parent.map_or(0, |p| p.0),
+            name,
+            arg: None,
+            start_ns,
+            dur_ns,
+        });
+    }
+
     /// Stores one completed record into the ring. The slot claim is a
     /// lock-free `fetch_add`; only the claimed slot's mutex is touched.
     fn push(&self, mut record: SpanRecord) {
@@ -346,6 +370,22 @@ mod tests {
             assert!(child.start_ns >= spans[2].start_ns);
             assert!(child.start_ns + child.dur_ns <= parent_end);
         }
+    }
+
+    #[test]
+    fn recorded_span_keeps_its_times_and_parent() {
+        let tracer = Tracer::new(4);
+        let trace = tracer.new_trace();
+        let root = tracer.span(trace, None, "channel_mix");
+        tracer.record_span(trace, Some(root.id()), "tag_transmit", 40, 25);
+        let root_id = root.id().get();
+        root.finish();
+        let spans = tracer.spans();
+        assert_eq!(spans.len(), 2);
+        assert_eq!(spans[0].name, "tag_transmit");
+        assert_eq!((spans[0].start_ns, spans[0].dur_ns), (40, 25));
+        assert_eq!(spans[0].parent, root_id);
+        assert_ne!(spans[0].span, root_id);
     }
 
     #[test]

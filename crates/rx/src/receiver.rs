@@ -66,9 +66,13 @@ pub struct ReceiverConfig {
     /// coherent-IQ receiver.
     pub decoder_kind: DecoderKind,
     /// Successive-interference-cancellation passes (0 disables): after
-    /// each pass, decoded users are reconstructed and subtracted, and
-    /// detection re-runs for still-missing codes on the residual. A
-    /// receiver-side complement to the paper's tag-side power control.
+    /// each pass, decoded users are reconstructed and subtracted, and the
+    /// whole receive (sync, detection, decoding and probing) re-runs on
+    /// the residual for every code. The merge keeps only new frames under
+    /// codes still missing a frame, whose payloads the report does not
+    /// already hold; what the re-run finds under decoded codes is
+    /// discarded. A receiver-side complement to the paper's tag-side
+    /// power control.
     pub sic_passes: usize,
 }
 

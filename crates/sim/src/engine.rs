@@ -137,6 +137,73 @@ struct PendingRound {
     fault_rng: rand::rngs::StdRng,
 }
 
+/// The `len`-byte payload tag `tag` transmits in round `round` (see
+/// [`Engine::payload_for`]).
+fn payload(tag: usize, round: u64, len: usize) -> Vec<u8> {
+    let mut payload = vec![0u8; len];
+    let mut state = (tag as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ round;
+    for byte in payload.iter_mut() {
+        state ^= state << 13;
+        state ^= state >> 7;
+        state ^= state << 17;
+        *byte = (state & 0xFF) as u8;
+    }
+    if !payload.is_empty() {
+        payload[0] = tag as u8; // self-identifying first byte
+    }
+    payload
+}
+
+/// The `tag_transmit` stage of a round. Tags transmit a pair at a time
+/// inside `channel_mix`, so the stage is timed piece by piece and recorded
+/// once per round: one `tag_transmit_ns` sample of the summed time and,
+/// when tracing, one `tag_transmit` span under `channel_mix` that starts
+/// with the first piece and lasts the summed time. With neither attached
+/// a piece costs one branch.
+struct TransmitClock<'t> {
+    on: bool,
+    tracer: Option<&'t Tracer>,
+    /// Tracer time at the start of the first piece.
+    start_ns: Option<u64>,
+    total_ns: u64,
+}
+
+impl<'t> TransmitClock<'t> {
+    fn new(metrics: bool, tracer: Option<&'t Tracer>) -> TransmitClock<'t> {
+        TransmitClock {
+            on: metrics || tracer.is_some(),
+            tracer,
+            start_ns: None,
+            total_ns: 0,
+        }
+    }
+
+    /// Runs one piece of the stage, timed.
+    fn time(&mut self, piece: impl FnOnce()) {
+        if !self.on {
+            return piece();
+        }
+        if self.start_ns.is_none() {
+            self.start_ns = self.tracer.map(Tracer::now_ns);
+        }
+        let start = Instant::now();
+        piece();
+        self.total_ns += start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
+    }
+
+    /// Records the round's stage: into `metrics`, and as a span under
+    /// `mix`, the trace and span of the round's `channel_mix`.
+    fn record(self, metrics: Option<&SimMetrics>, mix: Option<(TraceId, SpanId)>) {
+        if let Some(metrics) = metrics {
+            metrics.tag_transmit_ns.record(self.total_ns);
+        }
+        if let (Some(tracer), Some((trace, parent))) = (self.tracer, mix) {
+            let start_ns = self.start_ns.unwrap_or_else(|| tracer.now_ns());
+            tracer.record_span(trace, Some(parent), "tag_transmit", start_ns, self.total_ns);
+        }
+    }
+}
+
 /// The simulation engine for one scenario.
 #[derive(Debug)]
 pub struct Engine {
@@ -154,9 +221,10 @@ pub struct Engine {
     tracer: Option<Tracer>,
     /// A round's large buffers, kept from round to round and refilled
     /// (grow-only), so rounds after the first few allocate none of them:
-    /// one envelope per transmitting tag, the capture (see
-    /// [`Engine::set_capture_iq`]) and the mixer's rotation scratch.
-    envelopes: Vec<Vec<f64>>,
+    /// the envelopes of the pair of tags being mixed, the capture (see
+    /// [`Engine::set_capture_iq`]) and the mixer's block scratch. None of
+    /// them grows with the number of transmitting tags.
+    envelopes: [Vec<f64>; 2],
     capture: Vec<Iq>,
     mix_scratch: Vec<Iq>,
 }
@@ -170,8 +238,7 @@ impl Engine {
     ///
     /// Propagates scenario validation and code-family errors.
     pub fn new(scenario: Scenario) -> Result<Engine> {
-        scenario.validate()?;
-        let family = scenario.family.build()?;
+        let family = scenario.validated_family()?;
         let codes = family.codes(scenario.n_tags())?;
         let seq = SeedSequence::new(scenario.seed);
         let mut boot_rng = seq.rng("impedance-boot");
@@ -202,7 +269,7 @@ impl Engine {
             capture_iq: false,
             metrics: None,
             tracer: None,
-            envelopes: Vec::new(),
+            envelopes: [Vec::new(), Vec::new()],
             capture: Vec::new(),
             mix_scratch: Vec::new(),
         })
@@ -226,10 +293,11 @@ impl Engine {
     }
 
     /// Attaches a span tracer: every subsequent round records a `round`
-    /// root span with the engine's stage spans (`tag_transmit`,
-    /// `channel_realize`, `channel_mix`, `settle`) beneath it, and the
-    /// receiver wired so its `capture` span tree (stages and correlation
-    /// kernels) nests underneath too. Each round is its own trace.
+    /// root span with the engine's stage spans (`channel_realize`,
+    /// `channel_mix` with `tag_transmit` inside it, `settle`) beneath it,
+    /// and the receiver wired so its `capture` span tree (stages and
+    /// correlation kernels) nests underneath too. Each round is its own
+    /// trace.
     /// Without this call rounds pay one `Option` branch per stage.
     pub fn attach_tracer(&mut self, tracer: &Tracer) {
         self.tracer = Some(tracer.clone());
@@ -264,18 +332,7 @@ impl Engine {
     /// The payload tag `i` transmits in round `r` (unique per tag and
     /// round so aliased decodes cannot masquerade as real deliveries).
     pub fn payload_for(&self, tag: usize, round: u64) -> Vec<u8> {
-        let mut payload = vec![0u8; self.scenario.payload_len];
-        let mut state = (tag as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ round;
-        for byte in payload.iter_mut() {
-            state ^= state << 13;
-            state ^= state >> 7;
-            state ^= state << 17;
-            *byte = (state & 0xFF) as u8;
-        }
-        if !payload.is_empty() {
-            payload[0] = tag as u8; // self-identifying first byte
-        }
-        payload
+        payload(tag, round, self.scenario.payload_len)
     }
 
     /// Runs one round with every tag active.
@@ -372,9 +429,17 @@ impl Engine {
     /// Realizes one round's channel: every active tag's waveform with its
     /// link amplitude, fading, timing and phase, mixed (with noise and
     /// quantization) into the received IQ capture. Also returns the
-    /// per-tag payloads for delivery accounting. Each of the three stages
-    /// (`tag_transmit`, `channel_realize`, `channel_mix`) is timed on its
-    /// own.
+    /// per-tag payloads for delivery accounting.
+    ///
+    /// Every tag's channel is drawn first (`channel_realize`), then the
+    /// capture is opened and the tags transmit and are added to it a pair
+    /// at a time through the engine's two envelope buffers
+    /// (`channel_mix`), so the round's memory does not grow with the tag
+    /// count. Transmitting draws nothing from `chan_rng`, so the stream is
+    /// the same as transmitting every tag up front: channel draws, noise,
+    /// interference, mask, ADC. The `tag_transmit` stage runs inside
+    /// `channel_mix`, timed pair by pair and recorded once per round (see
+    /// [`TransmitClock`]).
     fn realize_round(
         &mut self,
         active: &[usize],
@@ -382,29 +447,13 @@ impl Engine {
         mut chan_rng: &mut rand::rngs::StdRng,
         span: RoundSpan,
     ) -> (Vec<Iq>, Vec<SignalMeta>, Vec<Vec<u8>>) {
-        let stage = self.stage(span, "tag_transmit", |m| &m.tag_transmit_ns);
-        let mut payloads = vec![Vec::new(); self.tags.len()];
-        // The engine's envelope buffers, one per transmitting tag: lent
-        // to this round's signals and given back after mixing.
-        let mut envelopes = std::mem::take(&mut self.envelopes);
-        if envelopes.len() < active.len() {
-            envelopes.resize_with(active.len(), Vec::new);
-        }
-        for (&i, envelope) in active.iter().zip(&mut envelopes) {
-            let payload = self.payload_for(i, round);
-            payloads[i] = payload.clone();
-            self.tags[i]
-                .transmit_into(payload, &self.scenario.phy, envelope)
-                .expect("configured payload length is valid");
-        }
-        drop(stage);
-
-        // Transmitting draws nothing from `chan_rng`, so realizing every
-        // tag's channel after all have transmitted keeps the stream.
         let stage = self.stage(span, "channel_realize", |m| &m.channel_realize_ns);
+        let phy = self.scenario.phy;
         let mut signals = Vec::with_capacity(active.len());
         let mut signal_meta = Vec::with_capacity(active.len());
-        for (&i, envelope) in active.iter().zip(&mut envelopes) {
+        let mut body = 0;
+        for &i in active {
+            let envelope_len = self.tags[i].envelope_len(self.scenario.payload_len, &phy);
             // Mean link amplitude: Friis with this tag's |ΔΓ| state,
             // shadowed by the frozen large-scale environment.
             let dg = self.bank.delta_gamma(self.tags[i].impedance());
@@ -423,7 +472,7 @@ impl Engine {
 
             let taps = self.scenario.multipath.realize(&mut chan_rng);
             let clock = self.scenario.clock_for(i);
-            let delay = clock.frame_delay(&mut chan_rng, envelope.len());
+            let delay = clock.frame_delay(&mut chan_rng, envelope_len);
             // The carrier phase of a static tag is set by its geometry
             // (path lengths at sub-wavelength precision), so it is frozen
             // per position like shadowing, with a small per-frame wobble
@@ -431,8 +480,7 @@ impl Engine {
             let phase = self.static_phase(self.tags[i].position()) + chan_rng.gen_range(-0.3..0.3);
             // Δf = 20 MHz subcarrier with ppm-grade tag oscillators: the
             // residual offset makes inter-tag phases beat over the frame.
-            let beat =
-                clock.subcarrier_beat(&mut chan_rng, 20.0e6, self.scenario.phy.sample_rate.get());
+            let beat = clock.subcarrier_beat(&mut chan_rng, 20.0e6, phy.sample_rate.get());
 
             signal_meta.push(SignalMeta {
                 tag: i,
@@ -441,35 +489,64 @@ impl Engine {
                 delay_samples: delay,
                 phase,
             });
-            signals.push(TagSignal {
-                envelope: std::mem::take(envelope),
+            // The envelope is built when the tag's pair is mixed.
+            let signal = TagSignal {
+                envelope: Vec::new(),
                 amplitude,
                 phase,
                 taps,
                 delay_samples: delay,
                 freq_offset_rad_per_sample: beat,
-            });
+            };
+            body = body.max(signal.extent_of(envelope_len));
+            signals.push(signal);
         }
         drop(stage);
 
-        let _stage = self.stage(span, "channel_mix", |m| &m.channel_mix_ns);
+        let mix_stage = self.stage(span, "channel_mix", |m| &m.channel_mix_ns);
         let mixer = Mixer {
             noise: self.scenario.noise,
-            bandwidth: self.scenario.phy.sample_rate,
+            bandwidth: phy.sample_rate,
             excitation: self.scenario.excitation,
             interference: self.scenario.interference,
             lead_in: 4 * self.scenario.rx_config.energy_window.max(32),
             tail: 64,
         };
         let mut iq = std::mem::take(&mut self.capture);
-        mixer.combine_into(chan_rng, &signals, &mut iq, &mut self.mix_scratch);
+        let mut pass = mixer.begin(chan_rng, body, &mut iq);
+        let payload_len = self.scenario.payload_len;
+        let mut payloads = vec![Vec::new(); self.tags.len()];
+        let mut transmit = TransmitClock::new(self.metrics.is_some(), self.tracer.as_ref());
+        for (ids, pair) in active.chunks(2).zip(signals.chunks_mut(2)) {
+            transmit.time(|| {
+                for ((&i, signal), envelope) in
+                    ids.iter().zip(pair.iter_mut()).zip(&mut self.envelopes)
+                {
+                    let payload = payload(i, round, payload_len);
+                    payloads[i] = payload.clone();
+                    self.tags[i]
+                        .transmit_into(payload, &phy, envelope)
+                        .expect("configured payload length is valid");
+                    debug_assert_eq!(envelope.len(), self.tags[i].envelope_len(payload_len, &phy));
+                    signal.envelope = std::mem::take(envelope);
+                }
+            });
+            pass.add(pair, &mut self.mix_scratch);
+            // Back to the engine, for the next pair to refill.
+            for (signal, envelope) in pair.iter_mut().zip(&mut self.envelopes) {
+                *envelope = std::mem::take(&mut signal.envelope);
+            }
+        }
+        drop(pass);
         if let Some(adc) = self.scenario.adc {
             adc.quantize(chan_rng, &mut iq);
         }
-        for (envelope, signal) in envelopes.iter_mut().zip(signals) {
-            *envelope = signal.envelope;
-        }
-        self.envelopes = envelopes;
+        transmit.record(
+            self.metrics.as_ref(),
+            span.map(|(trace, _)| trace)
+                .zip(mix_stage.1.as_ref().map(SpanGuard::id)),
+        );
+        drop(mix_stage);
         (iq, signal_meta, payloads)
     }
 
@@ -821,23 +898,21 @@ mod tests {
         assert_eq!(rounds[1].arg, Some(1));
         // Each round is its own trace: the engine's stages and the
         // capture nest directly under its span, one after another in
-        // pipeline order.
-        for round in rounds {
+        // pipeline order, and the tags transmit inside the mix.
+        let children_of = |parent: &cbma_obs::SpanRecord| {
             let mut children: Vec<_> = spans
                 .iter()
-                .filter(|s| s.trace == round.trace && s.parent == round.span)
+                .filter(|s| s.trace == parent.trace && s.parent == parent.span)
                 .collect();
             children.sort_by_key(|s| s.start_ns);
+            children
+        };
+        for round in rounds {
+            let children = children_of(round);
             let names: Vec<_> = children.iter().map(|s| s.name).collect();
             assert_eq!(
                 names,
-                [
-                    "tag_transmit",
-                    "channel_realize",
-                    "channel_mix",
-                    "capture",
-                    "settle"
-                ]
+                ["channel_realize", "channel_mix", "capture", "settle"]
             );
             for pair in children.windows(2) {
                 assert!(pair[0].start_ns + pair[0].dur_ns <= pair[1].start_ns);
@@ -845,6 +920,14 @@ mod tests {
             let (first, last) = (children[0], children[children.len() - 1]);
             assert!(first.start_ns >= round.start_ns);
             assert!(last.start_ns + last.dur_ns <= round.start_ns + round.dur_ns);
+            let mix = children[1];
+            let inside: Vec<_> = children_of(mix);
+            assert_eq!(inside.len(), 1);
+            let transmit = inside[0];
+            assert_eq!(transmit.name, "tag_transmit");
+            assert!(transmit.dur_ns > 0);
+            assert!(transmit.start_ns >= mix.start_ns);
+            assert!(transmit.start_ns + transmit.dur_ns <= mix.start_ns + mix.dur_ns);
         }
         // The export is one valid Chrome trace-event document.
         let json = tracer.chrome_trace(None);

@@ -10,7 +10,7 @@ use cbma_channel::{
     BackscatterLink, ClockModel, Excitation, InterferenceModel, MultipathModel, NoiseModel,
     ShadowingModel,
 };
-use cbma_codes::FamilyKind;
+use cbma_codes::{CodeFamily, FamilyKind};
 use cbma_rx::ReceiverConfig;
 use cbma_tag::PhyProfile;
 use cbma_types::geometry::Point;
@@ -143,6 +143,13 @@ impl Scenario {
     /// PHY profile is invalid, the code family cannot cover the tag
     /// count, or override lengths mismatch.
     pub fn validate(&self) -> Result<()> {
+        self.validated_family().map(drop)
+    }
+
+    /// [`validate`](Scenario::validate), returning the code family it
+    /// builds to check the family's capacity, so the engine builds the
+    /// family once.
+    pub(crate) fn validated_family(&self) -> Result<Box<dyn CodeFamily + Send + Sync>> {
         if self.tag_positions.is_empty() {
             return Err(CbmaError::InvalidConfig("scenario has no tags".into()));
         }
@@ -170,7 +177,7 @@ impl Scenario {
                 cbma_tag::frame::MAX_PAYLOAD
             )));
         }
-        Ok(())
+        Ok(family)
     }
 
     /// Returns a copy with a different seed (independent replication).

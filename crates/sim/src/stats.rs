@@ -189,7 +189,7 @@ impl Cdf {
         count as f64 / self.sorted.len() as f64
     }
 
-    /// The q-quantile (q in [0, 1]).
+    /// The q-quantile (q in [0, 1]): the sample at the nearest rank.
     ///
     /// # Panics
     ///
@@ -201,9 +201,20 @@ impl Cdf {
         self.sorted[idx]
     }
 
-    /// Median shortcut.
+    /// The median: the middle sample of an odd count, and the mean of the
+    /// two middle samples of an even count.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the CDF is empty.
     pub fn median(&self) -> f64 {
-        self.quantile(0.5)
+        assert!(!self.sorted.is_empty(), "median of an empty cdf");
+        let n = self.sorted.len();
+        if n % 2 == 1 {
+            self.sorted[n / 2]
+        } else {
+            (self.sorted[n / 2 - 1] + self.sorted[n / 2]) / 2.0
+        }
     }
 
     /// `(x, P(X ≤ x))` points for plotting.
@@ -357,7 +368,10 @@ mod tests {
         assert!((cdf.probability_at(0.25) - 0.5).abs() < 1e-12);
         assert_eq!(cdf.probability_at(0.0), 0.0);
         assert_eq!(cdf.probability_at(1.0), 1.0);
-        assert!((cdf.median() - 0.2).abs() < 0.11);
+        // An even count's median is the mean of its two middle samples.
+        assert_eq!(cdf.median(), 0.25);
+        assert_eq!(Cdf::from_samples([0.0, 0.02]).median(), 0.01);
+        assert_eq!(Cdf::from_samples([0.3, 0.1, 0.2]).median(), 0.2);
         assert_eq!(cdf.quantile(0.0), 0.1);
         assert_eq!(cdf.quantile(1.0), 0.4);
     }

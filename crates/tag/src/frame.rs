@@ -60,7 +60,13 @@ impl Frame {
     /// Total over-the-air length in bits for a given preamble length:
     /// preamble + 8 (length byte) + payload + 16 (CRC).
     pub fn bit_len(&self, preamble_bits: usize) -> usize {
-        preamble_bits + 8 + self.payload.len() * 8 + 16
+        Frame::bit_len_for(self.payload.len(), preamble_bits)
+    }
+
+    /// [`bit_len`](Frame::bit_len) of a frame whose payload is
+    /// `payload_len` bytes long, without building it.
+    pub fn bit_len_for(payload_len: usize, preamble_bits: usize) -> usize {
+        preamble_bits + 8 + payload_len * 8 + 16
     }
 
     /// Serializes the frame to its bit-level representation.

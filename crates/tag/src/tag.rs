@@ -106,6 +106,16 @@ impl Tag {
         Ok(envelope)
     }
 
+    /// Samples in the envelope [`Tag::transmit`] builds for a payload of
+    /// `payload_len` bytes: one code word per frame bit, at the PHY's
+    /// samples per chip. Lets a caller size the capture before the
+    /// envelope exists.
+    pub fn envelope_len(&self, payload_len: usize, phy: &PhyProfile) -> usize {
+        Frame::bit_len_for(payload_len, phy.preamble_bits)
+            * self.code.len()
+            * phy.samples_per_chip()
+    }
+
     /// [`Tag::transmit`] into a caller-owned envelope buffer, which is
     /// cleared and refilled with its capacity kept
     /// ([`spread_envelope_into`]). On error `envelope` is left untouched
@@ -190,6 +200,16 @@ mod tests {
         let chips = tag.encode(vec![0xAB; 4], &phy).unwrap();
         // Frame bits: 8 preamble + 8 length + 32 payload + 16 crc = 64.
         assert_eq!(chips.len(), 64 * 31);
+    }
+
+    #[test]
+    fn envelope_len_predicts_the_transmitted_length() {
+        let mut tag = make_tag();
+        for (payload_len, preamble_bits) in [(0, 8), (5, 4), (126, 64)] {
+            let phy = PhyProfile::paper_default().with_preamble_bits(preamble_bits);
+            let envelope = tag.transmit(vec![7; payload_len], &phy).unwrap();
+            assert_eq!(envelope.len(), tag.envelope_len(payload_len, &phy));
+        }
     }
 
     #[test]
