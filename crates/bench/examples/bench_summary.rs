@@ -209,9 +209,8 @@ fn round_loop_cases(phy: &PhyProfile, codes: &[cbma::codes::PnCode], capture: &[
 
 /// Multi-stream scheduler throughput: `BENCH_streaming.json`.
 ///
-/// Runs the same capture mix through the streaming flowgraph on
-/// work-stealing pools of several sizes, at 1, 8 and 64 concurrent
-/// streams. Each case reports the elapsed time
+/// Runs the same capture mix through the streaming flowgraph on worker
+/// pools of several sizes, at 1, 8 and 64 concurrent streams. Each case reports the elapsed time
 /// per capture (`mean_ns_per_op`, so the bench gate's median-normalized
 /// comparison applies unchanged), the aggregate real-time factor (total
 /// air time represented by all streams over wall time — the headline
@@ -248,7 +247,7 @@ fn write_streaming_throughput() {
     struct StreamCase {
         name: String,
         streams: usize,
-        scheduler: Scheduler,
+        workers: usize,
         mean_ns_per_op: f64,
         aggregate_rtf: f64,
         captures_per_sec: f64,
@@ -256,61 +255,21 @@ fn write_streaming_throughput() {
     }
 
     let mut cases: Vec<StreamCase> = Vec::new();
-    let sweeps: &[(usize, Scheduler)] = &[
-        (
-            1,
-            Scheduler::WorkStealing {
-                workers: 1,
-                pin: false,
-            },
-        ),
-        (
-            8,
-            Scheduler::WorkStealing {
-                workers: 1,
-                pin: false,
-            },
-        ),
-        (
-            8,
-            Scheduler::WorkStealing {
-                workers: 2,
-                pin: false,
-            },
-        ),
-        (
-            64,
-            Scheduler::WorkStealing {
-                workers: 1,
-                pin: false,
-            },
-        ),
-        (
-            64,
-            Scheduler::WorkStealing {
-                workers: 2,
-                pin: false,
-            },
-        ),
-        (
-            64,
-            Scheduler::WorkStealing {
-                workers: 4,
-                pin: false,
-            },
-        ),
-    ];
-    const BLOCK: usize = 2048;
-    for &(streams, scheduler) in sweeps {
+    // (streams, pool workers)
+    let sweeps: &[(usize, usize)] = &[(1, 1), (8, 1), (8, 2), (64, 1), (64, 2), (64, 4)];
+    for &(streams, workers) in sweeps {
         let captures: Vec<Vec<Iq>> = (0..streams).map(capture_for).collect();
         let air_ns: f64 = captures
             .iter()
             .map(|c| c.len() as f64 / phy.sample_rate.get() * 1e9)
             .sum();
         let runtime = RuntimeConfig {
-            block_size: BLOCK,
             ring_capacity: 2,
-            scheduler,
+            scheduler: Scheduler::WorkStealing {
+                workers,
+                pin: false,
+            },
+            ..RuntimeConfig::default()
         };
         // Min-of-3 for the same run-to-run stability argument as
         // `time_case`; each rep rebuilds the flowgraph so no warm
@@ -318,7 +277,7 @@ fn write_streaming_throughput() {
         let mut elapsed_ns = f64::INFINITY;
         for _ in 0..3 {
             let mut flow = RxFlowgraph::new(codes.clone(), phy, ReceiverConfig::default(), runtime);
-            let mut source = CaptureSource::new(BLOCK);
+            let mut source = CaptureSource::default();
             for (stream, cap) in captures.iter().enumerate() {
                 source.push(stream, cap.clone());
             }
@@ -328,16 +287,10 @@ fn write_streaming_throughput() {
             assert_eq!(output.results.len(), streams, "bench dropped a capture");
             elapsed_ns = elapsed_ns.min(ns);
         }
-        let name = match scheduler {
-            Scheduler::WorkStealing { workers, .. } => {
-                format!("streaming_worksteal_w{workers}_s{streams}")
-            }
-            Scheduler::Inline => format!("streaming_inline_s{streams}"),
-        };
         let case = StreamCase {
-            name,
+            name: format!("streaming_worksteal_w{workers}_s{streams}"),
             streams,
-            scheduler,
+            workers,
             mean_ns_per_op: elapsed_ns / streams as f64,
             aggregate_rtf: air_ns / elapsed_ns,
             captures_per_sec: streams as f64 / (elapsed_ns / 1e9),
@@ -364,7 +317,6 @@ fn write_streaming_throughput() {
     let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut json = String::from("{\n");
     let _ = writeln!(json, "  \"cpus\": {cpus},");
-    let _ = writeln!(json, "  \"block_size\": {BLOCK},");
     let _ = writeln!(
         json,
         "  \"aggregate_rtf_worksteal_w2_s64\": {:.3},",
@@ -386,13 +338,13 @@ fn write_streaming_throughput() {
         let _ = writeln!(
             json,
             "    {{\"name\": \"{}\", \"mean_ns_per_op\": {:.1}, \"iters\": {}, \
-             \"streams\": {}, \"scheduler\": \"{}\", \"aggregate_rtf\": {:.3}, \
+             \"streams\": {}, \"scheduler\": \"worksteal:{}\", \"aggregate_rtf\": {:.3}, \
              \"captures_per_sec\": {:.1}}}{comma}",
             case.name,
             case.mean_ns_per_op,
             case.iters,
             case.streams,
-            case.scheduler.name(),
+            case.workers,
             case.aggregate_rtf,
             case.captures_per_sec
         );

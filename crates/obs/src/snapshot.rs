@@ -159,24 +159,13 @@ impl Snapshot {
     }
 
     /// Drops every run-to-run volatile metric: wall-clock timings
-    /// (`*_ns`), memory levels (`*_bytes`, e.g. scratch-arena high-water
-    /// gauges, which depend on allocator rounding and on which receiver
-    /// ran which capture), and scheduling placement (`cbma.rx.runtime.worker.*`
-    /// queue-pop counters, `cbma.rx.runtime.ring_depth`,
-    /// `cbma.rx.runtime.pool_utilization`), which depend on thread
-    /// interleaving even though the *decisions* they accompany are
-    /// bit-identical across schedulers. This is the projection
-    /// deterministic campaign manifests embed;
-    /// [`Snapshot::without_timings`] remains for consumers that want the
-    /// memory levels kept.
+    /// (`*_ns`) and memory levels (`*_bytes`, e.g. scratch-arena
+    /// high-water gauges, which depend on allocator rounding and on which
+    /// receiver ran which capture). This is the projection deterministic
+    /// campaign manifests embed; [`Snapshot::without_timings`] remains
+    /// for consumers that want the memory levels kept.
     pub fn without_volatile(&self) -> Snapshot {
-        self.retain_metrics(|name| {
-            !name.ends_with("_ns")
-                && !name.ends_with("_bytes")
-                && !name.starts_with("cbma.rx.runtime.worker.")
-                && name != "cbma.rx.runtime.ring_depth"
-                && name != "cbma.rx.runtime.pool_utilization"
-        })
+        self.retain_metrics(|name| !name.ends_with("_ns") && !name.ends_with("_bytes"))
     }
 
     /// Serializes to a stable, human-diffable JSON document.
@@ -469,32 +458,6 @@ mod tests {
             .without_timings()
             .gauges
             .contains_key("cbma.rx.scratch_bytes"));
-    }
-
-    #[test]
-    fn without_volatile_drops_scheduler_placement_metrics() {
-        let mut snap = sample_snapshot();
-        snap.counters
-            .insert("cbma.rx.runtime.worker.steal_count".into(), 3);
-        snap.gauges.insert("cbma.rx.runtime.ring_depth".into(), 2.0);
-        snap.gauges
-            .insert("cbma.rx.runtime.pool_utilization".into(), 0.5);
-        let filtered = snap.without_volatile();
-        // Placement metrics vary with thread interleaving and must not
-        // leak into deterministic manifests.
-        assert!(!filtered
-            .counters
-            .keys()
-            .any(|name| name.starts_with("cbma.rx.runtime.worker.")));
-        assert!(!filtered.gauges.contains_key("cbma.rx.runtime.ring_depth"));
-        assert!(!filtered
-            .gauges
-            .contains_key("cbma.rx.runtime.pool_utilization"));
-        // Decision-carrying runtime metrics survive.
-        assert_eq!(
-            filtered.counters["cbma.rx.users_decoded"],
-            snap.counters["cbma.rx.users_decoded"]
-        );
     }
 
     #[test]

@@ -18,11 +18,10 @@
 //!    successfully decoded tag ids, which drives the tags' power control.
 //!
 //! [`receiver`] chains the four stages behind one call on one whole
-//! capture. [`runtime`] serves many capture streams at once: it
-//! reassembles each stream's captures from blocks of any size and hands
-//! every whole capture to that same call — inline on the caller's
-//! thread, or through one shared capture queue on a worker pool — so its
-//! decisions are the monolithic receiver's by construction.
+//! capture. [`runtime`] serves many capture streams at once: it moves
+//! every whole capture, uncopied, through one shared capture queue to a
+//! worker pool that makes that same call, so its decisions are the
+//! monolithic receiver's by construction.
 //!
 //! # Examples
 //!
@@ -43,6 +42,6 @@ pub use frame_sync::FrameSync;
 pub use receiver::{Receiver, ReceiverConfig, RxReport, RxScratch, RxTelemetry};
 pub use runtime::{
     CaptureSource, FlowgraphError, RunOutput, RunStats, RuntimeConfig, RxFlowgraph, SampleSource,
-    Scheduler, SourceBlock, StreamResult,
+    Scheduler, StreamResult,
 };
 pub use user_detect::{DetectScratch, DetectedUser, UserDetector};

@@ -5,12 +5,12 @@
 //! concurrent-stream scale the paper's deployment story implies. Here
 //! the *capture*, not the stream, is the unit of scheduling:
 //!
-//! * The driver (the caller's thread) pulls source blocks and
-//!   reassembles each stream's captures, so blocks never cross threads
-//!   and a capture reaches the pool only once it is whole.
-//! * Whole captures go into one shared FIFO queue (a `Mutex<VecDeque>`
-//!   plus a `Condvar`). Idle workers sleep on the condvar and pop the
-//!   oldest capture when woken — no spin-burn when the queue is empty.
+//! * The driver (the caller's thread) pulls whole captures from the
+//!   source and numbers each stream's captures in arrival order.
+//! * Whole captures are moved, never copied, into one shared FIFO queue
+//!   (a `Mutex<VecDeque>` plus a `Condvar`). Idle workers sleep on the
+//!   condvar and pop the oldest capture when woken — no spin-burn when
+//!   the queue is empty.
 //! * Each worker decides its capture with [`Receiver::receive`] and
 //!   sends the report (or the panic message of a receive that panicked)
 //!   back over one `mpsc` channel. Captures of one stream may be decided
@@ -27,32 +27,87 @@
 //!
 //! **Decision identity.** Workers decide captures with worker-local
 //! [`Receiver`]s. `Receiver::receive` keeps no state between captures
-//! (its scratch arena is cleared per use) and sees the whole
-//! reassembled capture — so which worker decides a capture, in which
-//! interleaving, at which pool size, is invisible in the output.
+//! (its scratch arena is cleared per use) and sees the whole capture —
+//! so which worker decides a capture, in which interleaving, at which
+//! pool size, is invisible in the output.
 //! `crates/rx/tests/streaming_equivalence.rs` pins whole-report equality
-//! against [`super::Scheduler::Inline`] across worker counts.
+//! against [`Receiver::receive`] across worker counts.
 
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
-use cbma_obs::trace::Tracer;
+use cbma_obs::trace::{SpanGuard, SpanId, TraceId, Tracer};
+use cbma_types::Iq;
 
-use crate::receiver::Receiver;
+use crate::receiver::{Receiver, RxReport};
 
 use super::source::SampleSource;
-use super::{
-    decide, next_capture, panic_message, Capture, FaultPlan, FlowgraphError, InOrderEmitter,
-    RunStats, RuntimeMetrics, StageObs, StreamResult,
-};
+use super::{FaultPlan, FlowgraphError, RunStats, StreamResult};
 
 /// A worker's answer for one capture: its report, or the message of the
 /// receive panic that replaced it.
 type Report = Result<StreamResult, String>;
+
+/// A whole capture on its way to a worker.
+struct Capture {
+    stream: usize,
+    seq: u64,
+    samples: Vec<Iq>,
+}
+
+/// In-order `(stream, seq)` emission for the sink: completions are
+/// buffered in whatever order workers finish and leave per stream in
+/// submission order.
+#[derive(Debug, Default)]
+struct InOrderEmitter {
+    /// Next seq to emit per stream.
+    emit_next: Vec<u64>,
+    /// Out-of-order completions awaiting their predecessors.
+    reorder: BTreeMap<(usize, u64), RxReport>,
+}
+
+impl InOrderEmitter {
+    /// Buffers one completion, then hands `emit` every result of its
+    /// stream that is now next in order. Only the completion's own
+    /// stream can have become ready.
+    fn insert(&mut self, result: StreamResult, mut emit: impl FnMut(StreamResult)) {
+        let stream = result.stream;
+        if self.emit_next.len() <= stream {
+            self.emit_next.resize(stream + 1, 0);
+        }
+        self.reorder.insert((stream, result.seq), result.report);
+        let next = &mut self.emit_next[stream];
+        while let Some(report) = self.reorder.remove(&(stream, *next)) {
+            emit(StreamResult {
+                stream,
+                seq: *next,
+                report,
+            });
+            *next += 1;
+        }
+    }
+
+    /// Completions buffered, still waiting on predecessors.
+    #[inline]
+    fn buffered(&self) -> usize {
+        self.reorder.len()
+    }
+}
+
+/// A worker's span context when a tracer is attached: its `stage_run`
+/// and `stage_wait` spans nest under its `worker` span.
+struct WorkerSpans(Option<(Tracer, TraceId, SpanId)>);
+
+impl WorkerSpans {
+    fn span(&self, name: &'static str) -> Option<SpanGuard> {
+        let (tracer, trace, parent) = self.0.as_ref()?;
+        Some(tracer.span(*trace, Some(*parent), name))
+    }
+}
 
 struct Queue {
     captures: VecDeque<Capture>,
@@ -91,7 +146,7 @@ impl Pool {
 
     /// The oldest queued capture; sleeps while the queue is empty.
     /// `None` once the queue is closed.
-    fn pop(&self, obs: &StageObs) -> Option<Capture> {
+    fn pop(&self, spans: &WorkerSpans) -> Option<Capture> {
         let mut queue = self.lock();
         loop {
             if queue.closed {
@@ -102,11 +157,12 @@ impl Pool {
                 return Some(capture);
             }
             let start = Instant::now();
-            queue = obs.wait(|| {
-                self.ready
-                    .wait(queue)
-                    .unwrap_or_else(PoisonError::into_inner)
-            });
+            let span = spans.span("stage_wait");
+            queue = self
+                .ready
+                .wait(queue)
+                .unwrap_or_else(PoisonError::into_inner);
+            drop(span);
             self.parks.fetch_add(1, Ordering::Relaxed);
             self.park_ns.fetch_add(elapsed_ns(start), Ordering::Relaxed);
         }
@@ -133,25 +189,52 @@ fn elapsed_ns(start: Instant) -> u64 {
     start.elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
+/// Best-effort panic payload stringification.
+fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_string()
+    }
+}
+
+/// Decides one whole capture with [`Receiver::receive`], timed as one
+/// `stage_run` span (arg = capture seq).
+fn decide(
+    receiver: &mut Receiver,
+    capture: Capture,
+    fault: &FaultPlan,
+    spans: &WorkerSpans,
+) -> StreamResult {
+    let mut span = spans.span("stage_run");
+    if let Some(span) = span.as_mut() {
+        span.set_arg(capture.seq);
+    }
+    fault.trip(capture.seq);
+    let report = receiver.receive(&capture.samples);
+    drop(span);
+    StreamResult {
+        stream: capture.stream,
+        seq: capture.seq,
+        report,
+    }
+}
+
 /// The worker thread body: decide captures until the queue closes. A
 /// receive panic is reported in place of the capture's report and ends
 /// the worker, as the run fails with it.
 fn worker_loop(
     pool: &Pool,
-    worker: usize,
     receiver: &mut Receiver,
     fault: &FaultPlan,
-    pin: bool,
-    obs: &StageObs,
+    spans: &WorkerSpans,
     reports: mpsc::Sender<Report>,
 ) {
-    if pin {
-        let cpus = std::thread::available_parallelism().map_or(1, |n| n.get());
-        super::affinity::pin_current_thread(worker % cpus);
-    }
-    while let Some(capture) = pool.pop(obs) {
+    while let Some(capture) = pool.pop(spans) {
         let start = Instant::now();
-        let report = catch_unwind(AssertUnwindSafe(|| decide(receiver, capture, fault, obs)))
+        let report = catch_unwind(AssertUnwindSafe(|| decide(receiver, capture, fault, spans)))
             .map_err(|payload| format!("receive panicked: {}", panic_message(payload)));
         pool.busy_ns.fetch_add(elapsed_ns(start), Ordering::Relaxed);
         let failed = report.is_err();
@@ -167,23 +250,20 @@ pub(super) struct PoolParams<'a> {
     pub(super) receivers: &'a mut [Receiver],
     /// Captures held in flight per stream (≥ 1).
     pub(super) ring_capacity: usize,
-    pub(super) pin: bool,
     pub(super) tracer: Option<&'a Tracer>,
-    pub(super) metrics: Option<&'a RuntimeMetrics>,
     pub(super) fault: FaultPlan,
 }
 
 /// Runs `source` to exhaustion over the pool. The caller's thread is the
-/// driver: it reassembles source blocks into captures, queues each whole
-/// capture while fewer than `ring_capacity × streams` are in flight,
-/// and otherwise waits for a report and emits every report that is next
-/// in its stream's order into `sink`.
+/// driver: it queues each whole capture while fewer than
+/// `ring_capacity × streams` are in flight, and otherwise waits for a
+/// report and emits every report that is next in its stream's order
+/// into `sink`.
 pub(super) fn run<S: SampleSource>(
     params: PoolParams<'_>,
     mut source: S,
     mut sink: impl FnMut(StreamResult),
-) -> (RunStats, Option<FlowgraphError>) {
-    let workers = params.receivers.len().max(1);
+) -> Result<RunStats, FlowgraphError> {
     let bound = params.ring_capacity.max(1) * source.streams().max(1);
     let pool = Pool {
         queue: Mutex::new(Queue {
@@ -206,8 +286,6 @@ pub(super) fn run<S: SampleSource>(
     let root_id = root.as_ref().map(|g| g.id());
 
     let fault = params.fault;
-    let pin = params.pin;
-    let started = Instant::now();
     let mut stats = RunStats::default();
     let mut failure: Option<FlowgraphError> = None;
     let (mut queue_depth, mut reorder_depth) = (0usize, 0usize);
@@ -216,7 +294,6 @@ pub(super) fn run<S: SampleSource>(
         let _close = CloseOnDrop(pool);
         for (worker, receiver) in params.receivers.iter_mut().enumerate() {
             let trace_ctx = trace_ctx.clone();
-            let metrics = params.metrics;
             let reports = report_tx.clone();
             scope.spawn(move || {
                 // Each worker is a span: its stage_run (one per
@@ -228,15 +305,12 @@ pub(super) fn run<S: SampleSource>(
                 if let Some(span) = worker_span.as_mut() {
                     span.set_arg(worker as u64);
                 }
-                let obs = StageObs {
-                    ctx: trace_ctx
-                        .as_ref()
+                let spans = WorkerSpans(
+                    trace_ctx
                         .zip(worker_span.as_ref())
-                        .map(|((t, trace), span)| (t.clone(), *trace, span.id())),
-                    run_ns: metrics.map(|m| m.stage_run_ns.clone()),
-                    wait_ns: metrics.map(|m| m.worker_park_ns.clone()),
-                };
-                worker_loop(pool, worker, receiver, &fault, pin, &obs, reports);
+                        .map(|((t, trace), span)| (t, trace, span.id())),
+                );
+                worker_loop(pool, receiver, &fault, &spans, reports);
             });
         }
         // Only workers hold senders now: if every worker is gone, `recv`
@@ -245,18 +319,29 @@ pub(super) fn run<S: SampleSource>(
 
         // ── The driver loop (caller thread) ──────────────────────────
         let mut emitter = InOrderEmitter::default();
-        let mut partials = Vec::new();
+        // Next seq per stream, grown on a stream's first capture, so any
+        // stream id works whatever `SampleSource::streams` announced.
+        let mut next_seq: Vec<u64> = Vec::new();
         let mut in_flight = 0usize;
         let mut source_done = false;
         loop {
             while !source_done && in_flight < bound {
-                match next_capture(&mut source, &mut partials, &mut stats) {
-                    Some(capture) => {
-                        in_flight += 1;
-                        queue_depth = queue_depth.max(pool.push(capture));
-                    }
-                    None => source_done = true,
+                let Some((stream, samples)) = source.next_capture() else {
+                    source_done = true;
+                    break;
+                };
+                if next_seq.len() <= stream {
+                    next_seq.resize(stream + 1, 0);
                 }
+                let seq = next_seq[stream];
+                next_seq[stream] += 1;
+                in_flight += 1;
+                let depth = pool.push(Capture {
+                    stream,
+                    seq,
+                    samples,
+                });
+                queue_depth = queue_depth.max(depth);
             }
             if in_flight == 0 {
                 break;
@@ -283,15 +368,13 @@ pub(super) fn run<S: SampleSource>(
         }
     });
 
+    if let Some(err) = failure {
+        return Err(err);
+    }
     stats.ring_max_depth = vec![queue_depth, reorder_depth];
     stats.steals = pool.pops.load(Ordering::Relaxed);
     stats.parks = pool.parks.load(Ordering::Relaxed);
     stats.park_ns = pool.park_ns.load(Ordering::Relaxed);
     stats.busy_ns = pool.busy_ns.load(Ordering::Relaxed);
-    if let Some(metrics) = params.metrics {
-        let wall = started.elapsed().as_nanos().max(1) as f64;
-        let utilization = stats.busy_ns as f64 / (wall * workers as f64);
-        metrics.pool_utilization.set(utilization.min(1.0));
-    }
-    (stats, failure)
+    Ok(stats)
 }

@@ -1,21 +1,15 @@
-//! Block-boundary equivalence of the streaming runtime and the
-//! monolithic receiver.
+//! Equivalence of the streaming runtime and the monolithic receiver.
 //!
 //! The streaming flowgraph must be a pure re-plumbing of
-//! `Receiver::receive`: it reassembles each capture from its blocks and
-//! decides it with that same call. So for *every* block size — one
-//! sample, a prime, a power of two, the whole capture — and for *every*
-//! scheduler, the decisions must be identical: frame detection, detected
-//! users, start offsets, decoded payload bytes, SIC recoveries, the ACK.
-//! `RxReport`'s equality deliberately skips wall-clock fields, so
-//! whole-report `==` is exactly the decision-level comparison.
-
-use std::collections::VecDeque;
+//! `Receiver::receive`: it moves each whole capture to a pool worker and
+//! decides it with that same call. So at *every* pool size the decisions
+//! must be identical: frame detection, detected users, start offsets,
+//! decoded payload bytes, SIC recoveries, the ACK. `RxReport`'s equality
+//! deliberately skips wall-clock fields, so whole-report `==` is exactly
+//! the decision-level comparison.
 
 use cbma_codes::{CodeFamily, GoldFamily, PnCode};
-use cbma_rx::runtime::{
-    CaptureSource, RuntimeConfig, RxFlowgraph, SampleSource, Scheduler, SourceBlock,
-};
+use cbma_rx::runtime::{CaptureSource, RuntimeConfig, RxFlowgraph, Scheduler};
 use cbma_rx::{Receiver, ReceiverConfig, RxReport};
 use cbma_tag::phy::PhyProfile;
 use cbma_tag::Tag;
@@ -69,45 +63,15 @@ fn capture_set(codes: &[PnCode], phy: &PhyProfile) -> Vec<Vec<Iq>> {
     ]
 }
 
-/// Round-robins single blocks across streams: the block-level
-/// interleaving the `SampleSource` contract allows but `CaptureSource`
-/// (which emits each capture's blocks back to back) never produces.
-struct BlockInterleaved {
-    streams: Vec<VecDeque<SourceBlock>>,
-    next: usize,
-}
-
-impl BlockInterleaved {
-    fn new(block_size: usize, per_stream: &[Vec<Vec<Iq>>]) -> BlockInterleaved {
-        let streams = per_stream
-            .iter()
-            .enumerate()
-            .map(|(stream, caps)| {
-                let mut src = CaptureSource::new(block_size);
-                for cap in caps {
-                    src.push(stream, cap.clone());
-                }
-                std::iter::from_fn(|| src.next_block()).collect()
-            })
-            .collect();
-        BlockInterleaved { streams, next: 0 }
-    }
-}
-
-impl SampleSource for BlockInterleaved {
-    fn streams(&self) -> usize {
-        self.streams.len()
-    }
-
-    fn next_block(&mut self) -> Option<SourceBlock> {
-        for _ in 0..self.streams.len() {
-            let s = self.next;
-            self.next = (s + 1) % self.streams.len();
-            if let Some(block) = self.streams[s].pop_front() {
-                return Some(block);
-            }
-        }
-        None
+/// A pool of `workers` threads holding two captures per stream in flight.
+fn pool(workers: usize) -> RuntimeConfig {
+    RuntimeConfig {
+        ring_capacity: 2,
+        scheduler: Scheduler::WorkStealing {
+            workers,
+            pin: false,
+        },
+        ..RuntimeConfig::default()
     }
 }
 
@@ -126,50 +90,23 @@ fn assert_streaming_matches(config: ReceiverConfig, label: &str) {
     let codes = GoldFamily::new(5).unwrap().codes(3).unwrap();
     let captures = capture_set(&codes, &phy);
     let expected = monolithic_reports(&codes, phy, config, &captures);
-    let whole: usize = captures.iter().map(Vec::len).max().unwrap();
 
-    let schedulers = [
-        Scheduler::Inline,
-        // Work-stealing at a degenerate pool, a small pool, a pool wider
-        // than the stream count, and auto-sized (one worker per CPU).
-        Scheduler::WorkStealing {
-            workers: 1,
-            pin: false,
-        },
-        Scheduler::WorkStealing {
-            workers: 2,
-            pin: false,
-        },
-        Scheduler::WorkStealing {
-            workers: 4,
-            pin: false,
-        },
-        Scheduler::WorkStealing {
-            workers: 0,
-            pin: false,
-        },
-    ];
-    for scheduler in schedulers {
-        for block_size in [1usize, 257, 1024, whole] {
-            let runtime = RuntimeConfig {
-                block_size,
-                ring_capacity: 2,
-                scheduler,
-            };
-            let mut flow = RxFlowgraph::new(codes.clone(), phy, config, runtime);
-            let source = CaptureSource::single_stream(block_size, captures.clone());
-            let output = flow
-                .run(source)
-                .unwrap_or_else(|e| panic!("{label} {scheduler:?} block={block_size}: {e}"));
-            assert_eq!(output.results.len(), expected.len());
-            for (i, (result, want)) in output.results.iter().zip(&expected).enumerate() {
-                assert_eq!(result.stream, 0);
-                assert_eq!(result.seq, i as u64);
-                assert_eq!(
-                    result.report, *want,
-                    "{label} {scheduler:?} block={block_size}: capture {i} diverged"
-                );
-            }
+    // A degenerate pool, a small pool, a pool wider than the stream
+    // count, and auto-sized (one worker per CPU).
+    for workers in [1usize, 2, 4, 0] {
+        let mut flow = RxFlowgraph::new(codes.clone(), phy, config, pool(workers));
+        let source = CaptureSource::single_stream(captures.clone());
+        let output = flow
+            .run(source)
+            .unwrap_or_else(|e| panic!("{label} workers={workers}: {e}"));
+        assert_eq!(output.results.len(), expected.len());
+        for (i, (result, want)) in output.results.iter().zip(&expected).enumerate() {
+            assert_eq!(result.stream, 0);
+            assert_eq!(result.seq, i as u64);
+            assert_eq!(
+                result.report, *want,
+                "{label} workers={workers}: capture {i} diverged"
+            );
         }
     }
 }
@@ -190,11 +127,10 @@ fn streaming_decisions_match_with_sic_enabled() {
 
 #[test]
 fn multi_stream_interleaving_preserves_per_stream_order_and_decisions() {
-    // Blocks of different streams interleave through the flowgraph —
-    // into per-stream partial captures on the caller's thread, then
-    // decided inline or through the pool's shared queue; each stream's
-    // captures must still come out in seq order with the same decisions
-    // as a dedicated monolithic receiver per stream.
+    // Streams take turns capture by capture through the pool's shared
+    // queue, and captures of one stream may be decided concurrently; each
+    // stream's captures must still come out in seq order with the same
+    // decisions as a dedicated monolithic receiver per stream.
     let phy = PhyProfile::paper_default();
     let codes = GoldFamily::new(5).unwrap().codes(3).unwrap();
     let config = ReceiverConfig::default();
@@ -214,25 +150,14 @@ fn multi_stream_interleaving_preserves_per_stream_order_and_decisions() {
         .map(|caps| monolithic_reports(&codes, phy, config, caps))
         .collect();
 
-    let schedulers = [
-        Scheduler::Inline,
-        Scheduler::WorkStealing {
-            workers: 1,
-            pin: false,
-        },
-        Scheduler::WorkStealing {
-            workers: 3,
-            pin: false,
-        },
-    ];
-    for scheduler in schedulers {
-        let source = BlockInterleaved::new(389, &per_stream);
-        let runtime = RuntimeConfig {
-            block_size: 389,
-            ring_capacity: 2,
-            scheduler,
-        };
-        let mut flow = RxFlowgraph::new(codes.clone(), phy, config, runtime);
+    for workers in [1usize, 3] {
+        let mut source = CaptureSource::default();
+        for (stream, caps) in per_stream.iter().enumerate() {
+            for cap in caps {
+                source.push(stream, cap.clone());
+            }
+        }
+        let mut flow = RxFlowgraph::new(codes.clone(), phy, config, pool(workers));
         let output = flow.run(source).unwrap();
 
         let mut got: Vec<Vec<RxReport>> = vec![Vec::new(); per_stream.len()];
@@ -240,44 +165,13 @@ fn multi_stream_interleaving_preserves_per_stream_order_and_decisions() {
         for result in output.results {
             assert_eq!(
                 result.seq, next_seq[result.stream],
-                "{scheduler:?}: in-order emission"
+                "workers={workers}: in-order emission"
             );
             next_seq[result.stream] += 1;
             got[result.stream].push(result.report);
         }
-        assert_eq!(got, expected, "{scheduler:?}");
+        assert_eq!(got, expected, "workers={workers}");
     }
-}
-
-#[test]
-fn pinned_workers_match_unpinned_decisions() {
-    // CPU affinity is a placement hint; it must never change a decision.
-    // (On machines with fewer CPUs than workers the pin silently wraps —
-    // also decision-neutral.)
-    let phy = PhyProfile::paper_default();
-    let codes = GoldFamily::new(5).unwrap().codes(3).unwrap();
-    let config = ReceiverConfig::default();
-    let captures = capture_set(&codes, &phy);
-
-    let mut reports = Vec::new();
-    for pin in [false, true] {
-        let runtime = RuntimeConfig {
-            block_size: 701,
-            ring_capacity: 2,
-            scheduler: Scheduler::WorkStealing { workers: 2, pin },
-        };
-        let mut flow = RxFlowgraph::new(codes.clone(), phy, config, runtime);
-        let source = CaptureSource::single_stream(701, captures.clone());
-        let output = flow.run(source).unwrap();
-        reports.push(
-            output
-                .results
-                .into_iter()
-                .map(|r| (r.stream, r.seq, r.report))
-                .collect::<Vec<_>>(),
-        );
-    }
-    assert_eq!(reports[0], reports[1], "pin changed a decision");
 }
 
 #[test]
@@ -290,14 +184,9 @@ fn flowgraph_reuse_across_runs_matches_fresh_state() {
     let captures = capture_set(&codes, &phy);
     let expected = monolithic_reports(&codes, phy, config, &captures);
 
-    let runtime = RuntimeConfig {
-        block_size: 512,
-        ring_capacity: 2,
-        scheduler: Scheduler::Inline,
-    };
-    let mut flow = RxFlowgraph::new(codes, phy, config, runtime);
+    let mut flow = RxFlowgraph::new(codes, phy, config, pool(2));
     for pass in 0..2 {
-        let source = CaptureSource::single_stream(512, captures.clone());
+        let source = CaptureSource::single_stream(captures.clone());
         let output = flow.run(source).unwrap();
         let got: Vec<RxReport> = output.results.into_iter().map(|r| r.report).collect();
         assert_eq!(got, expected, "pass {pass}");

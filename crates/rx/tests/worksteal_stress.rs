@@ -1,20 +1,19 @@
-//! Seeded stress tests for the work-stealing scheduler.
+//! Seeded stress tests for the worker pool.
 //!
 //! Loom/shuttle-style exhaustive interleaving exploration is not
 //! available offline, so these tests do the next-best thing: a fixed
 //! seed drives both the capture mix and a jittered sink, perturbing the
-//! scheduler's timing run-to-run-deterministically while the decisions
-//! are compared against `Scheduler::Inline` (itself equivalence-locked
-//! to the monolithic receiver by `streaming_equivalence.rs`). CI runs
-//! this suite with `--test-threads=1` so the jitter exercises the pool
-//! rather than fighting sibling tests for cores.
+//! pool's timing run-to-run-deterministically while the decisions are
+//! compared against `Receiver::receive` on each stream's captures in
+//! order. CI runs this suite with `--test-threads=1` so the jitter
+//! exercises the pool rather than fighting sibling tests for cores.
 
 use std::time::Duration;
 
 use cbma_codes::{CodeFamily, GoldFamily, PnCode};
-use cbma_obs::{MetricsRegistry, Tracer};
+use cbma_obs::Tracer;
 use cbma_rx::runtime::{CaptureSource, RuntimeConfig, RxFlowgraph, Scheduler};
-use cbma_rx::{ReceiverConfig, RxReport};
+use cbma_rx::{Receiver, ReceiverConfig, RxReport};
 use cbma_tag::phy::PhyProfile;
 use cbma_tag::Tag;
 use cbma_types::geometry::Point;
@@ -83,8 +82,8 @@ fn stress_captures(
         .collect()
 }
 
-fn source_for(per_stream: &[Vec<Vec<Iq>>], block_size: usize) -> CaptureSource {
-    let mut source = CaptureSource::new(block_size);
+fn source_for(per_stream: &[Vec<Vec<Iq>>]) -> CaptureSource {
+    let mut source = CaptureSource::default();
     for (stream, caps) in per_stream.iter().enumerate() {
         for cap in caps {
             source.push(stream, cap.clone());
@@ -93,7 +92,36 @@ fn source_for(per_stream: &[Vec<Vec<Iq>>], block_size: usize) -> CaptureSource {
     source
 }
 
-/// Per-stream decision sequences under the given scheduler.
+/// A pool of `workers` threads with `ring_capacity` captures per stream
+/// in flight.
+fn pool(workers: usize, ring_capacity: usize) -> RuntimeConfig {
+    RuntimeConfig {
+        ring_capacity,
+        scheduler: Scheduler::WorkStealing {
+            workers,
+            pin: false,
+        },
+        ..RuntimeConfig::default()
+    }
+}
+
+/// Per-stream reports of one monolithic receiver over each stream's
+/// captures in order.
+fn monolithic(per_stream: &[Vec<Vec<Iq>>]) -> Vec<Vec<RxReport>> {
+    let codes = GoldFamily::new(5).unwrap().codes(3).unwrap();
+    let mut rx = Receiver::new(
+        codes,
+        PhyProfile::paper_default(),
+        ReceiverConfig::default(),
+    );
+    per_stream
+        .iter()
+        .map(|caps| caps.iter().map(|c| rx.receive(c)).collect())
+        .collect()
+}
+
+/// Per-stream decision sequences on the pool, with an optionally
+/// jittered sink.
 fn decisions(
     per_stream: &[Vec<Vec<Iq>>],
     runtime: RuntimeConfig,
@@ -102,7 +130,7 @@ fn decisions(
     let phy = PhyProfile::paper_default();
     let codes = GoldFamily::new(5).unwrap().codes(3).unwrap();
     let mut flow = RxFlowgraph::new(codes, phy, ReceiverConfig::default(), runtime);
-    let source = source_for(per_stream, runtime.block_size);
+    let source = source_for(per_stream);
     let mut got: Vec<Vec<RxReport>> = vec![Vec::new(); per_stream.len()];
     let mut next_seq = vec![0u64; per_stream.len()];
     flow.run_with_sink(source, |result| {
@@ -118,34 +146,21 @@ fn decisions(
 }
 
 #[test]
-fn jittered_sink_decisions_match_inline() {
+fn jittered_sink_decisions_match_monolithic_receive() {
     let phy = PhyProfile::paper_default();
     let codes = GoldFamily::new(5).unwrap().codes(3).unwrap();
     let per_stream = stress_captures(0x5EED_CB3A, 3, 6, &codes, &phy);
-    let inline = decisions(
-        &per_stream,
-        RuntimeConfig {
-            block_size: 512,
-            ring_capacity: 2,
-            scheduler: Scheduler::Inline,
-        },
-        None,
-    );
+    let expected = monolithic(&per_stream);
     for workers in [2usize, 4] {
-        let runtime = RuntimeConfig {
-            block_size: 512,
-            ring_capacity: 2,
-            scheduler: Scheduler::WorkStealing {
-                workers,
-                pin: false,
-            },
-        };
         let got = decisions(
             &per_stream,
-            runtime,
+            pool(workers, 2),
             Some(Rng(0xA5A5_0000 + workers as u64)),
         );
-        assert_eq!(got, inline, "workers={workers} diverged from inline");
+        assert_eq!(
+            got, expected,
+            "workers={workers} diverged from Receiver::receive"
+        );
     }
 }
 
@@ -154,30 +169,15 @@ fn capacity_one_parks_idle_workers_on_the_condvar() {
     // The tightest configuration: one capture in flight per stream, so
     // two streams keep at most two of the four workers busy and the rest
     // sleep on the capture queue's condvar. Decisions must still match
-    // Inline, and the run must actually have exercised the parking path.
+    // `Receiver::receive`, and the run must actually have exercised the
+    // parking path.
     let phy = PhyProfile::paper_default();
     let codes = GoldFamily::new(5).unwrap().codes(3).unwrap();
     let per_stream = stress_captures(0xC0FFEE, 2, 4, &codes, &phy);
-    let inline = decisions(
-        &per_stream,
-        RuntimeConfig {
-            block_size: 96,
-            ring_capacity: 1,
-            scheduler: Scheduler::Inline,
-        },
-        None,
-    );
+    let expected = monolithic(&per_stream);
 
-    let runtime = RuntimeConfig {
-        block_size: 96,
-        ring_capacity: 1,
-        scheduler: Scheduler::WorkStealing {
-            workers: 4,
-            pin: false,
-        },
-    };
-    let mut flow = RxFlowgraph::new(codes, phy, ReceiverConfig::default(), runtime);
-    let source = source_for(&per_stream, 96);
+    let mut flow = RxFlowgraph::new(codes, phy, ReceiverConfig::default(), pool(4, 1));
+    let source = source_for(&per_stream);
     let mut got: Vec<Vec<RxReport>> = vec![Vec::new(); per_stream.len()];
     let mut rng = Rng(0x0BAD_5EED);
     let stats = flow
@@ -188,9 +188,14 @@ fn capacity_one_parks_idle_workers_on_the_condvar() {
             got[result.stream].push(result.report);
         })
         .unwrap();
-    assert_eq!(got, inline, "capacity-1 worksteal diverged from inline");
+    assert_eq!(
+        got, expected,
+        "capacity-1 pool diverged from Receiver::receive"
+    );
     assert!(stats.parks > 0, "no worker ever parked: {stats:?}");
     assert_eq!(stats.captures, 8);
+    // Every capture came off the shared queue.
+    assert_eq!(stats.steals, 8, "{stats:?}");
 }
 
 #[test]
@@ -199,17 +204,9 @@ fn worker_spans_nest_stage_runs_under_the_flowgraph_root() {
     let codes = GoldFamily::new(5).unwrap().codes(3).unwrap();
     let per_stream = stress_captures(0x7ACE, 2, 3, &codes, &phy);
     let tracer = Tracer::new(8192);
-    let runtime = RuntimeConfig {
-        block_size: 1024,
-        ring_capacity: 2,
-        scheduler: Scheduler::WorkStealing {
-            workers: 2,
-            pin: false,
-        },
-    };
-    let mut flow = RxFlowgraph::new(codes, phy, ReceiverConfig::default(), runtime);
+    let mut flow = RxFlowgraph::new(codes, phy, ReceiverConfig::default(), pool(2, 2));
     flow.attach_tracer(&tracer);
-    let source = source_for(&per_stream, 1024);
+    let source = source_for(&per_stream);
     flow.run(source).unwrap();
 
     let spans = tracer.spans();
@@ -243,45 +240,4 @@ fn worker_spans_nest_stage_runs_under_the_flowgraph_root() {
     let json = tracer.chrome_trace(None);
     assert!(json.contains("\"traceEvents\""));
     assert!(json.contains("worker"));
-}
-
-#[test]
-fn pool_counters_reach_the_metrics_registry() {
-    let phy = PhyProfile::paper_default();
-    let codes = GoldFamily::new(5).unwrap().codes(3).unwrap();
-    let per_stream = stress_captures(0x900D, 2, 4, &codes, &phy);
-    let registry = MetricsRegistry::new();
-    let runtime = RuntimeConfig {
-        block_size: 512,
-        ring_capacity: 2,
-        // One worker: every capture comes off the shared queue, so the
-        // counters are non-zero even in the degenerate pool.
-        scheduler: Scheduler::WorkStealing {
-            workers: 1,
-            pin: false,
-        },
-    };
-    let mut flow = RxFlowgraph::new(codes, phy, ReceiverConfig::default(), runtime);
-    flow.attach_metrics(&registry);
-    let source = source_for(&per_stream, 512);
-    let output = flow.run(source).unwrap();
-
-    assert!(output.stats.steals > 0, "{:?}", output.stats);
-
-    let snap = registry.snapshot();
-    assert_eq!(
-        snap.counters["cbma.rx.runtime.worker.steal_count"],
-        output.stats.steals
-    );
-    assert!(
-        snap.gauges["cbma.rx.runtime.pool_utilization"] > 0.0,
-        "pool utilization gauge never set"
-    );
-    // Placement metrics are volatile: the manifest projection strips
-    // them (locked on the obs side; double-checked here end-to-end).
-    let stable = snap.without_volatile();
-    assert!(!stable
-        .counters
-        .keys()
-        .any(|name| name.starts_with("cbma.rx.runtime.worker.")));
 }
