@@ -4,15 +4,18 @@
 //! campaign's checkpoint directory. On the next run the store replays
 //! matching checkpoints instead of recomputing, so an interrupted campaign
 //! resumes where it stopped. A checkpoint carries a header binding it to
-//! `(campaign, tier, root seed, replicates, rounds, schema)`; any mismatch
-//! — different seed, resized tier, renamed point — invalidates the file
-//! and the point is recomputed. Writes are atomic (`.tmp` + rename), so a
-//! kill mid-write never leaves a half checkpoint behind.
+//! `(campaign, tier, root seed, replicates, rounds, schema, build)`; any
+//! mismatch — different seed, resized tier, renamed point, rebuilt code —
+//! invalidates the file and the point is recomputed. Writes are atomic
+//! (`.tmp` + rename), so a kill mid-write never leaves a half checkpoint
+//! behind.
 
 use std::collections::BTreeMap;
 use std::fs;
-use std::io;
+use std::hash::{DefaultHasher, Hasher};
+use std::io::{self, BufRead};
 use std::path::{Path, PathBuf};
+use std::sync::OnceLock;
 
 use cbma::obs::json::JsonValue;
 
@@ -31,6 +34,33 @@ pub struct CheckpointHeader {
     pub replicates: u64,
     /// Rounds per replicate.
     pub rounds: u64,
+    /// The build that computes the points: a hash of the running
+    /// executable, which the runner computes once per process when it
+    /// opens a store. `None` matches no checkpoint, so nothing is
+    /// replayed.
+    pub build: Option<u64>,
+}
+
+/// A hash of the running executable's bytes, computed once per process,
+/// or `None` if the executable cannot be read. Checkpoints bind to it, so
+/// a rebuilt harness or test binary recomputes every point instead of
+/// replaying numbers an earlier build wrote.
+pub(crate) fn build_fingerprint() -> Option<u64> {
+    static FINGERPRINT: OnceLock<Option<u64>> = OnceLock::new();
+    *FINGERPRINT.get_or_init(|| {
+        let exe = fs::File::open(std::env::current_exe().ok()?).ok()?;
+        let mut reader = io::BufReader::with_capacity(1 << 16, exe);
+        let mut hasher = DefaultHasher::new();
+        loop {
+            let chunk = reader.fill_buf().ok()?;
+            if chunk.is_empty() {
+                return Some(hasher.finish());
+            }
+            hasher.write(chunk);
+            let read = chunk.len();
+            reader.consume(read);
+        }
+    })
 }
 
 impl CheckpointHeader {
@@ -42,6 +72,9 @@ impl CheckpointHeader {
         o.insert("root_seed".into(), JsonValue::UInt(self.root_seed));
         o.insert("replicates".into(), JsonValue::UInt(self.replicates));
         o.insert("rounds".into(), JsonValue::UInt(self.rounds));
+        if let Some(build) = self.build {
+            o.insert("build".into(), JsonValue::UInt(build));
+        }
         JsonValue::Object(o)
     }
 
@@ -57,6 +90,7 @@ impl CheckpointHeader {
             && u64_eq("root_seed", self.root_seed)
             && u64_eq("replicates", self.replicates)
             && u64_eq("rounds", self.rounds)
+            && self.build.is_some_and(|build| u64_eq("build", build))
     }
 }
 
@@ -140,6 +174,7 @@ mod tests {
             root_seed: 7,
             replicates: 2,
             rounds: 5,
+            build: Some(11),
         }
     }
 
@@ -206,6 +241,44 @@ mod tests {
         // Original header still replays.
         assert!(store.load(0, "p0").is_some());
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn another_build_is_not_replayed() {
+        let dir = tmpdir("build");
+        let store = CheckpointStore::open(&dir, header()).unwrap();
+        store.store(&result(0, "p0")).unwrap();
+        // Same campaign, seed and sizes, written by another build.
+        let rebuilt = CheckpointStore::open(
+            &dir,
+            CheckpointHeader {
+                build: Some(12),
+                ..header()
+            },
+        )
+        .unwrap();
+        assert_eq!(rebuilt.load(0, "p0"), None);
+        // A build that could not fingerprint itself replays nothing, not
+        // even its own shards.
+        let unknown = CheckpointStore::open(
+            &dir,
+            CheckpointHeader {
+                build: None,
+                ..header()
+            },
+        )
+        .unwrap();
+        unknown.store(&result(1, "p1")).unwrap();
+        assert_eq!(unknown.load(1, "p1"), None);
+        assert!(store.load(0, "p0").is_some());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_running_build_has_a_stable_fingerprint() {
+        let first = build_fingerprint();
+        assert!(first.is_some(), "the test binary can read itself");
+        assert_eq!(build_fingerprint(), first);
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! tier, checkpointing under `<out>/.checkpoints/<campaign>/` and writing
 //! one `<out>/<campaign>.<tier>.json` manifest per campaign, after which
 //! it prints that campaign's table to stdout, one row per point.
-//! Re-running after an interruption resumes from the checkpoints;
-//! `--fresh` wipes them first.
+//! Re-running the same build after an interruption resumes from the
+//! checkpoints; a rebuilt harness recomputes them (they bind to a hash
+//! of the executable), and `--fresh` wipes them first.
 //!
 //! `--live` streams progress to a rolling `<out>/live.json` (atomically
 //! replaced, safe to poll) plus a stderr progress line, and verifies on

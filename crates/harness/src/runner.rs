@@ -22,7 +22,7 @@ use cbma::obs::MetricsRegistry;
 use cbma_types::SeedSequence;
 
 use crate::campaign::{Campaign, JobCtx};
-use crate::checkpoint::{CheckpointHeader, CheckpointStore};
+use crate::checkpoint::{self, CheckpointHeader, CheckpointStore};
 use crate::live::{LivePublisher, LiveUpdate};
 use crate::manifest::{CampaignManifest, Measurement, PointResult, SCHEMA_VERSION};
 
@@ -201,6 +201,7 @@ pub fn run_campaign(
                 root_seed: cfg.root_seed,
                 replicates: campaign.replicates as u64,
                 rounds: campaign.rounds as u64,
+                build: checkpoint::build_fingerprint(),
             },
         )?),
         None => None,

@@ -8,10 +8,12 @@
 //! not hurt, small clock offsets are tolerated while large ones are not,
 //! and OFDM excitation costs far more than duty-cycled interferers.
 //!
-//! Campaign results are checkpointed under `target/test-manifests/`, so
-//! repeated test runs (and the sibling `manifest.rs` suite) reuse
-//! completed points instead of recomputing them. Every assertion failure
-//! names the manifest file that contains the offending numbers.
+//! Campaign results are checkpointed under
+//! `target/test-manifests/.checkpoints/figures/`, so repeated runs of this
+//! test binary reuse completed points instead of recomputing them; a
+//! rebuilt binary recomputes them, because checkpoints bind to a hash of
+//! the executable. Every assertion failure names the manifest file that
+//! contains the offending numbers.
 
 use std::path::PathBuf;
 
@@ -30,7 +32,11 @@ fn fast_manifest(name: &str) -> (CampaignManifest, PathBuf) {
     let campaign = campaigns::by_name(name, Tier::Fast).expect("built-in campaign");
     let dir = manifest_dir();
     let cfg = RunnerConfig {
-        checkpoint_dir: Some(dir.join(".checkpoints").join(format!("{name}.fast"))),
+        checkpoint_dir: Some(
+            dir.join(".checkpoints")
+                .join("figures")
+                .join(format!("{name}.fast")),
+        ),
         ..RunnerConfig::default()
     };
     let manifest = run_campaign(&campaign, &cfg).expect("campaign runs");

@@ -23,7 +23,10 @@ fn fast_cfg(checkpoint_dir: Option<PathBuf>) -> RunnerConfig {
 #[test]
 fn manifest_round_trip_is_lossless() {
     let campaign = campaigns::by_name("fig12", Tier::Fast).unwrap();
-    let dir = manifest_dir().join(".checkpoints").join("fig12.fast");
+    let dir = manifest_dir()
+        .join(".checkpoints")
+        .join("manifest")
+        .join("fig12.fast");
     let manifest = run_campaign(&campaign, &fast_cfg(Some(dir))).unwrap();
 
     let text = manifest.to_json();
@@ -78,13 +81,17 @@ fn same_seed_runs_are_byte_identical() {
 #[test]
 fn interrupted_campaign_resumes_to_identical_bytes() {
     let campaign = campaigns::by_name("fig11", Tier::Fast).unwrap();
-    let shared = manifest_dir().join(".checkpoints").join("fig11.fast");
+    let shared = manifest_dir()
+        .join(".checkpoints")
+        .join("manifest")
+        .join("fig11.fast");
     let full = run_campaign(&campaign, &fast_cfg(Some(shared.clone()))).unwrap();
 
     // Simulate an interruption: copy the completed checkpoints, then lose
     // one shard and corrupt another (torn write).
     let resume_dir = manifest_dir()
         .join(".checkpoints")
+        .join("manifest")
         .join(format!("fig11.resume.{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&resume_dir);
     std::fs::create_dir_all(&resume_dir).unwrap();
