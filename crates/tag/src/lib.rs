@@ -35,14 +35,12 @@
 
 pub mod crc;
 pub mod encoder;
-pub mod energy;
 pub mod frame;
 pub mod impedance;
 pub mod modulator;
 pub mod phy;
 pub mod tag;
 
-pub use energy::{EnergyBudget, TagPowerModel};
 pub use frame::Frame;
 pub use impedance::{ImpedanceBank, ImpedanceState};
 pub use phy::PhyProfile;

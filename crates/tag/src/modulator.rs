@@ -75,15 +75,6 @@ pub fn spread_envelope_into(
     }
 }
 
-/// Fraction of time the tag reflects (its RF duty cycle) for a chip
-/// sequence — relevant to tag energy budgeting.
-pub fn reflect_duty(chips: &Bits) -> f64 {
-    if chips.is_empty() {
-        return 0.0;
-    }
-    chips.count_ones() as f64 / chips.len() as f64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,13 +131,6 @@ mod tests {
             }
             assert!(spread_envelope(&Bits::new(), code, 8).is_empty());
         }
-    }
-
-    #[test]
-    fn duty_cycle() {
-        assert_eq!(reflect_duty(&Bits::from_str("1010").unwrap()), 0.5);
-        assert_eq!(reflect_duty(&Bits::from_str("1111").unwrap()), 1.0);
-        assert_eq!(reflect_duty(&Bits::new()), 0.0);
     }
 
     #[test]

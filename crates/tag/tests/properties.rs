@@ -1,12 +1,10 @@
-//! Property-based tests for framing, CRC, impedance and energy.
+//! Property-based tests for framing, CRC and impedance.
 
 use cbma_tag::crc::crc16;
-use cbma_tag::energy::TagPowerModel;
 use cbma_tag::frame::{preamble_pattern, Frame, MAX_PAYLOAD};
 use cbma_tag::impedance::{ImpedanceBank, ImpedanceState};
 use cbma_tag::modulator::ook_envelope;
-use cbma_tag::phy::PhyProfile;
-use cbma_types::units::{Dbm, Hertz};
+use cbma_types::units::Hertz;
 use cbma_types::Bits;
 use proptest::prelude::*;
 
@@ -76,35 +74,5 @@ proptest! {
             let dg = bank.delta_gamma(state);
             prop_assert!((0.0..=2.0 + 1e-9).contains(&dg));
         }
-    }
-
-    /// Frame energy grows monotonically with payload size and never
-    /// exceeds the all-on bound.
-    #[test]
-    fn frame_energy_is_sane(
-        small in 0usize..32,
-        extra in 1usize..32,
-    ) {
-        let model = TagPowerModel::paper_default();
-        let phy = PhyProfile::paper_default();
-        let chips_small: Bits = (0..(small + 1) * 16).map(|i| (i % 2) as u8).collect();
-        let chips_large: Bits = (0..(small + extra + 1) * 16).map(|i| (i % 2) as u8).collect();
-        let e_small = model.frame_energy(&chips_small, &phy);
-        let e_large = model.frame_energy(&chips_large, &phy);
-        prop_assert!(e_large > e_small);
-        // Bound: all-on frame of the same length.
-        let duration = chips_large.len() as f64 / phy.chip_rate.get();
-        prop_assert!(e_large <= duration * (model.controller_w + model.reflect_w) + 1e-18);
-    }
-
-    /// Sustainable duty is monotone in the incident power.
-    #[test]
-    fn duty_is_monotone_in_power(p1 in -40.0f64..0.0, delta in 0.1f64..20.0) {
-        let model = TagPowerModel::paper_default();
-        let phy = PhyProfile::paper_default();
-        let chips: Bits = (0..512u32).map(|i| (i % 2) as u8).collect();
-        let low = model.sustainable_duty(Dbm::new(p1), &chips, &phy);
-        let high = model.sustainable_duty(Dbm::new(p1 + delta), &chips, &phy);
-        prop_assert!(high >= low - 1e-12);
     }
 }

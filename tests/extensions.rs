@@ -1,10 +1,8 @@
 //! Integration: reproduction extensions — grouping, SIC, sideband,
-//! energy budgeting, faults, mobility.
+//! faults, mobility.
 
-use cbma::codes::CodeFamily;
 use cbma::mac::{AccessScheme, GroupPlan, GroupedCbmaAccess};
 use cbma::prelude::*;
-use cbma::tag::{frame::Frame, PhyProfile, TagPowerModel};
 use rand::SeedableRng;
 
 fn balanced(n: usize) -> Vec<Point> {
@@ -96,32 +94,6 @@ fn single_sideband_extends_range() {
         ssb <= dsb,
         "single sideband should not lose to double: dsb {dsb}, ssb {ssb}"
     );
-}
-
-#[test]
-fn energy_budget_limits_weakly_powered_tags() {
-    let model = TagPowerModel::paper_default();
-    let phy = PhyProfile::paper_default();
-    let frame = Frame::new(vec![0xAA; 16]).unwrap();
-    let code = cbma::codes::TwoNcFamily::new(4).unwrap().code(0).unwrap();
-    let chips = cbma::tag::encoder::spread(&frame.to_bits(8), &code);
-
-    // Near the source the duty is unconstrained; far away it throttles.
-    assert_eq!(model.sustainable_duty(Dbm::new(-3.0), &chips, &phy), 1.0);
-    let weak = model.sustainable_duty(Dbm::new(-17.0), &chips, &phy);
-    assert!(weak < 1.0 && weak > 0.0, "weak-field duty {weak}");
-
-    // The budget enforces it frame by frame.
-    let e_frame = model.frame_energy(&chips, &phy);
-    let mut budget = cbma::tag::EnergyBudget::new(e_frame * 2.5);
-    assert!(budget.try_spend(e_frame));
-    assert!(budget.try_spend(e_frame));
-    assert!(
-        !budget.try_spend(e_frame),
-        "third frame must wait for harvest"
-    );
-    budget.harvest(model.harvest_power(Dbm::new(-10.0)), Seconds::new(10.0));
-    assert!(budget.try_spend(e_frame));
 }
 
 #[test]
