@@ -7,9 +7,10 @@
 //! ```
 //!
 //! Runs the selected campaigns (default: all built-ins) at the selected
-//! tier, checkpointing under `<out>/.checkpoints/<campaign>/` and writing
-//! one `<out>/<campaign>.<tier>.json` manifest per campaign, after which
-//! it prints that campaign's table to stdout, one row per point.
+//! tier, checkpointing under `<out>/.checkpoints/<campaign>.<tier>/`
+//! and writing one `<out>/<campaign>.<tier>.json` manifest per campaign,
+//! after which it prints that campaign's table to stdout, one row per
+//! point.
 //! Re-running the same build after an interruption resumes from the
 //! checkpoints; a rebuilt harness recomputes them (they bind to a hash
 //! of the executable), and `--fresh` wipes them first.
