@@ -36,6 +36,76 @@ fn scrambling_overlay(length: usize) -> Result<Bits> {
     Ok(overlay)
 }
 
+/// Appends `code`'s chips to `out` packed 64 to a word: chip k is bit
+/// k % 64 of word k / 64.
+fn pack_into(code: &Bits, out: &mut Vec<u64>) {
+    let first = out.len();
+    out.resize(first + code.len().div_ceil(64), 0);
+    for (k, &chip) in code.as_slice().iter().enumerate() {
+        out[first + k / 64] |= u64::from(chip) << (k % 64);
+    }
+}
+
+/// Writes every cyclic left rotation of the packed `length`-chip code
+/// `words` into `out`: rotation τ (chip k holds chip (k + τ) mod L) fills
+/// words `[τW, (τ + 1)W)`, W = `words.len()`. Each rotation shifts the
+/// one before it by one chip.
+fn rotations_into(words: &[u64], length: usize, out: &mut Vec<u64>) {
+    let w = words.len();
+    // Where the chip that wraps around lands in its word.
+    let top = length.min(64) - 1;
+    out.clear();
+    out.extend_from_slice(words);
+    for tau in 1..length {
+        let prev = (tau - 1) * w;
+        for i in 0..w {
+            let carry = out[prev + (i + 1) % w] & 1;
+            out.push(out[prev + i] >> 1 | carry << top);
+        }
+    }
+}
+
+/// The largest |periodic cross-correlation| of `a` against the rotations
+/// of a `length`-chip code (see [`rotations_into`]): at lag τ the ±1
+/// agreement is L − 2·popcount(a ⊕ rot(b, τ)).
+fn worst_cross(a: &[u64], rotations: &[u64], length: usize) -> u32 {
+    rotations
+        .chunks_exact(a.len())
+        .map(|rotated| {
+            let differ: u32 = a
+                .iter()
+                .zip(rotated)
+                .map(|(x, y)| (x ^ y).count_ones())
+                .sum();
+            (length as i64 - 2 * i64::from(differ)).unsigned_abs() as u32
+        })
+        .max()
+        .unwrap_or(0)
+}
+
+/// The worst cyclic cross-correlation of every pair of `codes` (all
+/// `length` chips long), as a symmetric row-major n × n table; the
+/// diagonal is left 0. Each pair is computed once, on packed chips.
+fn worst_cross_table(codes: &[Bits], length: usize) -> Vec<u32> {
+    let n = codes.len();
+    let w = length.div_ceil(64);
+    let mut packed = Vec::with_capacity(n * w);
+    for code in codes {
+        pack_into(code, &mut packed);
+    }
+    let mut table = vec![0u32; n * n];
+    let mut rotations = Vec::with_capacity(length * w);
+    for j in 1..n {
+        rotations_into(&packed[j * w..(j + 1) * w], length, &mut rotations);
+        for i in 0..j {
+            let worst = worst_cross(&packed[i * w..(i + 1) * w], &rotations, length);
+            table[i * n + j] = worst;
+            table[j * n + i] = worst;
+        }
+    }
+    table
+}
+
 /// The 2NC code family dimensioned for a target user count.
 #[derive(Debug, Clone)]
 pub struct TwoNcFamily {
@@ -73,43 +143,41 @@ impl TwoNcFamily {
         // (asynchronous tags see shifted cross-correlations, so a pair
         // with a high shifted cross aliases into each other).
         let mut pool: Vec<Bits> = rows[1..].iter().map(|r| r.xor(&overlay)).collect();
-        pool.sort_by_key(|c| {
-            let imbalance = (2 * c.count_ones() as i64 - length as i64).unsigned_abs();
-            (imbalance, c.to_string())
-        });
-        let max_cross = |a: &Bits, b: &Bits| -> i64 {
-            let ba = a.to_bipolar();
-            let bb = b.to_bipolar();
-            (0..length)
-                .map(|lag| {
-                    (0..length)
-                        .map(|k| (ba[k] * bb[(k + lag) % length]) as i64)
-                        .sum::<i64>()
-                        .abs()
-                })
-                .max()
-                .unwrap_or(0)
-        };
-        let mut codes: Vec<Bits> = Vec::with_capacity(pool.len());
+        // Every code has one length, so comparing the 0/1 chips orders
+        // them as comparing their printed strings would.
+        let imbalance = |c: &Bits| (2 * c.count_ones()).abs_diff(length);
+        pool.sort_by(|a, b| (imbalance(a), a.as_slice()).cmp(&(imbalance(b), b.as_slice())));
+        // Every pool code is admitted in the end, and each admission tests
+        // the candidate against every code admitted before it, so every
+        // pair's worst shifted cross is needed once: build them all up
+        // front.
+        let n = pool.len();
+        let cross = worst_cross_table(&pool, length);
+        let mut admitted: Vec<usize> = Vec::with_capacity(n);
+        let mut remaining: Vec<usize> = (0..n).collect();
         // Greedy: tighten admission to a shifted-cross bound of L/4,
         // relaxing in L/8 steps until the pool drains (capacity must stay
         // at 2N−1; the ordering just puts the good codes first).
-        let mut bound = (length / 4) as i64;
-        while !pool.is_empty() {
-            let mut admitted_any = false;
-            let mut i = 0;
-            while i < pool.len() {
-                if codes.iter().all(|c| max_cross(c, &pool[i]) <= bound) {
-                    codes.push(pool.remove(i));
-                    admitted_any = true;
-                } else {
-                    i += 1;
+        let mut bound = (length / 4) as u32;
+        while !remaining.is_empty() {
+            let before = remaining.len();
+            remaining.retain(|&candidate| {
+                let fits = admitted
+                    .iter()
+                    .all(|&code| cross[code * n + candidate] <= bound);
+                if fits {
+                    admitted.push(candidate);
                 }
-            }
-            if !admitted_any {
-                bound += (length / 8).max(1) as i64;
+                !fits
+            });
+            if remaining.len() == before {
+                bound += (length / 8).max(1) as u32;
             }
         }
+        let codes = admitted
+            .into_iter()
+            .map(|i| std::mem::take(&mut pool[i]))
+            .collect();
         Ok(TwoNcFamily { users, codes })
     }
 
@@ -268,5 +336,117 @@ mod tests {
         let family = TwoNcFamily::paper_default();
         assert_eq!(family.users(), 10);
         assert!(family.capacity() >= 10);
+    }
+
+    /// The scrambled pool of [`TwoNcFamily::new`] before ordering.
+    fn pool(length: usize) -> Vec<Bits> {
+        let overlay = scrambling_overlay(length).unwrap();
+        hadamard_rows(length).unwrap()[1..]
+            .iter()
+            .map(|r| r.xor(&overlay))
+            .collect()
+    }
+
+    /// Worst |periodic cross-correlation| straight from the ±1 chips, the
+    /// way the family was built before the packed table.
+    fn direct_worst_cross(a: &Bits, b: &Bits) -> u32 {
+        let (a, b) = (a.to_bipolar(), b.to_bipolar());
+        let l = a.len();
+        (0..l)
+            .map(|lag| {
+                let sum: f64 = (0..l).map(|k| a[k] * b[(k + lag) % l]).sum();
+                sum.abs() as u32
+            })
+            .max()
+            .unwrap()
+    }
+
+    #[test]
+    fn families_are_pinned_for_every_user_count_to_64() {
+        // FNV-1a over the chips of every code of every family, each code
+        // followed by a byte 2. The constant is what the family built
+        // before the packed table (one ±1 correlation per admission test)
+        // hashes to; ordering or admission drift changes it.
+        const PINNED: u64 = 0x2166_26e8_cee6_6425;
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        let mut fnv = |bytes: &[u8]| {
+            for &b in bytes {
+                hash ^= u64::from(b);
+                hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for users in 1..=64 {
+            let family = TwoNcFamily::new(users).unwrap();
+            for code in family.codes(family.capacity()).unwrap() {
+                fnv(code.bits().as_slice());
+                fnv(&[2]);
+            }
+        }
+        assert_eq!(hash, PINNED, "2nc families moved: {hash:#018x}");
+    }
+
+    #[test]
+    fn packed_table_agrees_with_direct_correlation_at_long_lengths() {
+        // L = 256 (65 users) and L = 1,024 (512 users, the longest
+        // overlay): several words per code, so the rotations carry chips
+        // across words. Eight codes spread over the pool are enough to
+        // cross every word boundary at some lag.
+        for length in [256, 1024] {
+            let pool = pool(length);
+            let sample: Vec<Bits> = pool.iter().step_by(pool.len() / 8 + 1).cloned().collect();
+            assert!(sample.len() >= 7);
+            let n = sample.len();
+            let table = worst_cross_table(&sample, length);
+            for i in 0..n {
+                assert_eq!(table[i * n + i], 0);
+                for j in 0..n {
+                    if i != j {
+                        assert_eq!(
+                            table[i * n + j],
+                            direct_worst_cross(&sample[i], &sample[j]),
+                            "L = {length}, codes {i} and {j}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+
+    /// Orthogonality at alignment over the family's first `users` codes,
+    /// and no code a cyclic shift of another (or of its complement) over
+    /// a sample of pairs: the properties the short families are tested
+    /// for above.
+    fn assert_long_family_properties(users: usize) {
+        let family = TwoNcFamily::new(users).unwrap();
+        let l = family.spreading_factor();
+        assert_eq!(l, (2 * users).next_power_of_two());
+        assert_eq!(family.capacity(), l - 1);
+        let codes = family.codes(users).unwrap();
+        for i in 0..codes.len() {
+            for j in i + 1..codes.len() {
+                assert_eq!(row_dot(codes[i].bits(), codes[j].bits()), 0, "({i},{j})");
+            }
+        }
+        for (i, j) in [(0, 1), (1, 0), (0, users - 1), (users / 2, users / 3)] {
+            for shift in 0..l {
+                let rotated = codes[j].bits().rotate_left(shift);
+                assert_ne!(codes[i].bits(), &rotated, "code {i} = code {j} <<< {shift}");
+                assert_ne!(codes[i].bits(), &rotated.complement());
+            }
+        }
+    }
+
+    #[test]
+    fn long_families_keep_their_properties() {
+        assert_long_family_properties(65);
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "fills a 1,023-code table; runs in the optimized test step"
+    )]
+    fn longest_family_keeps_its_properties() {
+        assert_long_family_properties(512);
     }
 }
