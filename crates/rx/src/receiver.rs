@@ -35,7 +35,6 @@
 use std::time::Instant;
 
 use cbma_codes::PnCode;
-use cbma_dsp::xcorr::RunningEnergy;
 use cbma_obs::trace::{SpanId, TraceId, Tracer};
 use cbma_obs::{Counter, Gauge, Histogram, MetricsRegistry};
 use cbma_tag::frame::Frame;
@@ -45,7 +44,7 @@ use cbma_types::Iq;
 use crate::ack::AckMessage;
 use crate::decoder::{DecodeOutcome, Decoder, DecoderKind};
 use crate::frame_sync::{FrameSync, SyncScratch};
-use crate::user_detect::{DetectScratch, DetectedUser, UserDetector};
+use crate::user_detect::{DetectScratch, DetectedUser, SegmentEnergy, UserDetector};
 
 /// Tunable receiver parameters.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -302,13 +301,14 @@ pub struct RxScratch {
     accepted_starts: Vec<usize>,
     /// Deduplicated phase-3 probe offsets (±1 chip around hypotheses).
     probe_offsets: Vec<usize>,
+    /// Each probe offset's segment energy, taken by the first code probed
+    /// there and reused by the rest (`None` until then).
+    probe_energy: Vec<Option<SegmentEnergy>>,
     /// SIC working copy of the capture.
     residual: Vec<Iq>,
     /// SIC's reconstruction of the user being cancelled
     /// ([`crate::sic::reconstruct_envelope_into`]).
     sic_envelope: Vec<f64>,
-    /// Envelope prefix sums for [`crate::sic::cancel_user_in`].
-    env_energy: RunningEnergy,
 }
 
 impl RxScratch {
@@ -322,9 +322,9 @@ impl RxScratch {
             accepted: Vec::new(),
             accepted_starts: Vec::new(),
             probe_offsets: Vec::new(),
+            probe_energy: Vec::new(),
             residual: Vec::new(),
             sic_envelope: Vec::new(),
-            env_energy: RunningEnergy::default(),
         }
     }
 
@@ -351,9 +351,9 @@ impl RxScratch {
             + self.accepted.capacity() * std::mem::size_of::<Option<usize>>()
             + self.accepted_starts.capacity() * std::mem::size_of::<usize>()
             + self.probe_offsets.capacity() * std::mem::size_of::<usize>()
+            + self.probe_energy.capacity() * std::mem::size_of::<Option<SegmentEnergy>>()
             + self.residual.capacity() * std::mem::size_of::<Iq>()
             + self.sic_envelope.capacity() * std::mem::size_of::<f64>()
-            + self.env_energy.capacity_bytes()
     }
 }
 
@@ -561,21 +561,16 @@ impl Receiver {
         let mut residual = std::mem::take(&mut self.scratch.residual);
         residual.clear();
         residual.extend_from_slice(samples);
-        let RxScratch {
-            sic_envelope,
-            env_energy,
-            ..
-        } = &mut self.scratch;
+        let sic_envelope = &mut self.scratch.sic_envelope;
         for user in report.users.iter().filter(|u| u.outcome.is_frame()) {
             let frame = user.outcome.frame().expect("filtered to frames");
             let code = &self.codes[user.detection.code_index];
             crate::sic::reconstruct_envelope_into(frame, code, &self.phy, sic_envelope);
-            crate::sic::cancel_user_in(
+            crate::sic::cancel_user(
                 &mut residual,
                 user.detection.start,
                 sic_envelope,
                 code.len() * spc,
-                env_energy,
             );
         }
         if !residual.is_empty() {
@@ -729,6 +724,7 @@ impl Receiver {
             accepted,
             accepted_starts,
             probe_offsets,
+            probe_energy,
             ..
         } = &mut self.scratch;
         telemetry.candidates_evaluated = candidates.iter().map(Vec::len).sum();
@@ -833,13 +829,21 @@ impl Receiver {
                 }
             }
         }
+        // Every offset's segment energy is the same for every code probed
+        // there, so the first code to probe an offset takes it for all.
+        probe_energy.clear();
+        probe_energy.resize(probe_offsets.len(), None);
         for c in 0..decoded.len() {
             if accepted[c].is_some() {
                 continue;
             }
-            'probe: for &off in probe_offsets.iter() {
+            'probe: for (&off, energy) in probe_offsets.iter().zip(probe_energy.iter_mut()) {
                 telemetry.probes_attempted += 1;
-                let Some(det) = self.detector.probe(samples, off, c) else {
+                if energy.is_none() {
+                    *energy = self.detector.segment_energy(samples, off);
+                }
+                let Some(det) = energy.and_then(|e| self.detector.probe_with(samples, off, c, e))
+                else {
                     continue;
                 };
                 // The probe must still clear the user-detection threshold

@@ -18,7 +18,6 @@
 
 use cbma_codes::PnCode;
 use cbma_dsp::simd;
-use cbma_dsp::xcorr::RunningEnergy;
 use cbma_tag::frame::Frame;
 use cbma_tag::modulator::spread_envelope_into;
 use cbma_tag::phy::PhyProfile;
@@ -56,35 +55,14 @@ pub fn reconstruct_envelope_into(
 /// by complex least squares: ĝ = ⟨s, e⟩ / ⟨e, e⟩ over the window, which
 /// absorbs the per-window phase drift of the tag's subcarrier beat.
 /// Windows where the envelope carries no energy (all-zero chips) are left
-/// untouched.
+/// untouched. ⟨e, e⟩ is the window's own Σe², summed in four lanes: for
+/// the 0/1 envelopes [`reconstruct_envelope`] builds that is the exact
+/// count of on samples, and for any other envelope it is that direct sum,
+/// rounded as its lanes add up.
 ///
 /// Returns the mean cancelled power per affected sample (diagnostic).
 pub fn cancel_user(samples: &mut [Iq], start: usize, envelope: &[f64], window: usize) -> f64 {
-    cancel_user_in(
-        samples,
-        start,
-        envelope,
-        window,
-        &mut RunningEnergy::default(),
-    )
-}
-
-/// [`cancel_user`] with a caller-owned prefix-sum arena: `env_energy` is
-/// rebuilt in place (grow-only) instead of allocated per capture, so a
-/// receiver cancelling users every capture performs no SIC-side heap
-/// traffic beyond the reconstruction itself.
-pub fn cancel_user_in(
-    samples: &mut [Iq],
-    start: usize,
-    envelope: &[f64],
-    window: usize,
-    env_energy: &mut RunningEnergy,
-) -> f64 {
     assert!(window > 0, "window must be non-zero");
-    // One prefix-sum pass over the envelope gives every window's ⟨e, e⟩
-    // in O(1) instead of a per-window summation; only the power prefix
-    // is read.
-    env_energy.rebuild_power_real(envelope);
     let mut cancelled_power = 0.0;
     let mut affected = 0usize;
     let mut pos = 0usize;
@@ -98,7 +76,7 @@ pub fn cancel_user_in(
         let seg_env = &envelope[pos..pos + (s_hi - s_lo)];
         let seg = &mut samples[s_lo..s_hi];
 
-        let energy = env_energy.power(pos, s_hi - s_lo);
+        let energy = window_energy(seg_env);
         if energy > 0.0 {
             let gain = simd::dot_iq_real(seg, seg_env) / energy;
             // Σ|gain·e|² = |gain|²·Σe², so the cancelled power needs no
@@ -114,6 +92,20 @@ pub fn cancel_user_in(
     } else {
         cancelled_power / affected as f64
     }
+}
+
+/// Σe² over one window, summed in four interleaved lanes so the adds do
+/// not wait on each other.
+fn window_energy(envelope: &[f64]) -> f64 {
+    let mut lanes = [0.0f64; 4];
+    let mut quads = envelope.chunks_exact(4);
+    for quad in &mut quads {
+        for (lane, &e) in lanes.iter_mut().zip(quad) {
+            *lane += e * e;
+        }
+    }
+    let tail: f64 = quads.remainder().iter().map(|e| e * e).sum();
+    (lanes[0] + lanes[1]) + (lanes[2] + lanes[3]) + tail
 }
 
 #[cfg(test)]
@@ -210,6 +202,77 @@ mod tests {
             residual < weak_power * 10.0,
             "residual {residual:e} still dominated by the strong user"
         );
+    }
+
+    /// `cancel_user` as it was with a prefix sum of e² over the whole
+    /// envelope, one difference of two prefix entries per window.
+    fn cancel_user_by_prefix(
+        samples: &mut [Iq],
+        start: usize,
+        envelope: &[f64],
+        window: usize,
+    ) -> f64 {
+        let mut prefix = vec![0.0];
+        let mut sq = 0.0;
+        for &v in envelope {
+            sq += v * v;
+            prefix.push(sq);
+        }
+        let (mut cancelled_power, mut affected, mut pos) = (0.0, 0usize, 0usize);
+        while pos < envelope.len() {
+            let end = (pos + window).min(envelope.len());
+            let s_lo = start + pos;
+            if s_lo >= samples.len() {
+                break;
+            }
+            let s_hi = (start + end).min(samples.len());
+            let seg_env = &envelope[pos..pos + (s_hi - s_lo)];
+            let seg = &mut samples[s_lo..s_hi];
+            let energy = prefix[pos + seg_env.len()] - prefix[pos];
+            if energy > 0.0 {
+                let gain = simd::dot_iq_real(seg, seg_env) / energy;
+                cancelled_power += gain.power() * energy;
+                simd::subtract_scaled_real(seg, seg_env, gain);
+                affected += seg_env.len();
+            }
+            pos = end;
+        }
+        if affected == 0 {
+            0.0
+        } else {
+            cancelled_power / affected as f64
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// On 0/1 envelopes every window energy is an exact integer, so
+        /// summing each window directly leaves the residual of the prefix
+        /// sums bit for bit, including windows cut short by the capture.
+        #[test]
+        fn window_sums_leave_the_prefix_sum_residual(
+            chips in proptest::collection::vec(0u8..2, 1..600),
+            window in 1usize..300,
+            start in 0usize..64,
+            extra in 0usize..700,
+            seed in proptest::prelude::any::<u64>(),
+        ) {
+            use rand::{rngs::StdRng, Rng, SeedableRng};
+            let envelope: Vec<f64> = chips.iter().map(|&c| f64::from(c)).collect();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let capture: Vec<Iq> = (0..start + extra)
+                .map(|_| Iq::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5))
+                .collect();
+            let mut direct = capture.clone();
+            let mut prefix = capture;
+            let a = cancel_user(&mut direct, start, &envelope, window);
+            let b = cancel_user_by_prefix(&mut prefix, start, &envelope, window);
+            proptest::prop_assert_eq!(a.to_bits(), b.to_bits());
+            for (x, y) in direct.iter().zip(&prefix) {
+                proptest::prop_assert_eq!((x.re.to_bits(), x.im.to_bits()), (y.re.to_bits(), y.im.to_bits()));
+            }
+        }
     }
 
     #[test]

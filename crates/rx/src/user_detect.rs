@@ -85,27 +85,18 @@ impl DetectScratch {
     }
 }
 
-/// Correlation of the mean-removed envelope of `seg` against `reference`,
-/// plus the mean-removed envelope's energy (for normalization).
-///
-/// Single fused pass: Σ(|s|−mean)·r = Σ|s|·r − mean·Σr and
-/// Σ(|s|−mean)² = Σ|s|² − n·mean², so one traversal accumulating
-/// (Σ|s|, Σ|s|², Σ|s|·r, Σr) replaces the old mean pass + correlation
-/// pass.
-fn envelope_correlation(seg: &[Iq], reference: &[f64]) -> (f64, f64) {
-    let n = seg.len() as f64;
-    let (mut sum_abs, mut sum_sq, mut dot_sr, mut ref_sum) = (0.0, 0.0, 0.0, 0.0);
-    for (s, &r) in seg.iter().zip(reference) {
-        let a = s.abs();
-        sum_abs += a;
-        sum_sq += a * a;
-        dot_sr += a * r;
-        ref_sum += r;
-    }
-    let mean = sum_abs / n;
-    let corr = dot_sr - mean * ref_sum;
-    let energy = (sum_sq - n * mean * mean).max(0.0);
-    (corr, energy)
+/// The code-independent half of a probe's normalization at one offset:
+/// the segment energy [`UserDetector::probe`] sums over the reference
+/// span, which is the same for every code probed there. The receiver
+/// takes it once per probe offset ([`UserDetector::segment_energy`]) and
+/// hands it to [`UserDetector::probe_with`] for each code.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SegmentEnergy {
+    /// Mean |s| over the span (envelope mode; 0 in coherent mode).
+    mean_abs: f64,
+    /// Σ|s|² (coherent), or the mean-removed envelope energy
+    /// Σ(|s|−mean)² = Σ|s|² − n·mean² (envelope).
+    energy: f64,
 }
 
 /// A user found in the received frame.
@@ -383,23 +374,64 @@ impl UserDetector {
     /// true start may not be a local maximum — but it can be probed
     /// directly from a timing hypothesis.
     pub fn probe(&self, samples: &[Iq], start: usize, code_index: usize) -> Option<DetectedUser> {
+        let energy = self.segment_energy(samples, start)?;
+        self.probe_with(samples, start, code_index, energy)
+    }
+
+    /// The segment energy a probe at `start` normalizes by, for whichever
+    /// code it probes; `None` when the buffer is too short.
+    pub(crate) fn segment_energy(&self, samples: &[Iq], start: usize) -> Option<SegmentEnergy> {
+        let seg = samples.get(start..start + self.reference_len())?;
+        Some(match self.kind {
+            DecoderKind::Coherent => SegmentEnergy {
+                mean_abs: 0.0,
+                energy: seg.iter().map(|s| s.power()).sum(),
+            },
+            DecoderKind::Envelope => {
+                let n = seg.len() as f64;
+                let (mut sum_abs, mut sum_sq) = (0.0, 0.0);
+                for s in seg {
+                    let a = s.abs();
+                    sum_abs += a;
+                    sum_sq += a * a;
+                }
+                let mean = sum_abs / n;
+                SegmentEnergy {
+                    mean_abs: mean,
+                    energy: (sum_sq - n * mean * mean).max(0.0),
+                }
+            }
+        })
+    }
+
+    /// [`UserDetector::probe`] with the segment energy at `start` already
+    /// taken ([`UserDetector::segment_energy`] on the same samples and
+    /// offset): the result is bit-identical, and only the code-dependent
+    /// correlation is computed.
+    pub(crate) fn probe_with(
+        &self,
+        samples: &[Iq],
+        start: usize,
+        code_index: usize,
+        energy: SegmentEnergy,
+    ) -> Option<DetectedUser> {
         let reference = &self.references[code_index];
-        if start + reference.len() > samples.len() {
-            return None;
-        }
-        let seg = &samples[start..start + reference.len()];
-        let ref_energy = self.ref_energy[code_index];
+        let seg = samples.get(start..start + reference.len())?;
         // One IQ correlation serves both the coherent statistic and the
         // channel-gain estimate.
         let corr = correlate_iq_bipolar(seg, reference);
-        let (c, seg_energy) = match self.kind {
-            DecoderKind::Coherent => (corr.abs(), seg.iter().map(|s| s.power()).sum()),
+        let c = match self.kind {
+            DecoderKind::Coherent => corr.abs(),
             DecoderKind::Envelope => {
-                let (corr, energy) = envelope_correlation(seg, reference);
-                (corr.abs(), energy)
+                // Σ(|s|−mean)·r = Σ|s|·r − mean·Σr.
+                let mut dot_sr = 0.0;
+                for (s, &r) in seg.iter().zip(reference) {
+                    dot_sr += s.abs() * r;
+                }
+                (dot_sr - energy.mean_abs * self.ref_sum[code_index]).abs()
             }
         };
-        let denom = (seg_energy * ref_energy).sqrt();
+        let denom = (energy.energy * self.ref_energy[code_index]).sqrt();
         Some(DetectedUser {
             code_index,
             start,
@@ -623,6 +655,81 @@ mod tests {
         let codes = family.codes(1).unwrap();
         let det = UserDetector::new(&codes, &phy(), 0.5);
         assert!(det.detect_in(&[Iq::ONE; 10], 0).is_empty());
+    }
+
+    /// The probe before segment energies were shared: one fused pass per
+    /// code over the segment, as the receiver ran it for every code.
+    fn fused_probe(det: &UserDetector, samples: &[Iq], start: usize, idx: usize) -> DetectedUser {
+        let reference = &det.references[idx];
+        let seg = &samples[start..start + reference.len()];
+        let corr = correlate_iq_bipolar(seg, reference);
+        let (c, seg_energy) = match det.kind {
+            DecoderKind::Coherent => (corr.abs(), seg.iter().map(|s| s.power()).sum()),
+            DecoderKind::Envelope => {
+                let n = seg.len() as f64;
+                let (mut sum_abs, mut sum_sq, mut dot_sr, mut ref_sum) = (0.0, 0.0, 0.0, 0.0);
+                for (s, &r) in seg.iter().zip(reference) {
+                    let a = s.abs();
+                    sum_abs += a;
+                    sum_sq += a * a;
+                    dot_sr += a * r;
+                    ref_sum += r;
+                }
+                let mean = sum_abs / n;
+                let energy: f64 = (sum_sq - n * mean * mean).max(0.0);
+                ((dot_sr - mean * ref_sum).abs(), energy)
+            }
+        };
+        let denom = (seg_energy * det.ref_energy[idx]).sqrt();
+        DetectedUser {
+            code_index: idx,
+            start,
+            correlation: if denom > 0.0 { c / denom } else { 0.0 },
+            channel_gain: det.gain_estimate(corr, idx),
+        }
+    }
+
+    fn bits_of(u: &DetectedUser) -> (usize, usize, u64, u64, u64) {
+        let g = u.channel_gain;
+        (
+            u.code_index,
+            u.start,
+            u.correlation.to_bits(),
+            g.re.to_bits(),
+            g.im.to_bits(),
+        )
+    }
+
+    #[test]
+    fn one_segment_energy_serves_every_code_bit_for_bit() {
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let family = GoldFamily::new(5).unwrap();
+        let codes = family.codes(4).unwrap();
+        let mut rng = StdRng::seed_from_u64(11);
+        // The two asynchronous users of `two_users` under noise, then a
+        // silent stretch where the segment energy is exactly zero.
+        let mut buf = two_users(&codes);
+        buf.extend(vec![Iq::ZERO; 3000]);
+        for s in buf.iter_mut().take(2600) {
+            *s += Iq::new(rng.gen::<f64>() - 0.5, rng.gen::<f64>() - 0.5).scale(0.05);
+        }
+        for kind in [DecoderKind::Coherent, DecoderKind::Envelope] {
+            let det = UserDetector::with_kind(&codes, &phy(), 0.35, kind);
+            let len = det.reference_len();
+            for off in (0..buf.len() - len).step_by(37).chain([buf.len() - len]) {
+                let energy = det.segment_energy(&buf, off).unwrap();
+                for idx in 0..codes.len() {
+                    let shared = det.probe_with(&buf, off, idx, energy).unwrap();
+                    let alone = det.probe(&buf, off, idx).unwrap();
+                    let fused = fused_probe(&det, &buf, off, idx);
+                    assert_eq!(bits_of(&shared), bits_of(&fused), "{kind:?} @ {off}, {idx}");
+                    assert_eq!(bits_of(&alone), bits_of(&fused), "{kind:?} @ {off}, {idx}");
+                }
+            }
+            let past = buf.len() - len + 1;
+            assert!(det.segment_energy(&buf, past).is_none());
+            assert!(det.probe(&buf, past, 0).is_none());
+        }
     }
 
     #[test]
