@@ -89,10 +89,9 @@ fn main() {
     // it every capture, so the timed op is `detect_candidates_in` over a
     // warm arena — allocation-free by the `alloc_free` test's guarantee.
     let mut scratch = DetectScratch::new();
-    let mut out = Vec::new();
     let detect = time_case("user_detect_auto", || {
-        detector.detect_candidates_in(window, 350, 8, &mut scratch, &mut out, None);
-        out.len()
+        detector.detect_candidates_in(window, 350, 8, &[], &mut scratch, None);
+        scratch.candidates().len()
     });
     println!(
         "{:24} {:>12.0} ns/op  ({} iters)",

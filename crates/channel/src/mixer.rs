@@ -5,9 +5,10 @@
 //! §IV), rotated by an unknown static phase, spread by multipath, shifted
 //! by its clock offset — plus ambient interference and the noise floor.
 //! [`Mixer::combine_into`] produces that composite IQ stream, which is
-//! exactly what `cbma-rx` decodes; [`Mixer::begin`] and [`MixPass::add`]
-//! produce it with the tags added a few at a time, so a caller needs only
-//! the envelopes of the tags it is adding.
+//! exactly what `cbma-rx` decodes; [`Mixer::noise_into`],
+//! [`Mixer::begin`] and [`MixPass::add`] produce it with the tags added a
+//! few at a time, so a caller needs only the envelopes of the tags it is
+//! adding.
 
 use std::ops::Range;
 
@@ -66,7 +67,7 @@ impl TagSignal {
     /// `envelope_len` samples long: the delay rounded up, the envelope
     /// and the echo tail. A caller that draws the channel before building
     /// the envelopes passes the longest over a round's tags to
-    /// [`Mixer::begin`].
+    /// [`Mixer::noise_into`].
     pub fn extent_of(&self, envelope_len: usize) -> usize {
         self.delay_samples.ceil() as usize + envelope_len + self.echo_tail()
     }
@@ -350,8 +351,9 @@ impl Mixer {
     /// into the same two buffers allocates nothing once they have grown;
     /// stale contents of either never reach the capture.
     ///
-    /// This is [`begin`](Mixer::begin) for the longest tag extent, then
-    /// one [`MixPass::add`] of every signal.
+    /// This is [`noise_into`](Mixer::noise_into) and
+    /// [`begin`](Mixer::begin) for the longest tag extent, then one
+    /// [`MixPass::add`] of every signal.
     ///
     /// # Panics
     ///
@@ -364,29 +366,38 @@ impl Mixer {
         scratch: &mut Vec<Iq>,
     ) {
         let body = signals.iter().map(TagSignal::extent).max().unwrap_or(0);
-        self.begin(rng, body, capture).add(signals, scratch);
+        self.noise_into(rng, body, capture);
+        self.begin(rng, capture).add(signals, scratch);
     }
 
-    /// Opens a capture for tags whose extents
+    /// Draws the noise floor of a capture for tags whose extents
     /// ([`TagSignal::extent_of`]) are at most `body` samples: `capture`
-    /// is cleared and refilled with `lead_in + body + tail` noise samples,
-    /// the interference is added and the excitation mask drawn, in that
-    /// order from `rng`. The tags then go in through [`MixPass::add`],
-    /// which draws nothing, so a caller can build each envelope just
-    /// before adding it.
+    /// is cleared and refilled with `lead_in + body + tail` noise samples.
+    /// These are a capture's first draws from `rng`;
+    /// [`begin`](Mixer::begin) continues it.
+    pub fn noise_into<R: Rng + ?Sized>(&self, rng: &mut R, body: usize, capture: &mut Vec<Iq>) {
+        let total = self.lead_in + body + self.tail;
+        self.noise.samples_into(rng, total, self.bandwidth, capture);
+    }
+
+    /// Opens a capture whose noise floor [`noise_into`](Mixer::noise_into)
+    /// drew: the interference is added and the excitation mask drawn, in
+    /// that order from `rng`. The tags then go in through
+    /// [`MixPass::add`], which draws nothing, so a caller can build each
+    /// envelope just before adding it.
     ///
     /// The interference waveform and excitation mask are allocated only
     /// when they are not trivially silent or always on: nothing under a
     /// tone on a clean channel.
-    pub fn begin<'c, R: Rng + ?Sized>(
-        &self,
-        rng: &mut R,
-        body: usize,
-        capture: &'c mut Vec<Iq>,
-    ) -> MixPass<'c> {
-        let total = self.lead_in + body + self.tail;
-
-        self.noise.samples_into(rng, total, self.bandwidth, capture);
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capture` is shorter than `lead_in + tail`.
+    pub fn begin<'c, R: Rng + ?Sized>(&self, rng: &mut R, capture: &'c mut [Iq]) -> MixPass<'c> {
+        let total = capture.len();
+        let body = total
+            .checked_sub(self.lead_in + self.tail)
+            .expect("the capture holds the lead-in and tail");
 
         // A clean channel draws nothing and would only add +0.0 to noise
         // samples, which are never ±0.

@@ -4,9 +4,9 @@
 //! one, seven or eight tags of the same length into a capture and a
 //! scratch that an earlier call has grown must make no heap allocation
 //! at all, whatever the tag count, and neither may adding them a pair at
-//! a time to a capture opened by `Mixer::begin`; the allocating
-//! `Mixer::combine` makes exactly two, the capture and one scratch for a
-//! pair of block buffers.
+//! a time to a capture opened by `Mixer::noise_into` and `Mixer::begin`;
+//! the allocating `Mixer::combine` makes exactly two, the capture and one
+//! scratch for a pair of block buffers.
 //!
 //! This file deliberately contains a single `#[test]`: the counter is
 //! process-global, and a sibling test running on another thread would
@@ -114,11 +114,9 @@ fn mixing_more_tags_allocates_nothing_more() {
     // Pair by pair into an opened capture, as the engine mixes.
     let body = tags.iter().map(|t| t.extent_of(t.envelope.len())).max();
     let (allocs, ()) = count_allocs(|| {
-        let mut pass = mixer.begin(
-            &mut StdRng::seed_from_u64(1),
-            body.unwrap_or(0),
-            &mut capture,
-        );
+        let mut rng = StdRng::seed_from_u64(1);
+        mixer.noise_into(&mut rng, body.unwrap_or(0), &mut capture);
+        let mut pass = mixer.begin(&mut rng, &mut capture);
         for pair in tags.chunks(2) {
             pass.add(pair, &mut scratch);
         }

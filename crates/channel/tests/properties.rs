@@ -217,7 +217,8 @@ proptest! {
             .unwrap_or(0);
         let mut rng = StdRng::seed_from_u64(seed);
         let (mut capture, mut scratch) = (Vec::new(), Vec::new());
-        let mut pass = mixer.begin(&mut rng, body, &mut capture);
+        mixer.noise_into(&mut rng, body, &mut capture);
+        let mut pass = mixer.begin(&mut rng, &mut capture);
         for piece in signals.chunks(per_add) {
             pass.add(piece, &mut scratch);
         }

@@ -557,12 +557,19 @@ impl BatchCorrelator {
     /// leaves zero lags. Steady-state calls are allocation-free once the
     /// scratch has reached its high-water size.
     ///
+    /// `skip` masks rows: code k's row is not computed, and reads zero,
+    /// when `skip[k]` is true. Codes past the end of the mask are kept,
+    /// so `&[]` computes every row. A row depends only on its own
+    /// reference, so every kept row is bit-identical to the unmasked
+    /// batch's.
+    ///
     /// `trace` is `(tracer, trace id, parent span)`: with it, each
     /// overlap-save block records an `fft_block` child span (arg = block
     /// index) under the parent; `None` costs one branch per block.
     pub fn correlate_iq_into(
         &self,
         samples: &[Iq],
+        skip: &[bool],
         scratch: &mut BatchScratch,
         trace: Option<(&Tracer, TraceId, SpanId)>,
     ) {
@@ -602,6 +609,9 @@ impl BatchCorrelator {
                 .expect("sized to plan");
             let valid = (lags - pos).min(block.block_out);
             for k in 0..self.codes {
+                if skip.get(k) == Some(&true) {
+                    continue;
+                }
                 let spec = &block.spectra[k * block.fft_size..(k + 1) * block.fft_size];
                 simd::spectrum_mul_to(&mut scratch.work, &scratch.win, spec);
                 block
@@ -682,7 +692,7 @@ mod tests {
             let samples = test_signal(n);
             let reference = test_reference(l);
             let xc = BatchCorrelator::new(&[&reference[..]]);
-            xc.correlate_iq_into(&samples, &mut scratch, None);
+            xc.correlate_iq_into(&samples, &[], &mut scratch, None);
             let fft = scratch.code(0);
             let direct = direct_sliding(&samples, &reference);
             assert_eq!(fft.len(), direct.len(), "n={n} l={l}");

@@ -100,7 +100,10 @@ proptest! {
     /// About 69 % of the drawn windows are longer than one block, which
     /// no receiver window is, so this is the engine's multi-block check.
     /// The detector has no other sliding correlation, so this is its
-    /// equivalence proof against direct dot products.
+    /// equivalence proof against direct dot products. A masked batch
+    /// (a random subset of rows skipped, as a SIC re-run skips decoded
+    /// codes) leaves every kept row bit-identical and every skipped row
+    /// zero.
     #[test]
     fn batch_rows_match_per_code_and_direct(
         seed in 0u64..1 << 48,
@@ -120,14 +123,24 @@ proptest! {
 
         let batch = BatchCorrelator::new(&references);
         let mut scratch = BatchScratch::new();
-        batch.correlate_iq_into(&samples, &mut scratch, None);
+        batch.correlate_iq_into(&samples, &[], &mut scratch, None);
         prop_assert_eq!(scratch.num_codes(), num_codes);
         prop_assert_eq!(scratch.lags(), samples.len() - ref_len + 1);
 
+        let skip: Vec<bool> = (0..num_codes).map(|_| rng.gen()).collect();
+        let mut masked = BatchScratch::new();
+        batch.correlate_iq_into(&samples, &skip, &mut masked, None);
+        prop_assert_eq!(masked.lags(), scratch.lags());
+
         let mut single = BatchScratch::new();
         for (k, reference) in references.iter().enumerate() {
-            BatchCorrelator::new(&[reference]).correlate_iq_into(&samples, &mut single, None);
+            BatchCorrelator::new(&[reference]).correlate_iq_into(&samples, &[], &mut single, None);
             let row = scratch.code(k);
+            if skip[k] {
+                prop_assert!(masked.code(k).iter().all(|c| *c == Iq::ZERO));
+            } else {
+                prop_assert_eq!(masked.code(k), row);
+            }
             // Bit-identical to the one-reference batch: both use the same
             // block sizing and the same butterflies, and a row never
             // reads another code's spectrum.
@@ -214,9 +227,9 @@ fn short_window_yields_empty_rows() {
     let mut scratch = BatchScratch::new();
     // Prime the scratch with a real pass first.
     let mut rng = StdRng::seed_from_u64(3);
-    batch.correlate_iq_into(&iqs(&mut rng, 200), &mut scratch, None);
+    batch.correlate_iq_into(&iqs(&mut rng, 200), &[], &mut scratch, None);
     assert!(scratch.lags() > 0);
-    batch.correlate_iq_into(&iqs(&mut rng, 31), &mut scratch, None);
+    batch.correlate_iq_into(&iqs(&mut rng, 31), &[], &mut scratch, None);
     assert_eq!(scratch.lags(), 0);
     assert!(scratch.code(0).is_empty());
     assert!(scratch.code(1).is_empty());
@@ -237,10 +250,10 @@ fn batch_scratch_reuse_is_pointer_stable() {
     let batch = BatchCorrelator::new(&references);
     let mut scratch = BatchScratch::new();
     let first = iqs(&mut rng, 400);
-    batch.correlate_iq_into(&first, &mut scratch, None);
+    batch.correlate_iq_into(&first, &[], &mut scratch, None);
     let ptr = scratch.storage_ptr();
     let second = iqs(&mut rng, 400);
-    batch.correlate_iq_into(&second, &mut scratch, None);
+    batch.correlate_iq_into(&second, &[], &mut scratch, None);
     assert_eq!(ptr, scratch.storage_ptr(), "row storage reallocated");
 }
 

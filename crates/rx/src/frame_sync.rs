@@ -90,11 +90,6 @@ impl FrameSync {
         det.detect(samples)
     }
 
-    /// Returns the first candidate edge, if any.
-    pub fn first_edge(&self, samples: &[Iq]) -> Option<EnergyEdge> {
-        self.detect(samples).into_iter().next()
-    }
-
     /// Returns the frame-start edge: the *earliest* edge whose post-edge
     /// power is at least 6 dB over its baseline and within 20 dB of the
     /// strongest edge in the buffer.
@@ -161,8 +156,8 @@ mod tests {
     fn finds_frame_start() {
         let buf = burst_buffer(0.01, 0.1, 200, 100);
         let sync = FrameSync::paper_default(32);
-        let edge = sync.first_edge(&buf).expect("edge expected");
-        assert_eq!(edge.index, 200);
+        let edges = sync.detect(&buf);
+        assert_eq!(edges.first().expect("edge expected").index, 200);
     }
 
     #[test]

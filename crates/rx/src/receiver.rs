@@ -66,12 +66,10 @@ pub struct ReceiverConfig {
     pub decoder_kind: DecoderKind,
     /// Successive-interference-cancellation passes (0 disables): after
     /// each pass, decoded users are reconstructed and subtracted, and the
-    /// whole receive (sync, detection, decoding and probing) re-runs on
-    /// the residual for every code. The merge keeps only new frames under
-    /// codes still missing a frame, whose payloads the report does not
-    /// already hold; what the re-run finds under decoded codes is
-    /// discarded. A receiver-side complement to the paper's tag-side
-    /// power control.
+    /// receive (sync, detection, decoding and probing) re-runs on the
+    /// residual for the codes the report still lacks; every frame it
+    /// accepts joins the report. A receiver-side complement to the
+    /// paper's tag-side power control.
     pub sic_passes: usize,
 }
 
@@ -124,9 +122,11 @@ pub struct RxTelemetry {
     /// Time in the whole SIC loop (reconstruction + cancellation +
     /// pipeline re-runs); 0 when SIC is disabled or skipped.
     pub sic_ns: u64,
-    /// Sync candidates that were decoded across all codes.
+    /// Sync candidates that were decoded across all codes (a SIC re-run
+    /// scans only the codes its report lacks).
     pub candidates_evaluated: usize,
-    /// Fine-alignment probe correlations attempted (phase 3).
+    /// Fine-alignment probe correlations attempted (phase 3; a SIC
+    /// re-run probes only the codes its report lacks).
     pub probes_attempted: usize,
     /// Codes reported as [`DecodeOutcome::Alias`].
     pub aliases_suppressed: usize,
@@ -290,8 +290,8 @@ impl RxMetrics {
 #[derive(Debug)]
 pub struct RxScratch {
     sync: SyncScratch,
+    /// Detection buffers and the per-code candidate lists.
     detect: DetectScratch,
-    candidates: Vec<Vec<DetectedUser>>,
     decoded: Vec<Vec<DecodedUser>>,
     /// `(code, candidate index)` pairs, sorted by descending correlation.
     order: Vec<(usize, usize)>,
@@ -304,6 +304,9 @@ pub struct RxScratch {
     /// Each probe offset's segment energy, taken by the first code probed
     /// there and reused by the rest (`None` until then).
     probe_energy: Vec<Option<SegmentEnergy>>,
+    /// Per code, whether the report a SIC re-run extends has decoded it:
+    /// the detection mask, all clear on a first pass.
+    skip: Vec<bool>,
     /// SIC working copy of the capture.
     residual: Vec<Iq>,
     /// SIC's reconstruction of the user being cancelled
@@ -316,13 +319,13 @@ impl RxScratch {
         RxScratch {
             sync: sync.scratch(),
             detect: DetectScratch::new(),
-            candidates: Vec::new(),
             decoded: Vec::new(),
             order: Vec::new(),
             accepted: Vec::new(),
             accepted_starts: Vec::new(),
             probe_offsets: Vec::new(),
             probe_energy: Vec::new(),
+            skip: Vec::new(),
             residual: Vec::new(),
             sic_envelope: Vec::new(),
         }
@@ -335,12 +338,6 @@ impl RxScratch {
     pub fn capacity_bytes(&self) -> usize {
         self.sync.capacity_bytes()
             + self.detect.capacity_bytes()
-            + self.candidates.capacity() * std::mem::size_of::<Vec<DetectedUser>>()
-            + self
-                .candidates
-                .iter()
-                .map(|v| v.capacity() * std::mem::size_of::<DetectedUser>())
-                .sum::<usize>()
             + self.decoded.capacity() * std::mem::size_of::<Vec<DecodedUser>>()
             + self
                 .decoded
@@ -352,6 +349,7 @@ impl RxScratch {
             + self.accepted_starts.capacity() * std::mem::size_of::<usize>()
             + self.probe_offsets.capacity() * std::mem::size_of::<usize>()
             + self.probe_energy.capacity() * std::mem::size_of::<Option<SegmentEnergy>>()
+            + self.skip.capacity()
             + self.residual.capacity() * std::mem::size_of::<Iq>()
             + self.sic_envelope.capacity() * std::mem::size_of::<f64>()
     }
@@ -508,7 +506,7 @@ impl Receiver {
                 span.id(),
             )
         });
-        let mut report = self.receive_once(samples, trace);
+        let mut report = self.receive_once(samples, &[], trace);
         self.apply_sic(samples, &mut report, trace);
         if let Some(metrics) = &self.metrics {
             metrics.record(&report);
@@ -547,8 +545,10 @@ impl Receiver {
     }
 
     /// One SIC pass: subtract every decoded user, re-run the pipeline on
-    /// the residual, and adopt newly decoded codes. Returns whether the
-    /// report changed.
+    /// the residual for the codes the report lacks, and adopt what it
+    /// decodes. The re-run scans and probes only those codes, and it
+    /// accepts no payload the report holds, so every frame it returns is
+    /// new. Returns whether the report changed.
     fn sic_pass(&mut self, samples: &[Iq], report: &mut RxReport, trace: TraceCtx) -> bool {
         let decoded_count = report.users.iter().filter(|u| u.outcome.is_frame()).count();
         if decoded_count == 0 || decoded_count == self.codes.len() {
@@ -578,27 +578,19 @@ impl Receiver {
                 residual.iter().map(|s| s.power()).sum::<f64>() / residual.len() as f64;
         }
 
-        let rerun = self.receive_once(&residual, trace);
+        let rerun = self.receive_once(&residual, &report.users, trace);
         self.scratch.residual = residual;
         report.telemetry.absorb(&rerun.telemetry);
         let mut changed = false;
         for new_user in rerun.users {
-            let Some(frame) = new_user.outcome.frame() else {
-                continue;
-            };
-            let code = new_user.detection.code_index;
-            // Skip a code the report has decoded and a payload it holds.
-            // The rerun accepts no payload under two codes, so the frames
-            // adopted below never match each other: checking the growing
-            // report equals checking the report the pass began with.
-            let known = report.users.iter().any(|u| {
-                u.outcome.frame().is_some_and(|f| {
-                    u.detection.code_index == code || f.payload() == frame.payload()
-                })
-            });
-            if known {
+            if !new_user.outcome.is_frame() {
                 continue;
             }
+            let code = new_user.detection.code_index;
+            debug_assert!(
+                !report.ack.acknowledges(code as u32),
+                "re-run decoded a held code"
+            );
             report.ack.insert(code as u32);
             if let Some(existing) = report
                 .users
@@ -647,11 +639,14 @@ impl Receiver {
         }
     }
 
-    /// Runs the detection/decode pipeline once (no SIC). `trace` is the
-    /// parent context the stage spans nest under — the capture span on
-    /// the first run, the `sic` span on cancellation re-runs, `None` when
-    /// no tracer is attached (one branch per stage).
-    fn receive_once(&mut self, samples: &[Iq], trace: TraceCtx) -> RxReport {
+    /// Runs the detection/decode pipeline once (no SIC). `held` are the
+    /// users of the report a SIC re-run extends (empty on a first pass):
+    /// their decoded codes are skipped, their starts join phase 3's timing
+    /// hypotheses, and their payloads count as accepted elsewhere. `trace`
+    /// is the parent context the stage spans nest under — the capture
+    /// span on the first run, the `sic` span on cancellation re-runs,
+    /// `None` when no tracer is attached (one branch per stage).
+    fn receive_once(&mut self, samples: &[Iq], held: &[DecodedUser], trace: TraceCtx) -> RxReport {
         let mut telemetry = RxTelemetry::default();
         match self.sync_capture(samples, &mut telemetry, trace) {
             SyncOutcome::NoEdge => RxReport {
@@ -664,69 +659,70 @@ impl Receiver {
                 ..RxReport::default()
             },
             SyncOutcome::Window(start, end) => {
-                self.detect_window(samples, start, end, &mut telemetry, trace);
-                self.decode_detected(samples, start, telemetry, trace)
+                self.detect_window(samples, start, end, held, &mut telemetry, trace);
+                self.decode_detected(samples, start, held, telemetry, trace)
             }
         }
     }
 
     /// The user-detection stage: correlates the search window
-    /// `[window_start, window_end)` against every code and fills the
-    /// per-code candidate lists in `self.scratch.candidates`, timing the
-    /// stage into `telemetry`.
+    /// `[window_start, window_end)` against every code `held` has not
+    /// decoded and fills the per-code candidate lists in
+    /// `self.scratch.detect`, timing the stage into `telemetry`.
     fn detect_window(
         &mut self,
         samples: &[Iq],
         window_start: usize,
         window_end: usize,
+        held: &[DecodedUser],
         telemetry: &mut RxTelemetry,
         trace: TraceCtx,
     ) {
         let window = &samples[window_start..window_end];
         let stage_start = Instant::now();
-        let RxScratch {
-            detect, candidates, ..
-        } = &mut self.scratch;
+        let RxScratch { detect, skip, .. } = &mut self.scratch;
+        skip.clear();
+        skip.resize(self.codes.len(), false);
+        for user in held.iter().filter(|u| u.outcome.is_frame()) {
+            skip[user.detection.code_index] = true;
+        }
         let detect_span = trace.map(|(t, tr, parent)| t.span(tr, Some(parent), "user_detect"));
         let detect_trace: TraceCtx = trace
             .zip(detect_span.as_ref())
             .map(|((t, tr, _), span)| (t, tr, span.id()));
-        self.detector.detect_candidates_in(
-            window,
-            window_start,
-            8,
-            detect,
-            candidates,
-            detect_trace,
-        );
+        self.detector
+            .detect_candidates_in(window, window_start, 8, skip, detect, detect_trace);
         drop(detect_span);
         telemetry.user_detect_ns = stage_start.elapsed().as_nanos().min(u64::MAX as u128) as u64;
     }
 
     /// The decode half of the pipeline: consumes the candidate lists in
-    /// `self.scratch.candidates` (filled by the detection stage) and runs
+    /// `self.scratch.detect` (filled by the detection stage) and runs
     /// candidate decoding, global alias resolution and the fine-alignment
-    /// probe fallback. Returns the assembled report with `frame_detected`
-    /// set.
+    /// probe fallback, taking what `held` decoded as accepted. Returns the
+    /// assembled report with `frame_detected` set.
     fn decode_detected(
         &mut self,
         samples: &[Iq],
         window_start: usize,
+        held: &[DecodedUser],
         mut telemetry: RxTelemetry,
         trace: TraceCtx,
     ) -> RxReport {
         let spc = self.phy.samples_per_chip();
         let back = (self.config.search_back_chips + self.leading_silence_chips) * spc;
         let RxScratch {
-            candidates,
+            detect,
             decoded,
             order,
             accepted,
             accepted_starts,
             probe_offsets,
             probe_energy,
+            skip,
             ..
         } = &mut self.scratch;
+        let candidates = detect.candidates();
         telemetry.candidates_evaluated = candidates.iter().map(Vec::len).sum();
         for det in candidates.iter().flatten() {
             if det.correlation > telemetry.peak_correlation {
@@ -798,7 +794,7 @@ impl Receiver {
                 .outcome
                 .frame()
                 .expect("only valid frames enter the order");
-            if !accepted_elsewhere(decoded, accepted, c, frame.payload()) {
+            if !accepted_elsewhere(decoded, accepted, held, c, frame.payload()) {
                 accepted[c] = Some(k);
             }
         }
@@ -808,13 +804,20 @@ impl Receiver {
         // so the correlation profile *dips* there and the peak-picking of
         // phase 1 can miss it entirely. Re-probe codes that still lack a
         // valid frame at timing hypotheses: the starts of accepted users
-        // (tags share coarse timing) and the search-window origin, each
-        // scanned over ±1 chip.
+        // (tags share coarse timing; in code order, a held user's start
+        // in its code's place) and the search-window origin, each scanned
+        // over ±1 chip.
         accepted_starts.clear();
         for (c, k) in accepted.iter().enumerate() {
-            if let Some(k) = k {
-                accepted_starts.push(decoded[c][*k].detection.start);
-            }
+            let start = match k {
+                Some(k) => Some(decoded[c][*k].detection.start),
+                None if skip[c] => held
+                    .iter()
+                    .find(|u| u.detection.code_index == c && u.outcome.is_frame())
+                    .map(|u| u.detection.start),
+                None => None,
+            };
+            accepted_starts.extend(start);
         }
         // The hypothesis set (accepted starts + window origin) and the
         // ±1-chip offsets derived from it are identical for every still-
@@ -834,7 +837,7 @@ impl Receiver {
         probe_energy.clear();
         probe_energy.resize(probe_offsets.len(), None);
         for c in 0..decoded.len() {
-            if accepted[c].is_some() {
+            if accepted[c].is_some() || skip[c] {
                 continue;
             }
             'probe: for (&off, energy) in probe_offsets.iter().zip(probe_energy.iter_mut()) {
@@ -858,7 +861,7 @@ impl Receiver {
                     self.decoders[c].decode_frame(samples, det.start, det.channel_gain);
                 if outcome
                     .frame()
-                    .is_some_and(|f| !accepted_elsewhere(decoded, accepted, c, f.payload()))
+                    .is_some_and(|f| !accepted_elsewhere(decoded, accepted, held, c, f.payload()))
                 {
                     // Record as an extra accepted candidate.
                     decoded[c].push(DecodedUser {
@@ -912,19 +915,26 @@ impl Receiver {
 }
 
 /// Whether `payload` is the frame accepted under some code other than
-/// `code`, where `accepted` holds each code's accepted index into its
-/// `decoded` list.
+/// `code`: in this run, where `accepted` holds each code's accepted index
+/// into its `decoded` list, or in the report it extends (`held`, whose
+/// codes the run skips).
 fn accepted_elsewhere(
     decoded: &[Vec<DecodedUser>],
     accepted: &[Option<usize>],
+    held: &[DecodedUser],
     code: usize,
     payload: &[u8],
 ) -> bool {
-    accepted.iter().enumerate().any(|(c, k)| {
+    let is_payload = |f: &Frame| f.payload() == payload;
+    let in_run = accepted.iter().enumerate().any(|(c, k)| {
         c != code
             && k.and_then(|k| decoded[c][k].outcome.frame())
-                .is_some_and(|f| f.payload() == payload)
-    })
+                .is_some_and(is_payload)
+    });
+    in_run
+        || held
+            .iter()
+            .any(|u| u.outcome.frame().is_some_and(is_payload))
 }
 
 #[cfg(test)]
@@ -1057,17 +1067,16 @@ mod tests {
         assert_eq!(report.detected_ids(), vec![0]);
     }
 
-    #[test]
-    fn sic_recovers_a_buried_weak_user() {
+    /// Two tags on a 4-code set, code 0 strong and code 1 weak: 30 dB of
+    /// power imbalance, so the weak preamble correlation sits far below
+    /// the detection threshold until the strong user is cancelled.
+    fn strong_and_weak_capture() -> (Vec<PnCode>, PhyProfile, Vec<Iq>) {
         let phy = PhyProfile::paper_default();
         let codes = TwoNcFamily::new(4).unwrap().codes(4).unwrap();
         let mut strong = Tag::new(0, Point::ORIGIN, codes[0].clone());
         let mut weak = Tag::new(1, Point::ORIGIN, codes[1].clone());
         let es = strong.transmit(b"strong tag".to_vec(), &phy).unwrap();
         let ew = weak.transmit(b"weak tag!!".to_vec(), &phy).unwrap();
-        // 30 dB of power imbalance: the weak preamble correlation sits far
-        // below the detection threshold until the strong user is
-        // cancelled.
         let buf = clean_capture(
             &[
                 (es, Iq::from_polar(0.02, 0.4), 0),
@@ -1075,6 +1084,12 @@ mod tests {
             ],
             400,
         );
+        (codes, phy, buf)
+    }
+
+    #[test]
+    fn sic_recovers_a_buried_weak_user() {
+        let (codes, phy, buf) = strong_and_weak_capture();
         let mut base = Receiver::new(codes.clone(), phy, ReceiverConfig::default());
         let without = base.receive(&buf);
         assert!(without.ack.acknowledges(0));
@@ -1156,20 +1171,43 @@ mod tests {
     }
 
     #[test]
+    fn sic_rerun_correlates_only_the_codes_the_report_lacks() {
+        let (codes, phy, buf) = strong_and_weak_capture();
+        let config = ReceiverConfig {
+            sic_passes: 1,
+            ..ReceiverConfig::default()
+        };
+        let tracer = Tracer::new(4096);
+        let mut rx = Receiver::new(codes, phy, config);
+        rx.attach_tracer(&tracer);
+        let report = rx.receive(&buf);
+        assert!(report.ack.acknowledges(0) && report.ack.acknowledges(1));
+
+        let spans = tracer.spans();
+        let parents: std::collections::HashMap<u64, u64> =
+            spans.iter().map(|s| (s.span, s.parent)).collect();
+        let sic = spans.iter().find(|s| s.name == "sic").expect("sic span");
+        let under_sic = |mut id: u64| {
+            while let Some(&parent) = parents.get(&id) {
+                if parent == sic.span {
+                    return true;
+                }
+                id = parent;
+            }
+            false
+        };
+        let rerun_codes: Vec<_> = spans
+            .iter()
+            .filter(|s| s.name == "correlate" && under_sic(s.span))
+            .map(|s| s.arg)
+            .collect();
+        // The first pass decoded code 0, so the re-run leaves it out.
+        assert_eq!(rerun_codes, [Some(1), Some(2), Some(3)]);
+    }
+
+    #[test]
     fn sic_telemetry_reports_iterations_and_recovery() {
-        let phy = PhyProfile::paper_default();
-        let codes = TwoNcFamily::new(4).unwrap().codes(4).unwrap();
-        let mut strong = Tag::new(0, Point::ORIGIN, codes[0].clone());
-        let mut weak = Tag::new(1, Point::ORIGIN, codes[1].clone());
-        let es = strong.transmit(b"strong tag".to_vec(), &phy).unwrap();
-        let ew = weak.transmit(b"weak tag!!".to_vec(), &phy).unwrap();
-        let buf = clean_capture(
-            &[
-                (es, Iq::from_polar(0.02, 0.4), 0),
-                (ew, Iq::from_polar(0.00063, 2.0), 3),
-            ],
-            400,
-        );
+        let (codes, phy, buf) = strong_and_weak_capture();
         let config = ReceiverConfig {
             sic_passes: 2,
             ..ReceiverConfig::default()

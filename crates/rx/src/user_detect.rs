@@ -49,9 +49,9 @@ use crate::decoder::DecoderKind;
 ///
 /// Every intermediate the detector needs — the window prefix sums, the
 /// magnitude series, the batched correlation matrix, the raw/normalized
-/// profile and the peak lists — lives here and grows
-/// to a high-water mark on first use, so steady-state detection performs
-/// zero heap allocation.
+/// profile and the peak lists — and its per-code candidate lists live
+/// here and grow to a high-water mark on first use, so steady-state
+/// detection performs zero heap allocation.
 #[derive(Debug, Default)]
 pub struct DetectScratch {
     running: RunningEnergy,
@@ -65,12 +65,20 @@ pub struct DetectScratch {
     /// Above-threshold local maxima, then the NMS-selected subset.
     peaks: Vec<(usize, f64)>,
     selected: Vec<(usize, f64)>,
+    /// The last scan's candidates, one list per code.
+    candidates: Vec<Vec<DetectedUser>>,
 }
 
 impl DetectScratch {
     /// An empty scratch; buffers are sized lazily on first use.
     pub fn new() -> DetectScratch {
         DetectScratch::default()
+    }
+
+    /// The candidates of the last [`UserDetector::detect_candidates_in`]
+    /// call: one list per code, strongest first.
+    pub fn candidates(&self) -> &[Vec<DetectedUser>] {
+        &self.candidates
     }
 
     /// Total heap capacity held by the scratch, in bytes.
@@ -82,6 +90,12 @@ impl DetectScratch {
             + self.mags.capacity() * iq
             + self.profile.capacity() * std::mem::size_of::<f64>()
             + (self.peaks.capacity() + self.selected.capacity()) * pair
+            + self.candidates.capacity() * std::mem::size_of::<Vec<DetectedUser>>()
+            + self
+                .candidates
+                .iter()
+                .map(|v| v.capacity() * std::mem::size_of::<DetectedUser>())
+                .sum::<usize>()
     }
 }
 
@@ -239,22 +253,28 @@ impl UserDetector {
         window_origin: usize,
         max_candidates: usize,
     ) -> Vec<Vec<DetectedUser>> {
-        let mut out = Vec::new();
+        let mut scratch = DetectScratch::new();
         self.detect_candidates_in(
             window,
             window_origin,
             max_candidates,
-            &mut DetectScratch::new(),
-            &mut out,
+            &[],
+            &mut scratch,
             None,
         );
-        out
+        scratch.candidates
     }
 
     /// Allocation-free core of [`UserDetector::detect_candidates`]: all
-    /// intermediates live in `scratch`, and `out` is reused per code
-    /// (inner vectors are cleared, not dropped). Once both have reached
-    /// their high-water sizes a call performs zero heap allocation.
+    /// intermediates and the per-code candidate lists live in `scratch`
+    /// (read the lists with [`DetectScratch::candidates`]; inner vectors
+    /// are cleared, not dropped). Once it has reached its high-water size
+    /// a call performs zero heap allocation.
+    ///
+    /// `skip` masks codes (see [`BatchCorrelator::correlate_iq_into`]): a
+    /// code with `skip[k]` true is neither correlated nor scanned and
+    /// gets no candidate; every other code's candidates are those of an
+    /// unmasked scan, bit for bit. `&[]` scans every code.
     ///
     /// `trace` is `(tracer, trace id, parent span)`: with it, the
     /// shared-FFT pass records a `batch_correlate` child span (with
@@ -266,19 +286,10 @@ impl UserDetector {
         window: &[Iq],
         window_origin: usize,
         max_candidates: usize,
+        skip: &[bool],
         scratch: &mut DetectScratch,
-        out: &mut Vec<Vec<DetectedUser>>,
         trace: Option<(&Tracer, TraceId, SpanId)>,
     ) {
-        out.truncate(self.references.len());
-        for v in out.iter_mut() {
-            v.clear();
-        }
-        out.resize_with(self.references.len(), Vec::new);
-        let len = self.reference_len();
-        if window.len() < len {
-            return;
-        }
         let DetectScratch {
             running,
             mags,
@@ -286,7 +297,17 @@ impl UserDetector {
             profile,
             peaks,
             selected,
+            candidates,
         } = scratch;
+        candidates.truncate(self.references.len());
+        for v in candidates.iter_mut() {
+            v.clear();
+        }
+        candidates.resize_with(self.references.len(), Vec::new);
+        let len = self.reference_len();
+        if window.len() < len {
+            return;
+        }
         // One prefix-sum pass over the window serves every code's per-lag
         // normalization: Σ|s|² for the coherent denominator, Σ|s| (mean)
         // and the mean-removed energy for the envelope statistic. Only
@@ -312,9 +333,13 @@ impl UserDetector {
             let batch_trace = trace
                 .zip(span.as_ref())
                 .map(|((tracer, trace, _), span)| (tracer, trace, span.id()));
-            self.batch.correlate_iq_into(input, batch, batch_trace);
+            self.batch
+                .correlate_iq_into(input, skip, batch, batch_trace);
         }
         for (idx, reference) in self.references.iter().enumerate() {
+            if skip.get(idx) == Some(&true) {
+                continue;
+            }
             let _code_span = trace.map(|(tracer, trace, parent)| {
                 let mut span = tracer.span(trace, Some(parent), "correlate");
                 span.set_arg(idx as u64);
@@ -350,7 +375,7 @@ impl UserDetector {
                 *c = if denom > 0.0 { *c / denom } else { 0.0 };
             }
             self.select_peaks(profile, max_candidates, peaks, selected);
-            out[idx].extend(selected.iter().map(|&(off, val)| {
+            candidates[idx].extend(selected.iter().map(|&(off, val)| {
                 let seg = &window[off..off + len];
                 let gain = self.gain_estimate(correlate_iq_bipolar(seg, reference), idx);
                 DetectedUser {
@@ -594,9 +619,9 @@ mod tests {
         let det = UserDetector::with_kind(&codes, &phy(), 0.35, DecoderKind::Coherent);
         let buf = two_users(&codes);
         let detect = |trace| {
-            let mut out = Vec::new();
-            det.detect_candidates_in(&buf, 0, 4, &mut DetectScratch::new(), &mut out, trace);
-            out
+            let mut scratch = DetectScratch::new();
+            det.detect_candidates_in(&buf, 0, 4, &[], &mut scratch, trace);
+            scratch.candidates
         };
         let untraced = detect(None);
         assert!(

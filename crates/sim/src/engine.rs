@@ -78,6 +78,7 @@ struct SimMetrics {
     tag_transmit_ns: Histogram,
     channel_realize_ns: Histogram,
     channel_mix_ns: Histogram,
+    channel_noise_ns: Histogram,
     settle_ns: Histogram,
     active_tags: Gauge,
     delivery_ratio: Gauge,
@@ -95,6 +96,7 @@ impl SimMetrics {
             tag_transmit_ns: registry.histogram("cbma.sim.stage.tag_transmit_ns"),
             channel_realize_ns: registry.histogram("cbma.sim.stage.channel_realize_ns"),
             channel_mix_ns: registry.histogram("cbma.sim.stage.channel_mix_ns"),
+            channel_noise_ns: registry.histogram("cbma.sim.stage.channel_noise_ns"),
             settle_ns: registry.histogram("cbma.sim.stage.settle_ns"),
             active_tags: registry.gauge("cbma.sim.active_tags"),
             delivery_ratio: registry.gauge("cbma.sim.delivery_ratio"),
@@ -294,10 +296,10 @@ impl Engine {
 
     /// Attaches a span tracer: every subsequent round records a `round`
     /// root span with the engine's stage spans (`channel_realize`,
-    /// `channel_mix` with `tag_transmit` inside it, `settle`) beneath it,
-    /// and the receiver wired so its `capture` span tree (stages and
-    /// correlation kernels) nests underneath too. Each round is its own
-    /// trace.
+    /// `channel_mix` with `channel_noise` and `tag_transmit` inside it,
+    /// `settle`) beneath it, and the receiver wired so its `capture` span
+    /// tree (stages and correlation kernels) nests underneath too. Each
+    /// round is its own trace.
     /// Without this call rounds pay one `Option` branch per stage.
     pub fn attach_tracer(&mut self, tracer: &Tracer) {
         self.tracer = Some(tracer.clone());
@@ -367,8 +369,8 @@ impl Engine {
 
     /// Opens stage `name` of the round in flight: a timer into the
     /// stage's `cbma.sim.stage.<name>_ns` histogram when metrics are
-    /// attached, and a span under the round's span when tracing. Both
-    /// record when the returned guards drop.
+    /// attached, and a span under `span` (the round's, or a stage's) when
+    /// tracing. Both record when the returned guards drop.
     fn stage(
         &self,
         span: RoundSpan,
@@ -437,8 +439,9 @@ impl Engine {
     /// (`channel_mix`), so the round's memory does not grow with the tag
     /// count. Transmitting draws nothing from `chan_rng`, so the stream is
     /// the same as transmitting every tag up front: channel draws, noise,
-    /// interference, mask, ADC. The `tag_transmit` stage runs inside
-    /// `channel_mix`, timed pair by pair and recorded once per round (see
+    /// interference, mask, ADC. Two stages run inside `channel_mix`:
+    /// `channel_noise`, the capture's noise floor, and `tag_transmit`,
+    /// timed pair by pair and recorded once per round (see
     /// [`TransmitClock`]).
     fn realize_round(
         &mut self,
@@ -504,6 +507,9 @@ impl Engine {
         drop(stage);
 
         let mix_stage = self.stage(span, "channel_mix", |m| &m.channel_mix_ns);
+        let mix_span = span
+            .map(|(trace, _)| trace)
+            .zip(mix_stage.1.as_ref().map(SpanGuard::id));
         let mixer = Mixer {
             noise: self.scenario.noise,
             bandwidth: phy.sample_rate,
@@ -513,7 +519,10 @@ impl Engine {
             tail: 64,
         };
         let mut iq = std::mem::take(&mut self.capture);
-        let mut pass = mixer.begin(chan_rng, body, &mut iq);
+        let noise_stage = self.stage(mix_span, "channel_noise", |m| &m.channel_noise_ns);
+        mixer.noise_into(chan_rng, body, &mut iq);
+        drop(noise_stage);
+        let mut pass = mixer.begin(chan_rng, &mut iq);
         let payload_len = self.scenario.payload_len;
         let mut payloads = vec![Vec::new(); self.tags.len()];
         let mut transmit = TransmitClock::new(self.metrics.is_some(), self.tracer.as_ref());
@@ -541,11 +550,7 @@ impl Engine {
         if let Some(adc) = self.scenario.adc {
             adc.quantize(chan_rng, &mut iq);
         }
-        transmit.record(
-            self.metrics.as_ref(),
-            span.map(|(trace, _)| trace)
-                .zip(mix_stage.1.as_ref().map(SpanGuard::id)),
-        );
+        transmit.record(self.metrics.as_ref(), mix_span);
         drop(mix_stage);
         (iq, signal_meta, payloads)
     }
@@ -876,7 +881,13 @@ mod tests {
         // The inner receiver records into the same registry.
         assert_eq!(snap.counters["cbma.rx.captures"], 3);
         assert_eq!(snap.histograms["cbma.sim.round_ns"].count, 3);
-        for stage in ["tag_transmit", "channel_realize", "channel_mix", "settle"] {
+        for stage in [
+            "tag_transmit",
+            "channel_realize",
+            "channel_mix",
+            "channel_noise",
+            "settle",
+        ] {
             let name = format!("cbma.sim.stage.{stage}_ns");
             assert_eq!(snap.histograms[&name].count, 3, "{name}");
         }
@@ -898,7 +909,8 @@ mod tests {
         assert_eq!(rounds[1].arg, Some(1));
         // Each round is its own trace: the engine's stages and the
         // capture nest directly under its span, one after another in
-        // pipeline order, and the tags transmit inside the mix.
+        // pipeline order, and the noise is drawn and the tags transmit
+        // inside the mix.
         let children_of = |parent: &cbma_obs::SpanRecord| {
             let mut children: Vec<_> = spans
                 .iter()
@@ -922,12 +934,14 @@ mod tests {
             assert!(last.start_ns + last.dur_ns <= round.start_ns + round.dur_ns);
             let mix = children[1];
             let inside: Vec<_> = children_of(mix);
-            assert_eq!(inside.len(), 1);
-            let transmit = inside[0];
-            assert_eq!(transmit.name, "tag_transmit");
-            assert!(transmit.dur_ns > 0);
-            assert!(transmit.start_ns >= mix.start_ns);
-            assert!(transmit.start_ns + transmit.dur_ns <= mix.start_ns + mix.dur_ns);
+            let names: Vec<_> = inside.iter().map(|s| s.name).collect();
+            assert_eq!(names, ["channel_noise", "tag_transmit"]);
+            assert!(inside[0].start_ns + inside[0].dur_ns <= inside[1].start_ns);
+            for stage in inside {
+                assert!(stage.dur_ns > 0);
+                assert!(stage.start_ns >= mix.start_ns);
+                assert!(stage.start_ns + stage.dur_ns <= mix.start_ns + mix.dur_ns);
+            }
         }
         // The export is one valid Chrome trace-event document.
         let json = tracer.chrome_trace(None);

@@ -74,11 +74,6 @@ impl PhyProfile {
         self.chip_rate.period()
     }
 
-    /// The tag's information bit rate for a given spreading factor.
-    pub fn info_bit_rate(&self, spreading_factor: usize) -> Hertz {
-        Hertz::new(self.chip_rate.get() / spreading_factor.max(1) as f64)
-    }
-
     /// Returns a copy with a different chip rate (the Fig. 9(a) sweep).
     pub fn with_chip_rate(mut self, chip_rate: Hertz) -> PhyProfile {
         self.chip_rate = chip_rate;
@@ -123,14 +118,6 @@ mod tests {
             phy.with_chip_rate(Hertz::from_mhz(5.0)).samples_per_chip(),
             1
         );
-    }
-
-    #[test]
-    fn info_bit_rate_divides_by_spreading_factor() {
-        let phy = PhyProfile::paper_default();
-        let r = phy.info_bit_rate(31);
-        assert!((r.get() - 1e6 / 31.0).abs() < 1.0);
-        assert_eq!(phy.info_bit_rate(0).get(), 1e6); // clamped divisor
     }
 
     #[test]

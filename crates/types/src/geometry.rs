@@ -82,15 +82,6 @@ impl Point {
             Point::new(self.x / n, self.y / n)
         }
     }
-
-    /// Linear interpolation between `self` (t = 0) and `other` (t = 1).
-    #[inline]
-    pub fn lerp(self, other: Point, t: f64) -> Point {
-        Point::new(
-            self.x + (other.x - self.x) * t,
-            self.y + (other.y - self.y) * t,
-        )
-    }
 }
 
 impl fmt::Display for Point {
@@ -224,15 +215,6 @@ mod tests {
         let p = Point::new(3.0, 4.0).normalized();
         assert!((p.norm() - 1.0).abs() < 1e-12);
         assert_eq!(Point::ORIGIN.normalized(), Point::ORIGIN);
-    }
-
-    #[test]
-    fn lerp_endpoints_and_midpoint() {
-        let a = Point::new(0.0, 0.0);
-        let b = Point::new(2.0, 4.0);
-        assert_eq!(a.lerp(b, 0.0), a);
-        assert_eq!(a.lerp(b, 1.0), b);
-        assert_eq!(a.lerp(b, 0.5), Point::new(1.0, 2.0));
     }
 
     #[test]

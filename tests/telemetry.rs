@@ -45,6 +45,7 @@ fn snapshot_json_round_trips_exactly() {
         "cbma.sim.stage.tag_transmit_ns",
         "cbma.sim.stage.channel_realize_ns",
         "cbma.sim.stage.channel_mix_ns",
+        "cbma.sim.stage.channel_noise_ns",
         "cbma.sim.stage.settle_ns",
     ] {
         let hist = snapshot

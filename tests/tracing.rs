@@ -97,6 +97,7 @@ fn instrumented_run_exports_a_valid_chrome_trace() {
         "tag_transmit",
         "channel_realize",
         "channel_mix",
+        "channel_noise",
         "settle",
         "capture",
         "frame_sync",
@@ -111,7 +112,13 @@ fn instrumented_run_exports_a_valid_chrome_trace() {
         );
     }
     assert_eq!(by_name["round"], 3, "one round span per round");
-    for stage in ["tag_transmit", "channel_realize", "channel_mix", "settle"] {
+    for stage in [
+        "tag_transmit",
+        "channel_realize",
+        "channel_mix",
+        "channel_noise",
+        "settle",
+    ] {
         assert_eq!(by_name[stage], 3, "one {stage} span per round");
     }
 }
