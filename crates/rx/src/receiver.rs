@@ -44,6 +44,7 @@ use cbma_types::Iq;
 use crate::ack::AckMessage;
 use crate::decoder::{DecodeOutcome, Decoder, DecoderKind};
 use crate::frame_sync::{FrameSync, SyncScratch};
+use crate::sic::CodeWords;
 use crate::user_detect::{DetectScratch, DetectedUser, SegmentEnergy, UserDetector};
 
 /// Tunable receiver parameters.
@@ -65,8 +66,8 @@ pub struct ReceiverConfig {
     /// coherent-IQ receiver.
     pub decoder_kind: DecoderKind,
     /// Successive-interference-cancellation passes (0 disables): after
-    /// each pass, decoded users are reconstructed and subtracted, and the
-    /// receive (sync, detection, decoding and probing) re-runs on the
+    /// each pass, decoded users are cancelled code word by code word, and
+    /// the receive (sync, detection, decoding and probing) re-runs on the
     /// residual for the codes the report still lacks; every frame it
     /// accepts joins the report. A receiver-side complement to the
     /// paper's tag-side power control.
@@ -119,20 +120,26 @@ pub struct RxTelemetry {
     pub user_detect_ns: u64,
     /// Time decoding candidates, resolving aliases and probing.
     pub decode_ns: u64,
-    /// Time in the whole SIC loop (reconstruction + cancellation +
-    /// pipeline re-runs); 0 when SIC is disabled or skipped.
+    /// Time in the whole SIC loop (cancellation + pipeline re-runs); 0
+    /// when SIC is disabled or skipped.
     pub sic_ns: u64,
-    /// Sync candidates that were decoded across all codes (a SIC re-run
-    /// scans only the codes its report lacks).
+    /// Sync candidates detection found across all codes (a SIC re-run
+    /// scans only the codes its report lacks). A candidate is decoded
+    /// only while its code has no accepted frame.
     pub candidates_evaluated: usize,
-    /// Fine-alignment probe correlations attempted (phase 3; a SIC
+    /// Fine-alignment probes attempted (the probe fallback; a SIC
     /// re-run probes only the codes its report lacks).
     pub probes_attempted: usize,
     /// Codes reported as [`DecodeOutcome::Alias`].
     pub aliases_suppressed: usize,
-    /// Sync-candidate decodes (probes excluded) that did not yield a
-    /// valid frame.
+    /// Sync-candidate decodes (probes excluded) that ran and did not
+    /// yield a valid frame. Candidates ranked below their code's accepted
+    /// frame are never decoded, so they never count here.
     pub decode_failures: usize,
+    /// Frame decodes run ([`Decoder::decode_frame`] calls): sync
+    /// candidates and probes, on the first pass and on SIC re-runs. The
+    /// exact decode work of a capture.
+    pub decodes: usize,
     /// The strongest preamble correlation seen (0 when nothing was
     /// detected).
     pub peak_correlation: f64,
@@ -158,6 +165,7 @@ impl PartialEq for RxTelemetry {
             && self.probes_attempted == other.probes_attempted
             && self.aliases_suppressed == other.aliases_suppressed
             && self.decode_failures == other.decode_failures
+            && self.decodes == other.decodes
             && self.peak_correlation == other.peak_correlation
             && self.peak_margin == other.peak_margin
             && self.sic_iterations == other.sic_iterations
@@ -177,6 +185,7 @@ impl RxTelemetry {
         self.probes_attempted += other.probes_attempted;
         self.aliases_suppressed += other.aliases_suppressed;
         self.decode_failures += other.decode_failures;
+        self.decodes += other.decodes;
         if other.peak_correlation > self.peak_correlation {
             self.peak_correlation = other.peak_correlation;
             self.peak_margin = other.peak_margin;
@@ -228,6 +237,7 @@ struct RxMetrics {
     candidates: Counter,
     users_decoded: Counter,
     decode_failures: Counter,
+    decodes: Counter,
     aliases_suppressed: Counter,
     probes: Counter,
     sic_recovered: Counter,
@@ -247,6 +257,7 @@ impl RxMetrics {
             candidates: registry.counter("cbma.rx.candidates"),
             users_decoded: registry.counter("cbma.rx.users_decoded"),
             decode_failures: registry.counter("cbma.rx.decode_failures"),
+            decodes: registry.counter("cbma.rx.decodes"),
             aliases_suppressed: registry.counter("cbma.rx.aliases_suppressed"),
             probes: registry.counter("cbma.rx.probes"),
             sic_recovered: registry.counter("cbma.rx.sic_recovered"),
@@ -273,6 +284,7 @@ impl RxMetrics {
         self.candidates.add(t.candidates_evaluated as u64);
         self.users_decoded.add(report.ack.len() as u64);
         self.decode_failures.add(t.decode_failures as u64);
+        self.decodes.add(t.decodes as u64);
         self.aliases_suppressed.add(t.aliases_suppressed as u64);
         self.probes.add(t.probes_attempted as u64);
         self.sic_recovered.add(t.sic_recovered as u64);
@@ -281,25 +293,28 @@ impl RxMetrics {
 
 /// Reusable per-receiver working memory for the whole receive pipeline:
 /// frame-sync state, detection buffers, decode candidate lists, alias-
-/// resolution tables, and the SIC residual and reconstruction. Every
-/// buffer is cleared — not dropped — per capture, so a receiver in steady
-/// state (repeated captures of similar size) performs **zero heap
-/// allocation** on quiet captures and only output-proportional allocation
-/// when frames decode. One instance lives in each [`Receiver`], so every
+/// resolution tables, and the SIC residual. Every buffer is cleared — not
+/// dropped — per capture, so a receiver in steady state (repeated
+/// captures of similar size) performs **zero heap allocation** on quiet
+/// captures and only output-proportional allocation when frames decode. One instance lives in each [`Receiver`], so every
 /// engine, and every campaign worker's engine, owns a private arena.
 #[derive(Debug)]
 pub struct RxScratch {
     sync: SyncScratch,
     /// Detection buffers and the per-code candidate lists.
     detect: DetectScratch,
+    /// Per code, its candidates' decodes in decode order (strongest
+    /// first), then an accepted probe's decode.
     decoded: Vec<Vec<DecodedUser>>,
-    /// `(code, candidate index)` pairs, sorted by descending correlation.
+    /// Every sync candidate as a `(code, candidate index)` pair, sorted
+    /// by descending correlation: the decode order.
     order: Vec<(usize, usize)>,
-    /// Accepted candidate index per code, if any.
+    /// Per code, the index of its accepted decode in `decoded`, if any.
     accepted: Vec<Option<usize>>,
-    /// Phase-3 timing hypotheses (accepted starts + window origin).
+    /// The probe fallback's timing hypotheses (accepted starts + window
+    /// origin).
     accepted_starts: Vec<usize>,
-    /// Deduplicated phase-3 probe offsets (±1 chip around hypotheses).
+    /// Deduplicated probe offsets (±1 chip around hypotheses).
     probe_offsets: Vec<usize>,
     /// Each probe offset's segment energy, taken by the first code probed
     /// there and reused by the rest (`None` until then).
@@ -309,9 +324,6 @@ pub struct RxScratch {
     skip: Vec<bool>,
     /// SIC working copy of the capture.
     residual: Vec<Iq>,
-    /// SIC's reconstruction of the user being cancelled
-    /// ([`crate::sic::reconstruct_envelope_into`]).
-    sic_envelope: Vec<f64>,
 }
 
 impl RxScratch {
@@ -327,7 +339,6 @@ impl RxScratch {
             probe_energy: Vec::new(),
             skip: Vec::new(),
             residual: Vec::new(),
-            sic_envelope: Vec::new(),
         }
     }
 
@@ -351,7 +362,6 @@ impl RxScratch {
             + self.probe_energy.capacity() * std::mem::size_of::<Option<SegmentEnergy>>()
             + self.skip.capacity()
             + self.residual.capacity() * std::mem::size_of::<Iq>()
-            + self.sic_envelope.capacity() * std::mem::size_of::<f64>()
     }
 }
 
@@ -378,6 +388,9 @@ pub struct Receiver {
     trace_parent: Option<(TraceId, SpanId)>,
     /// Reusable pipeline working memory (see [`RxScratch`]).
     scratch: RxScratch,
+    /// Each code's SIC code-word windows, built by the first SIC pass that
+    /// cancels a user (empty until then, so set-up does not pay for them).
+    sic_words: Vec<CodeWords>,
 }
 
 /// Per-capture trace context threaded through the pipeline stages:
@@ -433,6 +446,7 @@ impl Receiver {
             tracer: None,
             trace_parent: None,
             scratch,
+            sic_words: Vec::new(),
         }
     }
 
@@ -544,11 +558,12 @@ impl Receiver {
         self.scratch.capacity_bytes()
     }
 
-    /// One SIC pass: subtract every decoded user, re-run the pipeline on
-    /// the residual for the codes the report lacks, and adopt what it
-    /// decodes. The re-run scans and probes only those codes, and it
-    /// accepts no payload the report holds, so every frame it returns is
-    /// new. Returns whether the report changed.
+    /// One SIC pass: subtract every decoded user, code word by code word
+    /// from its decoded bits, re-run the pipeline on the residual for the
+    /// codes the report lacks, and adopt what it decodes. The re-run scans
+    /// and probes only those codes, and it accepts no payload the report
+    /// holds, so every frame it returns is new. Returns whether the report
+    /// changed.
     fn sic_pass(&mut self, samples: &[Iq], report: &mut RxReport, trace: TraceCtx) -> bool {
         let decoded_count = report.users.iter().filter(|u| u.outcome.is_frame()).count();
         if decoded_count == 0 || decoded_count == self.codes.len() {
@@ -561,16 +576,17 @@ impl Receiver {
         let mut residual = std::mem::take(&mut self.scratch.residual);
         residual.clear();
         residual.extend_from_slice(samples);
-        let sic_envelope = &mut self.scratch.sic_envelope;
+        if self.sic_words.is_empty() {
+            self.sic_words = self.codes.iter().map(|c| CodeWords::new(c, spc)).collect();
+        }
         for user in report.users.iter().filter(|u| u.outcome.is_frame()) {
-            let frame = user.outcome.frame().expect("filtered to frames");
-            let code = &self.codes[user.detection.code_index];
-            crate::sic::reconstruct_envelope_into(frame, code, &self.phy, sic_envelope);
-            crate::sic::cancel_user(
+            // A valid frame's decoded bits are the bits it was sent as:
+            // the parser checked the preamble, the length and the CRC.
+            let bits = user.bits.as_ref().expect("a decoded frame keeps its bits");
+            self.sic_words[user.detection.code_index].cancel(
                 &mut residual,
                 user.detection.start,
-                sic_envelope,
-                code.len() * spc,
+                bits,
             );
         }
         if !residual.is_empty() {
@@ -641,11 +657,11 @@ impl Receiver {
 
     /// Runs the detection/decode pipeline once (no SIC). `held` are the
     /// users of the report a SIC re-run extends (empty on a first pass):
-    /// their decoded codes are skipped, their starts join phase 3's timing
-    /// hypotheses, and their payloads count as accepted elsewhere. `trace`
-    /// is the parent context the stage spans nest under — the capture
-    /// span on the first run, the `sic` span on cancellation re-runs,
-    /// `None` when no tracer is attached (one branch per stage).
+    /// their decoded codes are skipped, their starts join the probe
+    /// fallback's timing hypotheses, and their payloads count as accepted
+    /// elsewhere. `trace` is the parent context the stage spans nest under
+    /// — the capture span on the first run, the `sic` span on cancellation
+    /// re-runs, `None` when no tracer is attached (one branch per stage).
     fn receive_once(&mut self, samples: &[Iq], held: &[DecodedUser], trace: TraceCtx) -> RxReport {
         let mut telemetry = RxTelemetry::default();
         match self.sync_capture(samples, &mut telemetry, trace) {
@@ -697,10 +713,14 @@ impl Receiver {
     }
 
     /// The decode half of the pipeline: consumes the candidate lists in
-    /// `self.scratch.detect` (filled by the detection stage) and runs
-    /// candidate decoding, global alias resolution and the fine-alignment
-    /// probe fallback, taking what `held` decoded as accepted. Returns the
-    /// assembled report with `frame_detected` set.
+    /// `self.scratch.detect` (filled by the detection stage) and accepts,
+    /// per code, the first valid frame in descending correlation order
+    /// whose payload no other code holds, then runs the fine-alignment
+    /// probe fallback, taking what `held` decoded as accepted. A candidate
+    /// is decoded only while its code has no accepted frame, and a probe
+    /// at one of its code's candidate starts is counted but not run, since
+    /// that start's decode was already rejected. Returns the assembled
+    /// report with `frame_detected` set.
     fn decode_detected(
         &mut self,
         samples: &[Iq],
@@ -734,79 +754,68 @@ impl Receiver {
         let stage_start = Instant::now();
         let _decode_span = trace.map(|(t, tr, parent)| t.span(tr, Some(parent), "decode"));
 
-        // Phase 1: decode every sync candidate of every code. The decode
-        // lists are arena-owned: cleared per capture, capacity retained.
+        // Candidate decoding with global alias resolution. A shifted copy
+        // of one tag's waveform can correlate above threshold under
+        // another code and decode the victim's byte-identical frame, so
+        // candidates are taken in descending correlation order across all
+        // codes (a stable sort: ties keep code, then candidate order), and
+        // a code accepts its first valid frame whose payload is not
+        // already accepted under a different code. A code's candidates
+        // after its accepted one would decide nothing, so they are not
+        // decoded; a code that accepts nothing has every candidate decoded
+        // and reports its strongest. `total_cmp` orders every float, so a
+        // non-finite correlation cannot panic here; on the finite,
+        // non-negative correlations detection produces it is the usual
+        // order. The decode lists are arena-owned: cleared per capture,
+        // capacity retained.
+        order.clear();
+        for (c, cands) in candidates.iter().enumerate() {
+            order.extend((0..cands.len()).map(|k| (c, k)));
+        }
+        order.sort_by(|a, b| {
+            candidates[b.0][b.1]
+                .correlation
+                .total_cmp(&candidates[a.0][a.1].correlation)
+        });
         decoded.truncate(candidates.len());
         for v in decoded.iter_mut() {
             v.clear();
         }
         decoded.resize_with(candidates.len(), Vec::new);
-        for (code_candidates, slot) in candidates.iter().zip(decoded.iter_mut()) {
-            for &det in code_candidates {
-                let (outcome, bits) = self.decoders[det.code_index].decode_frame(
-                    samples,
-                    det.start,
-                    det.channel_gain,
-                );
-                slot.push(DecodedUser {
-                    detection: det,
-                    outcome,
-                    bits,
-                });
-            }
-        }
-        telemetry.decode_failures = decoded
-            .iter()
-            .flatten()
-            .filter(|u| !u.outcome.is_frame())
-            .count();
-
-        // Phase 2: resolve cross-code aliases globally. A shifted copy of
-        // one tag's waveform can correlate above threshold under another
-        // code and decode the victim's byte-identical frame — so accept
-        // valid candidates in descending correlation order, skipping any
-        // whose payload is already accepted under a different code, then
-        // fall back per code to its strongest remaining candidate.
-        order.clear();
-        for (c, cands) in decoded.iter().enumerate() {
-            for (k, u) in cands.iter().enumerate() {
-                if u.outcome.is_frame() {
-                    order.push((c, k));
-                }
-            }
-        }
-        // `total_cmp` orders every float, so a non-finite correlation
-        // cannot panic here; on the finite, non-negative correlations
-        // detection produces it is the usual order.
-        order.sort_by(|a, b| {
-            decoded[b.0][b.1]
-                .detection
-                .correlation
-                .total_cmp(&decoded[a.0][a.1].detection.correlation)
-        });
         accepted.clear();
-        accepted.resize(decoded.len(), None);
+        accepted.resize(candidates.len(), None);
         for &(c, k) in order.iter() {
             if accepted[c].is_some() {
                 continue;
             }
-            let frame = decoded[c][k]
-                .outcome
-                .frame()
-                .expect("only valid frames enter the order");
-            if !accepted_elsewhere(decoded, accepted, held, c, frame.payload()) {
-                accepted[c] = Some(k);
+            let det = candidates[c][k];
+            let (outcome, bits) =
+                self.decoders[c].decode_frame(samples, det.start, det.channel_gain);
+            telemetry.decodes += 1;
+            let accept = match outcome.frame() {
+                Some(frame) => !accepted_elsewhere(decoded, accepted, held, c, frame.payload()),
+                None => {
+                    telemetry.decode_failures += 1;
+                    false
+                }
+            };
+            decoded[c].push(DecodedUser {
+                detection: det,
+                outcome,
+                bits,
+            });
+            if accept {
+                accepted[c] = Some(decoded[c].len() - 1);
             }
         }
 
-        // Phase 3: fine-alignment fallback. Orthogonal concurrent tags
-        // null each other's interference exactly at the true alignment,
-        // so the correlation profile *dips* there and the peak-picking of
-        // phase 1 can miss it entirely. Re-probe codes that still lack a
-        // valid frame at timing hypotheses: the starts of accepted users
-        // (tags share coarse timing; in code order, a held user's start
-        // in its code's place) and the search-window origin, each scanned
-        // over ±1 chip.
+        // Fine-alignment fallback. Orthogonal concurrent tags null each
+        // other's interference exactly at the true alignment, so the
+        // correlation profile *dips* there and peak-picking can miss it
+        // entirely. Re-probe codes that still lack a valid frame at timing
+        // hypotheses: the starts of accepted users (tags share coarse
+        // timing; in code order, a held user's start in its code's place)
+        // and the search-window origin, each scanned over ±1 chip.
         accepted_starts.clear();
         for (c, k) in accepted.iter().enumerate() {
             let start = match k {
@@ -842,6 +851,14 @@ impl Receiver {
             }
             'probe: for (&off, energy) in probe_offsets.iter().zip(probe_energy.iter_mut()) {
                 telemetry.probes_attempted += 1;
+                // This code accepted none of its candidates, each decoded
+                // above. A probe at a candidate's start correlates the same
+                // samples, so it would estimate the candidate's gain and
+                // decode its rejected frame again, and a frame rejected as
+                // invalid or as held elsewhere stays rejected.
+                if candidates[c].iter().any(|d| d.start == off) {
+                    continue;
+                }
                 if energy.is_none() {
                     *energy = self.detector.segment_energy(samples, off);
                 }
@@ -859,6 +876,7 @@ impl Receiver {
                 }
                 let (outcome, bits) =
                     self.decoders[c].decode_frame(samples, det.start, det.channel_gain);
+                telemetry.decodes += 1;
                 if outcome
                     .frame()
                     .is_some_and(|f| !accepted_elsewhere(decoded, accepted, held, c, f.payload()))

@@ -51,8 +51,8 @@ fn main() {
         t.user_detect_ns, t.candidates_evaluated
     );
     println!(
-        "  decode        {:>9} ns  ({} probes, {} failures)",
-        t.decode_ns, t.probes_attempted, t.decode_failures
+        "  decode        {:>9} ns  ({} decodes, {} failed candidates, {} probes)",
+        t.decode_ns, t.decodes, t.decode_failures, t.probes_attempted
     );
     println!(
         "  sic           {:>9} ns  ({} passes, {} recovered)",

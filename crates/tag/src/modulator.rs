@@ -32,8 +32,9 @@ pub fn ook_envelope(chips: &Bits, samples_per_chip: usize) -> Vec<f64> {
 ///
 /// Equal to `ook_envelope(&spread(data, code), samples_per_chip)` sample
 /// for sample, without the chip sequence, the per-bit complement or the
-/// per-chip buffer in between. The tag's transmit path and SIC's
-/// reconstruction both build their envelopes here.
+/// per-chip buffer in between. The tag's transmit path builds its
+/// envelopes here; SIC cancels a decoded frame window by window from the
+/// same [`code_words`].
 ///
 /// # Panics
 ///
@@ -57,22 +58,33 @@ pub fn spread_envelope_into(
     samples_per_chip: usize,
     out: &mut Vec<f64>,
 ) {
+    let words = code_words(code, samples_per_chip);
+    let (one, zero) = words.split_at(words.len() / 2);
+    out.clear();
+    out.reserve(data.len() * one.len());
+    for bit in data.iter() {
+        out.extend_from_slice(if bit == 1 { one } else { zero });
+    }
+}
+
+/// `code`'s two OOK code-word windows at sample rate, the word for a 1
+/// bit and then its complement for a 0, `code.len() × samples_per_chip`
+/// samples of 0.0/1.0 each: every spread frame's envelope is a sequence
+/// of these.
+///
+/// # Panics
+///
+/// Panics if `samples_per_chip` is zero.
+pub fn code_words(code: &PnCode, samples_per_chip: usize) -> Vec<f64> {
     assert!(samples_per_chip > 0, "need at least one sample per chip");
-    let word = code.len() * samples_per_chip;
-    // The code word for a 1, then its complement for a 0.
-    let mut words = Vec::with_capacity(2 * word);
+    let mut words = Vec::with_capacity(2 * code.len() * samples_per_chip);
     for complement in [0, 1] {
         for chip in code.bits().iter() {
             let level = f64::from(chip ^ complement);
             words.extend(std::iter::repeat_n(level, samples_per_chip));
         }
     }
-    let (one, zero) = words.split_at(word);
-    out.clear();
-    out.reserve(data.len() * word);
-    for bit in data.iter() {
-        out.extend_from_slice(if bit == 1 { one } else { zero });
-    }
+    words
 }
 
 #[cfg(test)]

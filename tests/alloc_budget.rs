@@ -4,8 +4,10 @@
 //! steady-state receiver decodes ten concurrent tags with two SIC passes,
 //! and each capture may allocate at most two blocks per sync candidate
 //! (one decode's bit buffer and its payload) plus a fixed allowance per
-//! reported user (the report itself, SIC reconstruction, probe decodes).
-//! A decode that copies its bits or payload through extra buffers, or a
+//! reported user (the report itself, probe decodes). SIC cancels each
+//! user from code-word windows the receiver builds once, in its first SIC
+//! pass (a warm-up capture here), and allocates nothing per user. A
+//! decode that copies its bits or payload through extra buffers, or a
 //! failure that formats a message, exceeds the budget.
 //!
 //! This file deliberately contains a single `#[test]`: the counter is

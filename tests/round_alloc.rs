@@ -2,10 +2,11 @@
 //!
 //! A counting `#[global_allocator]` wraps the system allocator and counts
 //! every allocation or reallocation of at least 64 KiB. A round's tag
-//! envelopes, capture, mixer scratch and SIC reconstructions are that
-//! large; the engine and its receiver keep them from round to round. So
-//! once a few warm-up rounds have grown those buffers, a round must make
-//! no such allocation at all: not the paper's 4-tag round, and not the
+//! envelopes, capture, mixer scratch and SIC residual are that large; the
+//! engine and its receiver keep them from round to round (SIC cancels
+//! from per-code code-word windows, so it rebuilds no envelope). So once
+//! a few warm-up rounds have grown those buffers, a round must make no
+//! such allocation at all: not the paper's 4-tag round, and not the
 //! 10-tag round with two SIC passes. The count is exact, so host speed
 //! cannot hide a buffer that is allocated per round again.
 //!
